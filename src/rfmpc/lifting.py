@@ -42,13 +42,10 @@ class LiftedDynamics:
 
     ``A_tilde`` maps the current state to the stacked states x'_1..x'_N, and
     ``B_tilde`` is block lower triangular with (i, j) block ``A^(i-j) B``.
-    ``frakA`` is the block-Toeplitz kernel with identity diagonal used to
-    assemble both.
     """
 
     A_tilde: np.ndarray
     B_tilde: np.ndarray
-    frakA: np.ndarray
 
 
 @dataclass
@@ -166,13 +163,11 @@ def lift_dynamics(plant, N: int) -> LiftedDynamics:
     for _ in range(N):
         powers.append(A @ powers[-1])
     A_tilde = np.vstack(powers[1 : N + 1])
-    frakA = np.zeros((N * n_x, N * n_x))
     B_tilde = np.zeros((N * n_x, N * n_u))
     for i in range(N):
         for j in range(i + 1):
-            frakA[i * n_x : (i + 1) * n_x, j * n_x : (j + 1) * n_x] = powers[i - j]
             B_tilde[i * n_x : (i + 1) * n_x, j * n_u : (j + 1) * n_u] = powers[i - j] @ B
-    return LiftedDynamics(A_tilde=A_tilde, B_tilde=B_tilde, frakA=frakA)
+    return LiftedDynamics(A_tilde=A_tilde, B_tilde=B_tilde)
 
 
 def check_coercivity(H: np.ndarray) -> float:
@@ -218,9 +213,9 @@ def build(p: ProblemDefinition, tol_coercive: float = 1e-10, keep_blocks: bool =
 
     QB = Q_P @ B_tilde
     H = B_tilde.T @ QB + R_t + V_t + B_tilde.T @ M_t + M_t.T @ B_tilde
-    eps = check_coercivity(H)
-    norm_H = np.max(np.abs(np.linalg.eigvalsh(0.5 * (H + H.T))))
-    if eps <= tol_coercive * (1.0 + norm_H):
+    w_H = np.linalg.eigvalsh(0.5 * (H + H.T))
+    eps = float(w_H[0])
+    if eps <= tol_coercive * (1.0 + np.max(np.abs(w_H))):
         raise ValueError(f"H not coercive: smallest eigenvalue {eps:.3e}")
 
     F = np.hstack([B_tilde.T @ (Q_P @ A_tilde) + M_t.T @ A_tilde + M0_t.T, V0_t])
@@ -261,17 +256,17 @@ def build(p: ProblemDefinition, tol_coercive: float = 1e-10, keep_blocks: bool =
         stage_offsets.extend((N, i) for i in range(p_hat))
 
     G = E1_t @ B_tilde + E_t
-    chol = sla.cho_factor(0.5 * (H + H.T), lower=True)
-    S = G @ sla.cho_solve(chol, F) - np.hstack([E1_t @ A_tilde, np.zeros((p_tilde, n_u))]) - E0_t
+    # The QP factors H once; S = G H^{-1} F - ... goes through that factor.
+    qp = LiftedQP(cost=cost, constraints=None, dynamics=dyn, N=N, n_x=n_x, n_u=n_u)
+    S = G @ qp.solve_H(F) - np.hstack([E1_t @ A_tilde, np.zeros((p_tilde, n_u))]) - E0_t
 
-    has_state = bool(np.any(E1_t) or np.any(E0_t[:, :n_x]))
-    has_param_input = bool(np.any(E0_t[:, n_x:]))
-    cons = ConstraintData(
+    qp.constraints = ConstraintData(
         G=G, S=S, W=W_vec, stage_offsets=stage_offsets,
-        has_state_rows=has_state, has_param_input_rows=has_param_input,
+        has_state_rows=bool(np.any(E1_t) or np.any(E0_t[:, :n_x])),
+        has_param_input_rows=bool(np.any(E0_t[:, n_x:])),
         blocks={"E0_t": E0_t, "E1_t": E1_t, "E_t": E_t} if keep_blocks else None,
     )
-    return LiftedQP(cost=cost, constraints=cons, dynamics=dyn, N=N, n_x=n_x, n_u=n_u)
+    return qp
 
 
 def _theta_vector(theta) -> np.ndarray:

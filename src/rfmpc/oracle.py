@@ -1,9 +1,10 @@
 """Reference solvers for desk-scale QPs.
 
-Two independent routes to the same minimizer: brute-force enumeration of the
-candidate active sets in a fixed deterministic order, and projected cyclic
-coordinate ascent on the dual.  Both are meant for cross-checking the search
-in :mod:`.solver` at small sizes, not for production use.
+Two routes to the same minimizer: brute-force enumeration of the candidate
+active sets in a fixed deterministic order, which shares the candidate
+evaluator of :mod:`.solver` but not its search, and projected cyclic
+coordinate ascent on the dual, which shares nothing with it.  Both are meant
+for cross-checking the search at small sizes, not for production use.
 """
 from __future__ import annotations
 
@@ -11,13 +12,12 @@ import numpy as np
 
 from .lifting import LiftedQP, _theta_vector
 from .solver import (
-    ActiveSet,
     SolveResult,
     SolveStats,
     SolveStatus,
     Tolerances,
-    _kkt_solve_mask,
-    _mask_indices,
+    _evaluate,
+    _result,
     iter_candidate_masks,
 )
 
@@ -41,43 +41,16 @@ def enumerate_active_sets(qp: LiftedQP, theta, tol: Tolerances | None = None, ma
     stats = SolveStats()
     for mask in iter_candidate_masks(p, min(qp.n_z, p)):
         stats.candidates_visited += 1
-        if mask == 0:
-            z = np.zeros(qp.n_z)
-            lam_A = np.zeros(0)
-        else:
+        if mask:
             stats.kkt_solves += 1
-            out = _kkt_solve_mask(qp, mask, b, tol.tol_singular)
-            if out is None:
-                stats.licq_failures += 1
-                continue
-            z, lam_A = out
-        slack = b - qp.G @ z
-        if (slack.size == 0 or np.min(slack) >= -tol.tol_violation) and (
-            lam_A.size == 0 or np.min(lam_A) >= -tol.tol_lambda
-        ):
-            lam_full = np.zeros(p)
-            rows = _mask_indices(mask)
-            if rows:
-                lam_full[rows] = lam_A
-            u_seq = z - qp.solve_H(qp.F @ theta_vec)
-            return SolveResult(
-                status=SolveStatus.OPTIMAL,
-                active_set=ActiveSet(mask),
-                u_first=u_seq[: qp.n_u],
-                u_seq=u_seq,
-                z_star=z,
-                lam=lam_full,
-                stats=stats,
-            )
-    return SolveResult(
-        status=SolveStatus.INFEASIBLE,
-        active_set=ActiveSet(0),
-        u_first=None,
-        u_seq=None,
-        z_star=None,
-        lam=None,
-        stats=stats,
-    )
+        out = _evaluate(qp, mask, b, tol)
+        if out is None:
+            stats.licq_failures += 1
+            continue
+        z, lam_A, violated, negative = out
+        if not violated and not negative:
+            return _result(qp, theta_vec, stats, SolveStatus.OPTIMAL, mask, z, lam_A)
+    return _result(qp, theta_vec, stats, SolveStatus.INFEASIBLE)
 
 
 def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000) -> np.ndarray:

@@ -102,20 +102,15 @@ class SimulationResult:
 
 
 def dual_solver_fn(qp: LiftedQP, theta, warm, tol) -> SolveResult:
-    """Closed-loop drop-in that solves each QP by dual coordinate ascent."""
+    """Closed-loop drop-in that solves each QP by dual coordinate ascent.
+
+    The result reports the empty active set and no multipliers: the dual
+    iterate is not turned into a certificate.
+    """
     t0 = time.perf_counter()
     z = oracle_mod.dual_ascent(qp, theta)
-    u_seq = z - qp.solve_H(qp.F @ np.asarray(theta.as_vector(), float))
     stats = SolveStats(wall_time=time.perf_counter() - t0)
-    return SolveResult(
-        status=SolveStatus.OPTIMAL,
-        active_set=ActiveSet(0),
-        u_first=u_seq[: qp.n_u],
-        u_seq=u_seq,
-        z_star=z,
-        lam=None,
-        stats=stats,
-    )
+    return solver_mod._result(qp, theta.as_vector(), stats, SolveStatus.OPTIMAL, z=z)
 
 
 def warm_shift_map(qp: LiftedQP) -> np.ndarray:

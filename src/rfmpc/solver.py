@@ -1,18 +1,24 @@
 """Warm-started combinatorial active-set search for the condensed parametric QP.
 
 Instead of storing an explicit region partition, each query searches the
-candidate active sets directly: solve the equality-constrained KKT system for
-a candidate, accept when primal feasibility and dual nonnegativity hold, and
-otherwise branch by activating violated rows and deactivating rows with
-negative multipliers.  A stack of promising candidates (most recent first), a
-visited set, and a list of minimal rank-deficient candidates (whose supersets
-are all rank deficient and can be pruned wholesale) make the search complete:
-if the bounded candidate space is exhausted the problem is infeasible.
+candidate active sets directly.  One evaluator (:func:`_evaluate`) solves the
+equality-constrained KKT system of a candidate and lists its violated rows
+and negative multipliers, worst first; the candidate is accepted when both
+lists are empty.  One loop (:func:`solve`) otherwise branches by activating
+violated rows and deactivating rows with negative multipliers.  Candidates
+come off a stack of promising candidates (most recent first) and, when the
+stack runs dry, from the exhaustive (cardinality, mask) order.  A visited set
+and a list of minimal rank-deficient candidates (whose supersets are all rank
+deficient and can be pruned wholesale) filter them, which makes the search
+complete: if the bounded candidate space is exhausted the problem is
+infeasible.  Every :class:`SolveResult` comes from one constructor
+(:func:`_result`), which the reference solvers in :mod:`.oracle` and
+:mod:`.sim` share.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,10 +32,7 @@ __all__ = [
     "SolveStatus",
     "SolveStats",
     "SolveResult",
-    "SolverState",
-    "OptimalityReport",
     "kkt_solve",
-    "check_optimality",
     "solve",
     "reduce_to_licq",
     "kkt_residuals",
@@ -93,6 +96,11 @@ def _mask_indices(mask: int) -> list:
     return out
 
 
+def _bound_scale(qp: LiftedQP) -> float:
+    """``1 + max|W|``: the scale of the absolute acceptance bands."""
+    return 1.0 + (np.max(np.abs(qp.W)) if qp.W.size else 0.0)
+
+
 @dataclass
 class Tolerances:
     """Acceptance and rank thresholds of the search.
@@ -111,7 +119,7 @@ class Tolerances:
 
     @classmethod
     def for_qp(cls, qp: LiftedQP, **overrides) -> "Tolerances":
-        scale = 1.0 + (np.max(np.abs(qp.W)) if qp.W.size else 0.0)
+        scale = _bound_scale(qp)
         kw = dict(tol_violation=1e-9 * scale, tol_lambda=1e-9 * scale)
         kw.update(overrides)
         return cls(**kw)
@@ -140,45 +148,6 @@ class SolveResult:
     z_star: np.ndarray | None
     lam: np.ndarray | None
     stats: SolveStats
-
-
-@dataclass
-class SolverState:
-    """Mutable search state: candidate stack, visited set, rank-deficiency log."""
-
-    stack: list = field(default_factory=list)
-    visited: "_VisitedSet | None" = None
-    licq: list = field(default_factory=list)
-    stats: SolveStats = field(default_factory=SolveStats)
-
-
-class _VisitedSet:
-    """Membership structure over candidate bitmasks.
-
-    Uses a dense bit array when the index space is small enough (at most
-    2^24 candidates) and a hash set of masks otherwise.
-    """
-
-    ARRAY_LIMIT = 24
-
-    def __init__(self, n_bits: int, force_hash: bool = False):
-        self._array = None
-        self._set = None
-        if n_bits <= self.ARRAY_LIMIT and not force_hash:
-            self._array = bytearray((1 << n_bits) // 8 + 1)
-        else:
-            self._set = set()
-
-    def add(self, mask: int):
-        if self._array is not None:
-            self._array[mask >> 3] |= 1 << (mask & 7)
-        else:
-            self._set.add(mask)
-
-    def contains(self, mask: int) -> bool:
-        if self._array is not None:
-            return bool(self._array[mask >> 3] >> (mask & 7) & 1)
-        return mask in self._set
 
 
 def _contains_violator(licq: list, mask: int) -> bool:
@@ -221,83 +190,74 @@ def kkt_solve(qp: LiftedQP, aset, theta, tol_singular: float = 1e-10):
     if mask == 0:
         raise ValueError("candidate active set must be nonempty")
     b = qp.W + qp.S @ _theta_vector(theta)
-    return _kkt_solve_mask(qp, mask, b, tol_singular)
+    out = _evaluate(qp, mask, b, Tolerances(tol_singular=tol_singular))
+    return None if out is None else out[:2]
 
 
-def _kkt_solve_mask(qp: LiftedQP, mask: int, b: np.ndarray, tol_singular: float):
-    rows = _mask_indices(mask)
+def _reduced_kkt(qp: LiftedQP, rows: list):
+    """``G_A``, ``H^{-1} G_A^T`` and the eigenpairs of ``G_A H^{-1} G_A^T``."""
     GA = qp.G[rows]
-    bA = b[rows]
-    Y = qp.solve_H(GA.T)  # H^{-1} G_A^T
+    Y = qp.solve_H(GA.T)
     K = GA @ Y
-    K = 0.5 * (K + K.T)
-    w, U = np.linalg.eigh(K)
-    if w[-1] <= 0.0 or w[0] <= tol_singular * w[-1]:
-        return None
-    lam = -(U @ ((U.T @ bA) / w))
-    z = -(Y @ lam)
-    # A candidate whose equalities cannot be reproduced numerically is rank
-    # deficient for all practical purposes.
-    resid = np.max(np.abs(GA @ z - bA))
-    if resid > 1e-8 * (1.0 + np.max(np.abs(bA))):
-        return None
-    return z, lam
+    w, U = np.linalg.eigh(0.5 * (K + K.T))
+    return GA, Y, w, U
 
 
-@dataclass
-class OptimalityReport:
-    optimal: bool
-    violated: list  # constraint indices, most violated first
-    negative: list  # (index, multiplier) pairs, most negative first
-    slack: np.ndarray
+def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
+    """One KKT solve of a candidate and its acceptance test.
 
-
-def check_optimality(qp: LiftedQP, z_star, lam_A, aset, theta, tol: Tolerances | None = None) -> OptimalityReport:
-    """Primal/dual acceptance test for a candidate KKT solution.
-
-    Violated rows come back ordered by increasing slack and negative
-    multipliers by increasing value, i.e. worst first, with index ties broken
-    toward the lower index.
+    Returns ``(z, lam_A, violated, negative)``, or ``None`` when the candidate
+    is rank deficient.  ``violated`` lists the rows with slack below
+    ``-tol_violation`` by increasing slack, ``negative`` the candidate rows
+    with a multiplier below ``-tol_lambda`` by increasing multiplier: worst
+    first, index ties broken toward the lower index.  The candidate is
+    accepted when both lists are empty.  The empty candidate costs no solve:
+    its minimizer is the origin and its slack is ``b`` itself.
     """
-    tol = tol if tol is not None else Tolerances.for_qp(qp)
-    z = np.asarray(z_star, float).reshape(-1)
-    slack = qp.W + qp.S @ _theta_vector(theta) - qp.G @ z
-    mask = aset.mask if isinstance(aset, ActiveSet) else int(aset)
-    rows = _mask_indices(mask)
-    lam = np.asarray(lam_A, float).reshape(-1)
-    violated = sorted(
-        (int(k) for k in np.flatnonzero(slack < -tol.tol_violation)),
-        key=lambda k: (slack[k], k),
-    )
-    negative = sorted(
-        ((rows[i], float(lam[i])) for i in np.flatnonzero(lam < -tol.tol_lambda)),
-        key=lambda kv: (kv[1], kv[0]),
-    )
-    return OptimalityReport(
-        optimal=not violated and not negative,
-        violated=violated,
-        negative=negative,
-        slack=slack,
-    )
-
-
-def _result(qp, status, mask, z, lam_A, stats, theta_vec):
-    lam_full = np.zeros(qp.p_tilde)
-    u_seq = u_first = z_out = None
-    if status is SolveStatus.OPTIMAL:
+    if mask:
         rows = _mask_indices(mask)
-        if rows:
-            lam_full[rows] = lam_A
+        GA, Y, w, U = _reduced_kkt(qp, rows)
+        if w[-1] <= 0.0 or w[0] <= tol.tol_singular * w[-1]:
+            return None
+        bA = b[rows]
+        lam_A = -(U @ ((U.T @ bA) / w))
+        z = -(Y @ lam_A)
+        # A candidate whose equalities cannot be reproduced numerically is
+        # rank deficient for all practical purposes.
+        if np.max(np.abs(GA @ z - bA)) > 1e-8 * (1.0 + np.max(np.abs(bA))):
+            return None
+        slack = b - qp.G @ z
+    else:
+        z, lam_A, slack, rows = np.zeros(qp.n_z), np.zeros(0), b, []
+    violated = sorted((int(k) for k in np.flatnonzero(slack < -tol.tol_violation)),
+                      key=lambda k: (slack[k], k))
+    negative = [rows[i] for i in sorted(np.flatnonzero(lam_A < -tol.tol_lambda),
+                                        key=lambda i: (lam_A[i], rows[i]))]
+    return z, lam_A, violated, negative
+
+
+def _result(qp: LiftedQP, theta_vec, stats: SolveStats, status: SolveStatus,
+            mask: int = 0, z=None, lam_A=None) -> SolveResult:
+    """The one constructor of :class:`SolveResult`.
+
+    ``z`` (``None`` unless optimal) yields the input sequence; ``lam_A``, the
+    multipliers of the rows of ``mask``, is scattered into the full
+    multiplier vector.  A result without ``lam_A`` carries ``lam=None``.
+    """
+    u_seq = lam = None
+    if z is not None:
         u_seq = z - qp.solve_H(qp.F @ theta_vec)
-        u_first = u_seq[: qp.n_u]
-        z_out = z
+    if lam_A is not None:
+        lam = np.zeros(qp.p_tilde)
+        if mask:
+            lam[_mask_indices(mask)] = lam_A
     return SolveResult(
         status=status,
         active_set=ActiveSet(mask),
-        u_first=u_first,
+        u_first=None if u_seq is None else u_seq[: qp.n_u],
         u_seq=u_seq,
-        z_star=z_out,
-        lam=lam_full if status is SolveStatus.OPTIMAL else None,
+        z_star=z,
+        lam=lam,
         stats=stats,
     )
 
@@ -311,113 +271,78 @@ def solve(
 ) -> SolveResult:
     """Point location by warm-started candidate search.
 
-    Starting from ``warm`` (default: empty set), each evaluated candidate
-    either terminates the query or pushes neighbours: supersets activating
-    violated rows and subsets dropping rows with negative multipliers, the
-    worst offender on top of the stack with removals tried before additions.
-    Candidates containing a known rank-deficient subset are skipped.  When the
-    stack runs dry the unvisited candidate of smallest cardinality is tried
-    next, so termination is exhaustive: ``INFEASIBLE`` is only reported once
-    every candidate with cardinality at most ``N * n_u`` has been covered.
+    One loop evaluates candidates, starting from ``warm`` (default: empty
+    set), until one is accepted.  A rejected candidate pushes neighbours:
+    supersets activating violated rows (at most ``min(n_z, p)`` rows) and
+    subsets dropping rows with negative multipliers, the worst offender on
+    top of the stack with removals tried before additions.  Candidates are
+    filtered when they are popped: already visited ones, and those
+    containing a known rank-deficient subset, are skipped.  When the stack
+    runs dry the next candidate of the (cardinality, mask) order is tried,
+    so termination is exhaustive: ``INFEASIBLE`` is only reported once every
+    candidate with cardinality at most ``N * n_u`` has been covered.
 
-    With ``track_visited=False`` the visited bookkeeping and the sequential
-    fallback are disabled (the historical fast variant); that mode cannot
-    certify infeasibility and relies on the KKT-solve budget to terminate.
+    ``track_visited`` selects two things only: whether the visited set
+    exists, and whether that exhaustive order follows the stack.  With
+    ``track_visited=False`` a dry stack ends the query as
+    ``BUDGET_EXHAUSTED``, so that mode cannot certify infeasibility.  Either
+    mode stops with ``BUDGET_EXHAUSTED`` once ``tol.max_kkt_solves`` KKT
+    solves have failed to produce an accepted candidate.
     """
     t0 = time.perf_counter()
     theta_vec = _theta_vector(theta)
     tol = tol if tol is not None else Tolerances.for_qp(qp)
+    stats = SolveStats()
+    found = _search(qp, qp.W + qp.S @ theta_vec, warm, tol, track_visited, stats)
+    stats.wall_time = time.perf_counter() - t0
+    return _result(qp, theta_vec, stats, *found)
+
+
+def _search(qp: LiftedQP, b: np.ndarray, warm, tol: Tolerances, track_visited: bool,
+            stats: SolveStats) -> tuple:
+    """The loop of :func:`solve`: ``(status,)`` or ``(OPTIMAL, mask, z, lam_A)``."""
     p = qp.p_tilde
     cap = min(qp.n_z, p)
-    b = qp.W + qp.S @ theta_vec
-
-    state = SolverState(visited=_VisitedSet(p) if track_visited else None)
-    stats = state.stats
-    seq = iter_candidate_masks(p, cap) if track_visited else None
-
+    visited = set() if track_visited else None
+    fallback = iter_candidate_masks(p, cap) if track_visited else iter(())
+    licq = []
     mask = warm.mask if warm is not None else 0
-    if mask.bit_count() > cap:
-        mask = 0  # oversized warm starts are certainly rank deficient
-    first = True
+    stack = [mask if mask.bit_count() <= cap else 0]  # oversized: rank deficient
 
     while True:
-        # --- candidate selection ------------------------------------------
-        if state.visited is not None:
-            while state.visited.contains(mask):
-                if state.stack:
-                    mask = state.stack.pop()
-                else:
-                    mask = next(seq, None)
-                    while mask is not None and state.visited.contains(mask):
-                        mask = next(seq, None)
-                    if mask is None:
-                        stats.wall_time = time.perf_counter() - t0
-                        return _result(qp, SolveStatus.INFEASIBLE, 0, None, None, stats, theta_vec)
-                if _contains_violator(state.licq, mask):
-                    state.visited.add(mask)
-            state.visited.add(mask)
-        else:
-            if not first:
-                while True:
-                    if not state.stack:
-                        stats.wall_time = time.perf_counter() - t0
-                        return _result(qp, SolveStatus.BUDGET_EXHAUSTED, 0, None, None, stats, theta_vec)
-                    mask = state.stack.pop()
-                    if not _contains_violator(state.licq, mask):
-                        break
-        first = False
-        stats.candidates_visited += 1
-
-        # --- evaluation ---------------------------------------------------
-        if mask == 0:
-            z = np.zeros(qp.n_z)
-            lam_A = np.zeros(0)
-        else:
-            stats.kkt_solves += 1
-            out = _kkt_solve_mask(qp, mask, b, tol.tol_singular)
-            if out is None:
-                stats.licq_failures += 1
-                _licq_insert(state.licq, mask)
-                if stats.kkt_solves >= tol.max_kkt_solves:
-                    stats.wall_time = time.perf_counter() - t0
-                    return _result(qp, SolveStatus.BUDGET_EXHAUSTED, 0, None, None, stats, theta_vec)
+        mask = stack.pop() if stack else next(fallback, None)
+        if mask is None:
+            return (SolveStatus.INFEASIBLE if track_visited else SolveStatus.BUDGET_EXHAUSTED,)
+        if visited is not None:
+            if mask in visited:
                 continue
-            z, lam_A = out
+            visited.add(mask)
+        if _contains_violator(licq, mask):
+            continue
 
-        slack = b - qp.G @ z
-        rows = _mask_indices(mask)
-        violated = sorted(
-            (int(k) for k in np.flatnonzero(slack < -tol.tol_violation)),
-            key=lambda k: (slack[k], k),
-        )
-        negative = sorted(
-            ((rows[i], lam_A[i]) for i in np.flatnonzero(lam_A < -tol.tol_lambda)),
-            key=lambda kv: (kv[1], kv[0]),
-        )
-        if not violated and not negative:
-            stats.wall_time = time.perf_counter() - t0
-            return _result(qp, SolveStatus.OPTIMAL, mask, z, lam_A, stats, theta_vec)
+        stats.candidates_visited += 1
+        if mask:
+            stats.kkt_solves += 1
+        out = _evaluate(qp, mask, b, tol)
+        if out is None:
+            stats.licq_failures += 1
+            _licq_insert(licq, mask)
+            violated = negative = ()
+        else:
+            z, lam_A, violated, negative = out
+            if not violated and not negative:
+                return SolveStatus.OPTIMAL, mask, z, lam_A
         if stats.kkt_solves >= tol.max_kkt_solves:
-            stats.wall_time = time.perf_counter() - t0
-            return _result(qp, SolveStatus.BUDGET_EXHAUSTED, 0, None, None, stats, theta_vec)
+            return (SolveStatus.BUDGET_EXHAUSTED,)
 
-        # --- branching ----------------------------------------------------
         # Push in reverse examination order so the worst offender pops first;
         # removals are pushed after additions and therefore pop before them.
         for k in reversed(violated):
             m2 = mask | (1 << k)
-            if m2.bit_count() > cap:
-                continue
-            if state.visited is not None and state.visited.contains(m2):
-                continue
-            if _contains_violator(state.licq, m2):
-                continue
-            state.stack.append(m2)
-        for k, _lam in reversed(negative):
-            m2 = mask & ~(1 << k)
-            if state.visited is not None and state.visited.contains(m2):
-                continue
-            state.stack.append(m2)
+            if m2.bit_count() <= cap:
+                stack.append(m2)
+        for k in reversed(negative):
+            stack.append(mask & ~(1 << k))
 
 
 def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:
@@ -517,12 +442,8 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1
 
     while mask:
         rows = _mask_indices(mask)
-        GA = qp.G[rows]
+        _GA, _Y, w, U = _reduced_kkt(qp, rows)
         bA = b[rows]
-        Y = qp.solve_H(GA.T)
-        K = GA @ Y
-        K = 0.5 * (K + K.T)
-        w, U = np.linalg.eigh(K)
         wmax = max(float(w[-1]), 0.0)
         null = w <= tol_singular * wmax if wmax > 0 else np.ones_like(w, dtype=bool)
         q = int(np.sum(null))
@@ -551,18 +472,12 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1
         for i in chosen:
             mask &= ~(1 << rows[i])
 
-    # Verify the reduced candidate actually certifies the minimizer.
-    if mask:
-        out = _kkt_solve_mask(qp, mask, b, tol_singular)
-        if out is None:
-            raise ValueError("reduction failed to reach a rank-complete candidate")
-        z, lam_A = out
-        scale = 1.0 + (np.max(np.abs(qp.W)) if qp.W.size else 0.0)
-        slack = b - qp.G @ z
-        if np.min(slack) < -1e-8 * scale or (lam_A.size and np.min(lam_A) < -1e-8 * scale):
-            raise ValueError("candidate set is not sufficient")
-    else:
-        slack = b
-        if slack.size and np.min(slack) < 0:
-            raise ValueError("candidate set is not sufficient")
+    # Verify the reduced candidate actually certifies the minimizer, with a
+    # band ten times the search's default.
+    band = 1e-8 * _bound_scale(qp)
+    out = _evaluate(qp, mask, b, Tolerances(band, band, tol_singular))
+    if out is None:
+        raise ValueError("reduction failed to reach a rank-complete candidate")
+    if out[2] or out[3]:
+        raise ValueError("candidate set is not sufficient")
     return ActiveSet(mask)

@@ -1,9 +1,10 @@
 """Condensed QP assembly cross-checked against the stage recursion."""
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from conftest import make_random_problem
-from rfmpc import lifting, problem as pb
+from rfmpc import beam, lifting, problem as pb
 from rfmpc.lifting import LiftedQP
 from rfmpc.problem import (
     Parameter,
@@ -156,6 +157,19 @@ class TestGuards:
 
     def test_coercivity_measure(self):
         assert lifting.check_coercivity(np.diag([2.0, 5.0])) == pytest.approx(2.0)
+
+    def test_single_factorization_is_bitwise_unchanged(self):
+        # build takes eps from one eigvalsh and S through the QP's cached
+        # Cholesky factor; both must equal the separate computations
+        # (check_coercivity, a fresh cho_factor) bit for bit.
+        qp = lifting.build(beam.build_benchmark_problem(N=30), keep_blocks=True)
+        blocks = qp.constraints.blocks
+        chol = sla.cho_factor(0.5 * (qp.H + qp.H.T), lower=True)
+        S = (qp.G @ sla.cho_solve(chol, qp.F)
+             - np.hstack([blocks["E1_t"] @ qp.dynamics.A_tilde, np.zeros((qp.p_tilde, qp.n_u))])
+             - blocks["E0_t"])
+        assert qp.cost.eps == lifting.check_coercivity(qp.H)
+        np.testing.assert_array_equal(qp.S, S)
 
 
 class TestFromMatrices:

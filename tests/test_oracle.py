@@ -1,6 +1,8 @@
 """Reference solvers: exhaustive enumeration and dual coordinate ascent."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_feasible_query
 from rfmpc import lifting, oracle, solver
@@ -109,3 +111,42 @@ class TestAgreementWithSearch:
         )
         assert oracle.enumerate_active_sets(qp, np.zeros(1)).status is SolveStatus.INFEASIBLE
         assert solver.solve(qp, np.zeros(1)).status is SolveStatus.INFEASIBLE
+
+
+@st.composite
+def feasible_qps(draw):
+    """A small QP with a strictly admissible point, rows possibly repeated.
+
+    ``G z0 + s = W`` with ``s > 0`` makes ``z0`` strictly admissible, which
+    dual ascent needs; each extra row is a positive multiple (1 for an exact
+    duplicate) of a drawn row, bound included, so ``z0`` stays strictly
+    admissible.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    small = st.integers(-3, 3).map(float)
+    C = draw(hnp.arrays(float, (n, n), elements=small))
+    G = draw(hnp.arrays(float, (m, n), elements=small))
+    z0 = draw(hnp.arrays(float, n, elements=small))
+    s = draw(hnp.arrays(float, m, elements=st.sampled_from([0.25, 0.5, 1.0, 2.0])))
+    W = G @ z0 + s
+    copies = draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from([1.0, 0.5, 3.0])),
+                           max_size=3))
+    for row, alpha in copies:
+        G = np.vstack([G, alpha * G[row]])
+        W = np.append(W, alpha * W[row])
+    return LiftedQP.from_matrices(
+        H=C.T @ C + np.eye(n), F=np.zeros((n, 1)), G=G, S=np.zeros((len(W), 1)), W=W
+    )
+
+
+class TestPropertyAgainstDualAscent:
+    """The search against the one reference that shares none of its code."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(feasible_qps())
+    def test_search_matches_dual_ascent(self, qp):
+        theta = np.zeros(1)
+        res = solver.solve(qp, theta)
+        assert res.status is SolveStatus.OPTIMAL
+        np.testing.assert_allclose(res.z_star, oracle.dual_ascent(qp, theta), atol=1e-7)

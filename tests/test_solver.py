@@ -25,6 +25,15 @@ def halfspace_qp(rows, bounds):
     )
 
 
+def append_scaled_copy(qp, row, alpha):
+    G = np.vstack([qp.G, alpha * qp.G[row]])
+    S = np.vstack([qp.S, alpha * qp.S[row]])
+    W = np.append(qp.W, alpha * qp.W[row])
+    return LiftedQP.from_matrices(
+        H=qp.H, F=qp.F, G=G, S=S, W=W, N=qp.N, n_x=qp.n_x, n_u=qp.n_u
+    )
+
+
 class TestActiveSet:
     def test_bitmask_round_trip(self):
         a = ActiveSet.from_indices([0, 3, 5])
@@ -179,14 +188,6 @@ class TestOracleCrossCheck:
 
 
 class TestDegeneracy:
-    def append_scaled_copy(self, qp, row, alpha):
-        G = np.vstack([qp.G, alpha * qp.G[row]])
-        S = np.vstack([qp.S, alpha * qp.S[row]])
-        W = np.append(qp.W, alpha * qp.W[row])
-        return LiftedQP.from_matrices(
-            H=qp.H, F=qp.F, G=G, S=S, W=W, N=qp.N, n_x=qp.n_x, n_u=qp.n_u
-        )
-
     def test_duplicated_active_row(self):
         rng = np.random.default_rng(7)
         found = 0
@@ -196,7 +197,7 @@ class TestDegeneracy:
             if not active:
                 continue
             found += 1
-            degenerate = self.append_scaled_copy(qp, active[0], 1.0)
+            degenerate = append_scaled_copy(qp, active[0], 1.0)
             res = solver.solve(degenerate, theta)
             assert res.status is SolveStatus.OPTIMAL
             np.testing.assert_allclose(res.z_star, ref.z_star, atol=1e-8)
@@ -213,7 +214,7 @@ class TestDegeneracy:
             if not active:
                 continue
             found += 1
-            degenerate = self.append_scaled_copy(qp, active[0], 2.0)
+            degenerate = append_scaled_copy(qp, active[0], 2.0)
             fat = ref.active_set.add(degenerate.p_tilde - 1)
             assert kkt_solve(degenerate, fat, theta) is None  # genuinely rank deficient
             reduced = reduce_to_licq(degenerate, fat, theta)
@@ -231,6 +232,15 @@ class TestDegeneracy:
         qp = halfspace_qp([-1.0], [-1.0])
         reduced = reduce_to_licq(qp, ActiveSet.from_indices([0]), np.zeros(1))
         assert reduced.indices() == [0]
+
+    def test_reduction_accepts_empty_optimal_set(self):
+        # W = -1e-12 lies inside the acceptance band, so the search accepts
+        # the empty set; the reduction must use the same kind of band.
+        qp = LiftedQP.from_matrices(H=[[1.0]], F=[[0.0]], G=[[1.0]], S=[[0.0]], W=[-1e-12])
+        res = solver.solve(qp, 0)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.active_set.mask == 0
+        assert reduce_to_licq(qp, res.active_set, 0).mask == 0
 
 
 class TestBudget:
@@ -284,3 +294,57 @@ class TestTolerances:
         tol = Tolerances.for_qp(qp, tol_violation=1e-6, max_kkt_solves=5)
         assert tol.tol_violation == 1e-6
         assert tol.max_kkt_solves == 5
+
+
+def _random_query(seed):
+    rng = np.random.default_rng(seed)
+    _, qp, theta, _ = random_feasible_query(rng, n_x=4, n_u=2, N=3, rows_per_stage=3, p_hat=2)
+    return qp, theta, None
+
+
+def _stale_warm_query():
+    rng = np.random.default_rng(123)
+    _, qp, theta, _ = random_feasible_query(rng, n_x=3, n_u=2, N=2, rows_per_stage=2, p_hat=1)
+    return qp, theta, ActiveSet.from_indices([qp.p_tilde - 1])
+
+
+def _infeasible_pair():
+    return halfspace_qp([1.0, -1.0], [-1.0, -1.0]), np.zeros(1), None
+
+
+def _duplicated_row_query(fat_warm):
+    # The first active row of the reference set is appended once more; the
+    # warm set holding both copies is rank deficient.
+    rng = np.random.default_rng(4)
+    _, qp, theta, ref = random_feasible_query(rng)
+    qp = append_scaled_copy(qp, ref.active_set.indices()[0], 1.0)
+    return qp, theta, ref.active_set.add(qp.p_tilde - 1) if fat_warm else None
+
+
+# (status, active set, candidates, KKT solves, LICQ failures) of fixed
+# queries.  Any change to the candidate order, the push order or the
+# filtering of the search changes some of them; random-49 and random-88
+# depend on removals popping before additions.
+SEARCH_PATHS = {
+    ("random-49", True): (lambda: _random_query(49), ("OPTIMAL", 0x452, 11, 10, 0)),
+    ("random-49", False): (lambda: _random_query(49), ("OPTIMAL", 0x452, 11, 10, 0)),
+    ("random-88", True): (lambda: _random_query(88), ("OPTIMAL", 0x96, 7, 6, 0)),
+    ("random-88", False): (lambda: _random_query(88), ("OPTIMAL", 0x96, 7, 6, 0)),
+    ("random-258", True): (lambda: _random_query(258), ("OPTIMAL", 0xc5, 65, 64, 8)),
+    ("stale-warm", True): (_stale_warm_query, ("OPTIMAL", 0x4, 3, 3, 0)),
+    ("infeasible-pair", True): (_infeasible_pair, ("INFEASIBLE", 0x0, 3, 2, 0)),
+    ("infeasible-pair", False): (_infeasible_pair, ("BUDGET_EXHAUSTED", 0x0, 3, 2, 0)),
+    ("duplicated-row", True): (lambda: _duplicated_row_query(False), ("OPTIMAL", 0x5, 3, 2, 0)),
+    ("duplicated-row-fat-warm", True): (lambda: _duplicated_row_query(True), ("OPTIMAL", 0x5, 4, 3, 1)),
+    ("duplicated-row-fat-warm", False): (lambda: _duplicated_row_query(True), ("BUDGET_EXHAUSTED", 0x0, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(SEARCH_PATHS), ids=lambda c: f"{c[0]}-{'visited' if c[1] else 'untracked'}")
+def test_search_path_is_pinned(case):
+    make, expected = SEARCH_PATHS[case]
+    qp, theta, warm = make()
+    res = solver.solve(qp, theta, warm=warm, track_visited=case[1])
+    s = res.stats
+    got = (res.status.name, res.active_set.mask, s.candidates_visited, s.kkt_solves, s.licq_failures)
+    assert got == expected
