@@ -66,7 +66,8 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--seed", type=int, default=0, help="seed for a sampled parameter")
     p_solve.add_argument("--warm", help="warm-start active set as a hex bitmask, e.g. 0x5")
     p_solve.add_argument("--no-visited", action="store_true",
-                         help="drop visited bookkeeping and the exhaustive fallback")
+                         help="drop visited bookkeeping and the exhaustive fallback "
+                              "(can cycle on a feasible QP and end budget-exhausted)")
     p_solve.add_argument("--budget", type=int, default=10000, help="KKT solve budget")
     p_solve.add_argument("--tol-violation", type=float, help="constraint violation band")
     p_solve.add_argument("--tol-lambda", type=float, help="multiplier sign band")
@@ -84,7 +85,9 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--bound-scaling", choices=("physical", "reciprocal"), default="physical",
                        help="input-bound convention for the scaled discrete inputs")
     p_sim.add_argument("--cold-start", action="store_true", help="disable warm starting")
-    p_sim.add_argument("--no-visited", action="store_true")
+    p_sim.add_argument("--no-visited", action="store_true",
+                       help="drop visited bookkeeping and the exhaustive fallback "
+                            "(can cycle on a feasible QP and end budget-exhausted)")
     p_sim.add_argument("--budget", type=int, default=10000)
     p_sim.add_argument("--out", help="step log CSV path")
     p_sim.add_argument("--zero-timing", action="store_true",

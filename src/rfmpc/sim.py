@@ -313,10 +313,11 @@ def benchmark_sweep(
     """
     cfg = cfg if cfg is not None else SimulationConfig(t_end=6.0, mode="fd")
     rows = []
+    # The fd plant depends on the beam parameters only, not on N.
+    fd = beam_mod.make_fd_plant(beam_mod.assemble(), cfg.n_grid) if cfg.mode == "fd" else None
     for N in n_list:
         bench = make_benchmark(N=int(N), h=cfg.h, bound_scaling=bound_scaling)
         qp = build_qp(bench.problem)
-        fd = beam_mod.make_fd_plant(bench.galerkin, cfg.n_grid) if cfg.mode == "fd" else None
         for alg in algorithms:
             if alg not in _ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r} (choose from {_ALGORITHMS})")

@@ -285,9 +285,13 @@ def solve(
     ``track_visited`` selects two things only: whether the visited set
     exists, and whether that exhaustive order follows the stack.  With
     ``track_visited=False`` a dry stack ends the query as
-    ``BUDGET_EXHAUSTED``, so that mode cannot certify infeasibility.  Either
-    mode stops with ``BUDGET_EXHAUSTED`` once ``tol.max_kkt_solves`` KKT
-    solves have failed to produce an accepted candidate.
+    ``BUDGET_EXHAUSTED``, so that mode cannot certify infeasibility; it can
+    also cycle on a feasible QP, the stack handing back rejected candidates
+    until the budget runs out (seed 258 of the test helper
+    ``random_feasible_query`` with ``n_x=4, n_u=2, N=3, rows_per_stage=3,
+    p_hat=2``).  Either mode stops with ``BUDGET_EXHAUSTED`` once
+    ``tol.max_kkt_solves`` KKT solves have failed to produce an accepted
+    candidate.
     """
     t0 = time.perf_counter()
     theta_vec = _theta_vector(theta)

@@ -1,6 +1,8 @@
 """Beam discretization: basis, Galerkin operators, Cayley step, FD plant."""
 import numpy as np
 import pytest
+from scipy import linalg
+from scipy.integrate import solve_ivp
 
 from rfmpc import beam, lifting, problem as pb
 from rfmpc.beam import BeamParams
@@ -244,6 +246,49 @@ class TestFiniteDifferencePlant:
         for _ in range(4):
             y = beam.fd_plant_step(fd, y, np.zeros(2), 2.0 ** -7)
         assert beam.fd_energy(fd, y) == pytest.approx(e0, rel=1e-7)
+
+    def test_step_matches_high_order_reference(self, fd):
+        h = 2.0 ** -7
+        u = np.array([0.3, -0.2])
+        forcing = fd.B_sys @ u
+        y = ref = beam.initial_grid_state(fd)
+        for _ in range(8):
+            y = beam.fd_plant_step(fd, y, u, h)
+            ref = solve_ivp(
+                lambda t, s: fd.A_sys @ s + forcing, (0.0, h), fd.enforce_bc(ref, u),
+                method="DOP853", rtol=1e-12, atol=1e-14,
+            ).y[:, -1]
+            assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_step_keeps_boundary_entries_pinned(self, fd):
+        u = np.array([0.25, -0.5])
+        y = beam.fd_plant_step(fd, beam.initial_grid_state(fd), u, 2.0 ** -7)
+        n = fd.n_grid
+        pinned = [n - 1, n, 2 * n + n - 1, 3 * n]
+        np.testing.assert_array_equal(y[pinned], fd.enforce_bc(y, u)[pinned])
+
+    def test_free_step_energy_drift_is_roundoff(self, fd):
+        y = beam.initial_grid_state(fd)
+        e0 = beam.fd_energy(fd, y)
+        for _ in range(4):
+            y = beam.fd_plant_step(fd, y, np.zeros(2), 2.0 ** -7)
+        assert beam.fd_energy(fd, y) == pytest.approx(e0, rel=1e-12)
+
+    def test_step_matrix_built_once_per_interval(self, galerkin, monkeypatch):
+        calls = []
+        expm = linalg.expm
+        monkeypatch.setattr(linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+        fd = beam.make_fd_plant(galerkin)
+        y = beam.initial_grid_state(fd)
+        u = np.array([0.1, 0.2])
+        assert calls == []
+        y = beam.fd_plant_step(fd, y, u, 2.0 ** -7)
+        y = beam.fd_plant_step(fd, y, u, 2.0 ** -7)
+        assert calls == [(510, 510)]
+        y = beam.fd_plant_step(fd, y, u, 2.0 ** -8)
+        assert calls == [(510, 510), (510, 510)]
+        assert sorted(fd.zoh) == [2.0 ** -8, 2.0 ** -7]
+        assert fd.zoh[2.0 ** -7].shape == (508, 510)
 
     def test_observer_recovers_coefficients(self, fd, galerkin):
         rng = np.random.default_rng(3)
