@@ -34,7 +34,6 @@ __all__ = [
     "build_basis",
     "assemble",
     "cayley_discretize",
-    "build_benchmark_problem",
     "make_benchmark",
     "default_initial_profiles",
     "project_initial_condition",
@@ -266,10 +265,10 @@ def cayley_discretize(g: GalerkinSystem, h: float) -> DiscretePlant:
     return DiscretePlant(A_d=A_d, B_d=B_d, h=h)
 
 
-def build_benchmark_problem(
-    params: BeamParams | None = None,
-    N: int = 30,
-    h: float = 2.0 ** -7,
+def _benchmark_problem(
+    g: GalerkinSystem,
+    plant: DiscretePlant,
+    N: int,
     q_weight: float = 100.0,
     r_weight: float = 1.0,
     v_weight: float = 0.1,
@@ -279,7 +278,7 @@ def build_benchmark_problem(
     x4_min: float = -0.3,
     bound_scaling: str = "physical",
 ) -> ProblemDefinition:
-    """Receding-horizon problem for the beam.
+    """Receding-horizon problem for the beam ``g`` discretized as ``plant``.
 
     The state weight is the mass-weighted Gram matrix scaled by ``h`` times
     ``q_weight`` so the stage sum approximates the continuous-time integral of
@@ -294,9 +293,7 @@ def build_benchmark_problem(
     (discrete inputs approximate ``sqrt(h)`` times the physical signal);
     ``"reciprocal"`` divides instead.
     """
-    params = params if params is not None else BeamParams()
-    g = assemble(params)
-    plant = cayley_discretize(g, h)
+    h = plant.h
     n = g.n_state
     N = int(N)
 
@@ -569,41 +566,32 @@ def check_boundary_matrices(W0: np.ndarray | None = None, WB: np.ndarray | None 
 
 @dataclass
 class BeamBenchmark:
-    """Everything one closed-loop run needs: problem, models, metric rows."""
+    """Everything one closed-loop run needs: beam model, plant, problem, initial state."""
 
-    params: BeamParams
     galerkin: GalerkinSystem
     plant: DiscretePlant
     problem: ProblemDefinition
-    h: float
-    u_scale: float  # discrete input = u_scale * physical input
     x0: np.ndarray
-    mean_x1_row: np.ndarray
-    mean_x4_row: np.ndarray
-    bounds: dict = field(default_factory=dict)
+
+    @property
+    def params(self) -> BeamParams:
+        return self.galerkin.params
+
+    @property
+    def h(self) -> float:
+        return self.plant.h
+
+    @property
+    def u_scale(self) -> float:
+        """Discrete input = ``u_scale`` * physical input."""
+        return np.sqrt(self.plant.h)
 
 
 def make_benchmark(params: BeamParams | None = None, N: int = 30, h: float = 2.0 ** -7, **kwargs) -> BeamBenchmark:
-    params = params if params is not None else BeamParams()
-    problem = build_benchmark_problem(params, N=N, h=h, **kwargs)
+    """Assemble the beam, discretize it at step ``h`` and build the horizon-``N``
+    problem; ``kwargs`` set its weights, bounds and ``bound_scaling``."""
     g = assemble(params)
-    plant = DiscretePlant(problem.prediction_model.A, problem.prediction_model.B, h)
+    plant = cayley_discretize(g, h)
+    problem = _benchmark_problem(g, plant, N=N, **kwargs)
     x0, _errors = project_initial_condition(g)
-    bounds = {
-        "u_lo": kwargs.get("u_lo", -0.5),
-        "u_hi": kwargs.get("u_hi", 0.5),
-        "x1_max": kwargs.get("x1_max", 0.45),
-        "x4_min": kwargs.get("x4_min", -0.3),
-    }
-    return BeamBenchmark(
-        params=params,
-        galerkin=g,
-        plant=plant,
-        problem=problem,
-        h=h,
-        u_scale=np.sqrt(h),
-        x0=x0,
-        mean_x1_row=g.mean_row(0),
-        mean_x4_row=g.mean_row(3),
-        bounds=bounds,
-    )
+    return BeamBenchmark(galerkin=g, plant=plant, problem=problem, x0=x0)

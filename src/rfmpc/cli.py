@@ -76,10 +76,11 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate",
                            help="closed-loop beam run with the receding-horizon controller")
-    p_sim.add_argument("--horizon", type=int, default=30, metavar="N")
+    p_sim.add_argument("--horizon", type=int, default=30, metavar="N",
+                       help="prediction horizon in sampling intervals")
     p_sim.add_argument("--mode", choices=("perfect", "fd"), default="perfect",
                        help="plant: the prediction model itself, or the finite-difference model")
-    p_sim.add_argument("--t-end", type=float, default=10.0)
+    p_sim.add_argument("--t-end", type=float, default=10.0, help="simulated time span")
     p_sim.add_argument("--h", type=float, default=2.0 ** -7, help="sampling interval")
     p_sim.add_argument("--n-grid", type=int, default=127, help="finite-difference grid points")
     p_sim.add_argument("--bound-scaling", choices=("physical", "reciprocal"), default="physical",
@@ -88,7 +89,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--no-visited", action="store_true",
                        help="drop visited bookkeeping and the exhaustive fallback "
                             "(can cycle on a feasible QP and end budget-exhausted)")
-    p_sim.add_argument("--budget", type=int, default=10000)
+    p_sim.add_argument("--budget", type=int, default=10000, help="KKT solve budget per step")
     p_sim.add_argument("--out", help="step log CSV path")
     p_sim.add_argument("--zero-timing", action="store_true",
                        help="write zeros for wall times (byte-reproducible output)")
@@ -125,11 +126,11 @@ def _build_parser() -> _Parser:
 
 def _tolerances(qp, args) -> Tolerances:
     overrides = {"max_kkt_solves": args.budget}
-    if getattr(args, "tol_violation", None) is not None:
+    if args.tol_violation is not None:
         overrides["tol_violation"] = args.tol_violation
-    if getattr(args, "tol_lambda", None) is not None:
+    if args.tol_lambda is not None:
         overrides["tol_lambda"] = args.tol_lambda
-    if getattr(args, "tol_singular", None) is not None:
+    if args.tol_singular is not None:
         overrides["tol_singular"] = args.tol_singular
     return Tolerances.for_qp(qp, **overrides)
 
@@ -226,15 +227,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_benchmark(args) -> int:
     horizons = [int(tok) for tok in args.horizons.split(",") if tok]
     algorithms = [tok.strip() for tok in args.algorithms.split(",") if tok.strip()]
-    cfg = sim.SimulationConfig(t_end=args.t_end, mode=args.mode, h=args.h)
-    print(sim.BENCHMARK_CSV_COLUMNS)
-
-    def progress(row):
-        print(f"{row.N},{row.algorithm},{row.runtime_s:.17g},{row.J_d:.17g},"
-              f"{row.p_tilde},{row.log2_candidates}")
-
-    rows = sim.benchmark_sweep(horizons, algorithms=algorithms, cfg=cfg, progress=progress,
+    cfg = sim.SimulationConfig(t_end=args.t_end, mode=args.mode, h=args.h,
                                bound_scaling=args.bound_scaling)
+    print(sim.BENCHMARK_CSV_COLUMNS)
+    rows = sim.benchmark_sweep(horizons, algorithms=algorithms, cfg=cfg,
+                               progress=lambda row: print(sim.csv_row(row)))
     if args.out:
         sim.write_benchmark_csv(args.out, rows, zero_timing=args.zero_timing)
         print(f"wrote {args.out}")

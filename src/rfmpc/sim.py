@@ -8,11 +8,15 @@ at stage ``k`` of the last prediction is guessed active at stage ``k - 1`` of
 the next one.  The plant is either the prediction model itself
 (``mode="perfect"``) or an independent finite-difference model observed
 through a projection (``mode="fd"``).
+
+A run's settings are one :class:`SimulationConfig`; the CSV columns are the
+fields of :class:`StepLog` and :class:`BenchmarkRow`, written by :func:`csv_row`.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +39,7 @@ __all__ = [
     "dual_solver_fn",
     "warm_shift_map",
     "shift_warm_set",
+    "csv_row",
     "write_step_csv",
     "write_benchmark_csv",
     "STEP_CSV_COLUMNS",
@@ -57,11 +62,13 @@ class SimulationConfig:
     max_kkt_solves: int = 10000
     n_grid: int = 127
     bound_scaling: str = "physical"
-    tolerances: Tolerances | None = None
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.h))
+
+
+_TIMING = {"timing": True}  # field metadata of the wall-clock columns
 
 
 @dataclass
@@ -80,7 +87,7 @@ class StepLog:
     candidates: int
     licq_failures: int
     kkt_solves: int
-    wall_time: float
+    wall_time: float = field(metadata=_TIMING)
 
 
 @dataclass
@@ -155,12 +162,13 @@ def run_closed_loop(
 ) -> SimulationResult:
     """Run the receding-horizon loop from the benchmark initial state.
 
-    With ``cfg.warm_start`` every step after the first receives the previous
-    step's active set mapped through :func:`warm_shift_map` (built once per
-    call) as ``warm``; otherwise ``warm`` is ``None`` and each search starts
-    from the empty set.
-    ``solver_fn(qp, theta, warm, tol)`` overrides the active-set search and
-    gets the same shifted warm set; ``plant`` overrides the
+    Each step calls ``solver_fn(qp, theta, warm, tol)``, by default
+    :func:`~rfmpc.solver.solve` with ``cfg.track_visited``; ``tol`` carries
+    the budget ``cfg.max_kkt_solves``.  With ``cfg.warm_start`` every step
+    after the first receives the previous step's active set mapped through
+    :func:`warm_shift_map` (built once per call) as ``warm``; otherwise
+    ``warm`` is ``None``.  A given ``bench`` and ``qp`` must match ``cfg.h``
+    and ``cfg.horizon`` (else :class:`ValueError`); ``plant`` overrides the
     finite-difference model in ``"fd"`` mode.  Raises
     :class:`RecursiveFeasibilityError` when a visited state admits no
     admissible input sequence.
@@ -168,12 +176,17 @@ def run_closed_loop(
     if bench is None:
         bench = make_benchmark(N=cfg.horizon, h=cfg.h, bound_scaling=cfg.bound_scaling)
     qp = qp if qp is not None else build_qp(bench.problem)
-    tol = cfg.tolerances if cfg.tolerances is not None else Tolerances.for_qp(
-        qp, max_kkt_solves=cfg.max_kkt_solves
-    )
+    if cfg.h != bench.h or cfg.horizon != qp.N:
+        raise ValueError(f"config (h = {cfg.h}, N = {cfg.horizon}) does not match the "
+                         f"benchmark (h = {bench.h}) and QP (N = {qp.N})")
+    tol = Tolerances.for_qp(qp, max_kkt_solves=cfg.max_kkt_solves)
+    if solver_fn is None:
+        solver_fn = partial(solver_mod.solve, track_visited=cfg.track_visited)
 
     g = bench.galerkin
     M_mass = g.M_mass
+    mean_x1_row = g.mean_row(0)
+    mean_x4_row = g.mean_row(3)
     Q0 = bench.problem.weights.Q[0]
     R0 = bench.problem.weights.R[0]
     V0 = bench.problem.weights.V[0]
@@ -192,8 +205,8 @@ def run_closed_loop(
 
     def measure():
         if fd is None:
-            m1 = float(bench.mean_x1_row @ x)
-            m4 = float(bench.mean_x4_row @ x)
+            m1 = float(mean_x1_row @ x)
+            m4 = float(mean_x4_row @ x)
             nrm = float(np.sqrt(max(x @ (M_mass @ x), 0.0)))
         else:
             m1 = fd.mean(y, 0)
@@ -219,16 +232,7 @@ def run_closed_loop(
         means[n] = (m1, m4)
         theta = Parameter(x, u_prev)
 
-        if solver_fn is not None:
-            res = solver_fn(qp, theta, warm if cfg.warm_start else None, tol)
-        else:
-            res = solver_mod.solve(
-                qp,
-                theta,
-                warm=warm if cfg.warm_start else None,
-                tol=tol,
-                track_visited=cfg.track_visited,
-            )
+        res = solver_fn(qp, theta, warm, tol)
         if res.status is SolveStatus.INFEASIBLE:
             raise RecursiveFeasibilityError(
                 f"no admissible input sequence at step {n} (t = {n * cfg.h:.6f})"
@@ -264,7 +268,7 @@ def run_closed_loop(
             y = beam_mod.fd_plant_step(fd, y, u_ph, cfg.h)
             x = fd.observe(y)
         u_prev = u
-        warm = shift_warm_set(res.active_set, shift)
+        warm = shift_warm_set(res.active_set, shift) if cfg.warm_start else None
 
     states[n_steps] = x
     m1, m4, norms[n_steps] = measure()
@@ -282,7 +286,7 @@ def run_closed_loop(
 class BenchmarkRow:
     N: int
     algorithm: str
-    runtime_s: float
+    runtime_s: float = field(metadata=_TIMING)
     J_d: float
     p_tilde: int
     log2_candidates: int
@@ -296,39 +300,36 @@ def benchmark_sweep(
     algorithms=("empc",),
     cfg: SimulationConfig | None = None,
     progress=None,
-    bound_scaling: str = "reciprocal",
 ) -> list:
     """Closed-loop cost and runtime per horizon length and solver variant.
 
     ``empc`` is the exhaustive-fallback search, ``empcf`` the variant without
     visited bookkeeping, ``dual`` the coordinate-ascent reference.  The last
     column reports the base-2 log of the candidate-set cardinality, i.e. the
-    number of inequality rows.
+    number of inequality rows.  ``progress`` receives each row when done.
 
-    The sweep defaults to the loose (``"reciprocal"``) input-bound convention:
-    under the tight physical bounds the short-horizon controllers run into
-    states from which no admissible input sequence exists (the receding-horizon
-    problem is not recursively feasible for small ``N``), so a sweep starting
-    at ``N = 10`` can only be completed with the loose convention.
+    The input-bound convention is ``cfg.bound_scaling``; the default config
+    uses the loose ``"reciprocal"`` one: under the tight physical bounds the
+    short-horizon controllers run into states from which no admissible input
+    sequence exists (the receding-horizon problem is not recursively feasible
+    for small ``N``), so a sweep starting at ``N = 10`` needs the loose one.
     """
-    cfg = cfg if cfg is not None else SimulationConfig(t_end=6.0, mode="fd")
+    cfg = cfg if cfg is not None else SimulationConfig(
+        t_end=6.0, mode="fd", bound_scaling="reciprocal"
+    )
+    for alg in algorithms:
+        if alg not in _ALGORITHMS:
+            raise ValueError(f"unknown algorithm {alg!r} (choose from {_ALGORITHMS})")
     rows = []
-    # The fd plant depends on the beam parameters only, not on N.
-    fd = beam_mod.make_fd_plant(beam_mod.assemble(), cfg.n_grid) if cfg.mode == "fd" else None
+    fd = None
     for N in n_list:
-        bench = make_benchmark(N=int(N), h=cfg.h, bound_scaling=bound_scaling)
+        bench = make_benchmark(N=int(N), h=cfg.h, bound_scaling=cfg.bound_scaling)
         qp = build_qp(bench.problem)
+        if cfg.mode == "fd" and fd is None:
+            # The fd plant depends on the beam parameters only, not on N.
+            fd = beam_mod.make_fd_plant(bench.galerkin, cfg.n_grid)
         for alg in algorithms:
-            if alg not in _ALGORITHMS:
-                raise ValueError(f"unknown algorithm {alg!r} (choose from {_ALGORITHMS})")
-            run_cfg = SimulationConfig(
-                horizon=int(N), h=cfg.h, t_end=cfg.t_end, mode=cfg.mode,
-                warm_start=cfg.warm_start,
-                track_visited=(alg != "empcf"),
-                max_kkt_solves=cfg.max_kkt_solves,
-                n_grid=cfg.n_grid, bound_scaling=bound_scaling,
-                tolerances=cfg.tolerances,
-            )
+            run_cfg = replace(cfg, horizon=int(N), track_visited=alg != "empcf")
             fn = dual_solver_fn if alg == "dual" else None
             t0 = time.perf_counter()
             result = run_closed_loop(run_cfg, bench=bench, plant=fd, qp=qp, solver_fn=fn)
@@ -346,15 +347,17 @@ def benchmark_sweep(
 # CSV output.  Floats are written with %.17g so round trips are exact.
 # ---------------------------------------------------------------------------
 
-STEP_CSV_COLUMNS = (
-    "step,time,u1,u2,J_opt,J_cum,mean_x1,mean_x4,"
-    "active_set,candidates,licq_failures,kkt_solves,wall_time"
-)
-BENCHMARK_CSV_COLUMNS = "N,algorithm,runtime_s,J_d,p_tilde,log2_candidates"
+STEP_CSV_COLUMNS = ",".join(f.name for f in fields(StepLog))
+BENCHMARK_CSV_COLUMNS = ",".join(f.name for f in fields(BenchmarkRow))
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def csv_row(record, zero_timing: bool = False) -> str:
+    """CSV line of a :class:`StepLog` or :class:`BenchmarkRow`; ``zero_timing`` zeroes its timings."""
+    cells = []
+    for f in fields(record):
+        v = 0.0 if zero_timing and f.metadata.get("timing") else getattr(record, f.name)
+        cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
+    return ",".join(cells)
 
 
 def write_step_csv(path, result: SimulationResult, zero_timing: bool = False) -> None:
@@ -362,21 +365,11 @@ def write_step_csv(path, result: SimulationResult, zero_timing: bool = False) ->
         fh.write("# J_opt includes the parameter-dependent constant cost term\n")
         fh.write(STEP_CSV_COLUMNS + "\n")
         for log in result.logs:
-            wt = 0.0 if zero_timing else log.wall_time
-            fh.write(",".join([
-                str(log.step), _fmt(log.time), _fmt(log.u1), _fmt(log.u2),
-                _fmt(log.J_opt), _fmt(log.J_cum), _fmt(log.mean_x1), _fmt(log.mean_x4),
-                log.active_set, str(log.candidates), str(log.licq_failures),
-                str(log.kkt_solves), _fmt(wt),
-            ]) + "\n")
+            fh.write(csv_row(log, zero_timing) + "\n")
 
 
 def write_benchmark_csv(path, rows, zero_timing: bool = False) -> None:
     with open(path, "w") as fh:
         fh.write(BENCHMARK_CSV_COLUMNS + "\n")
         for row in rows:
-            rt = 0.0 if zero_timing else row.runtime_s
-            fh.write(",".join([
-                str(row.N), row.algorithm, _fmt(rt), _fmt(row.J_d),
-                str(row.p_tilde), str(row.log2_candidates),
-            ]) + "\n")
+            fh.write(csv_row(row, zero_timing) + "\n")

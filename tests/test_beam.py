@@ -143,14 +143,14 @@ class TestCayley:
 class TestBenchmarkProblem:
     def test_row_counts(self):
         for N in (3, 10):
-            p = beam.build_benchmark_problem(N=N)
+            p = beam.make_benchmark(N=N).problem
             assert p.constraints.p_tilde == 6 * N - 2
             assert p.constraints.rows_per_stage[0] == 4
             assert all(r == 6 for r in p.constraints.rows_per_stage[1:])
             assert p.constraints.p_hat == 0
 
     def test_validates_and_lifts(self):
-        p = beam.build_benchmark_problem(N=3)
+        p = beam.make_benchmark(N=3).problem
         assert pb.validate(p) == []
         qp = lifting.build(p)
         assert qp.p_tilde == 16
@@ -158,8 +158,8 @@ class TestBenchmarkProblem:
 
     def test_bound_scaling_conventions(self):
         h = 2.0 ** -7
-        phys = beam.build_benchmark_problem(N=2, h=h, bound_scaling="physical")
-        recip = beam.build_benchmark_problem(N=2, h=h, bound_scaling="reciprocal")
+        phys = beam.make_benchmark(N=2, h=h, bound_scaling="physical").problem
+        recip = beam.make_benchmark(N=2, h=h, bound_scaling="reciprocal").problem
         np.testing.assert_allclose(phys.constraints.d[0], np.sqrt(h) * 0.5)
         np.testing.assert_allclose(recip.constraints.d[0], 0.5 / np.sqrt(h))
         # State bounds are in physical units in either convention.
@@ -168,11 +168,11 @@ class TestBenchmarkProblem:
 
     def test_unknown_scaling_rejected(self):
         with pytest.raises(ValueError, match="bound_scaling"):
-            beam.build_benchmark_problem(N=2, bound_scaling="inverse")
+            beam.make_benchmark(N=2, bound_scaling="inverse")
 
     def test_weights(self):
         h = 2.0 ** -7
-        p = beam.build_benchmark_problem(N=2, h=h)
+        p = beam.make_benchmark(N=2, h=h).problem
         g = beam.assemble()
         np.testing.assert_allclose(p.weights.Q[0], h * 100.0 * g.M_mass, atol=1e-12)
         np.testing.assert_allclose(p.weights.R[0], np.eye(2))
@@ -315,11 +315,29 @@ class TestBenchmarkBundle:
         bench = beam.make_benchmark(N=4)
         assert bench.problem.horizon == 4
         assert bench.u_scale == pytest.approx(np.sqrt(2.0 ** -7))
-        assert bench.bounds == {"u_lo": -0.5, "u_hi": 0.5, "x1_max": 0.45, "x4_min": -0.3}
-        assert bench.mean_x1_row @ bench.x0 == pytest.approx(0.0, abs=1e-12)
+        assert bench.h == 2.0 ** -7
+        assert bench.params == BeamParams()
+        assert bench.galerkin.mean_row(0) @ bench.x0 == pytest.approx(0.0, abs=1e-12)
         assert bench.x0.shape == (36,)
+        np.testing.assert_allclose(bench.problem.constraints.d[1][4:], [0.45, 0.3])
 
     def test_kwargs_forwarded(self):
         bench = beam.make_benchmark(N=2, x1_max=0.6, bound_scaling="reciprocal")
-        assert bench.bounds["x1_max"] == 0.6
         np.testing.assert_allclose(bench.problem.constraints.d[1][4], 0.6)
+
+    def test_one_assembly_and_discretization(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            original = getattr(beam, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("assemble", "cayley_discretize"):
+            monkeypatch.setattr(beam, name, counting(name))
+        bench = beam.make_benchmark(N=3)
+        assert sorted(calls) == ["assemble", "cayley_discretize"]
+        np.testing.assert_array_equal(bench.problem.prediction_model.A, bench.plant.A_d)

@@ -158,6 +158,14 @@ class TestBenchmark:
         assert fields[0] == "3" and fields[1] == "empc"
         assert fields[4] == "16"  # 6 N - 2 inequality rows
 
+    def test_progress_lines_are_csv_lines(self, tmp_path, capsys):
+        csv = tmp_path / "t.csv"
+        code = cli.dispatch(["benchmark", "--horizons", "3", "--t-end", "0.03125",
+                             "--mode", "perfect", "--out", str(csv)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == (
+            csv.read_text().splitlines() + [f"wrote {csv}"])
+
     def test_unknown_algorithm(self, capsys):
         code = cli.dispatch(["benchmark", "--horizons", "3", "--t-end", "0.0625",
                              "--mode", "perfect", "--algorithms", "sqp"])

@@ -162,7 +162,7 @@ class TestGuards:
         # build takes eps from one eigvalsh and S through the QP's cached
         # Cholesky factor; both must equal the separate computations
         # (check_coercivity, a fresh cho_factor) bit for bit.
-        qp = lifting.build(beam.build_benchmark_problem(N=30), keep_blocks=True)
+        qp = lifting.build(beam.make_benchmark(N=30).problem, keep_blocks=True)
         blocks = qp.constraints.blocks
         chol = sla.cho_factor(0.5 * (qp.H + qp.H.T), lower=True)
         S = (qp.G @ sla.cho_solve(chol, qp.F)

@@ -89,6 +89,18 @@ class TestClosedLoop:
         with pytest.raises(sim.RecursiveFeasibilityError, match="no admissible"):
             sim.run_closed_loop(cfg)
 
+    def test_mismatched_benchmark_rejected(self):
+        # A bench or QP built for another step size or horizon than the
+        # config's would be stepped and logged on the config's clock.
+        bench = beam.make_benchmark(N=4)
+        with pytest.raises(ValueError, match="does not match"):
+            sim.run_closed_loop(short_cfg(h=2.0 ** -6), bench=bench)
+        with pytest.raises(ValueError, match="does not match"):
+            sim.run_closed_loop(short_cfg(horizon=5), bench=bench)
+        with pytest.raises(ValueError, match="does not match"):
+            sim.run_closed_loop(short_cfg(), bench=bench,
+                                qp=build_qp(beam.make_benchmark(N=3).problem))
+
     def test_budget_exhaustion_surfaces(self):
         cfg = short_cfg(t_end=0.5, horizon=10, max_kkt_solves=0)
         with pytest.raises(RuntimeError, match="budget exhausted"):
@@ -157,7 +169,7 @@ class TestWarmShift:
 
 class TestSweep:
     def test_single_cell(self):
-        cfg = SimulationConfig(t_end=0.0625, mode="perfect")
+        cfg = SimulationConfig(t_end=0.0625, mode="perfect", bound_scaling="reciprocal")
         rows = sim.benchmark_sweep([3], cfg=cfg)
         assert len(rows) == 1
         row = rows[0]
@@ -169,7 +181,7 @@ class TestSweep:
         assert row.J_d > 0
 
     def test_variants_agree_on_cost(self):
-        cfg = SimulationConfig(t_end=0.0625, mode="perfect")
+        cfg = SimulationConfig(t_end=0.0625, mode="perfect", bound_scaling="reciprocal")
         rows = sim.benchmark_sweep([3], algorithms=("empc", "empcf", "dual"), cfg=cfg)
         costs = {r.algorithm: r.J_d for r in rows}
         assert costs["empc"] == pytest.approx(costs["empcf"], rel=1e-12)
@@ -180,7 +192,7 @@ class TestSweep:
             sim.benchmark_sweep([3], algorithms=("simplex",))
 
     def test_progress_callback(self):
-        cfg = SimulationConfig(t_end=0.03125, mode="perfect")
+        cfg = SimulationConfig(t_end=0.03125, mode="perfect", bound_scaling="reciprocal")
         seen = []
         sim.benchmark_sweep([3], cfg=cfg, progress=seen.append)
         assert len(seen) == 1
