@@ -566,12 +566,17 @@ def check_boundary_matrices(W0: np.ndarray | None = None, WB: np.ndarray | None 
 
 @dataclass
 class BeamBenchmark:
-    """Everything one closed-loop run needs: beam model, plant, problem, initial state."""
+    """Everything one closed-loop run needs: beam model, plant, problem, initial state.
+
+    ``bound_scaling`` records the input-bound convention the problem was
+    built with, so a closed-loop run can reject a config that names the other.
+    """
 
     galerkin: GalerkinSystem
     plant: DiscretePlant
     problem: ProblemDefinition
     x0: np.ndarray
+    bound_scaling: str
 
     @property
     def params(self) -> BeamParams:
@@ -587,11 +592,14 @@ class BeamBenchmark:
         return np.sqrt(self.plant.h)
 
 
-def make_benchmark(params: BeamParams | None = None, N: int = 30, h: float = 2.0 ** -7, **kwargs) -> BeamBenchmark:
+def make_benchmark(params: BeamParams | None = None, N: int = 30, h: float = 2.0 ** -7,
+                   bound_scaling: str = "physical", **kwargs) -> BeamBenchmark:
     """Assemble the beam, discretize it at step ``h`` and build the horizon-``N``
-    problem; ``kwargs`` set its weights, bounds and ``bound_scaling``."""
+    problem under the input-bound convention ``bound_scaling`` (recorded on
+    the result); ``kwargs`` set its weights and bounds."""
     g = assemble(params)
     plant = cayley_discretize(g, h)
-    problem = _benchmark_problem(g, plant, N=N, **kwargs)
+    problem = _benchmark_problem(g, plant, N=N, bound_scaling=bound_scaling, **kwargs)
     x0, _errors = project_initial_condition(g)
-    return BeamBenchmark(galerkin=g, plant=plant, problem=problem, x0=x0)
+    return BeamBenchmark(galerkin=g, plant=plant, problem=problem, x0=x0,
+                         bound_scaling=bound_scaling)

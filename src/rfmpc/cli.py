@@ -65,9 +65,6 @@ def _build_parser() -> _Parser:
                                          "omitted: sampled standard normal")
     p_solve.add_argument("--seed", type=int, default=0, help="seed for a sampled parameter")
     p_solve.add_argument("--warm", help="warm-start active set as a hex bitmask, e.g. 0x5")
-    p_solve.add_argument("--no-visited", action="store_true",
-                         help="drop visited bookkeeping and the exhaustive fallback "
-                              "(can cycle on a feasible QP and end budget-exhausted)")
     p_solve.add_argument("--budget", type=int, default=10000, help="KKT solve budget")
     p_solve.add_argument("--tol-violation", type=float, help="constraint violation band")
     p_solve.add_argument("--tol-lambda", type=float, help="multiplier sign band")
@@ -86,9 +83,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--bound-scaling", choices=("physical", "reciprocal"), default="physical",
                        help="input-bound convention for the scaled discrete inputs")
     p_sim.add_argument("--cold-start", action="store_true", help="disable warm starting")
-    p_sim.add_argument("--no-visited", action="store_true",
-                       help="drop visited bookkeeping and the exhaustive fallback "
-                            "(can cycle on a feasible QP and end budget-exhausted)")
     p_sim.add_argument("--budget", type=int, default=10000, help="KKT solve budget per step")
     p_sim.add_argument("--out", help="step log CSV path")
     p_sim.add_argument("--zero-timing", action="store_true",
@@ -99,7 +93,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--horizons", default="10,20,30,40,50",
                          help="comma-separated horizon lengths")
     p_bench.add_argument("--algorithms", default="empc",
-                         help="comma-separated subset of empc,empcf,dual")
+                         help="comma-separated subset of empc,dual")
     p_bench.add_argument("--t-end", type=float, default=6.0)
     p_bench.add_argument("--mode", choices=("perfect", "fd"), default="fd")
     p_bench.add_argument("--h", type=float, default=2.0 ** -7)
@@ -168,7 +162,7 @@ def _cmd_solve(args) -> int:
 
     if args.oracle == "dual":
         z = oracle.dual_ascent(qp, theta)
-        u_seq = z - qp.solve_H(qp.F @ vec)
+        u_seq = lifting.from_z(qp, z, vec)
         print("status: optimal (dual ascent)")
         print(f"u: {_fmt_vec(u_seq[: qp.n_u])}")
         print(f"z: {_fmt_vec(z)}")
@@ -179,7 +173,7 @@ def _cmd_solve(args) -> int:
     if args.oracle == "enumerate":
         result = oracle.enumerate_active_sets(qp, theta, tol=tol)
     else:
-        result = solve(qp, theta, warm=warm, tol=tol, track_visited=not args.no_visited)
+        result = solve(qp, theta, warm=warm, tol=tol)
 
     print(f"status: {result.status.value}")
     if result.status is SolveStatus.OPTIMAL:
@@ -199,8 +193,7 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = sim.SimulationConfig(
         horizon=args.horizon, h=args.h, t_end=args.t_end, mode=args.mode,
-        warm_start=not args.cold_start, track_visited=not args.no_visited,
-        max_kkt_solves=args.budget, n_grid=args.n_grid,
+        warm_start=not args.cold_start, max_kkt_solves=args.budget, n_grid=args.n_grid,
         bound_scaling=args.bound_scaling,
     )
     try:

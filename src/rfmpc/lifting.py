@@ -289,6 +289,7 @@ def to_z(qp: LiftedQP, u_seq, theta) -> np.ndarray:
 
 
 def from_z(qp: LiftedQP, z, theta) -> np.ndarray:
+    """Input sequence ``u = z - H^{-1} F theta`` of a point in the centered coordinates."""
     z = np.asarray(z, float).reshape(-1)
     return z - qp.solve_H(qp.cost.F @ _theta_vector(theta))
 

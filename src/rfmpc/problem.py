@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg as sla
 
 __all__ = [
     "PlantModel",
@@ -25,7 +24,6 @@ __all__ = [
     "evaluate_cost",
     "predict_trajectory",
     "check_admissible",
-    "solve_discrete_lyapunov",
     "to_json_dict",
     "from_json_dict",
     "save_problem",
@@ -365,26 +363,6 @@ def check_admissible(p: ProblemDefinition, u_seq, theta: Parameter, tol: float =
         slacks.append(c.d_hat - c.E_hat @ xs[-1] - c.F_hat @ u[-1])
     s = np.concatenate(slacks) if slacks else np.zeros(0)
     return bool(s.size == 0 or np.min(s) >= -tol), s
-
-
-def solve_discrete_lyapunov(A, Q) -> np.ndarray:
-    """Solve ``A.T P A - P = -Q`` for a Schur-stable ``A``.
-
-    Raises if the spectral radius of ``A`` is not strictly below one or if the
-    residual of the returned solution exceeds ``1e-10 * ||Q||``.
-    """
-    A = _mat(A)
-    Q = _mat(Q)
-    rho = np.max(np.abs(np.linalg.eigvals(A))) if A.size else 0.0
-    if rho >= 1.0:
-        raise ValueError(f"spectral radius {rho:.6f} >= 1; the fixed-point iteration diverges")
-    P = sla.solve_discrete_lyapunov(A.T, Q)
-    P = 0.5 * (P + P.T)
-    res = np.linalg.norm(A.T @ P @ A - P + Q, 2)
-    bound = 1e-10 * max(np.linalg.norm(Q, 2), 1e-300)
-    if res > bound and np.linalg.norm(Q, 2) > 0:
-        raise ArithmeticError(f"Lyapunov residual {res:.3e} exceeds 1e-10 * ||Q||")
-    return P
 
 
 # ---------------------------------------------------------------------------

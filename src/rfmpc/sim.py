@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -58,7 +57,6 @@ class SimulationConfig:
     t_end: float = 10.0
     mode: str = "perfect"  # "perfect" | "fd"
     warm_start: bool = True
-    track_visited: bool = True
     max_kkt_solves: int = 10000
     n_grid: int = 127
     bound_scaling: str = "physical"
@@ -112,12 +110,15 @@ def dual_solver_fn(qp: LiftedQP, theta, warm, tol) -> SolveResult:
     """Closed-loop drop-in that solves each QP by dual coordinate ascent.
 
     The result reports the empty active set and no multipliers: the dual
-    iterate is not turned into a certificate.
+    iterate is not turned into a certificate.  ``stats.wall_time`` covers the
+    whole call, as in :func:`~rfmpc.solver.solve`.
     """
     t0 = time.perf_counter()
+    stats = SolveStats()
     z = oracle_mod.dual_ascent(qp, theta)
-    stats = SolveStats(wall_time=time.perf_counter() - t0)
-    return solver_mod._result(qp, theta.as_vector(), stats, SolveStatus.OPTIMAL, z=z)
+    result = solver_mod._result(qp, theta.as_vector(), stats, SolveStatus.OPTIMAL, z=z)
+    stats.wall_time = time.perf_counter() - t0
+    return result
 
 
 def warm_shift_map(qp: LiftedQP) -> np.ndarray:
@@ -163,25 +164,25 @@ def run_closed_loop(
     """Run the receding-horizon loop from the benchmark initial state.
 
     Each step calls ``solver_fn(qp, theta, warm, tol)``, by default
-    :func:`~rfmpc.solver.solve` with ``cfg.track_visited``; ``tol`` carries
-    the budget ``cfg.max_kkt_solves``.  With ``cfg.warm_start`` every step
-    after the first receives the previous step's active set mapped through
+    :func:`~rfmpc.solver.solve`; ``tol`` carries the budget
+    ``cfg.max_kkt_solves``.  With ``cfg.warm_start`` every step after the
+    first receives the previous step's active set mapped through
     :func:`warm_shift_map` (built once per call) as ``warm``; otherwise
-    ``warm`` is ``None``.  A given ``bench`` and ``qp`` must match ``cfg.h``
-    and ``cfg.horizon`` (else :class:`ValueError`); ``plant`` overrides the
-    finite-difference model in ``"fd"`` mode.  Raises
-    :class:`RecursiveFeasibilityError` when a visited state admits no
-    admissible input sequence.
+    ``warm`` is ``None``.  A given ``bench`` must match ``cfg.h`` and
+    ``cfg.bound_scaling``, and a given ``qp`` ``cfg.horizon`` (else
+    :class:`ValueError`); ``plant`` overrides the finite-difference model in
+    ``"fd"`` mode.  Raises :class:`RecursiveFeasibilityError` when a visited
+    state admits no admissible input sequence.
     """
     if bench is None:
         bench = make_benchmark(N=cfg.horizon, h=cfg.h, bound_scaling=cfg.bound_scaling)
     qp = qp if qp is not None else build_qp(bench.problem)
-    if cfg.h != bench.h or cfg.horizon != qp.N:
-        raise ValueError(f"config (h = {cfg.h}, N = {cfg.horizon}) does not match the "
-                         f"benchmark (h = {bench.h}) and QP (N = {qp.N})")
+    if (cfg.h, cfg.bound_scaling, cfg.horizon) != (bench.h, bench.bound_scaling, qp.N):
+        raise ValueError(f"config (h = {cfg.h}, {cfg.bound_scaling} bounds, N = {cfg.horizon}) "
+                         f"does not match the benchmark (h = {bench.h}, "
+                         f"{bench.bound_scaling} bounds) and QP (N = {qp.N})")
     tol = Tolerances.for_qp(qp, max_kkt_solves=cfg.max_kkt_solves)
-    if solver_fn is None:
-        solver_fn = partial(solver_mod.solve, track_visited=cfg.track_visited)
+    solver_fn = solver_fn if solver_fn is not None else solver_mod.solve
 
     g = bench.galerkin
     M_mass = g.M_mass
@@ -292,7 +293,7 @@ class BenchmarkRow:
     log2_candidates: int
 
 
-_ALGORITHMS = ("empc", "empcf", "dual")
+_ALGORITHMS = ("empc", "dual")
 
 
 def benchmark_sweep(
@@ -303,10 +304,10 @@ def benchmark_sweep(
 ) -> list:
     """Closed-loop cost and runtime per horizon length and solver variant.
 
-    ``empc`` is the exhaustive-fallback search, ``empcf`` the variant without
-    visited bookkeeping, ``dual`` the coordinate-ascent reference.  The last
-    column reports the base-2 log of the candidate-set cardinality, i.e. the
-    number of inequality rows.  ``progress`` receives each row when done.
+    ``empc`` is the active-set search of :func:`~rfmpc.solver.solve`,
+    ``dual`` the coordinate-ascent reference.  The last column reports the
+    base-2 log of the candidate-set cardinality, i.e. the number of
+    inequality rows.  ``progress`` receives each row when done.
 
     The input-bound convention is ``cfg.bound_scaling``; the default config
     uses the loose ``"reciprocal"`` one: under the tight physical bounds the
@@ -323,13 +324,13 @@ def benchmark_sweep(
     rows = []
     fd = None
     for N in n_list:
-        bench = make_benchmark(N=int(N), h=cfg.h, bound_scaling=cfg.bound_scaling)
+        run_cfg = replace(cfg, horizon=int(N))
+        bench = make_benchmark(N=run_cfg.horizon, h=cfg.h, bound_scaling=cfg.bound_scaling)
         qp = build_qp(bench.problem)
         if cfg.mode == "fd" and fd is None:
             # The fd plant depends on the beam parameters only, not on N.
             fd = beam_mod.make_fd_plant(bench.galerkin, cfg.n_grid)
         for alg in algorithms:
-            run_cfg = replace(cfg, horizon=int(N), track_visited=alg != "empcf")
             fn = dual_solver_fn if alg == "dual" else None
             t0 = time.perf_counter()
             result = run_closed_loop(run_cfg, bench=bench, plant=fd, qp=qp, solver_fn=fn)

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import linprog
 
-from .lifting import LiftedQP, _theta_vector
+from .lifting import LiftedQP, _theta_vector, from_z
 
 __all__ = [
     "ActiveSet",
@@ -65,15 +65,6 @@ class ActiveSet:
 
     def add(self, k: int) -> "ActiveSet":
         return ActiveSet(self.mask | (1 << k))
-
-    def remove(self, k: int) -> "ActiveSet":
-        return ActiveSet(self.mask & ~(1 << k))
-
-    def contains(self, k: int) -> bool:
-        return bool(self.mask >> k & 1)
-
-    def issubset(self, other: "ActiveSet") -> bool:
-        return self.mask & other.mask == self.mask
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -240,13 +231,13 @@ def _result(qp: LiftedQP, theta_vec, stats: SolveStats, status: SolveStatus,
             mask: int = 0, z=None, lam_A=None) -> SolveResult:
     """The one constructor of :class:`SolveResult`.
 
-    ``z`` (``None`` unless optimal) yields the input sequence; ``lam_A``, the
-    multipliers of the rows of ``mask``, is scattered into the full
-    multiplier vector.  A result without ``lam_A`` carries ``lam=None``.
+    ``z`` (``None`` unless optimal) yields the input sequence through
+    :func:`~rfmpc.lifting.from_z`; ``lam_A``, the multipliers of the rows of
+    ``mask``, is scattered into the full multiplier vector.  A result without
+    ``lam_A`` carries ``lam=None``.
     """
-    u_seq = lam = None
-    if z is not None:
-        u_seq = z - qp.solve_H(qp.F @ theta_vec)
+    u_seq = None if z is None else from_z(qp, z, theta_vec)
+    lam = None
     if lam_A is not None:
         lam = np.zeros(qp.p_tilde)
         if mask:
@@ -267,7 +258,6 @@ def solve(
     theta,
     warm: ActiveSet | None = None,
     tol: Tolerances | None = None,
-    track_visited: bool = True,
 ) -> SolveResult:
     """Point location by warm-started candidate search.
 
@@ -280,35 +270,28 @@ def solve(
     containing a known rank-deficient subset, are skipped.  When the stack
     runs dry the next candidate of the (cardinality, mask) order is tried,
     so termination is exhaustive: ``INFEASIBLE`` is only reported once every
-    candidate with cardinality at most ``N * n_u`` has been covered.
+    candidate with cardinality at most ``N * n_u`` has been covered.  The
+    only other way out is ``BUDGET_EXHAUSTED``: ``tol.max_kkt_solves`` KKT
+    solves have failed to produce an accepted candidate.
 
-    ``track_visited`` selects two things only: whether the visited set
-    exists, and whether that exhaustive order follows the stack.  With
-    ``track_visited=False`` a dry stack ends the query as
-    ``BUDGET_EXHAUSTED``, so that mode cannot certify infeasibility; it can
-    also cycle on a feasible QP, the stack handing back rejected candidates
-    until the budget runs out (seed 258 of the test helper
-    ``random_feasible_query`` with ``n_x=4, n_u=2, N=3, rows_per_stage=3,
-    p_hat=2``).  Either mode stops with ``BUDGET_EXHAUSTED`` once
-    ``tol.max_kkt_solves`` KKT solves have failed to produce an accepted
-    candidate.
+    ``stats.wall_time`` covers the whole call, result construction included.
     """
     t0 = time.perf_counter()
     theta_vec = _theta_vector(theta)
     tol = tol if tol is not None else Tolerances.for_qp(qp)
     stats = SolveStats()
-    found = _search(qp, qp.W + qp.S @ theta_vec, warm, tol, track_visited, stats)
+    found = _search(qp, qp.W + qp.S @ theta_vec, warm, tol, stats)
+    result = _result(qp, theta_vec, stats, *found)
     stats.wall_time = time.perf_counter() - t0
-    return _result(qp, theta_vec, stats, *found)
+    return result
 
 
-def _search(qp: LiftedQP, b: np.ndarray, warm, tol: Tolerances, track_visited: bool,
-            stats: SolveStats) -> tuple:
+def _search(qp: LiftedQP, b: np.ndarray, warm, tol: Tolerances, stats: SolveStats) -> tuple:
     """The loop of :func:`solve`: ``(status,)`` or ``(OPTIMAL, mask, z, lam_A)``."""
     p = qp.p_tilde
     cap = min(qp.n_z, p)
-    visited = set() if track_visited else None
-    fallback = iter_candidate_masks(p, cap) if track_visited else iter(())
+    visited = set()
+    fallback = iter_candidate_masks(p, cap)
     licq = []
     mask = warm.mask if warm is not None else 0
     stack = [mask if mask.bit_count() <= cap else 0]  # oversized: rank deficient
@@ -316,11 +299,10 @@ def _search(qp: LiftedQP, b: np.ndarray, warm, tol: Tolerances, track_visited: b
     while True:
         mask = stack.pop() if stack else next(fallback, None)
         if mask is None:
-            return (SolveStatus.INFEASIBLE if track_visited else SolveStatus.BUDGET_EXHAUSTED,)
-        if visited is not None:
-            if mask in visited:
-                continue
-            visited.add(mask)
+            return (SolveStatus.INFEASIBLE,)
+        if mask in visited:
+            continue
+        visited.add(mask)
         if _contains_violator(licq, mask):
             continue
 

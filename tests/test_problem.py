@@ -135,22 +135,6 @@ class TestAdmissibility:
         assert slacks[0] == pytest.approx(-0.9)
 
 
-class TestLyapunov:
-    def test_residual_property(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(4, 4))
-        A *= 0.7 / np.max(np.abs(np.linalg.eigvals(A)))
-        C = rng.normal(size=(4, 4))
-        Q = C.T @ C
-        P = pb.solve_discrete_lyapunov(A, Q)
-        np.testing.assert_allclose(A.T @ P @ A - P, -Q, atol=1e-10 * np.linalg.norm(Q))
-        assert np.min(np.linalg.eigvalsh(P)) >= 0
-
-    def test_unstable_rejected(self):
-        with pytest.raises(ValueError, match="spectral radius"):
-            pb.solve_discrete_lyapunov(np.array([[1.01]]), np.eye(1))
-
-
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)

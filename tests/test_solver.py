@@ -1,10 +1,13 @@
 """Active-set search: hand traces, oracle cross-checks, degeneracy, budgets."""
+import time
+
 import numpy as np
 import pytest
 
 from conftest import random_feasible_query
-from rfmpc import lifting, oracle, solver
+from rfmpc import lifting, oracle, sim, solver
 from rfmpc.lifting import LiftedQP
+from rfmpc.problem import Parameter
 from rfmpc.solver import (
     ActiveSet,
     SolveStatus,
@@ -46,10 +49,6 @@ class TestActiveSet:
     def test_set_operations(self):
         a = ActiveSet.from_indices([1, 2])
         assert a.add(0).indices() == [0, 1, 2]
-        assert a.remove(2).indices() == [1]
-        assert a.contains(1) and not a.contains(0)
-        assert ActiveSet.from_indices([1]).issubset(a)
-        assert not a.issubset(ActiveSet.from_indices([1]))
         assert list(a) == [1, 2]
 
 
@@ -167,14 +166,6 @@ class TestOracleCrossCheck:
             np.testing.assert_allclose(res.z_star, ref.z_star, atol=1e-8)
             np.testing.assert_allclose(res.u_seq, ref.u_seq, atol=1e-8)
 
-    def test_untracked_variant_agrees(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            _, qp, theta, ref = random_feasible_query(rng)
-            res = solver.solve(qp, theta, track_visited=False)
-            assert res.status is SolveStatus.OPTIMAL
-            np.testing.assert_allclose(res.z_star, ref.z_star, atol=1e-8)
-
     def test_certificates_on_optimal_solves(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
@@ -276,10 +267,22 @@ class TestBudget:
         res = solver.solve(qp, np.zeros(1), tol=tol)
         assert res.status is SolveStatus.OPTIMAL
 
-    def test_untracked_variant_cannot_certify_infeasibility(self):
-        qp = halfspace_qp([1.0, -1.0], [-1.0, -1.0])
-        res = solver.solve(qp, np.zeros(1), track_visited=False)
-        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+
+class TestStats:
+    def test_wall_time_covers_result_construction(self, monkeypatch):
+        # The input sequence is formed after the search; its cost belongs
+        # to the step's wall time too.
+        build = solver._result
+
+        def slow_result(*args, **kwargs):
+            time.sleep(0.05)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_result", slow_result)
+        qp = halfspace_qp([1.0], [1.0])
+        assert solver.solve(qp, np.zeros(1)).stats.wall_time >= 0.05
+        theta = Parameter(np.zeros(1), np.zeros(0))
+        assert sim.dual_solver_fn(qp, theta, None, None).stats.wall_time >= 0.05
 
 
 class TestTolerances:
@@ -326,25 +329,23 @@ def _duplicated_row_query(fat_warm):
 # filtering of the search changes some of them; random-49 and random-88
 # depend on removals popping before additions.
 SEARCH_PATHS = {
-    ("random-49", True): (lambda: _random_query(49), ("OPTIMAL", 0x452, 11, 10, 0)),
-    ("random-49", False): (lambda: _random_query(49), ("OPTIMAL", 0x452, 11, 10, 0)),
-    ("random-88", True): (lambda: _random_query(88), ("OPTIMAL", 0x96, 7, 6, 0)),
-    ("random-88", False): (lambda: _random_query(88), ("OPTIMAL", 0x96, 7, 6, 0)),
-    ("random-258", True): (lambda: _random_query(258), ("OPTIMAL", 0xc5, 65, 64, 8)),
-    ("stale-warm", True): (_stale_warm_query, ("OPTIMAL", 0x4, 3, 3, 0)),
-    ("infeasible-pair", True): (_infeasible_pair, ("INFEASIBLE", 0x0, 3, 2, 0)),
-    ("infeasible-pair", False): (_infeasible_pair, ("BUDGET_EXHAUSTED", 0x0, 3, 2, 0)),
-    ("duplicated-row", True): (lambda: _duplicated_row_query(False), ("OPTIMAL", 0x5, 3, 2, 0)),
-    ("duplicated-row-fat-warm", True): (lambda: _duplicated_row_query(True), ("OPTIMAL", 0x5, 4, 3, 1)),
-    ("duplicated-row-fat-warm", False): (lambda: _duplicated_row_query(True), ("BUDGET_EXHAUSTED", 0x0, 1, 1, 1)),
+    "random-49": (lambda: _random_query(49), ("OPTIMAL", 0x452, 11, 10, 0)),
+    "random-88": (lambda: _random_query(88), ("OPTIMAL", 0x96, 7, 6, 0)),
+    "random-258": (lambda: _random_query(258), ("OPTIMAL", 0xc5, 65, 64, 8)),
+    "stale-warm": (_stale_warm_query, ("OPTIMAL", 0x4, 3, 3, 0)),
+    "infeasible-pair": (_infeasible_pair, ("INFEASIBLE", 0x0, 3, 2, 0)),
+    "duplicated-row": (lambda: _duplicated_row_query(False), ("OPTIMAL", 0x5, 3, 2, 0)),
+    "duplicated-row-fat-warm": (lambda: _duplicated_row_query(True), ("OPTIMAL", 0x5, 4, 3, 1)),
 }
 
 
-@pytest.mark.parametrize("case", list(SEARCH_PATHS), ids=lambda c: f"{c[0]}-{'visited' if c[1] else 'untracked'}")
+# The ids keep the "-visited" suffix they have always carried, so each case
+# keeps its test name.
+@pytest.mark.parametrize("case", list(SEARCH_PATHS), ids=lambda c: f"{c}-visited")
 def test_search_path_is_pinned(case):
     make, expected = SEARCH_PATHS[case]
     qp, theta, warm = make()
-    res = solver.solve(qp, theta, warm=warm, track_visited=case[1])
+    res = solver.solve(qp, theta, warm=warm)
     s = res.stats
     got = (res.status.name, res.active_set.mask, s.candidates_visited, s.kkt_solves, s.licq_failures)
     assert got == expected
