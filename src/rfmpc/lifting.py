@@ -7,13 +7,17 @@ turns the finite-horizon problem into
 
 where ``z = u + H^{-1} F theta`` shifts the input sequence by the
 unconstrained minimizer and ``theta`` stacks the current state and the
-previous input.  The module also provides cost/constraint evaluation in both
-coordinates so the condensed data can be cross-checked against the stage
-recursion in :mod:`.problem`.
+previous input.  Building a :class:`LiftedQP` factors ``H`` once and caches
+the operators every query reuses: ``H^{-1} F`` for the shift between ``u``
+and ``z``, and ``Y = H^{-1} G^T`` with ``K = G Y`` for the constraint-space
+KKT solves of :mod:`.solver`.  No query applies ``H^{-1}`` again.  The module
+also provides cost/constraint evaluation in both coordinates so the
+condensed data can be cross-checked against the stage recursion in
+:mod:`.problem`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -80,7 +84,13 @@ class ConstraintData:
 
 @dataclass
 class LiftedQP:
-    """Dense parametric QP with a cached Cholesky factor of ``H``."""
+    """Dense parametric QP with operators cached once when it is built.
+
+    One Cholesky factorization of the symmetrized ``H`` yields ``HinvF``
+    (``H^{-1} F``, n_z x n_theta), ``Y`` (``H^{-1} G^T``, n_z x p) and the
+    symmetrized constraint-space matrix ``K = G Y`` (p x p), on which every
+    candidate's KKT solve runs.  The factor itself is not kept.
+    """
 
     cost: QuadraticCost
     constraints: ConstraintData
@@ -88,10 +98,16 @@ class LiftedQP:
     N: int
     n_x: int
     n_u: int
+    HinvF: np.ndarray = field(init=False, repr=False)
+    Y: np.ndarray = field(init=False, repr=False)
+    K: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        Hs = 0.5 * (self.cost.H + self.cost.H.T)
-        self._chol = sla.cho_factor(Hs, lower=True)
+        chol = sla.cho_factor(0.5 * (self.cost.H + self.cost.H.T), lower=True)
+        self.HinvF = sla.cho_solve(chol, self.cost.F)
+        self.Y = sla.cho_solve(chol, self.constraints.G.T)
+        K = self.constraints.G @ self.Y
+        self.K = 0.5 * (K + K.T)
 
     # Convenience views ----------------------------------------------------
     @property
@@ -125,10 +141,6 @@ class LiftedQP:
     @property
     def p_tilde(self) -> int:
         return self.constraints.G.shape[0]
-
-    def solve_H(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply ``H^{-1}`` through the cached factorization."""
-        return sla.cho_solve(self._chol, rhs)
 
     @classmethod
     def from_matrices(cls, H, F, G, S, W, N=None, n_x=None, n_u=None) -> "LiftedQP":
@@ -256,16 +268,16 @@ def build(p: ProblemDefinition, tol_coercive: float = 1e-10, keep_blocks: bool =
         stage_offsets.extend((N, i) for i in range(p_hat))
 
     G = E1_t @ B_tilde + E_t
-    # The QP factors H once; S = G H^{-1} F - ... goes through that factor.
-    qp = LiftedQP(cost=cost, constraints=None, dynamics=dyn, N=N, n_x=n_x, n_u=n_u)
-    S = G @ qp.solve_H(F) - np.hstack([E1_t @ A_tilde, np.zeros((p_tilde, n_u))]) - E0_t
-
-    qp.constraints = ConstraintData(
-        G=G, S=S, W=W_vec, stage_offsets=stage_offsets,
+    # The QP factors H once; S = G H^{-1} F - ... reads the cached H^{-1} F,
+    # so S is filled in after the QP exists.
+    cons = ConstraintData(
+        G=G, S=None, W=W_vec, stage_offsets=stage_offsets,
         has_state_rows=bool(np.any(E1_t) or np.any(E0_t[:, :n_x])),
         has_param_input_rows=bool(np.any(E0_t[:, n_x:])),
         blocks={"E0_t": E0_t, "E1_t": E1_t, "E_t": E_t} if keep_blocks else None,
     )
+    qp = LiftedQP(cost=cost, constraints=cons, dynamics=dyn, N=N, n_x=n_x, n_u=n_u)
+    cons.S = G @ qp.HinvF - np.hstack([E1_t @ A_tilde, np.zeros((p_tilde, n_u))]) - E0_t
     return qp
 
 
@@ -285,13 +297,13 @@ def evaluate_lifted_cost(qp: LiftedQP, u_seq, theta) -> float:
 def to_z(qp: LiftedQP, u_seq, theta) -> np.ndarray:
     """Shift an input sequence to the coordinates centered at the unconstrained minimizer."""
     u = np.asarray(u_seq, float).reshape(-1)
-    return u + qp.solve_H(qp.cost.F @ _theta_vector(theta))
+    return u + qp.HinvF @ _theta_vector(theta)
 
 
 def from_z(qp: LiftedQP, z, theta) -> np.ndarray:
     """Input sequence ``u = z - H^{-1} F theta`` of a point in the centered coordinates."""
     z = np.asarray(z, float).reshape(-1)
-    return z - qp.solve_H(qp.cost.F @ _theta_vector(theta))
+    return z - qp.HinvF @ _theta_vector(theta)
 
 
 def eval_constraints(qp: LiftedQP, z, theta) -> np.ndarray:

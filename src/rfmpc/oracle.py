@@ -3,8 +3,10 @@
 Two routes to the same minimizer: brute-force enumeration of the candidate
 active sets in a fixed deterministic order, which shares the candidate
 evaluator of :mod:`.solver` but not its search, and projected cyclic
-coordinate ascent on the dual, which shares nothing with it.  Both are meant
-for cross-checking the search at small sizes, not for production use.
+coordinate ascent on the dual, which shares only the operators the QP cached
+when it was built (``K`` and ``Y``), not the evaluator or the search.  Both
+are meant for cross-checking the search at small sizes, not for production
+use.
 """
 from __future__ import annotations
 
@@ -56,20 +58,20 @@ def enumerate_active_sets(qp: LiftedQP, theta, tol: Tolerances | None = None, ma
 def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000) -> np.ndarray:
     """Minimizer via projected cyclic coordinate ascent on the dual.
 
-    Maximizes ``-<K lam, lam>/2 - <lam, b>`` over ``lam >= 0`` with
-    ``K = G H^{-1} G^T`` and ``b = W + S theta`` by exact coordinate updates
-    ``lam_k <- max(0, lam_k - (K lam + b)_k / K_kk)``, cycling until the
-    projected-gradient residual drops below ``tol``.  Needs a strictly
+    Maximizes ``-<K lam, lam>/2 - <lam, b>`` over ``lam >= 0`` with the QP's
+    cached ``K = G H^{-1} G^T`` and ``b = W + S theta`` by exact coordinate
+    updates ``lam_k <- max(0, lam_k - (K lam + b)_k / K_kk)``, cycling until
+    the projected-gradient residual drops below ``tol``.  Needs a strictly
     admissible point to exist; raises ``RuntimeError`` on non-convergence.
-    Returns ``z``; the primal iterate is ``z = -H^{-1} G^T lam`` throughout.
+    Returns ``z``; the primal iterate is ``z = -Y lam`` throughout, with the
+    cached ``Y = H^{-1} G^T``.
     """
     theta_vec = _theta_vector(theta)
     b = qp.W + qp.S @ theta_vec
     p = qp.p_tilde
     if p == 0:
         return np.zeros(qp.n_z)
-    K = qp.G @ qp.solve_H(qp.G.T)
-    K = 0.5 * (K + K.T)
+    K = qp.K
     diag = np.diag(K).copy()
     lam = np.zeros(p)
     v = np.zeros(p)  # K @ lam, maintained incrementally
@@ -88,5 +90,5 @@ def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000)
         slack = b + v
         residual = np.max(np.abs(lam - np.maximum(0.0, lam - slack)))
         if residual <= tol:
-            return -qp.solve_H(qp.G.T @ lam)
+            return -(qp.Y @ lam)
     raise RuntimeError(f"dual ascent did not converge within {max_iter} cycles (residual {residual:.3e})")

@@ -169,18 +169,22 @@ def run_closed_loop(
     first receives the previous step's active set mapped through
     :func:`warm_shift_map` (built once per call) as ``warm``; otherwise
     ``warm`` is ``None``.  A given ``bench`` must match ``cfg.h`` and
-    ``cfg.bound_scaling``, and a given ``qp`` ``cfg.horizon`` (else
-    :class:`ValueError`); ``plant`` overrides the finite-difference model in
-    ``"fd"`` mode.  Raises :class:`RecursiveFeasibilityError` when a visited
-    state admits no admissible input sequence.
+    ``cfg.bound_scaling``, and a given ``qp`` ``cfg.horizon`` and the bound
+    vector ``W`` that ``bench.problem`` stacks (else :class:`ValueError`);
+    ``plant`` overrides the finite-difference model in ``"fd"`` mode.  Raises
+    :class:`RecursiveFeasibilityError` when a visited state admits no
+    admissible input sequence.
     """
     if bench is None:
         bench = make_benchmark(N=cfg.horizon, h=cfg.h, bound_scaling=cfg.bound_scaling)
     qp = qp if qp is not None else build_qp(bench.problem)
-    if (cfg.h, cfg.bound_scaling, cfg.horizon) != (bench.h, bench.bound_scaling, qp.N):
+    c = bench.problem.constraints
+    same_bounds = np.array_equal(qp.W, np.concatenate([*c.d, c.d_hat]))
+    if (cfg.h, cfg.bound_scaling, cfg.horizon) != (bench.h, bench.bound_scaling, qp.N) or not same_bounds:
         raise ValueError(f"config (h = {cfg.h}, {cfg.bound_scaling} bounds, N = {cfg.horizon}) "
                          f"does not match the benchmark (h = {bench.h}, "
-                         f"{bench.bound_scaling} bounds) and QP (N = {qp.N})")
+                         f"{bench.bound_scaling} bounds) and QP (N = {qp.N}, "
+                         f"bounds {'equal' if same_bounds else 'unequal'} to the benchmark's)")
     tol = Tolerances.for_qp(qp, max_kkt_solves=cfg.max_kkt_solves)
     solver_fn = solver_fn if solver_fn is not None else solver_mod.solve
 

@@ -4,16 +4,19 @@ Instead of storing an explicit region partition, each query searches the
 candidate active sets directly.  One evaluator (:func:`_evaluate`) solves the
 equality-constrained KKT system of a candidate and lists its violated rows
 and negative multipliers, worst first; the candidate is accepted when both
-lists are empty.  One loop (:func:`solve`) otherwise branches by activating
-violated rows and deactivating rows with negative multipliers.  Candidates
-come off a stack of promising candidates (most recent first) and, when the
-stack runs dry, from the exhaustive (cardinality, mask) order.  A visited set
-and a list of minimal rank-deficient candidates (whose supersets are all rank
-deficient and can be pruned wholesale) filter them, which makes the search
-complete: if the bounded candidate space is exhausted the problem is
-infeasible.  Every :class:`SolveResult` comes from one constructor
-(:func:`_result`), which the reference solvers in :mod:`.oracle` and
-:mod:`.sim` share.
+lists are empty.  The evaluator works in the p-row constraint space on the
+operators the :class:`~rfmpc.lifting.LiftedQP` cached when it was built
+(``K = G H^{-1} G^T`` and ``Y = H^{-1} G^T``): a candidate costs slices of
+``K`` and ``Y`` and one small eigendecomposition, with no solve against
+``H``.  One loop (:func:`solve`) otherwise branches by activating violated
+rows and deactivating rows with negative multipliers.  Candidates come off a
+stack of promising candidates (most recent first) and, when the stack runs
+dry, from the exhaustive (cardinality, mask) order.  A visited set and a list
+of minimal rank-deficient candidates (whose supersets are all rank deficient
+and can be pruned wholesale) filter them, which makes the search complete: if
+the bounded candidate space is exhausted the problem is infeasible.  Every
+:class:`SolveResult` comes from one constructor (:func:`_result`), which the
+reference solvers in :mod:`.oracle` and :mod:`.sim` share.
 """
 from __future__ import annotations
 
@@ -77,13 +80,12 @@ class ActiveSet:
 
 
 def _mask_indices(mask: int) -> list:
+    """Indices of the set bits of ``mask``, ascending; one step per set bit."""
     out = []
-    k = 0
     while mask:
-        if mask & 1:
-            out.append(k)
-        mask >>= 1
-        k += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -185,17 +187,15 @@ def kkt_solve(qp: LiftedQP, aset, theta, tol_singular: float = 1e-10):
     return None if out is None else out[:2]
 
 
-def _reduced_kkt(qp: LiftedQP, rows: list):
-    """``G_A``, ``H^{-1} G_A^T`` and the eigenpairs of ``G_A H^{-1} G_A^T``."""
-    GA = qp.G[rows]
-    Y = qp.solve_H(GA.T)
-    K = GA @ Y
-    w, U = np.linalg.eigh(0.5 * (K + K.T))
-    return GA, Y, w, U
-
-
 def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
-    """One KKT solve of a candidate and its acceptance test.
+    """One KKT solve of a candidate and its acceptance test, in constraint space.
+
+    With ``A`` the candidate rows, the multipliers solve ``K_AA lam_A = -b_A``
+    through an eigendecomposition of ``K_AA`` (rank deficient when its
+    smallest eigenvalue is at most ``tol_singular`` times its largest).  The
+    constraint values ``G z = -K[:, A] lam_A`` and the minimizer
+    ``z = -Y[:, A] lam_A`` come from the cached operators of the QP, so the
+    test touches no ``G`` row and applies no ``H^{-1}``.
 
     Returns ``(z, lam_A, violated, negative)``, or ``None`` when the candidate
     is rank deficient.  ``violated`` lists the rows with slack below
@@ -206,24 +206,27 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     its minimizer is the origin and its slack is ``b`` itself.
     """
     if mask:
-        rows = _mask_indices(mask)
-        GA, Y, w, U = _reduced_kkt(qp, rows)
+        rows = np.array(_mask_indices(mask))
+        KA = qp.K[:, rows]
+        w, U = np.linalg.eigh(KA[rows])
         if w[-1] <= 0.0 or w[0] <= tol.tol_singular * w[-1]:
             return None
         bA = b[rows]
         lam_A = -(U @ ((U.T @ bA) / w))
-        z = -(Y @ lam_A)
+        Gz = -(KA @ lam_A)
         # A candidate whose equalities cannot be reproduced numerically is
         # rank deficient for all practical purposes.
-        if np.max(np.abs(GA @ z - bA)) > 1e-8 * (1.0 + np.max(np.abs(bA))):
+        if np.abs(Gz[rows] - bA).max() > 1e-8 * (1.0 + np.abs(bA).max()):
             return None
-        slack = b - qp.G @ z
+        slack = b - Gz
+        z = -(qp.Y[:, rows] @ lam_A)
     else:
-        z, lam_A, slack, rows = np.zeros(qp.n_z), np.zeros(0), b, []
-    violated = sorted((int(k) for k in np.flatnonzero(slack < -tol.tol_violation)),
-                      key=lambda k: (slack[k], k))
-    negative = [rows[i] for i in sorted(np.flatnonzero(lam_A < -tol.tol_lambda),
-                                        key=lambda i: (lam_A[i], rows[i]))]
+        z, lam_A, slack, rows = np.zeros(qp.n_z), np.zeros(0), b, np.zeros(0, int)
+    # Stable sorts over ascending indices: worst first, ties to the lower row.
+    viol = (slack < -tol.tol_violation).nonzero()[0]
+    neg = (lam_A < -tol.tol_lambda).nonzero()[0]
+    violated = viol[slack[viol].argsort(kind="stable")].tolist()
+    negative = rows[neg[lam_A[neg].argsort(kind="stable")]].tolist()
     return z, lam_A, violated, negative
 
 
@@ -415,9 +418,10 @@ def _walk_to_corner(Kn: np.ndarray, bf: np.ndarray, xi: np.ndarray) -> np.ndarra
 def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1e-10) -> ActiveSet:
     """Shrink a sufficient but degenerate active set until it satisfies LICQ.
 
-    In every round the reduced KKT matrix is eigendecomposed; its null-space
-    dimension ``q`` parametrizes the set of valid multipliers as a pointed
-    polyhedron, a corner of which has at least ``q`` vanishing multipliers.
+    In every round the reduced KKT matrix ``K_AA``, a block of the QP's
+    cached ``K``, is eigendecomposed; its null-space dimension ``q``
+    parametrizes the set of valid multipliers as a pointed polyhedron, a
+    corner of which has at least ``q`` vanishing multipliers.
     Dropping ``q`` independent tight rows keeps the candidate sufficient with
     the same minimizer, and the cardinality strictly decreases, so the loop
     terminates.  Raises ``ValueError`` when the input set is not sufficient.
@@ -428,7 +432,7 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1
 
     while mask:
         rows = _mask_indices(mask)
-        _GA, _Y, w, U = _reduced_kkt(qp, rows)
+        w, U = np.linalg.eigh(qp.K[np.ix_(rows, rows)])
         bA = b[rows]
         wmax = max(float(w[-1]), 0.0)
         null = w <= tol_singular * wmax if wmax > 0 else np.ones_like(w, dtype=bool)

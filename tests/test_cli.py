@@ -4,6 +4,9 @@ Everything goes through ``cli.dispatch`` so the exit codes and printed
 output are exercised exactly as a shell user would see them.
 """
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +130,20 @@ class TestSimulate:
         assert header[0].startswith("#")
         assert header[1].split(",")[:3] == ["step", "time", "u1"]
         assert len(header) == 2 + 16
+
+    def test_module_entry_point(self, tmp_path, capsys):
+        # ``python -m rfmpc`` with only PYTHONPATH set writes the same CSV
+        # as the in-process command.
+        args = ["simulate", "--horizon", "4", "--t-end", "0.125", "--zero-timing", "--out"]
+        assert cli.dispatch(args + [str(tmp_path / "direct.csv")]) == 0
+        capsys.readouterr()
+        src = str(Path(rfmpc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "rfmpc"] + args + [str(tmp_path / "module.csv")],
+                              env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "steps: 16" in proc.stdout
+        assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
     def test_infeasible_horizon_exit_code(self, capsys):
         code = cli.dispatch(["simulate", "--horizon", "2", "--t-end", "0.5"])

@@ -4,7 +4,7 @@ import pytest
 from scipy import linalg as sla
 
 from conftest import make_random_problem
-from rfmpc import beam, lifting, problem as pb
+from rfmpc import beam, lifting, problem as pb, solver
 from rfmpc.lifting import LiftedQP
 from rfmpc.problem import (
     Parameter,
@@ -160,7 +160,7 @@ class TestGuards:
 
     def test_single_factorization_is_bitwise_unchanged(self):
         # build takes eps from one eigvalsh and S through the QP's cached
-        # Cholesky factor; both must equal the separate computations
+        # H^-1 F; both must equal the separate computations
         # (check_coercivity, a fresh cho_factor) bit for bit.
         qp = lifting.build(beam.make_benchmark(N=30).problem, keep_blocks=True)
         blocks = qp.constraints.blocks
@@ -172,12 +172,56 @@ class TestGuards:
         np.testing.assert_array_equal(qp.S, S)
 
 
+@pytest.fixture(scope="module")
+def beam_qp30():
+    bench = beam.make_benchmark(N=30)
+    return bench, lifting.build(bench.problem)
+
+
+def random_matrices_qp():
+    rng = np.random.default_rng(21)
+    C = rng.normal(size=(5, 5))
+    return LiftedQP.from_matrices(H=C.T @ C + np.eye(5), F=rng.normal(size=(5, 3)),
+                                  G=rng.normal(size=(8, 5)), S=rng.normal(size=(8, 3)),
+                                  W=rng.uniform(0.5, 1.0, size=8))
+
+
+class TestCachedOperators:
+    @pytest.fixture(params=["beam-30", "from-matrices"])
+    def qp(self, request, beam_qp30):
+        return beam_qp30[1] if request.param == "beam-30" else random_matrices_qp()
+
+    def test_K_exactly_symmetric(self, qp):
+        np.testing.assert_array_equal(qp.K, qp.K.T)
+
+    def test_match_fresh_products(self, qp):
+        Y = np.linalg.solve(qp.H, qp.G.T)
+        for cached, fresh in ((qp.Y, Y), (qp.K, qp.G @ Y), (qp.HinvF, np.linalg.solve(qp.H, qp.F))):
+            assert np.max(np.abs(cached - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+    def test_solves_apply_no_inverse(self, beam_qp30, monkeypatch):
+        # A query reads the operators cached at build time: neither a cold
+        # nor a warm solve goes back to the factor of H.
+        bench, qp = beam_qp30
+        theta = Parameter(2.0 * bench.x0, np.zeros(qp.n_u))
+        calls = []
+        cho_solve = sla.cho_solve
+        monkeypatch.setattr(sla, "cho_solve", lambda *a, **kw: calls.append(1) or cho_solve(*a, **kw))
+        cold = solver.solve(qp, theta)
+        warm = solver.solve(qp, theta, warm=cold.active_set)
+        assert cold.status is warm.status is solver.SolveStatus.OPTIMAL
+        assert len(cold.active_set) > 0 and warm.stats.kkt_solves == 1
+        assert calls == []
+
+
 class TestFromMatrices:
     def test_wraps_raw_data(self):
         qp = LiftedQP.from_matrices(H=2.0, F=[[1.0, 0.0]], G=[[-1.0]], S=[[1.0, 0.0]], W=[0.0])
         assert qp.n_z == 1
         assert qp.p_tilde == 1
-        np.testing.assert_allclose(qp.solve_H(np.array([4.0])), [2.0])
+        np.testing.assert_allclose(qp.HinvF, [[0.5, 0.0]])
+        np.testing.assert_allclose(qp.Y, [[-0.5]])
+        np.testing.assert_allclose(qp.K, [[0.5]])
 
     def test_empty_constraints(self):
         qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 2)), G=[], S=[], W=[])

@@ -141,7 +141,7 @@ def feasible_qps(draw):
 
 
 class TestPropertyAgainstDualAscent:
-    """The search against the one reference that shares none of its code."""
+    """The search against the one reference that shares none of its search code."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(feasible_qps())

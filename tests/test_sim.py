@@ -107,6 +107,11 @@ class TestClosedLoop:
         recip = beam.make_benchmark(N=4, bound_scaling="reciprocal")
         res = sim.run_closed_loop(short_cfg(bound_scaling="reciprocal"), bench=recip)
         assert len(res.logs) == 16
+        # A QP lifted from the physical-bounds problem under a reciprocal
+        # bench and config: the bench matches, the QP's bounds do not.
+        with pytest.raises(ValueError, match="does not match"):
+            sim.run_closed_loop(short_cfg(bound_scaling="reciprocal", t_end=0.5), bench=recip,
+                                qp=build_qp(bench.problem))
 
     def test_budget_exhaustion_surfaces(self):
         cfg = short_cfg(t_end=0.5, horizon=10, max_kkt_solves=0)

@@ -3,6 +3,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import linalg as sla
 
 from conftest import random_feasible_query
 from rfmpc import lifting, oracle, sim, solver
@@ -127,6 +130,79 @@ class TestKktSolve:
     def test_singular_candidate_returns_none(self):
         qp = halfspace_qp([-1.0, -1.0], [-1.0, -1.0])
         assert kkt_solve(qp, ActiveSet.from_indices([0, 1]), np.zeros(1)) is None
+
+
+def primal_evaluate(qp, mask, b, tol):
+    """Primal-space reference of ``solver._evaluate``: gather ``G_A``, solve
+    against ``H``, eigendecompose ``G_A H^-1 G_A^T`` and test ``G z``."""
+    rows = [k for k in range(qp.p_tilde) if mask >> k & 1]
+    if rows:
+        GA = qp.G[rows]
+        Y = sla.cho_solve(sla.cho_factor(qp.H, lower=True), GA.T)
+        w, U = np.linalg.eigh(0.5 * (GA @ Y + (GA @ Y).T))
+        if w[-1] <= 0.0 or w[0] <= tol.tol_singular * w[-1]:
+            return None
+        bA = b[rows]
+        lam_A = -(U @ ((U.T @ bA) / w))
+        z = -(Y @ lam_A)
+        if np.max(np.abs(GA @ z - bA)) > 1e-8 * (1.0 + np.max(np.abs(bA))):
+            return None
+        slack = b - qp.G @ z
+    else:
+        z, lam_A, slack = np.zeros(qp.n_z), np.zeros(0), b
+    violated = sorted((k for k in range(qp.p_tilde) if slack[k] < -tol.tol_violation),
+                      key=lambda k: (slack[k], k))
+    negative = [rows[i] for i in sorted((i for i in range(len(rows)) if lam_A[i] < -tol.tol_lambda),
+                                        key=lambda i: (lam_A[i], rows[i]))]
+    return z, lam_A, violated, negative
+
+
+@st.composite
+def evaluator_cases(draw):
+    """``(qp, mask, b)``: a small QP with exact duplicate rows among its drawn
+    ones, any candidate mask and a right-hand side violated on some rows."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    small = st.integers(-3, 3).map(float)
+    C = draw(hnp.arrays(float, (n, n), elements=small))
+    G = draw(hnp.arrays(float, (m, n), elements=small))
+    z0 = draw(hnp.arrays(float, n, elements=small))
+    s = draw(hnp.arrays(float, m, elements=st.sampled_from([-1.0, -0.5, 0.25, 0.5, 1.0, 2.0])))
+    b = G @ z0 + s
+    for row in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3)):
+        G = np.vstack([G, G[row]])
+        b = np.append(b, b[row])
+    qp = LiftedQP.from_matrices(
+        H=C.T @ C + np.eye(n), F=np.zeros((n, 1)), G=G, S=np.zeros((len(b), 1)), W=b
+    )
+    return qp, draw(st.integers(0, 2 ** len(b) - 1)), b
+
+
+class TestEvaluatorAgainstPrimalReference:
+    """The constraint-space evaluator against the primal-space KKT solve."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(evaluator_cases())
+    def test_same_verdict_point_and_lists(self, case):
+        qp, mask, b = case
+        tol = Tolerances.for_qp(qp)
+        got = solver._evaluate(qp, mask, b, tol)
+        ref = primal_evaluate(qp, mask, b, tol)
+        assert (got is None) == (ref is None)
+        if ref is None:
+            return
+        z, lam_A = ref[:2]
+        np.testing.assert_allclose(got[0], z, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(got[1], lam_A, rtol=1e-9, atol=1e-9)
+        # Same rows, worst first.  Integer data can tie two rows in exact
+        # arithmetic (a slack of -1 on a zero row and on a reached row); such
+        # a tie is decided by rounding, so tied rows may swap.
+        slack = b - qp.G @ z
+        lam = dict(zip((k for k in range(qp.p_tilde) if mask >> k & 1), lam_A))
+        for rows, ref_rows, key in ((got[2], ref[2], slack.__getitem__), (got[3], ref[3], lam.get)):
+            assert sorted(rows) == sorted(ref_rows)
+            keys = [key(k) for k in rows]
+            assert all(a <= c + 1e-12 * (1.0 + abs(c)) for a, c in zip(keys, keys[1:]))
 
 
 class TestWarmStart:
