@@ -316,8 +316,8 @@ def check_easy_slater(qp: LiftedQP) -> bool:
     """True iff a strictly admissible point exists for every parameter by inspection.
 
     That is the case when no constraint row touches the predicted states or
-    the previous input and every bound is strictly positive: the unconstrained
-    minimizer then has slack exactly ``W > 0``.
+    the previous input and every bound is strictly positive: the zero input
+    ``u = 0`` (``z = H^{-1} F theta``) then has slack exactly ``W > 0``.
     """
     c = qp.constraints
     if c.has_state_rows or c.has_param_input_rows:

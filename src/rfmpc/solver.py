@@ -17,6 +17,10 @@ and can be pruned wholesale) filter them, which makes the search complete: if
 the bounded candidate space is exhausted the problem is infeasible.  Every
 :class:`SolveResult` comes from one constructor (:func:`_result`), which the
 reference solvers in :mod:`.oracle` and :mod:`.sim` share.
+
+:func:`reduce_to_licq` shrinks a sufficient but rank-deficient set to an LICQ
+subset with one NNLS (Lawson-Hanson) solve: by Caratheodory's theorem for
+cones its multipliers fit on independent rows, as NNLS's passive rows are.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import nnls
 
 from .lifting import LiftedQP, _theta_vector, from_z
 
@@ -61,7 +65,10 @@ class ActiveSet:
 
     @classmethod
     def from_hex(cls, text: str) -> "ActiveSet":
-        return cls(int(text, 16))
+        mask = int(text, 16)
+        if mask < 0:
+            raise ValueError(f"active-set mask must be nonnegative, got {text}")
+        return cls(mask)
 
     def indices(self) -> list:
         return _mask_indices(self.mask)
@@ -357,110 +364,36 @@ def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Reduction of a degenerate sufficient active set to one satisfying the
-# linear-independence qualification.
-# ---------------------------------------------------------------------------
-
-def _feasible_point(Kn: np.ndarray, bf: np.ndarray) -> np.ndarray:
-    """Any point of the polyhedron ``{xi : Kn xi >= bf}`` (known nonempty)."""
-    q = Kn.shape[1]
-    if np.all(bf <= 0):
-        return np.zeros(q)
-    res = linprog(
-        c=np.zeros(q),
-        A_ub=-Kn,
-        b_ub=-bf,
-        bounds=[(None, None)] * q,
-        method="highs",
-    )
-    if not res.success:
-        raise ValueError("candidate set is not sufficient: multiplier polyhedron is empty")
-    return np.asarray(res.x, float)
-
-
-def _walk_to_corner(Kn: np.ndarray, bf: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Move a feasible point of ``{Kn xi >= bf}`` to a vertex.
-
-    The constraint matrix has orthonormal columns, so the polyhedron is
-    pointed and each ray step makes one more independent row tight.
-    """
-    m, q = Kn.shape
-    scale = 1.0 + float(np.max(np.abs(bf))) if bf.size else 1.0
-    tol_tight = 1e-9 * scale
-    for _ in range(q + 1):
-        s = Kn @ xi - bf
-        tight = s <= tol_tight
-        At = Kn[tight]
-        # Null direction of the tight rows (full space when none are tight).
-        if At.shape[0]:
-            _u, sv, vh = np.linalg.svd(At)
-            rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
-            if rank >= q:
-                return xi
-            d = vh[rank]
-        else:
-            d = np.zeros(q)
-            d[0] = 1.0
-        step = Kn @ d
-        blocking = (~tight) & (step < -1e-12)
-        if not np.any(blocking):
-            d = -d
-            step = -step
-            blocking = (~tight) & (step < -1e-12)
-            if not np.any(blocking):
-                raise ValueError("failed to locate a corner of the multiplier polyhedron")
-        t = np.min(s[blocking] / -step[blocking])
-        xi = xi + t * d
-    return xi
-
-
 def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1e-10) -> ActiveSet:
     """Shrink a sufficient but degenerate active set until it satisfies LICQ.
 
-    In every round the reduced KKT matrix ``K_AA``, a block of the QP's
-    cached ``K``, is eigendecomposed; its null-space dimension ``q``
-    parametrizes the set of valid multipliers as a pointed polyhedron, a
-    corner of which has at least ``q`` vanishing multipliers.
-    Dropping ``q`` independent tight rows keeps the candidate sufficient with
-    the same minimizer, and the cardinality strictly decreases, so the loop
-    terminates.  Raises ``ValueError`` when the input set is not sufficient.
+    The equalities of a sufficient set are consistent (``b_A`` lies in the
+    range of ``K_AA = U diag(w) U^T``), and every multiplier vector of the
+    set gives the same minimizer ``z``, which the range part yields directly:
+    ``z = Y_A U_r ((U_r^T b_A) / w_r)``.  The set is sufficient when
+    ``-z = Y_A mu`` has a solution ``mu >= 0``; by Caratheodory's theorem for
+    cones one exists on linearly independent columns of ``Y_A = H^{-1} G_A^T``,
+    that is, on independent rows of ``G_A``.  NNLS (Lawson-Hanson) finds such
+    a solution, since its passive columns stay linearly independent, and the
+    rows with ``mu > 0`` are the reduced set.  A set that is already rank
+    complete at ``tol_singular`` comes back unchanged.  Raises ``ValueError``
+    when the input set is not sufficient.
     """
-    theta_vec = _theta_vector(theta)
-    b = qp.W + qp.S @ theta_vec
+    b = qp.W + qp.S @ _theta_vector(theta)
     mask = aset.mask if isinstance(aset, ActiveSet) else int(aset)
-
-    while mask:
-        rows = _mask_indices(mask)
+    if mask:
+        rows = np.array(_mask_indices(mask))
         w, U = np.linalg.eigh(qp.K[np.ix_(rows, rows)])
-        bA = b[rows]
-        wmax = max(float(w[-1]), 0.0)
-        null = w <= tol_singular * wmax if wmax > 0 else np.ones_like(w, dtype=bool)
-        q = int(np.sum(null))
-        if q == 0:
-            break
-        R = U[:, ~null]
-        Kn = U[:, null]
-        bf = R @ ((R.T @ bA) / w[~null]) if R.size else np.zeros(len(rows))
-        xi = _walk_to_corner(Kn, bf, _feasible_point(Kn, bf))
-        s = Kn @ xi - bf
-        order = np.argsort(s)
-        # q independent tight rows: greedy pivoted selection among the
-        # tightest rows of the null-space block.
-        tight_idx = [int(i) for i in order if s[i] <= 1e-8 * (1.0 + abs(float(bf[i])))]
-        chosen = []
-        basis = np.zeros((0, q))
-        for i in tight_idx:
-            candidate = np.vstack([basis, Kn[i]])
-            if np.linalg.matrix_rank(candidate, tol=1e-10) > basis.shape[0]:
-                basis = candidate
-                chosen.append(i)
-            if len(chosen) == q:
-                break
-        if len(chosen) < q:
-            raise ValueError("candidate set is not sufficient: corner search failed")
-        for i in chosen:
-            mask &= ~(1 << rows[i])
+        if w[-1] <= 0.0 or w[0] <= tol_singular * w[-1]:
+            r = w > tol_singular * max(w[-1], 0.0)
+            bA, Ur = b[rows], U[:, r]
+            if np.abs(bA - Ur @ (Ur.T @ bA)).max() > 1e-8 * (1.0 + np.abs(bA).max()):
+                raise ValueError("candidate set is not sufficient: its equalities are inconsistent")
+            z = qp.Y[:, rows] @ (Ur @ ((Ur.T @ bA) / w[r]))
+            mu, resid = nnls(qp.Y[:, rows], -z)
+            if resid > 1e-8 * (1.0 + np.linalg.norm(z)):
+                raise ValueError("candidate set is not sufficient: no nonnegative multipliers")
+            mask = ActiveSet.from_indices(rows[mu > 0]).mask
 
     # Verify the reduced candidate actually certifies the minimizer, with a
     # band ten times the search's default.

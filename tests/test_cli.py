@@ -78,6 +78,19 @@ class TestSolve:
         assert code == 0
         assert "candidates: 1" in out
 
+    def test_negative_warm_mask_rejected(self, capsys):
+        code = cli.dispatch(["solve", str(CORNER_TOY), "--theta=-1,0", "--warm=-0x1"])
+        assert code == 1
+        assert "must be nonnegative" in capsys.readouterr().err
+
+    def test_warm_mask_beyond_rows_rejected(self, tmp_path, capsys):
+        path = tmp_path / "beam2.json"
+        assert cli.dispatch(["beam", "build", "--horizon", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code = cli.dispatch(["solve", str(path), "--warm", "0x100000"])
+        assert code == 1
+        assert "the 10 constraint rows" in capsys.readouterr().err
+
     def test_enumeration_oracle_agrees(self, capsys):
         code = cli.dispatch(["solve", str(CORNER_TOY), "--theta=-1,0",
                              "--oracle", "enumerate"])

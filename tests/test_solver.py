@@ -310,6 +310,51 @@ class TestDegeneracy:
         assert reduce_to_licq(qp, res.active_set, 0).mask == 0
 
 
+@st.composite
+def degenerate_reductions(draw):
+    """``(qp, theta, ref, fat, bogus)``: a random query with a non-empty
+    optimal set, 1-3 appended rows that are nonnegative combinations of its
+    active rows (``fat`` is the optimal set plus all of them), and the optimal
+    set plus one row that is slack at the optimum (``bogus``, ``None`` when
+    no row has slack above 1e-6)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ref = None
+    while ref is None or not ref.active_set.mask:
+        _, qp, theta, ref = random_feasible_query(rng)
+    active = ref.active_set.indices()
+    k = draw(st.integers(1, 3))
+    C = draw(hnp.arrays(float, (k, len(active)), elements=st.floats(0.0, 2.0)))
+    aug = LiftedQP.from_matrices(
+        H=qp.H, F=qp.F, G=np.vstack([qp.G, C @ qp.G[active]]),
+        S=np.vstack([qp.S, C @ qp.S[active]]), W=np.append(qp.W, C @ qp.W[active]),
+        N=qp.N, n_x=qp.n_x, n_u=qp.n_u,
+    )
+    fat = ActiveSet(ref.active_set.mask | ((1 << k) - 1) << qp.p_tilde)
+    slack = lifting.eval_constraints(qp, ref.z_star, theta)
+    inactive = (slack > 1e-6).nonzero()[0]
+    bogus = None
+    if inactive.size:
+        bogus = ref.active_set.add(int(inactive[draw(st.integers(0, inactive.size - 1))]))
+    return aug, theta, ref, fat, bogus
+
+
+class TestReductionProperties:
+    """NNLS reduction of sufficient sets padded with dependent rows."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(degenerate_reductions())
+    def test_subset_with_the_oracle_minimizer(self, case):
+        qp, theta, ref, fat, bogus = case
+        reduced = reduce_to_licq(qp, fat, theta)
+        assert reduced.mask & ~fat.mask == 0
+        out = kkt_solve(qp, reduced, theta)
+        assert out is not None
+        np.testing.assert_allclose(out[0], ref.z_star, rtol=0, atol=1e-8)
+        if bogus is not None:
+            with pytest.raises(ValueError):
+                reduce_to_licq(qp, bogus, theta)
+
+
 class TestBudget:
     def coupled_pair(self):
         # Both rows are active at the optimum but a single activation
