@@ -170,8 +170,6 @@ def _cmd_solve(args) -> int:
 
     tol = _tolerances(qp, args)
     warm = ActiveSet.from_hex(args.warm) if args.warm else None
-    if warm is not None and warm.mask >> qp.p_tilde:
-        raise ValueError(f"warm set {warm} names a row beyond the {qp.p_tilde} constraint rows")
     if args.oracle == "enumerate":
         result = oracle.enumerate_active_sets(qp, theta, tol=tol)
     else:

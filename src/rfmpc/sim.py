@@ -124,7 +124,7 @@ def dual_solver_fn(qp: LiftedQP, theta, warm, tol) -> SolveResult:
 def warm_shift_map(qp: LiftedQP) -> np.ndarray:
     """Row map of the receding-horizon shift, one entry per constraint row.
 
-    Through ``qp.constraints.stage_offsets``, entry ``i`` is the row that row
+    Through ``qp.stage_offsets``, entry ``i`` is the row that row
     ``i`` becomes one sampling interval later, or ``-1`` if it has none:
 
     * a row of stage ``1 <= k < N - 1`` moves to the row with the same local
@@ -138,7 +138,7 @@ def warm_shift_map(qp: LiftedQP) -> np.ndarray:
     QPs without stage bookkeeping (:meth:`LiftedQP.from_matrices` labels
     every row stage 0) therefore start each step cold unless ``N == 1``.
     """
-    offsets = qp.constraints.stage_offsets
+    offsets = qp.stage_offsets
     row_of = {off: i for i, off in enumerate(offsets)}
     shift = np.full(len(offsets), -1, dtype=np.intp)
     for i, (k, local) in enumerate(offsets):

@@ -96,6 +96,16 @@ def _mask_indices(mask: int) -> list:
     return out
 
 
+def _caller_mask(qp: LiftedQP, aset) -> int:
+    """Bitmask of a caller's ``ActiveSet | int``, checked against the rows of ``qp``."""
+    mask = aset.mask if isinstance(aset, ActiveSet) else int(aset)
+    if mask < 0:
+        raise ValueError(f"active-set mask must be nonnegative, got {hex(mask)}")
+    if mask >> qp.p_tilde:
+        raise ValueError(f"active set {hex(mask)} names a row beyond the {qp.p_tilde} constraint rows")
+    return mask
+
+
 def _bound_scale(qp: LiftedQP) -> float:
     """``1 + max|W|``: the scale of the absolute acceptance bands."""
     return 1.0 + (np.max(np.abs(qp.W)) if qp.W.size else 0.0)
@@ -186,7 +196,7 @@ def kkt_solve(qp: LiftedQP, aset, theta, tol_singular: float = 1e-10):
     matrix ``G_A H^{-1} G_A^T`` is singular at the relative threshold (the
     linear-independence qualification fails on this candidate).
     """
-    mask = aset.mask if isinstance(aset, ActiveSet) else int(aset)
+    mask = _caller_mask(qp, aset)
     if mask == 0:
         raise ValueError("candidate active set must be nonempty")
     b = qp.W + qp.S @ _theta_vector(theta)
@@ -282,7 +292,8 @@ def solve(
     so termination is exhaustive: ``INFEASIBLE`` is only reported once every
     candidate with cardinality at most ``N * n_u`` has been covered.  The
     only other way out is ``BUDGET_EXHAUSTED``: ``tol.max_kkt_solves`` KKT
-    solves have failed to produce an accepted candidate.
+    solves have failed to produce an accepted candidate.  A ``warm`` set with
+    a negative mask or a row at or above ``p_tilde`` raises ``ValueError``.
 
     ``stats.wall_time`` covers the whole call, result construction included.
     """
@@ -290,20 +301,20 @@ def solve(
     theta_vec = _theta_vector(theta)
     tol = tol if tol is not None else Tolerances.for_qp(qp)
     stats = SolveStats()
-    found = _search(qp, qp.W + qp.S @ theta_vec, warm, tol, stats)
+    mask = 0 if warm is None else _caller_mask(qp, warm)
+    found = _search(qp, qp.W + qp.S @ theta_vec, mask, tol, stats)
     result = _result(qp, theta_vec, stats, *found)
     stats.wall_time = time.perf_counter() - t0
     return result
 
 
-def _search(qp: LiftedQP, b: np.ndarray, warm, tol: Tolerances, stats: SolveStats) -> tuple:
-    """The loop of :func:`solve`: ``(status,)`` or ``(OPTIMAL, mask, z, lam_A)``."""
+def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: SolveStats) -> tuple:
+    """The loop of :func:`solve` from warm ``mask``: ``(status,)`` or ``(OPTIMAL, mask, z, lam_A)``."""
     p = qp.p_tilde
     cap = min(qp.n_z, p)
     visited = set()
     fallback = iter_candidate_masks(p, cap)
     licq = []
-    mask = warm.mask if warm is not None else 0
     stack = [mask if mask.bit_count() <= cap else 0]  # oversized: rank deficient
 
     while True:
@@ -352,7 +363,7 @@ def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:
     rows = result.active_set.indices()
     GA = qp.G[rows]
     b = qp.W + qp.S @ theta_vec
-    stationarity = np.linalg.norm(qp.cost.H @ z + GA.T @ result.lam[rows]) if rows else np.linalg.norm(qp.cost.H @ z)
+    stationarity = np.linalg.norm(qp.H @ z + GA.T @ result.lam[rows])
     eq = float(np.max(np.abs(GA @ z - b[rows]))) if rows else 0.0
     slack = b - qp.G @ z
     return {
@@ -380,7 +391,7 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1
     when the input set is not sufficient.
     """
     b = qp.W + qp.S @ _theta_vector(theta)
-    mask = aset.mask if isinstance(aset, ActiveSet) else int(aset)
+    mask = _caller_mask(qp, aset)
     if mask:
         rows = np.array(_mask_indices(mask))
         w, U = np.linalg.eigh(qp.K[np.ix_(rows, rows)])

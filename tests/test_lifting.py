@@ -52,18 +52,18 @@ class TestLiftedDynamics:
     def test_stacked_powers(self):
         A = np.array([[0.5, 1.0], [0.0, 0.5]])
         B = np.array([[0.0], [1.0]])
-        dyn = lifting.lift_dynamics(PlantModel(A, B), 3)
-        np.testing.assert_allclose(dyn.A_tilde[2:4], A @ A)
-        np.testing.assert_allclose(dyn.B_tilde[4:6, 0:1], A @ A @ B)
-        np.testing.assert_allclose(dyn.B_tilde[0:2, 2:3], 0.0)
+        A_tilde, B_tilde = lifting.lift_dynamics(PlantModel(A, B), 3)
+        np.testing.assert_allclose(A_tilde[2:4], A @ A)
+        np.testing.assert_allclose(B_tilde[4:6, 0:1], A @ A @ B)
+        np.testing.assert_allclose(B_tilde[0:2, 2:3], 0.0)
 
     def test_rollout_matches_recursion(self):
         rng = np.random.default_rng(5)
         p = make_random_problem(rng, n_x=3, n_u=2, N=3)
-        dyn = lifting.lift_dynamics(p.prediction_model, 3)
+        A_tilde, B_tilde = lifting.lift_dynamics(p.prediction_model, 3)
         x0 = rng.normal(size=3)
         u = rng.normal(size=6)
-        stacked = dyn.A_tilde @ x0 + dyn.B_tilde @ u
+        stacked = A_tilde @ x0 + B_tilde @ u
         xs = pb.predict_trajectory(p, u, x0)
         np.testing.assert_allclose(stacked, xs[1:].ravel(), atol=1e-12)
 
@@ -133,15 +133,8 @@ class TestConstraintEquivalence:
         rng = np.random.default_rng(1)
         p = make_random_problem(rng, n_x=2, n_u=1, N=3, rows_per_stage=2, p_hat=1)
         qp = lifting.build(p)
-        stages = [s for s, _ in qp.constraints.stage_offsets]
+        stages = [s for s, _ in qp.stage_offsets]
         assert stages == [0, 0, 1, 1, 2, 2, 3]
-
-    def test_block_retention(self):
-        rng = np.random.default_rng(2)
-        p = make_random_problem(rng, n_x=2, n_u=1, N=2)
-        assert lifting.build(p).constraints.blocks is None
-        blocks = lifting.build(p, keep_blocks=True).constraints.blocks
-        assert set(blocks) == {"E0_t", "E1_t", "E_t"}
 
 
 class TestGuards:
@@ -155,20 +148,17 @@ class TestGuards:
         with pytest.raises(ValueError, match="not coercive"):
             lifting.build(scalar_problem(2, Q=0.0, R=0.0, P=0.0))
 
-    def test_coercivity_measure(self):
-        assert lifting.check_coercivity(np.diag([2.0, 5.0])) == pytest.approx(2.0)
-
     def test_single_factorization_is_bitwise_unchanged(self):
-        # build takes eps from one eigvalsh and S through the QP's cached
-        # H^-1 F; both must equal the separate computations
-        # (check_coercivity, a fresh cho_factor) bit for bit.
-        qp = lifting.build(beam.make_benchmark(N=30).problem, keep_blocks=True)
-        blocks = qp.constraints.blocks
+        # build takes S through the QP's cached H^-1 F; it must equal the
+        # product through a fresh cho_factor bit for bit.
+        p = beam.make_benchmark(N=30).problem
+        qp = lifting.build(p)
+        E0_t, E1_t, _, _, _ = lifting._stack_constraints(p)
+        A_tilde, _ = lifting.lift_dynamics(p.prediction_model, p.horizon)
         chol = sla.cho_factor(0.5 * (qp.H + qp.H.T), lower=True)
         S = (qp.G @ sla.cho_solve(chol, qp.F)
-             - np.hstack([blocks["E1_t"] @ qp.dynamics.A_tilde, np.zeros((qp.p_tilde, qp.n_u))])
-             - blocks["E0_t"])
-        assert qp.cost.eps == lifting.check_coercivity(qp.H)
+             - np.hstack([E1_t @ A_tilde, np.zeros((qp.p_tilde, qp.n_u))])
+             - E0_t)
         np.testing.assert_array_equal(qp.S, S)
 
 
@@ -247,3 +237,27 @@ class TestSlaterInspection:
         rng = np.random.default_rng(4)
         p = make_random_problem(rng, n_x=2, n_u=1, N=2)
         assert not lifting.check_easy_slater(lifting.build(p))
+
+    def test_zero_S_from_matrices(self):
+        # z = 0 has slack W for every theta, whatever F is.
+        qp = LiftedQP.from_matrices(H=np.eye(2), F=[[1.0, -2.0], [0.5, 3.0]],
+                                    G=[[1.0, 0.0], [-1.0, 1.0]], S=np.zeros((2, 2)), W=[0.5, 2.0])
+        assert lifting.check_easy_slater(qp)
+
+    def test_S_through_zero_input(self):
+        # S = G H^-1 F: the zero input u = 0 has slack W for every theta.
+        rng = np.random.default_rng(6)
+        C = rng.normal(size=(3, 3))
+        H, F, G = C.T @ C + np.eye(3), rng.normal(size=(3, 2)), rng.normal(size=(4, 3))
+        qp = LiftedQP.from_matrices(H=H, F=F, G=G, S=np.zeros((4, 2)), W=np.ones(4))
+        qp = LiftedQP.from_matrices(H=H, F=F, G=G, S=G @ qp.HinvF, W=np.ones(4))
+        assert np.any(qp.S)
+        assert lifting.check_easy_slater(qp)
+        theta = rng.normal(size=2)
+        slack = lifting.eval_constraints(qp, lifting.to_z(qp, np.zeros(3), theta), theta)
+        np.testing.assert_allclose(slack, qp.W, atol=1e-12)
+
+    def test_zero_bound_defeats_inspection(self):
+        qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 2)), G=np.eye(2),
+                                    S=np.zeros((2, 2)), W=[1.0, 0.0])
+        assert not lifting.check_easy_slater(qp)

@@ -126,7 +126,7 @@ class TestWarmShift:
         return build_qp(beam.make_benchmark(N=3).problem)
 
     def test_map_over_beam_rows(self, qp3):
-        offsets = qp3.constraints.stage_offsets
+        offsets = qp3.stage_offsets
         assert qp3.p_tilde == 16
         shift = sim.warm_shift_map(qp3)
         assert shift.shape == (16,)

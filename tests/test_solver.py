@@ -1,4 +1,5 @@
 """Active-set search: hand traces, oracle cross-checks, degeneracy, budgets."""
+import signal
 import time
 
 import numpy as np
@@ -130,6 +131,40 @@ class TestKktSolve:
     def test_singular_candidate_returns_none(self):
         qp = halfspace_qp([-1.0, -1.0], [-1.0, -1.0])
         assert kkt_solve(qp, ActiveSet.from_indices([0, 1]), np.zeros(1)) is None
+
+
+class TestCallerMasks:
+    """``solve``, ``kkt_solve`` and ``reduce_to_licq`` check a caller's mask against the QP."""
+
+    @staticmethod
+    def calls(qp, aset):
+        theta = np.zeros(1)
+        return (lambda: solver.solve(qp, theta, warm=aset),
+                lambda: kkt_solve(qp, aset, theta),
+                lambda: kkt_solve(qp, aset.mask, theta),
+                lambda: reduce_to_licq(qp, aset, theta))
+
+    def test_negative_mask_rejected(self):
+        # -1 has one set bit by bit_count() but no end to its bit walk, so
+        # an unchecked mask hangs: the alarm turns that into a failure.
+        def hang(signum, frame):
+            raise TimeoutError("a negative mask was not rejected")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            for call in self.calls(halfspace_qp([-1.0], [-1.0]), ActiveSet(-1)):
+                with pytest.raises(ValueError, match="must be nonnegative"):
+                    call()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_mask_beyond_rows_rejected(self):
+        qp = halfspace_qp([-1.0, 1.0], [-1.0, 2.0])
+        for call in self.calls(qp, ActiveSet.from_indices([0, 2])):
+            with pytest.raises(ValueError, match="beyond the 2 constraint rows"):
+                call()
 
 
 def primal_evaluate(qp, mask, b, tol):
