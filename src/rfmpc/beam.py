@@ -41,8 +41,6 @@ __all__ = [
     "initial_grid_state",
     "fd_plant_step",
     "fd_energy",
-    "boundary_port_matrices",
-    "check_boundary_matrices",
 ]
 
 
@@ -102,7 +100,6 @@ class Basis:
 
     coeffs: list
     means: list
-    boundary_exponent: int
 
     @property
     def sizes(self) -> list:
@@ -138,7 +135,7 @@ def build_basis(params: BeamParams) -> Basis:
     summ = [_add_coeffs(leg[k], leg[k + 1], +1.0) for k in range(n)]
     coeffs = [diff, summ, [c.copy() for c in diff], [c.copy() for c in summ]]
     means = [np.array([_poly_mean(c) for c in fns]) for fns in coeffs]
-    return Basis(coeffs=coeffs, means=means, boundary_exponent=m)
+    return Basis(coeffs=coeffs, means=means)
 
 
 @dataclass
@@ -159,10 +156,6 @@ class GalerkinSystem:
     def component_slices(self) -> list:
         off = self.basis.offsets
         return [slice(off[c], off[c + 1]) for c in range(4)]
-
-    @property
-    def mass_condition(self) -> float:
-        return float(np.linalg.cond(self.M_mass))
 
     def generator(self) -> np.ndarray:
         """State matrix ``M_mass^{-1} K_stiff`` of the first-order form."""
@@ -240,10 +233,6 @@ class DiscretePlant:
     A_d: np.ndarray
     B_d: np.ndarray
     h: float
-
-    @property
-    def sigma(self) -> float:
-        return 2.0 / self.h
 
 
 def cayley_discretize(g: GalerkinSystem, h: float) -> DiscretePlant:
@@ -519,45 +508,6 @@ def fd_energy(fd: FDPlant, y: np.ndarray) -> float:
     x1, x2, x3, x4 = (fd.component(y, c) for c in range(4))
     dens = p.K * x1**2 + x2**2 / p.rho + p.EI * x3**2 + x4**2 / p.I_rho
     return float(0.5 * fd.trapz_w @ dens)
-
-
-# ---------------------------------------------------------------------------
-# Boundary port matrices of the abstract formulation.
-# ---------------------------------------------------------------------------
-
-def boundary_port_matrices():
-    """The pair (W0, WB) encoding clamped-end conditions and actuated-end inputs."""
-    s = 1.0 / np.sqrt(2.0)
-    W0 = s * np.array([
-        [-1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-    ])
-    WB = s * np.array([
-        [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
-    ])
-    return W0, WB
-
-
-def check_boundary_matrices(W0: np.ndarray | None = None, WB: np.ndarray | None = None) -> bool:
-    """Verify the well-posedness conditions of the boundary parametrization.
-
-    The stacked matrix must have full row rank and must annihilate the
-    canonical swap form, which is exactly losslessness of the boundary ports.
-    """
-    if W0 is None or WB is None:
-        W0d, WBd = boundary_port_matrices()
-        W0 = W0 if W0 is not None else W0d
-        WB = WB if WB is not None else WBd
-    stacked = np.vstack([W0, WB])
-    if np.linalg.matrix_rank(stacked, tol=1e-12) != 4:
-        return False
-    m = stacked.shape[1] // 2
-    swap = np.block([
-        [np.zeros((m, m)), np.eye(m)],
-        [np.eye(m), np.zeros((m, m))],
-    ])
-    return bool(np.max(np.abs(stacked @ swap @ stacked.T)) < 1e-14)
 
 
 # ---------------------------------------------------------------------------

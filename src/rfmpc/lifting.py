@@ -1,7 +1,7 @@
 """Condense the stage-wise problem into a dense parametric QP over the input sequence.
 
-Stacking the predicted states and eliminating them with the prediction model
-turns the finite-horizon problem into
+Eliminating the predicted states with the prediction model turns the
+finite-horizon problem into
 
     minimize   <H z, z> / 2     subject to   G z <= W + S theta,
 
@@ -9,11 +9,16 @@ where ``z = u + H^{-1} F theta`` shifts the input sequence by the
 unconstrained minimizer and ``theta`` stacks the current state and the
 previous input.  A :class:`LiftedQP` is one flat record of this QP: the
 cost operators ``H``, ``F`` and ``const_op``, the constraint data ``G``,
-``S``, ``W`` with each row's stage, and the horizon sizes.  Building it
-factors ``H`` once and caches the operators every query reuses:
-``H^{-1} F`` for the shift between ``u`` and ``z``, and ``Y = H^{-1} G^T``
-with ``K = G Y`` for the constraint-space KKT solves of :mod:`.solver`.  No
-query applies ``H^{-1}`` again.  The module
+``S``, ``W`` with each row's stage, and the horizon sizes.
+
+:func:`build` condenses with one stage template instead of stacked block
+matrices: one pass over the stages carries the affine map from
+``(theta, u)`` to the stage's ``(x'_k, u'_{k-1}, u'_k)`` and pulls each
+stage's cost and rows back through it; the terminal stage is the same
+template with a zero input.  Building the QP factors ``H`` once and caches
+the operators every query reuses: ``H^{-1} F`` for the shift between ``u``
+and ``z``, and ``Y = H^{-1} G^T`` with ``K = G Y`` for the constraint-space
+KKT solves of :mod:`.solver`.  No query applies ``H^{-1}`` again.  The module
 also provides cost/constraint evaluation in both coordinates so the
 condensed data can be cross-checked against the stage recursion in
 :mod:`.problem`.
@@ -29,7 +34,6 @@ from .problem import Parameter, ProblemDefinition, validate
 
 __all__ = [
     "LiftedQP",
-    "lift_dynamics",
     "build",
     "evaluate_lifted_cost",
     "to_z",
@@ -105,67 +109,19 @@ class LiftedQP:
                    stage_offsets=[(0, i) for i in range(G.shape[0])], N=N, n_x=n_x, n_u=n_u)
 
 
-def lift_dynamics(plant, N: int) -> tuple:
-    """Stack the prediction model over ``N`` steps: ``x' = A_tilde x + B_tilde u``.
-
-    ``A_tilde`` maps the current state to the stacked states x'_1..x'_N, and
-    ``B_tilde`` is block lower triangular with (i, j) block ``A^(i-j) B``.
-    """
-    A, B = plant.A, plant.B
-    n_x, n_u = A.shape[0], B.shape[1]
-    powers = [np.eye(n_x)]
-    for _ in range(N):
-        powers.append(A @ powers[-1])
-    A_tilde = np.vstack(powers[1 : N + 1])
-    B_tilde = np.zeros((N * n_x, N * n_u))
-    for i in range(N):
-        for j in range(i + 1):
-            B_tilde[i * n_x : (i + 1) * n_x, j * n_u : (j + 1) * n_u] = powers[i - j] @ B
-    return A_tilde, B_tilde
-
-
-def _stack_constraints(p: ProblemDefinition) -> tuple:
-    """Stage rows stacked into ``(E0_t, E1_t, E_t, W, stage_offsets)``.
-
-    Stage-0 rows act on the parameter only through ``E0_t``; stage-k rows
-    couple to x'_k (k >= 1) through ``E1_t``, and the input couplings live in
-    ``E_t``.
-    """
-    n_x, n_u, N, c = p.n_x, p.n_u, p.horizon, p.constraints
-    p_rows = c.rows_per_stage
-    p_hat = c.p_hat
-    p_tilde = sum(p_rows) + p_hat
-    E0_t = np.zeros((p_tilde, n_x + n_u))
-    E1_t = np.zeros((p_tilde, N * n_x))
-    E_t = np.zeros((p_tilde, N * n_u))
-    W = np.zeros(p_tilde)
-    stage_offsets = []
-    row = 0
-    for k in range(N):
-        pk = p_rows[k]
-        if pk:
-            rows = slice(row, row + pk)
-            W[rows] = c.d[k]
-            if k == 0:
-                E0_t[rows, :n_x] = c.calE[0]
-                E0_t[rows, n_x:] = c.calF[0]
-            else:
-                E1_t[rows, (k - 1) * n_x : k * n_x] = c.calE[k]
-                E_t[rows, (k - 1) * n_u : k * n_u] = c.calF[k]
-            E_t[rows, k * n_u : (k + 1) * n_u] = c.E[k]
-            stage_offsets.extend((k, i) for i in range(pk))
-            row += pk
-    if p_hat:
-        rows = slice(row, row + p_hat)
-        W[rows] = c.d_hat
-        E1_t[rows, (N - 1) * n_x :] = c.E_hat
-        E_t[rows, (N - 1) * n_u :] = c.F_hat
-        stage_offsets.extend((N, i) for i in range(p_hat))
-    return E0_t, E1_t, E_t, W, stage_offsets
-
-
 def build(p: ProblemDefinition, tol_coercive: float = 1e-10) -> LiftedQP:
     """Assemble the condensed QP data from a validated problem.
+
+    One loop over the stages ``k = 0..N`` carries the affine map ``T`` from
+    ``v = (x, u_prev, u_0..u_{N-1})`` to ``(x'_k, u'_{k-1}, u'_k)``, starting
+    from ``x'_0 = x``, ``u'_{-1} = u_prev`` and stepping
+    ``x'_{k+1} = A x'_k + B u'_k``.  Each stage adds
+    ``T^T [[Q, 0, M], [0, V, -V], [M^T, -V, R + V]] T`` to the cost matrix
+    over ``v``, whose theta-theta, u-theta and u-u blocks are ``const_op``,
+    ``F`` and ``H``, and appends its rows ``[calE calF E] T``.  The terminal
+    stage is the same template with ``u'_N = 0``, ``Q = P``, ``M = R = 0``,
+    ``V = V_N`` and rows ``[E_hat F_hat 0]``.  ``G`` is the rows' input
+    columns and ``S = G H^{-1} F`` minus their theta columns.
 
     Raises ``ValueError`` when the problem data is invalid or when ``H`` is
     not coercive (smallest eigenvalue below ``tol_coercive * (1 + ||H||)``).
@@ -174,44 +130,46 @@ def build(p: ProblemDefinition, tol_coercive: float = 1e-10) -> LiftedQP:
     if report:
         raise ValueError("invalid problem: " + "; ".join(report))
 
+    A, B = p.prediction_model.A, p.prediction_model.B
     n_x, n_u, N = p.n_x, p.n_u, p.horizon
-    w = p.weights
-    A_tilde, B_tilde = lift_dynamics(p.prediction_model, N)
+    w, c = p.weights, p.constraints
+    n_theta = n_x + n_u
+    x, prev, cur = slice(0, n_x), slice(n_x, n_theta), slice(n_theta, n_theta + n_u)
+    T = np.zeros((n_x + 2 * n_u, n_theta + N * n_u))
+    T[:n_theta, :n_theta] = np.eye(n_theta)
+    cost = np.zeros((T.shape[1], T.shape[1]))
+    rows, W, stage_offsets = [], [], []
+    O_xu = np.zeros((n_x, n_u))
+    for k in range(N + 1):
+        if k < N:
+            T[cur, n_theta + k * n_u : n_theta + (k + 1) * n_u] = np.eye(n_u)
+            Q, M, R, V = w.Q[k], w.M[k], w.R[k], w.V[k]
+            d, E_k = c.d[k], np.hstack([c.calE[k], c.calF[k], c.E[k]])
+        else:
+            Q, M, R, V = w.P, O_xu, 0.0, w.V[N]
+            d, E_k = c.d_hat, np.hstack([c.E_hat, c.F_hat, np.zeros((c.p_hat, n_u))])
+        L = np.block([[Q, O_xu, M], [O_xu.T, V, -V], [M.T, -V, R + V]])
+        cost += T.T @ (L @ T)
+        rows.append(E_k @ T)
+        W.append(d)
+        stage_offsets.extend((k, i) for i in range(len(d)))
+        T[x] = A @ T[x] + B @ T[cur]
+        T[prev] = T[cur]
+        T[cur] = 0.0
 
-    # Stacked weights.  Q_P pairs with x'_1..x'_N, so it starts at Q_1 and
-    # ends with the terminal weight.
-    Q_P = sla.block_diag(*(w.Q[1:N] + [w.P])) if N > 1 else w.P.copy()
-    R_t = sla.block_diag(*w.R)
-    V_t = np.zeros((N * n_u, N * n_u))
-    for k in range(N):
-        sl = slice(k * n_u, (k + 1) * n_u)
-        V_t[sl, sl] = w.V[k] + w.V[k + 1]
-        if k >= 1:
-            pv = slice((k - 1) * n_u, k * n_u)
-            V_t[sl, pv] = -w.V[k]
-            V_t[pv, sl] = -w.V[k]
-    M_t = np.zeros((N * n_x, N * n_u))
-    for k in range(1, N):
-        M_t[(k - 1) * n_x : k * n_x, k * n_u : (k + 1) * n_u] = w.M[k]
-    M0_t = np.hstack([w.M[0], np.zeros((n_x, (N - 1) * n_u))])
-    V0_t = np.vstack([-w.V[0], np.zeros(((N - 1) * n_u, n_u))])
-
-    QB = Q_P @ B_tilde
-    H = B_tilde.T @ QB + R_t + V_t + B_tilde.T @ M_t + M_t.T @ B_tilde
+    H = cost[n_theta:, n_theta:]
     w_H = np.linalg.eigvalsh(0.5 * (H + H.T))
     if w_H[0] <= tol_coercive * (1.0 + np.max(np.abs(w_H))):
         raise ValueError(f"H not coercive: smallest eigenvalue {w_H[0]:.3e}")
 
-    F = np.hstack([B_tilde.T @ (Q_P @ A_tilde) + M_t.T @ A_tilde + M0_t.T, V0_t])
-    const_op = sla.block_diag(w.Q[0] + A_tilde.T @ (Q_P @ A_tilde), w.V[0])
-
-    E0_t, E1_t, E_t, W, stage_offsets = _stack_constraints(p)
-    G = E1_t @ B_tilde + E_t
-    # The QP factors H once; S = G H^{-1} F - ... reads the cached H^{-1} F,
-    # so S is filled in after the QP exists.
-    qp = LiftedQP(H=H, F=F, const_op=const_op, G=G, S=None, W=W,
+    rows = np.vstack(rows)
+    G = rows[:, n_theta:]
+    # The QP factors H once; S reads the cached H^{-1} F, so S is filled in
+    # after the QP exists.
+    qp = LiftedQP(H=H, F=cost[n_theta:, :n_theta], const_op=cost[:n_theta, :n_theta], G=G,
+                  S=None, W=np.concatenate(W),
                   stage_offsets=stage_offsets, N=N, n_x=n_x, n_u=n_u)
-    qp.S = G @ qp.HinvF - np.hstack([E1_t @ A_tilde, np.zeros((G.shape[0], n_u))]) - E0_t
+    qp.S = G @ qp.HinvF - rows[:, :n_theta]
     return qp
 
 

@@ -75,7 +75,7 @@ def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000)
     diag = np.diag(K).copy()
     lam = np.zeros(p)
     v = np.zeros(p)  # K @ lam, maintained incrementally
-    tiny = 1e-14 * (np.max(diag) if p else 1.0)
+    tiny = 1e-14 * np.max(diag)
     for _ in range(max_iter):
         for k in range(p):
             if diag[k] <= tiny:

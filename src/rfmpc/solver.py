@@ -160,17 +160,6 @@ class SolveResult:
     stats: SolveStats
 
 
-def _contains_violator(licq: list, mask: int) -> bool:
-    return any(l & mask == l for l in licq)
-
-
-def _licq_insert(licq: list, mask: int):
-    # Keep only inclusion-minimal rank-deficient candidates.
-    if _contains_violator(licq, mask):
-        return
-    licq[:] = [l for l in licq if mask & l != mask] + [mask]
-
-
 def iter_candidate_masks(n_bits: int, max_cardinality: int):
     """All subsets of ``range(n_bits)`` ordered by (cardinality, numeric mask).
 
@@ -324,7 +313,7 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
         if mask in visited:
             continue
         visited.add(mask)
-        if _contains_violator(licq, mask):
+        if any(l & mask == l for l in licq):
             continue
 
         stats.candidates_visited += 1
@@ -333,7 +322,9 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
         out = _evaluate(qp, mask, b, tol)
         if out is None:
             stats.licq_failures += 1
-            _licq_insert(licq, mask)
+            # mask contains no known violator (filtered above); keep only
+            # inclusion-minimal rank-deficient candidates.
+            licq = [l for l in licq if mask & l != mask] + [mask]
             violated = negative = ()
         else:
             z, lam_A, violated, negative = out
@@ -356,8 +347,13 @@ def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:
     """Certificate bundle of an optimal result.
 
     Returns stationarity norm, the worst active-row equality error, and the
-    minimum slack and multiplier.
+    minimum slack and multiplier.  Raises ``ValueError`` on a result without
+    a minimizer or multipliers: an ``INFEASIBLE`` or ``BUDGET_EXHAUSTED``
+    result, or one from a solver that reports no multipliers.
     """
+    if result.z_star is None or result.lam is None:
+        raise ValueError(f"{result.status.value} result carries no certificate: "
+                         "it has no minimizer or no multipliers")
     theta_vec = _theta_vector(theta)
     z = result.z_star
     rows = result.active_set.indices()

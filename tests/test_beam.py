@@ -71,7 +71,7 @@ class TestGalerkinOperators:
         M = galerkin.M_mass
         np.testing.assert_allclose(M, M.T, atol=1e-14)
         assert np.min(np.linalg.eigvalsh(M)) > 0
-        assert galerkin.mass_condition == pytest.approx(317.887, rel=1e-3)
+        assert np.linalg.cond(M) == pytest.approx(317.887, rel=1e-3)
 
     def test_stiffness_skew(self, galerkin):
         K = galerkin.K_stiff
@@ -128,7 +128,6 @@ class TestCayley:
         lhs = (sigma * np.eye(36) - A0) @ plant.A_d
         rhs = sigma * np.eye(36) + A0
         np.testing.assert_allclose(lhs, rhs, atol=1e-8 * sigma)
-        assert plant.sigma == pytest.approx(sigma)
 
     def test_free_step_preserves_energy(self, galerkin):
         plant = beam.cayley_discretize(galerkin, 2.0 ** -7)
@@ -200,21 +199,6 @@ class TestInitialCondition:
         np.testing.assert_allclose(
             galerkin.basis.reconstruct(1, a2, xi), np.sin(np.pi * xi / 2), atol=1e-7
         )
-
-
-class TestBoundaryPorts:
-    def test_well_posedness(self):
-        assert beam.check_boundary_matrices()
-
-    def test_rank_and_shape(self):
-        W0, WB = beam.boundary_port_matrices()
-        assert W0.shape == (2, 8) and WB.shape == (2, 8)
-        assert np.linalg.matrix_rank(np.vstack([W0, WB])) == 4
-
-    def test_bad_matrices_detected(self):
-        W0, WB = beam.boundary_port_matrices()
-        assert not beam.check_boundary_matrices(W0, W0)  # rank deficient
-        assert not beam.check_boundary_matrices(W0, np.ones_like(WB))
 
 
 class TestFiniteDifferencePlant:

@@ -48,26 +48,6 @@ class TestHandValues:
         assert qp.W.shape == (7,)
 
 
-class TestLiftedDynamics:
-    def test_stacked_powers(self):
-        A = np.array([[0.5, 1.0], [0.0, 0.5]])
-        B = np.array([[0.0], [1.0]])
-        A_tilde, B_tilde = lifting.lift_dynamics(PlantModel(A, B), 3)
-        np.testing.assert_allclose(A_tilde[2:4], A @ A)
-        np.testing.assert_allclose(B_tilde[4:6, 0:1], A @ A @ B)
-        np.testing.assert_allclose(B_tilde[0:2, 2:3], 0.0)
-
-    def test_rollout_matches_recursion(self):
-        rng = np.random.default_rng(5)
-        p = make_random_problem(rng, n_x=3, n_u=2, N=3)
-        A_tilde, B_tilde = lifting.lift_dynamics(p.prediction_model, 3)
-        x0 = rng.normal(size=3)
-        u = rng.normal(size=6)
-        stacked = A_tilde @ x0 + B_tilde @ u
-        xs = pb.predict_trajectory(p, u, x0)
-        np.testing.assert_allclose(stacked, xs[1:].ravel(), atol=1e-12)
-
-
 class TestCostEquivalence:
     def test_lifted_cost_equals_recursion(self):
         # The strongest check of H, F and the constant operator at once.
@@ -137,6 +117,31 @@ class TestConstraintEquivalence:
         assert stages == [0, 0, 1, 1, 2, 2, 3]
 
 
+class TestUnevenRows:
+    @pytest.mark.parametrize("p_hat", [0, 2])
+    def test_matches_stage_recursion(self, p_hat):
+        # Stage 0 and the middle stage 2 have no rows, stage 1 three, stage 3 one.
+        rng = np.random.default_rng(31 + p_hat)
+        n_x, n_u, N = 3, 2, 4
+        p = make_random_problem(rng, n_x=n_x, n_u=n_u, N=N, rows_per_stage=0, p_hat=p_hat)
+        c = p.constraints
+        for k, pk in ((1, 3), (3, 1)):
+            c.d[k] = rng.uniform(0.3, 1.5, size=pk)
+            c.calE[k] = rng.normal(size=(pk, n_x))
+            c.calF[k] = rng.normal(size=(pk, n_u))
+            c.E[k] = rng.normal(size=(pk, n_u))
+        qp = lifting.build(p)
+        assert qp.stage_offsets == [(1, 0), (1, 1), (1, 2), (3, 0)] + [(N, i) for i in range(p_hat)]
+        for _ in range(5):
+            theta = Parameter(rng.normal(size=n_x), rng.normal(size=n_u))
+            u = rng.normal(size=qp.n_z)
+            _, direct = pb.check_admissible(p, u, theta)
+            slack = lifting.eval_constraints(qp, lifting.to_z(qp, u, theta), theta)
+            np.testing.assert_allclose(slack, direct, atol=1e-10)
+            np.testing.assert_allclose(lifting.evaluate_lifted_cost(qp, u, theta),
+                                       pb.evaluate_cost(p, u, theta), rtol=1e-10)
+
+
 class TestGuards:
     def test_invalid_problem_rejected(self):
         p = scalar_problem(2)
@@ -150,16 +155,17 @@ class TestGuards:
 
     def test_single_factorization_is_bitwise_unchanged(self):
         # build takes S through the QP's cached H^-1 F; it must equal the
-        # product through a fresh cho_factor bit for bit.
+        # product through a fresh cho_factor bit for bit.  With the rows'
+        # state and previous-input couplings zeroed, S has no other term.
         p = beam.make_benchmark(N=30).problem
+        c = p.constraints
+        c.calE = [np.zeros_like(E) for E in c.calE]
+        c.calF = [np.zeros_like(F) for F in c.calF]
+        c.E_hat, c.F_hat = np.zeros_like(c.E_hat), np.zeros_like(c.F_hat)
         qp = lifting.build(p)
-        E0_t, E1_t, _, _, _ = lifting._stack_constraints(p)
-        A_tilde, _ = lifting.lift_dynamics(p.prediction_model, p.horizon)
         chol = sla.cho_factor(0.5 * (qp.H + qp.H.T), lower=True)
-        S = (qp.G @ sla.cho_solve(chol, qp.F)
-             - np.hstack([E1_t @ A_tilde, np.zeros((qp.p_tilde, qp.n_u))])
-             - E0_t)
-        np.testing.assert_array_equal(qp.S, S)
+        assert np.any(qp.S)
+        np.testing.assert_array_equal(qp.S, qp.G @ sla.cho_solve(chol, qp.F))
 
 
 @pytest.fixture(scope="module")

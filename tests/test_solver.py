@@ -288,6 +288,24 @@ class TestOracleCrossCheck:
             assert cert["min_slack"] >= -1e-9 * (1.0 + np.max(np.abs(qp.W)))
             assert cert["min_lambda"] >= -1e-9 * (1.0 + np.max(np.abs(qp.W)))
 
+    @pytest.mark.parametrize("budget, status", [(10000, SolveStatus.INFEASIBLE),
+                                                (1, SolveStatus.BUDGET_EXHAUSTED)])
+    def test_no_certificate_without_minimizer(self, budget, status):
+        qp = halfspace_qp([1.0, -1.0], [-1.0, -1.0])
+        res = solver.solve(qp, np.zeros(1), tol=Tolerances.for_qp(qp, max_kkt_solves=budget))
+        assert res.status is status
+        with pytest.raises(ValueError, match=f"{status.value} result carries no certificate"):
+            kkt_residuals(qp, res, np.zeros(1))
+
+    def test_no_certificate_without_multipliers(self):
+        # The dual closed-loop solver reports a minimizer but no multipliers.
+        qp = halfspace_qp([1.0], [-1.0])
+        theta = Parameter(np.zeros(1), np.zeros(0))
+        res = sim.dual_solver_fn(qp, theta, None, None)
+        assert res.status is SolveStatus.OPTIMAL and res.lam is None
+        with pytest.raises(ValueError, match="optimal result carries no certificate"):
+            kkt_residuals(qp, res, theta)
+
 
 class TestDegeneracy:
     def test_duplicated_active_row(self):
