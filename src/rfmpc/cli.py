@@ -2,8 +2,8 @@
 
 Problems travel as JSON files, results as CSV or whitespace matrix dumps
 (first line ``rows cols``, then row-major values with 17 significant digits).
-Exit codes: 0 success, 1 usage or invalid data, 2 infeasible, 3 budget
-exhausted, 4 I/O failure.
+Exit codes: 0 success, 1 usage or invalid data, 2 infeasible (Farkas
+certificate), 3 search stalled on an uncertified query, 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -181,6 +181,8 @@ def _cmd_solve(args) -> int:
         print(f"u: {_fmt_vec(result.u_first)}")
         print(f"z: {_fmt_vec(result.z_star)}")
     s = result.stats
+    if result.farkas is not None:
+        print(f"farkas_ray: {np.count_nonzero(result.farkas)} of {qp.p_tilde} rows")
     print(f"candidates: {s.candidates_visited}  kkt_solves: {s.kkt_solves}  "
           f"licq_failures: {s.licq_failures}  wall_time: {s.wall_time:.6f}")
     if result.status is SolveStatus.INFEASIBLE:

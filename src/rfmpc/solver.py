@@ -18,6 +18,15 @@ the bounded candidate space is exhausted the problem is infeasible.  Every
 :class:`SolveResult` comes from one constructor (:func:`_result`), which the
 reference solvers in :mod:`.oracle` and :mod:`.sim` share.
 
+Infeasibility is certified by a Farkas ray: ``y >= 0`` with ``G^T y = 0`` and
+``b^T y = -1`` exists exactly when ``G z <= b`` is empty.  A search that has
+spent ``n_z`` KKT solves without an accepted candidate looks for one once,
+with one NNLS solve against the cached ``Y = H^{-1} G^T`` (:func:`_farkas_ray`);
+the search also computes it when the exhaustive order runs dry.  So an
+``INFEASIBLE`` result carries its ray, which :func:`check_farkas` verifies from
+``G`` and ``b`` alone, and ``BUDGET_EXHAUSTED`` means only that the search
+stalled on a query the ray could not prove infeasible.
+
 :func:`reduce_to_licq` shrinks a sufficient but rank-deficient set to an LICQ
 subset with one NNLS (Lawson-Hanson) solve: by Caratheodory's theorem for
 cones its multipliers fit on independent rows, as NNLS's passive rows are.
@@ -29,7 +38,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .lifting import LiftedQP, _theta_vector, from_z
 
@@ -43,6 +51,7 @@ __all__ = [
     "solve",
     "reduce_to_licq",
     "kkt_residuals",
+    "check_farkas",
     "iter_candidate_masks",
 ]
 
@@ -118,8 +127,10 @@ class Tolerances:
     ``tol_violation``/``tol_lambda`` are absolute bands already scaled by the
     constraint bounds (see :meth:`for_qp`); ``tol_singular`` is relative to
     the largest eigenvalue of the reduced KKT matrix.  ``max_kkt_solves``
-    bounds the work per query; the exhaustive infeasibility certificate is
-    only available below that budget.
+    bounds the work per query.  It does not bound the infeasibility
+    certificate: the Farkas ray is sought once a query has spent
+    ``min(n_z, max_kkt_solves)`` KKT solves, so the budget runs out only on a
+    query that the ray could not prove infeasible.
     """
 
     tol_violation: float = 1e-9
@@ -151,6 +162,16 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
+    """Outcome of one query, with the certificate its status calls for.
+
+    ``OPTIMAL`` carries the minimizer ``z_star``, the input sequence and, from
+    :func:`solve`, the multipliers ``lam``, which :func:`kkt_residuals` checks.
+    ``INFEASIBLE`` from :func:`solve` carries a Farkas ray ``farkas`` (one
+    entry per constraint row), which :func:`check_farkas` checks.
+    ``BUDGET_EXHAUSTED`` carries neither: the search stalled and the ray found
+    no certificate of infeasibility.
+    """
+
     status: SolveStatus
     active_set: ActiveSet
     u_first: np.ndarray | None
@@ -158,6 +179,7 @@ class SolveResult:
     z_star: np.ndarray | None
     lam: np.ndarray | None
     stats: SolveStats
+    farkas: np.ndarray | None
 
 
 def iter_candidate_masks(n_bits: int, max_cardinality: int):
@@ -237,13 +259,14 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
 
 
 def _result(qp: LiftedQP, theta_vec, stats: SolveStats, status: SolveStatus,
-            mask: int = 0, z=None, lam_A=None) -> SolveResult:
+            mask: int = 0, z=None, lam_A=None, farkas=None) -> SolveResult:
     """The one constructor of :class:`SolveResult`.
 
     ``z`` (``None`` unless optimal) yields the input sequence through
     :func:`~rfmpc.lifting.from_z`; ``lam_A``, the multipliers of the rows of
     ``mask``, is scattered into the full multiplier vector.  A result without
-    ``lam_A`` carries ``lam=None``.
+    ``lam_A`` carries ``lam=None``.  ``farkas`` is the ray of an infeasible
+    result.
     """
     u_seq = None if z is None else from_z(qp, z, theta_vec)
     lam = None
@@ -259,6 +282,7 @@ def _result(qp: LiftedQP, theta_vec, stats: SolveStats, status: SolveStatus,
         z_star=z,
         lam=lam,
         stats=stats,
+        farkas=farkas,
     )
 
 
@@ -278,11 +302,17 @@ def solve(
     filtered when they are popped: already visited ones, and those
     containing a known rank-deficient subset, are skipped.  When the stack
     runs dry the next candidate of the (cardinality, mask) order is tried,
-    so termination is exhaustive: ``INFEASIBLE`` is only reported once every
-    candidate with cardinality at most ``N * n_u`` has been covered.  The
-    only other way out is ``BUDGET_EXHAUSTED``: ``tol.max_kkt_solves`` KKT
-    solves have failed to produce an accepted candidate.  A ``warm`` set with
-    a negative mask or a row at or above ``p_tilde`` raises ``ValueError``.
+    so the search is complete.  Once ``min(n_z, tol.max_kkt_solves)`` KKT
+    solves have produced no accepted candidate, the query is tested once for
+    a Farkas ray.  ``INFEASIBLE`` is reported when that ray exists, or when
+    every candidate with cardinality at most ``n_z`` has been covered, and
+    carries the ray in ``farkas`` (``None`` only if, after the exhaustive
+    order, NNLS cannot reproduce a ray that :func:`check_farkas` accepts).
+    ``BUDGET_EXHAUSTED`` is reported when
+    ``tol.max_kkt_solves`` KKT solves have produced no accepted candidate and
+    the ray test found no certificate: the search stalled.  A ``warm`` set
+    with a negative mask or a row at or above ``p_tilde`` raises
+    ``ValueError``.
 
     ``stats.wall_time`` covers the whole call, result construction included.
     """
@@ -298,18 +328,23 @@ def solve(
 
 
 def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: SolveStats) -> tuple:
-    """The loop of :func:`solve` from warm ``mask``: ``(status,)`` or ``(OPTIMAL, mask, z, lam_A)``."""
+    """The loop of :func:`solve` from warm ``mask``.
+
+    Returns ``(OPTIMAL, mask, z, lam_A)``, ``(INFEASIBLE, 0, None, None, ray)``
+    or ``(BUDGET_EXHAUSTED,)``.
+    """
     p = qp.p_tilde
     cap = min(qp.n_z, p)
     visited = set()
     fallback = iter_candidate_masks(p, cap)
     licq = []
     stack = [mask if mask.bit_count() <= cap else 0]  # oversized: rank deficient
+    ray_at = min(qp.n_z, tol.max_kkt_solves)  # KKT solves before the one ray test
 
     while True:
         mask = stack.pop() if stack else next(fallback, None)
         if mask is None:
-            return (SolveStatus.INFEASIBLE,)
+            return SolveStatus.INFEASIBLE, 0, None, None, _farkas_ray(qp, b)
         if mask in visited:
             continue
         visited.add(mask)
@@ -330,6 +365,11 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
             z, lam_A, violated, negative = out
             if not violated and not negative:
                 return SolveStatus.OPTIMAL, mask, z, lam_A
+        if stats.kkt_solves >= ray_at:
+            ray_at = float("inf")
+            ray = _farkas_ray(qp, b)
+            if ray is not None:
+                return SolveStatus.INFEASIBLE, 0, None, None, ray
         if stats.kkt_solves >= tol.max_kkt_solves:
             return (SolveStatus.BUDGET_EXHAUSTED,)
 
@@ -341,6 +381,41 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
                 stack.append(m2)
         for k in reversed(negative):
             stack.append(mask & ~(1 << k))
+
+
+def _farkas_ray(qp: LiftedQP, b: np.ndarray):
+    """A Farkas ray of ``G z <= b`` from one NNLS solve, or ``None``.
+
+    ``H`` is nonsingular, so ``G^T y = 0`` holds exactly when ``Y y = 0`` with
+    the cached ``Y = H^{-1} G^T``.  The least-squares distance of
+    ``[Y; b^T] y`` to ``[0; -1]`` over ``y >= 0`` is therefore zero exactly
+    when the constraints are infeasible, and the minimizer is then the ray.
+    The minimizer is judged by :func:`check_farkas` on ``G`` itself, not by
+    the residual, whose size in ``Y`` scales with ``H^{-1}``.
+    """
+    from scipy.optimize import nnls  # loaded on a stalled query only
+
+    target = np.zeros(qp.n_z + 1)
+    target[-1] = -1.0
+    y, _ = nnls(np.vstack([qp.Y, b]), target)
+    return y if check_farkas(qp.G, b, y) else None
+
+
+def check_farkas(G, b, y) -> bool:
+    """Whether ``y`` certifies that ``G z <= b`` has no solution.
+
+    The test needs only ``G`` and ``b``: ``y >= 0``, ``G^T y = 0`` up to
+    rounding (``||G^T y||_inf <= 1e-9 max|G| sum(y)``) and
+    ``b^T y <= -1 + 1e-9``.  Any ``z`` would then give the contradiction
+    ``0 = (G^T y)^T z = y^T G z <= b^T y < 0``.  The scale is the whole of
+    ``G``, not the rows that ``y`` weights: a ray on a zero row ``0 <= b_k < 0``
+    may carry rounding-level weight on other rows.
+    """
+    G, b, y = np.asarray(G, float), np.asarray(b, float), np.asarray(y, float)
+    if y.shape != b.shape or np.any(y < 0.0):
+        return False
+    gty = np.abs(G.T @ y).max(initial=0.0)
+    return bool(gty <= 1e-9 * np.abs(G).max(initial=0.0) * y.sum() and b @ y <= -1.0 + 1e-9)
 
 
 def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:
@@ -397,6 +472,8 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1
             if np.abs(bA - Ur @ (Ur.T @ bA)).max() > 1e-8 * (1.0 + np.abs(bA).max()):
                 raise ValueError("candidate set is not sufficient: its equalities are inconsistent")
             z = qp.Y[:, rows] @ (Ur @ ((Ur.T @ bA) / w[r]))
+            from scipy.optimize import nnls  # loaded on a degenerate set only
+
             mu, resid = nnls(qp.Y[:, rows], -z)
             if resid > 1e-8 * (1.0 + np.linalg.norm(z)):
                 raise ValueError("candidate set is not sufficient: no nonnegative multipliers")

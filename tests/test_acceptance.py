@@ -17,6 +17,7 @@ from rfmpc.solver import (
     ActiveSet,
     SolveStatus,
     Tolerances,
+    check_farkas,
     kkt_residuals,
     kkt_solve,
     reduce_to_licq,
@@ -274,7 +275,8 @@ def test_warm_start_payoff(warm_run, cold_run, capsys):
 
 
 def test_infeasibility_certified(capsys):
-    """Contradictory rows: exhaustive search and enumeration both say so."""
+    """Contradictory rows: the search certifies them with a Farkas ray that
+    checks from ``G`` and ``W`` alone, and enumeration agrees."""
     # z1 >= 1 and z1 <= -1 cannot hold together; eight loose rows pad the
     # problem to ten constraints without changing the empty feasible set.
     G = np.array([
@@ -291,8 +293,12 @@ def test_infeasibility_certified(capsys):
 
     res = solve(qp, theta)
     ref = oracle.enumerate_active_sets(qp, theta)
+    ray = res.farkas
     ok = (res.status is SolveStatus.INFEASIBLE
-          and ref.status is SolveStatus.INFEASIBLE)
+          and ref.status is SolveStatus.INFEASIBLE
+          and ray is not None and check_farkas(G, W, ray))
     report(capsys, "infeasibility-certificate", ok,
            f"search {res.status.value} after {res.stats.candidates_visited} "
-           f"candidates, enumeration {ref.status.value}")
+           f"candidates with a Farkas ray on "
+           f"{'no' if ray is None else int(np.count_nonzero(ray))} rows, "
+           f"enumeration {ref.status.value}")

@@ -122,6 +122,7 @@ class TestSolve:
         out = capsys.readouterr().out
         assert code == 2
         assert "status: infeasible" in out
+        assert "farkas_ray: " in out
 
     def test_budget_exit_code(self, capsys):
         code = cli.dispatch(["solve", str(CORNER_TOY), "--theta=-1,0", "--budget", "0"])
@@ -158,11 +159,31 @@ class TestSimulate:
         assert "steps: 16" in proc.stdout
         assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
+    def test_feasible_run_leaves_scipy_optimize_unloaded(self):
+        # nnls is imported only by a stalled query or a degenerate reduction.
+        src = str(Path(rfmpc.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from rfmpc import cli\n"
+                "assert 'scipy.optimize' not in sys.modules, 'on import'\n"
+                "assert cli.dispatch(['simulate', '--horizon', '4', '--t-end', '0.125']) == 0\n"
+                "assert 'scipy.optimize' not in sys.modules, 'after a run'\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_infeasible_horizon_exit_code(self, capsys):
         code = cli.dispatch(["simulate", "--horizon", "2", "--t-end", "0.5"])
         err = capsys.readouterr().err
         assert code == 2
         assert "no admissible input sequence" in err
+
+    def test_lost_feasibility_exit_code(self, capsys):
+        # Physical bounds at N = 10: the loop loses feasibility at step 75,
+        # certified by a Farkas ray, not by the budget running out.
+        code = cli.dispatch(["simulate", "--horizon", "10", "--t-end", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no admissible input sequence at step 75 " in err
 
     def test_budget_exit_code(self, capsys):
         # Zero budget survives only while the unconstrained minimizer is

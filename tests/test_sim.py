@@ -5,7 +5,7 @@ import pytest
 from rfmpc import beam, sim
 from rfmpc.lifting import LiftedQP, build as build_qp
 from rfmpc.sim import SimulationConfig
-from rfmpc.solver import ActiveSet, solve
+from rfmpc.solver import ActiveSet, check_farkas, solve
 
 
 def short_cfg(**kw):
@@ -112,6 +112,27 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="does not match"):
             sim.run_closed_loop(short_cfg(bound_scaling="reciprocal", t_end=0.5), bench=recip,
                                 qp=build_qp(bench.problem))
+
+    def test_physical_bounds_lose_feasibility_with_a_certificate(self):
+        # At N = 10 the physical input bounds cannot hold the beam past step
+        # 75.  The search stalls there and certifies it with a Farkas ray
+        # after n_z KKT solves instead of spending its budget.
+        calls = []
+
+        def recording(qp, theta, warm, tol):
+            calls.append((theta, solve(qp, theta, warm, tol)))
+            return calls[-1][1]
+
+        bench = beam.make_benchmark(N=10)
+        qp = build_qp(bench.problem)
+        with pytest.raises(sim.RecursiveFeasibilityError, match="at step 75 "):
+            sim.run_closed_loop(short_cfg(horizon=10, t_end=1.0), bench=bench, qp=qp,
+                                solver_fn=recording)
+        theta, res = calls[-1]
+        assert len(calls) == 76
+        assert res.stats.kkt_solves == qp.n_z
+        b = qp.W + qp.S @ np.concatenate([theta.x, theta.u_prev])
+        assert check_farkas(qp.G, b, res.farkas)
 
     def test_budget_exhaustion_surfaces(self):
         cfg = short_cfg(t_end=0.5, horizon=10, max_kkt_solves=0)

@@ -16,6 +16,7 @@ from rfmpc.solver import (
     ActiveSet,
     SolveStatus,
     Tolerances,
+    check_farkas,
     iter_candidate_masks,
     kkt_residuals,
     kkt_solve,
@@ -29,6 +30,18 @@ def halfspace_qp(rows, bounds):
     W = np.asarray(bounds, float)
     return LiftedQP.from_matrices(
         H=1.0, F=[[0.0]], G=G, S=np.zeros((len(W), 1)), W=W
+    )
+
+
+def coupled_pair():
+    """Both rows are active at the optimum but a single activation leaves the
+    other violated, so at least two KKT solves are needed."""
+    return LiftedQP.from_matrices(
+        H=np.eye(2),
+        F=np.zeros((2, 1)),
+        G=[[1.0, 1.0], [1.0, 0.0]],
+        S=np.zeros((2, 1)),
+        W=[-1.0, -1.0],
     )
 
 
@@ -288,10 +301,13 @@ class TestOracleCrossCheck:
             assert cert["min_slack"] >= -1e-9 * (1.0 + np.max(np.abs(qp.W)))
             assert cert["min_lambda"] >= -1e-9 * (1.0 + np.max(np.abs(qp.W)))
 
+    # The infeasible pair is certified by its Farkas ray whatever the budget,
+    # so the stalled case is a feasible QP that needs more than one solve.
     @pytest.mark.parametrize("budget, status", [(10000, SolveStatus.INFEASIBLE),
                                                 (1, SolveStatus.BUDGET_EXHAUSTED)])
     def test_no_certificate_without_minimizer(self, budget, status):
-        qp = halfspace_qp([1.0, -1.0], [-1.0, -1.0])
+        infeasible = status is SolveStatus.INFEASIBLE
+        qp = halfspace_qp([1.0, -1.0], [-1.0, -1.0]) if infeasible else coupled_pair()
         res = solver.solve(qp, np.zeros(1), tol=Tolerances.for_qp(qp, max_kkt_solves=budget))
         assert res.status is status
         with pytest.raises(ValueError, match=f"{status.value} result carries no certificate"):
@@ -409,19 +425,8 @@ class TestReductionProperties:
 
 
 class TestBudget:
-    def coupled_pair(self):
-        # Both rows are active at the optimum but a single activation
-        # leaves the other violated, so at least two KKT solves are needed.
-        return LiftedQP.from_matrices(
-            H=np.eye(2),
-            F=np.zeros((2, 1)),
-            G=[[1.0, 1.0], [1.0, 0.0]],
-            S=np.zeros((2, 1)),
-            W=[-1.0, -1.0],
-        )
-
     def test_exhaustion_reported(self):
-        qp = self.coupled_pair()
+        qp = coupled_pair()
         tol = Tolerances.for_qp(qp, max_kkt_solves=1)
         res = solver.solve(qp, np.zeros(1), tol=tol)
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
@@ -429,7 +434,7 @@ class TestBudget:
         assert res.stats.kkt_solves == 1
 
     def test_coupled_pair_solves_with_budget(self):
-        qp = self.coupled_pair()
+        qp = coupled_pair()
         res = solver.solve(qp, np.zeros(1))
         assert res.status is SolveStatus.OPTIMAL
         np.testing.assert_allclose(res.z_star, [-1.0, 0.0], atol=1e-10)
@@ -440,6 +445,89 @@ class TestBudget:
         tol = Tolerances.for_qp(qp, max_kkt_solves=0)
         res = solver.solve(qp, np.zeros(1), tol=tol)
         assert res.status is SolveStatus.OPTIMAL
+
+
+@st.composite
+def feasibility_cases(draw):
+    """A small QP ``G z <= W`` from integer data, feasible or not.
+
+    With ``contradiction`` drawn, a row ``-c^T G z <= -c^T W - delta`` is
+    appended for a nonnegative combination ``c`` of drawn rows, which makes the
+    constraints infeasible; without it, the drawn bounds may or may not admit
+    a point.  Integer data keeps every infeasible instance clear of the
+    acceptance bands.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    small = st.integers(-3, 3).map(float)
+    C = draw(hnp.arrays(float, (n, n), elements=small))
+    G = draw(hnp.arrays(float, (m, n), elements=small))
+    W = draw(hnp.arrays(float, m, elements=small))
+    if draw(st.booleans()):
+        c = draw(hnp.arrays(float, m, elements=st.sampled_from([0.0, 1.0, 2.0])))
+        delta = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        G = np.vstack([G, -(c @ G)])
+        W = np.append(W, -(c @ W) - delta)
+    return LiftedQP.from_matrices(
+        H=C.T @ C + np.eye(n), F=np.zeros((n, 1)), G=G, S=np.zeros((len(W), 1)), W=W
+    )
+
+
+class TestFarkas:
+    """Infeasibility certificates: the Farkas ray and its stand-alone check."""
+
+    def test_check_accepts_only_a_ray(self):
+        G, b = np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])
+        assert check_farkas(G, b, [0.5, 0.5])
+        assert check_farkas(G, b, [2.0, 2.0])
+        assert not check_farkas(G, b, [0.25, 0.25])    # b^T y = -0.5
+        assert not check_farkas(G, b, [1.0, 0.0])      # G^T y = 1
+        assert not check_farkas(G, b, [-0.5, -0.5])    # negative entries
+        assert not check_farkas(G, b, [0.5, 0.5, 0.0])  # one entry per row
+        assert not check_farkas(G, [1.0, -1.0], [0.5, 0.5])  # feasible: z = 1
+        # 0 z <= -3: the ray lives on the zero row; rounding-level weight on
+        # another row leaves it a ray.
+        G0, b0 = np.array([[0.0], [1.0]]), np.array([-3.0, -3.0])
+        assert check_farkas(G0, b0, [1 / 3, 7e-17])
+
+    def test_stalled_search_returns_the_ray(self):
+        qp = halfspace_qp([1.0, -1.0], [-1.0, -1.0])
+        res = solver.solve(qp, np.zeros(1))
+        assert res.status is SolveStatus.INFEASIBLE
+        assert res.stats.kkt_solves == qp.n_z
+        np.testing.assert_allclose(res.farkas, [0.5, 0.5])
+
+    def test_budget_does_not_bound_the_certificate(self):
+        qp = halfspace_qp([1.0, -1.0], [-1.0, -1.0])
+        res = solver.solve(qp, np.zeros(1), tol=Tolerances.for_qp(qp, max_kkt_solves=0))
+        assert res.status is SolveStatus.INFEASIBLE
+        assert res.stats.kkt_solves == 0
+        assert check_farkas(qp.G, qp.W, res.farkas)
+
+    def test_exhausted_order_carries_the_ray(self):
+        # n_z = 4 exceeds the three non-empty candidates of two rows, so the
+        # candidate order runs dry before the stalled-search test is due.
+        qp = LiftedQP.from_matrices(H=np.eye(4), F=np.zeros((4, 1)),
+                                    G=[[1.0, 0, 0, 0], [-1.0, 0, 0, 0]], S=np.zeros((2, 1)),
+                                    W=[-1.0, -1.0])
+        res = solver.solve(qp, np.zeros(1))
+        assert res.status is SolveStatus.INFEASIBLE
+        assert res.stats.kkt_solves == 3 < qp.n_z
+        assert check_farkas(qp.G, qp.W, res.farkas)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(feasibility_cases())
+    def test_infeasible_exactly_when_enumeration_says_so(self, qp):
+        theta = np.zeros(1)
+        res = solver.solve(qp, theta)
+        ref = oracle.enumerate_active_sets(qp, theta)
+        assert res.status is not SolveStatus.BUDGET_EXHAUSTED
+        assert (res.status is SolveStatus.INFEASIBLE) == (ref.status is SolveStatus.INFEASIBLE)
+        if res.status is SolveStatus.INFEASIBLE:
+            assert res.farkas is not None and check_farkas(qp.G, qp.W, res.farkas)
+        else:
+            assert res.farkas is None
+            np.testing.assert_allclose(res.z_star, ref.z_star, atol=1e-8)
 
 
 class TestStats:
@@ -501,13 +589,14 @@ def _duplicated_row_query(fat_warm):
 # (status, active set, candidates, KKT solves, LICQ failures) of fixed
 # queries.  Any change to the candidate order, the push order or the
 # filtering of the search changes some of them; random-49 and random-88
-# depend on removals popping before additions.
+# depend on removals popping before additions, and infeasible-pair ends at
+# the Farkas ray test after n_z = 1 solve.
 SEARCH_PATHS = {
     "random-49": (lambda: _random_query(49), ("OPTIMAL", 0x452, 11, 10, 0)),
     "random-88": (lambda: _random_query(88), ("OPTIMAL", 0x96, 7, 6, 0)),
     "random-258": (lambda: _random_query(258), ("OPTIMAL", 0xc5, 65, 64, 8)),
     "stale-warm": (_stale_warm_query, ("OPTIMAL", 0x4, 3, 3, 0)),
-    "infeasible-pair": (_infeasible_pair, ("INFEASIBLE", 0x0, 3, 2, 0)),
+    "infeasible-pair": (_infeasible_pair, ("INFEASIBLE", 0x0, 2, 1, 0)),
     "duplicated-row": (lambda: _duplicated_row_query(False), ("OPTIMAL", 0x5, 3, 2, 0)),
     "duplicated-row-fat-warm": (lambda: _duplicated_row_query(True), ("OPTIMAL", 0x5, 4, 3, 1)),
 }
