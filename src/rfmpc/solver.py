@@ -6,10 +6,12 @@ equality-constrained KKT system of a candidate and lists its violated rows
 and negative multipliers, worst first; the candidate is accepted when both
 lists are empty.  The evaluator works in the p-row constraint space on the
 operators the :class:`~rfmpc.lifting.LiftedQP` cached when it was built
-(``K = G H^{-1} G^T`` and ``Y = H^{-1} G^T``): a candidate costs slices of
-``K`` and ``Y`` and one small eigendecomposition, with no solve against
-``H``.  One loop (:func:`solve`) otherwise branches by activating violated
-rows and deactivating rows with negative multipliers.  Candidates come off a
+(``K = G H^{-1} G^T`` and ``Y = H^{-1} G^T``): a candidate costs a gather
+of rows of ``K``, a shifted Cholesky test of its block ``K_AA`` that screens
+its rank (a second one, and an eigendecomposition, only near the rank
+threshold) and one small solve, with no solve against ``H``.  One loop
+(:func:`solve`) otherwise branches by activating violated rows and
+deactivating rows with negative multipliers.  Candidates come off a
 stack of promising candidates (most recent first) and, when the stack runs
 dry, from the exhaustive (cardinality, mask) order.  A visited set and a list
 of minimal rank-deficient candidates (whose supersets are all rank deficient
@@ -125,12 +127,13 @@ class Tolerances:
     """Acceptance and rank thresholds of the search.
 
     ``tol_violation``/``tol_lambda`` are absolute bands already scaled by the
-    constraint bounds (see :meth:`for_qp`); ``tol_singular`` is relative to
-    the largest eigenvalue of the reduced KKT matrix.  ``max_kkt_solves``
-    bounds the work per query.  It does not bound the infeasibility
-    certificate: the Farkas ray is sought once a query has spent
-    ``min(n_z, max_kkt_solves)`` KKT solves, so the budget runs out only on a
-    query that the ray could not prove infeasible.
+    constraint bounds (see :meth:`for_qp`); a candidate is rank deficient when
+    the smallest eigenvalue of its reduced KKT matrix ``K_AA`` is at most
+    ``tol_singular`` times the largest, which :func:`_rank_complete` decides
+    by shifted Cholesky tests.  ``max_kkt_solves`` bounds the work per query.
+    It does not bound the infeasibility certificate: the Farkas ray is sought
+    once a query has spent ``min(n_z, max_kkt_solves)`` KKT solves, so the
+    budget runs out only on a query that the ray could not prove infeasible.
     """
 
     tol_violation: float = 1e-9
@@ -203,8 +206,9 @@ def kkt_solve(qp: LiftedQP, aset, theta, tol_singular: float = 1e-10):
     """Solve the KKT system of the QP with the candidate rows as equalities.
 
     Returns ``(z_star, lam)`` where ``lam`` holds the multipliers of the
-    candidate rows in ascending index order, or ``None`` when the reduced
-    matrix ``G_A H^{-1} G_A^T`` is singular at the relative threshold (the
+    candidate rows in ascending index order, whether or not the candidate
+    passes the acceptance test, or ``None`` when the reduced matrix
+    ``G_A H^{-1} G_A^T`` is singular at the relative threshold (the
     linear-independence qualification fails on this candidate).
     """
     mask = _caller_mask(qp, aset)
@@ -212,50 +216,95 @@ def kkt_solve(qp: LiftedQP, aset, theta, tol_singular: float = 1e-10):
         raise ValueError("candidate active set must be nonempty")
     b = qp.W + qp.S @ _theta_vector(theta)
     out = _evaluate(qp, mask, b, Tolerances(tol_singular=tol_singular))
-    return None if out is None else out[:2]
+    if out is None:
+        return None
+    z, lam_A = out[:2]
+    return (-(qp.Y[:, _mask_indices(mask)] @ lam_A) if z is None else z), lam_A
+
+
+def _positive_definite(KAA: np.ndarray, shift: float) -> bool:
+    """Whether ``K_AA - shift I`` has a Cholesky factor (is positive definite)."""
+    M = KAA.copy()
+    M.flat[:: len(M) + 1] -= shift
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _rank_complete(KAA: np.ndarray, tau: float) -> bool:
+    """Whether the symmetric ``K_AA`` has ``lam_min > tau lam_max > 0``.
+
+    Two Cholesky tests of a shifted copy decide almost every candidate.  A
+    factor of ``K_AA - tau trace(K_AA) I`` proves ``lam_min > tau trace >=
+    tau lam_max``: rank complete.  No factor of ``K_AA - tau max diag(K_AA) I``
+    proves ``lam_min <= tau max diag <= tau lam_max``: rank deficient.  Both
+    bounds hold up to rounding; in the band between them an eigendecomposition
+    decides, so the verdict is the one of :func:`numpy.linalg.eigh`.
+    """
+    d = KAA.diagonal().tolist()
+    if _positive_definite(KAA, tau * sum(d)):
+        return True
+    if not _positive_definite(KAA, tau * max(d)):
+        return False
+    w = np.linalg.eigh(KAA)[0]
+    return bool(w[-1] > 0.0 and w[0] > tau * w[-1])
+
+
+_NO_ROWS = np.zeros(0)
 
 
 def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     """One KKT solve of a candidate and its acceptance test, in constraint space.
 
-    With ``A`` the candidate rows, the multipliers solve ``K_AA lam_A = -b_A``
-    through an eigendecomposition of ``K_AA`` (rank deficient when its
-    smallest eigenvalue is at most ``tol_singular`` times its largest).  The
-    constraint values ``G z = -K[:, A] lam_A`` and the minimizer
-    ``z = -Y[:, A] lam_A`` come from the cached operators of the QP, so the
-    test touches no ``G`` row and applies no ``H^{-1}``.
+    With ``A`` the candidate rows, :func:`_rank_complete` screens the rank of
+    ``K_AA``.  The multipliers then solve ``K_AA lam_A = -b_A``, and the
+    constraint values ``G z = -K[:, A] lam_A`` come from the rows ``K[A]``
+    (``K`` is symmetric), so the test touches no ``G`` row and applies no
+    ``H^{-1}``.  The minimizer ``z = -Y[:, A] lam_A`` is formed only for an
+    accepted candidate.
 
-    Returns ``(z, lam_A, violated, negative)``, or ``None`` when the candidate
-    is rank deficient.  ``violated`` lists the rows with slack below
-    ``-tol_violation`` by increasing slack, ``negative`` the candidate rows
-    with a multiplier below ``-tol_lambda`` by increasing multiplier: worst
-    first, index ties broken toward the lower index.  The candidate is
-    accepted when both lists are empty.  The empty candidate costs no solve:
-    its minimizer is the origin and its slack is ``b`` itself.
+    Returns ``(z, lam_A, violated, negative)``, with ``z`` ``None`` unless the
+    candidate is accepted, or ``None`` when the candidate is rank deficient.
+    ``violated`` lists the rows with slack below ``-tol_violation`` by
+    increasing slack, ``negative`` the candidate rows with a multiplier below
+    ``-tol_lambda`` by increasing multiplier: worst first, index ties broken
+    toward the lower index.  The candidate is accepted when both lists are
+    empty.  The empty candidate costs no solve: its minimizer is the origin
+    and its slack is ``b`` itself.
     """
-    if mask:
-        rows = np.array(_mask_indices(mask))
-        KA = qp.K[:, rows]
-        w, U = np.linalg.eigh(KA[rows])
-        if w[-1] <= 0.0 or w[0] <= tol.tol_singular * w[-1]:
-            return None
-        bA = b[rows]
-        lam_A = -(U @ ((U.T @ bA) / w))
-        Gz = -(KA @ lam_A)
-        # A candidate whose equalities cannot be reproduced numerically is
-        # rank deficient for all practical purposes.
-        if np.abs(Gz[rows] - bA).max() > 1e-8 * (1.0 + np.abs(bA).max()):
-            return None
-        slack = b - Gz
-        z = -(qp.Y[:, rows] @ lam_A)
-    else:
-        z, lam_A, slack, rows = np.zeros(qp.n_z), np.zeros(0), b, np.zeros(0, int)
-    # Stable sorts over ascending indices: worst first, ties to the lower row.
+    if not mask:
+        viol = (b < -tol.tol_violation).nonzero()[0]
+        if not viol.size:
+            return np.zeros(qp.n_z), _NO_ROWS, [], []
+        return None, _NO_ROWS, _worst_first(viol, b), []
+    rows = np.array(_mask_indices(mask))
+    KR = qp.K[rows]
+    KAA = KR[:, rows]
+    if not _rank_complete(KAA, tol.tol_singular):
+        return None
+    bA = b[rows]
+    lam_A = np.linalg.solve(KAA, -bA)
+    slack = b + lam_A @ KR  # b - G z
+    # A candidate whose equalities cannot be reproduced numerically is
+    # rank deficient for all practical purposes.
+    if np.abs(slack[rows]).max() > 1e-8 * (1.0 + np.abs(bA).max()):
+        return None
     viol = (slack < -tol.tol_violation).nonzero()[0]
     neg = (lam_A < -tol.tol_lambda).nonzero()[0]
-    violated = viol[slack[viol].argsort(kind="stable")].tolist()
-    negative = rows[neg[lam_A[neg].argsort(kind="stable")]].tolist()
-    return z, lam_A, violated, negative
+    if not viol.size and not neg.size:
+        return -(qp.Y[:, rows] @ lam_A), lam_A, [], []
+    return None, lam_A, _worst_first(viol, slack), _worst_first(neg, lam_A, rows)
+
+
+def _worst_first(idx: np.ndarray, values: np.ndarray, labels=None) -> list:
+    """``idx`` by increasing ``values[idx]`` as a list, ties to the lower index
+    (a stable sort of ascending indices), optionally mapped through ``labels``."""
+    if not idx.size:
+        return []
+    idx = idx[values[idx].argsort(kind="stable")]
+    return (idx if labels is None else labels[idx]).tolist()
 
 
 def _result(qp: LiftedQP, theta_vec, stats: SolveStats, status: SolveStatus,

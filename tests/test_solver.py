@@ -1,6 +1,7 @@
 """Active-set search: hand traces, oracle cross-checks, degeneracy, budgets."""
 import signal
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -141,6 +142,16 @@ class TestKktSolve:
         np.testing.assert_allclose(z, [1.0])
         np.testing.assert_allclose(lam, [1.0])
 
+    def test_rejected_candidate_still_returns_point_and_multipliers(self):
+        # z <= 1 held as an equality needs lam = -1, a negative multiplier;
+        # z >= 1 held as an equality leaves z <= 0 violated.
+        for qp, lam_want, lists in ((halfspace_qp([1.0], [1.0]), -1.0, ([], [0])),
+                                    (halfspace_qp([-1.0, 1.0], [-1.0, 0.0]), 1.0, ([1], []))):
+            assert solver._evaluate(qp, 1, qp.W, Tolerances.for_qp(qp))[2:] == lists
+            z, lam = kkt_solve(qp, ActiveSet.from_indices([0]), np.zeros(1))
+            np.testing.assert_allclose(z, [1.0])
+            np.testing.assert_allclose(lam, [lam_want])
+
     def test_singular_candidate_returns_none(self):
         qp = halfspace_qp([-1.0, -1.0], [-1.0, -1.0])
         assert kkt_solve(qp, ActiveSet.from_indices([0, 1]), np.zeros(1)) is None
@@ -240,7 +251,13 @@ class TestEvaluatorAgainstPrimalReference:
         if ref is None:
             return
         z, lam_A = ref[:2]
-        np.testing.assert_allclose(got[0], z, rtol=1e-9, atol=1e-9)
+        rows = [k for k in range(qp.p_tilde) if mask >> k & 1]
+        # The evaluator forms z only for an accepted candidate; every
+        # rank-complete candidate's point is checked from its multipliers.
+        assert (got[0] is None) == bool(ref[2] or ref[3])
+        np.testing.assert_allclose(-(qp.Y[:, rows] @ got[1]), z, rtol=1e-9, atol=1e-9)
+        if got[0] is not None:
+            np.testing.assert_allclose(got[0], z, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(got[1], lam_A, rtol=1e-9, atol=1e-9)
         # Same rows, worst first.  Integer data can tie two rows in exact
         # arithmetic (a slack of -1 on a zero row and on a reached row); such
@@ -251,6 +268,57 @@ class TestEvaluatorAgainstPrimalReference:
             assert sorted(rows) == sorted(ref_rows)
             keys = [key(k) for k in rows]
             assert all(a <= c + 1e-12 * (1.0 + abs(c)) for a, c in zip(keys, keys[1:]))
+
+
+@st.composite
+def kaa_blocks(draw):
+    """A symmetric block ``Q diag(w) Q^T`` with ``lam_max = 10^s``: positive
+    definite with a condition number from 1e6 to 1e14, singular, slightly
+    indefinite, or with ``lam_min`` within a relative 1e-3 to 0 of the
+    threshold ``1e-10 lam_max``."""
+    n = draw(st.integers(1, 12))
+    Q = np.linalg.qr(draw(hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0))))[0]
+    kind = draw(st.sampled_from(["definite", "singular", "indefinite", "threshold"]))
+    if kind == "threshold":
+        low = 1e-10 * (1.0 + draw(st.sampled_from([-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3])))
+    else:
+        low = {"definite": 1.0, "singular": 0.0, "indefinite": -1.0}[kind] * 10.0 ** -draw(st.floats(6.0, 14.0))
+    mid = 10.0 ** -np.array(draw(st.lists(st.floats(0.0, 6.0), min_size=max(n - 2, 0), max_size=max(n - 2, 0))))
+    w = np.concatenate([[low], mid, [1.0]])[-n:] * 10.0 ** draw(st.integers(-3, 3))
+    K = (Q * w) @ Q.T
+    return 0.5 * (K + K.T)
+
+
+def test_rank_screen_keeps_the_eigh_verdict(record_property):
+    """The two shifted Cholesky tests of ``_rank_complete`` give the verdict of
+    an eigendecomposition, ``lam_min > 1e-10 lam_max > 0``.  A draw may differ
+    only within a rounding margin of the threshold; such draws and the draws
+    that reach ``eigh`` in the band are counted."""
+    tau = 1e-10
+    counts = {"draws": 0, "band": 0, "margin": 0}
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        counts["band"] += 1
+        return eigh(a, *args, **kwargs)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(kaa_blocks())
+    def prop(K):
+        counts["draws"] += 1
+        with mock.patch.object(np.linalg, "eigh", counting_eigh):
+            got = solver._rank_complete(K, tau)
+        w = eigh(K)[0]
+        if got != (w[-1] > 0.0 and w[0] > tau * w[-1]):
+            margin = 32 * len(w) * np.finfo(float).eps * np.abs(w).max()
+            assert abs(w[0] - tau * w[-1]) <= margin, (w[0], w[-1])
+            counts["margin"] += 1
+
+    prop()
+    for name, value in counts.items():
+        record_property(name, value)
+    print(f"rank screen: {counts}")
+    assert counts["band"] > 0, counts
 
 
 class TestWarmStart:
