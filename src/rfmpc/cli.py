@@ -203,7 +203,7 @@ def _cmd_simulate(args) -> int:
     except sim.RecursiveFeasibilityError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except RuntimeError as exc:
+    except sim.BudgetExhaustedError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     if args.out:

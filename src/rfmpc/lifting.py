@@ -179,11 +179,25 @@ def _theta_vector(theta) -> np.ndarray:
     return np.asarray(theta, float).reshape(-1)
 
 
-def evaluate_lifted_cost(qp: LiftedQP, u_seq, theta) -> float:
-    """Cost of an input sequence through the condensed operators (constant term included)."""
-    u = np.asarray(u_seq, float).reshape(-1)
-    th = _theta_vector(theta)
-    return float(u @ qp.H @ u + 2.0 * u @ (qp.F @ th) + th @ qp.const_op @ th)
+def _row_quad(X: np.ndarray, A: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``x_i^T A y_i`` for each row pair of ``X`` and ``Y``."""
+    return np.einsum("ij,ij->i", X @ A, Y)
+
+
+def evaluate_lifted_cost(qp: LiftedQP, u_seq, theta):
+    """Cost of an input sequence through the condensed operators (constant term included).
+
+    A 1-D ``u_seq`` gives one float.  With a leading step axis, ``u_seq``
+    of shape ``(n, n_z)`` and ``theta`` of shape ``(n, n_theta)`` give the
+    ``n`` costs as an array, in one pass of matrix products.
+    """
+    u = np.asarray(u_seq, float)
+    batched = u.ndim == 2
+    u = u.reshape(-1, qp.n_z)
+    th = theta.as_vector() if isinstance(theta, Parameter) else np.asarray(theta, float)
+    th = th.reshape(-1, qp.n_theta)
+    cost = _row_quad(u, qp.H, u) + 2.0 * _row_quad(th, qp.F.T, u) + _row_quad(th, qp.const_op, th)
+    return cost if batched else float(cost[0])
 
 
 def to_z(qp: LiftedQP, u_seq, theta) -> np.ndarray:

@@ -9,6 +9,13 @@ the next one.  The plant is either the prediction model itself
 (``mode="perfect"``) or an independent finite-difference model observed
 through a projection (``mode="fd"``).
 
+A step does only the work that feeds back into the loop: the measurement,
+the solve, the plant step and the warm shift.  It records the state, the
+input, the predicted input sequence and the search counts; the logged values
+(``J_opt``, ``J_cum``, the perfect-mode means and norms, the physical inputs)
+are derived from that record after the loop, in one vectorised pass over
+blocks of steps.
+
 A run's settings are one :class:`SimulationConfig`; the CSV columns are the
 fields of :class:`StepLog` and :class:`BenchmarkRow`, written by :func:`csv_row`.
 """
@@ -16,6 +23,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,7 +32,7 @@ from . import beam as beam_mod
 from . import oracle as oracle_mod
 from . import solver as solver_mod
 from .beam import BeamBenchmark, FDPlant, make_benchmark
-from .lifting import LiftedQP, build as build_qp, evaluate_lifted_cost
+from .lifting import LiftedQP, _row_quad, build as build_qp, evaluate_lifted_cost
 from .problem import Parameter
 from .solver import ActiveSet, SolveResult, SolveStats, SolveStatus, Tolerances
 
@@ -33,6 +42,7 @@ __all__ = [
     "SimulationResult",
     "BenchmarkRow",
     "RecursiveFeasibilityError",
+    "BudgetExhaustedError",
     "run_closed_loop",
     "benchmark_sweep",
     "dual_solver_fn",
@@ -48,6 +58,10 @@ __all__ = [
 
 class RecursiveFeasibilityError(RuntimeError):
     """The receding-horizon problem became infeasible at a visited state."""
+
+
+class BudgetExhaustedError(RuntimeError):
+    """A step's search spent its KKT-solve budget without a certified answer."""
 
 
 @dataclass
@@ -173,7 +187,16 @@ def run_closed_loop(
     vector ``W`` that ``bench.problem`` stacks (else :class:`ValueError`);
     ``plant`` overrides the finite-difference model in ``"fd"`` mode.  Raises
     :class:`RecursiveFeasibilityError` when a visited state admits no
-    admissible input sequence.
+    admissible input sequence and :class:`BudgetExhaustedError` when a step's
+    search stalls; either discards the partial run.
+
+    The loop keeps no :class:`~rfmpc.solver.SolveResult`: each step records
+    ``x``, ``u``, ``u_seq`` and the search counts, and the logs are derived
+    after the loop.  ``J_opt`` comes from one batched
+    :func:`~rfmpc.lifting.evaluate_lifted_cost` per block of steps, ``J_cum``
+    is the cumulative sum of the stage costs, and in ``"perfect"`` mode the
+    means and norms are read from ``states``.  In ``"fd"`` mode they are
+    measured on the grid state inside the loop.
     """
     if bench is None:
         bench = make_benchmark(N=cfg.horizon, h=cfg.h, bound_scaling=cfg.bound_scaling)
@@ -189,98 +212,97 @@ def run_closed_loop(
     solver_fn = solver_fn if solver_fn is not None else solver_mod.solve
 
     g = bench.galerkin
-    M_mass = g.M_mass
-    mean_x1_row = g.mean_row(0)
-    mean_x4_row = g.mean_row(3)
-    Q0 = bench.problem.weights.Q[0]
-    R0 = bench.problem.weights.R[0]
-    V0 = bench.problem.weights.V[0]
     n_u = bench.problem.n_u
-
     if cfg.mode == "fd":
         fd = plant if plant is not None else beam_mod.make_fd_plant(g, cfg.n_grid)
         y = beam_mod.initial_grid_state(fd)
         x = fd.observe(y)
     elif cfg.mode == "perfect":
         fd = None
-        y = None
         x = bench.x0.copy()
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
 
-    def measure():
-        if fd is None:
-            m1 = float(mean_x1_row @ x)
-            m4 = float(mean_x4_row @ x)
-            nrm = float(np.sqrt(max(x @ (M_mass @ x), 0.0)))
-        else:
-            m1 = fd.mean(y, 0)
-            m4 = fd.mean(y, 3)
-            nrm = float(np.sqrt(sum(
-                fd.trapz_w @ fd.component(y, c) ** 2 for c in range(4)
-            )))
-        return m1, m4, nrm
-
     n_steps = cfg.n_steps
-    logs = []
     states = np.zeros((n_steps + 1, len(x)))
+    inputs = np.zeros((n_steps + 1, n_u))  # row n + 1: step n's input; row 0: the zero u_prev
     means = np.zeros((n_steps + 1, 2))
     norms = np.zeros(n_steps + 1)
-    u_prev = np.zeros(n_u)
+    u_seqs, asets, stats = [], [], []
+    u = np.zeros(n_u)
     warm = None
     shift = warm_shift_map(qp)
-    j_cum = 0.0
 
     for n in range(n_steps):
         states[n] = x
-        m1, m4, norms[n] = measure()
-        means[n] = (m1, m4)
-        theta = Parameter(x, u_prev)
+        if fd is not None:
+            means[n], norms[n] = _grid_measure(fd, y)
 
-        res = solver_fn(qp, theta, warm, tol)
+        res = solver_fn(qp, Parameter(x, u), warm, tol)
         if res.status is SolveStatus.INFEASIBLE:
             raise RecursiveFeasibilityError(
                 f"no admissible input sequence at step {n} (t = {n * cfg.h:.6f})"
             )
         if res.status is SolveStatus.BUDGET_EXHAUSTED:
-            raise RuntimeError(f"KKT-solve budget exhausted at step {n}")
-
-        u = np.asarray(res.u_first, float)
-        u_ph = u / bench.u_scale
-        j_opt = evaluate_lifted_cost(qp, res.u_seq, theta)
-        du = u - u_prev
-        j_cum += float(x @ (Q0 @ x) + u @ (R0 @ u) + du @ (V0 @ du))
-
-        logs.append(StepLog(
-            step=n,
-            time=n * cfg.h,
-            u1=float(u_ph[0]),
-            u2=float(u_ph[1]) if n_u > 1 else 0.0,
-            J_opt=float(j_opt),
-            J_cum=j_cum,
-            mean_x1=means[n, 0],
-            mean_x4=means[n, 1],
-            active_set=str(res.active_set),
-            candidates=res.stats.candidates_visited,
-            licq_failures=res.stats.licq_failures,
-            kkt_solves=res.stats.kkt_solves,
-            wall_time=res.stats.wall_time,
-        ))
+            raise BudgetExhaustedError(f"KKT-solve budget exhausted at step {n}")
+        u = inputs[n + 1] = res.u_first
+        u_seqs.append(res.u_seq)
+        asets.append(res.active_set)
+        stats.append(res.stats)
 
         if fd is None:
             x = bench.plant.A_d @ x + bench.plant.B_d @ u
         else:
-            y = beam_mod.fd_plant_step(fd, y, u_ph, cfg.h)
+            y = beam_mod.fd_plant_step(fd, y, u / bench.u_scale, cfg.h)
             x = fd.observe(y)
-        u_prev = u
         warm = shift_warm_set(res.active_set, shift) if cfg.warm_start else None
 
     states[n_steps] = x
-    m1, m4, norms[n_steps] = measure()
-    means[n_steps] = (m1, m4)
-    return SimulationResult(
-        logs=logs, states=states, means=means, norms=norms, j_cum=j_cum, config=cfg,
-    )
+    if fd is not None:
+        means[n_steps], norms[n_steps] = _grid_measure(fd, y)
+    else:
+        rows = (g.mean_row(0), g.mean_row(3))
+        for b in _blocks(n_steps + 1):
+            for j, row in enumerate(rows):
+                means[b, j] = np.einsum("ij,j->i", states[b], row)
+            norms[b] = np.sqrt(np.maximum(_row_quad(states[b], g.M_mass.T, states[b]), 0.0))
+
+    # The logs, derived from the record block by block.  Each block's stage
+    # costs start from the running J_cum, so the sum runs in step order.
+    w = bench.problem.weights
+    logs, j_cum = [], 0.0
+    for b in _blocks(n_steps):
+        X, U_prev, U = states[b], inputs[b], inputs[b.start + 1 : b.stop + 1]
+        j_opt = evaluate_lifted_cost(qp, np.stack(u_seqs[b]), np.hstack([X, U_prev]))
+        dU = U - U_prev
+        stage = _row_quad(X, w.Q[0].T, X) + _row_quad(U, w.R[0].T, U) + _row_quad(dU, w.V[0].T, dU)
+        stage[0] += j_cum
+        cum = np.cumsum(stage)
+        j_cum = float(cum[-1])
+        u_ph = U / bench.u_scale
+        u2 = u_ph[:, 1].tolist() if n_u > 1 else [0.0] * len(U)
+        for n, u1_n, u2_n, j_opt_n, cum_n, (m1, m4), aset, s in zip(
+                range(b.start, b.stop), u_ph[:, 0].tolist(), u2, j_opt.tolist(), cum.tolist(),
+                means[b].tolist(), asets[b], stats[b]):
+            logs.append(StepLog(n, n * cfg.h, u1_n, u2_n, j_opt_n, cum_n, m1, m4, str(aset),
+                                s.candidates_visited, s.licq_failures, s.kkt_solves,
+                                s.wall_time))
+    return SimulationResult(logs=logs, states=states, means=means, norms=norms, j_cum=j_cum,
+                            config=cfg)
+
+
+_BLOCK = 64  # steps per block of the post-loop pass: bounds its temporaries
+
+
+def _blocks(n: int):
+    """Consecutive slices of at most ``_BLOCK`` rows covering ``range(n)``."""
+    return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+def _grid_measure(fd: FDPlant, y: np.ndarray) -> tuple:
+    """Trapezoidal means of components 1 and 4 and the norm of a grid state."""
+    norm_sq = sum(fd.trapz_w @ fd.component(y, c) ** 2 for c in range(4))
+    return (fd.mean(y, 0), fd.mean(y, 3)), float(np.sqrt(norm_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +378,24 @@ STEP_CSV_COLUMNS = ",".join(f.name for f in fields(StepLog))
 BENCHMARK_CSV_COLUMNS = ",".join(f.name for f in fields(BenchmarkRow))
 
 
+@lru_cache(maxsize=None)
+def _csv_format(cls, zero_timing: bool) -> tuple:
+    """``(template, getter)`` of a record class: ``%.17g`` for float fields,
+    ``%s`` for the others, and a literal ``0`` for zeroed timings."""
+    cells, names = [], []
+    for f in fields(cls):
+        if zero_timing and f.metadata.get("timing"):
+            cells.append("0")
+            continue
+        cells.append("%.17g" if f.type in ("float", float) else "%s")
+        names.append(f.name)
+    return ",".join(cells), attrgetter(*names)
+
+
 def csv_row(record, zero_timing: bool = False) -> str:
     """CSV line of a :class:`StepLog` or :class:`BenchmarkRow`; ``zero_timing`` zeroes its timings."""
-    cells = []
-    for f in fields(record):
-        v = 0.0 if zero_timing and f.metadata.get("timing") else getattr(record, f.name)
-        cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-    return ",".join(cells)
+    template, values = _csv_format(type(record), zero_timing)
+    return template % values(record)
 
 
 def write_step_csv(path, result: SimulationResult, zero_timing: bool = False) -> None:

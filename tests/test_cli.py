@@ -194,6 +194,16 @@ class TestSimulate:
         assert code == 3
         assert "budget exhausted" in err
 
+    def test_other_runtime_error_is_not_a_stalled_search(self, monkeypatch):
+        # Exit 3 means a stalled search; an unrelated fault in the loop must
+        # not be reported as one.
+        def broken(cfg):
+            raise RuntimeError("plant diverged")
+
+        monkeypatch.setattr(cli.sim, "run_closed_loop", broken)
+        with pytest.raises(RuntimeError, match="plant diverged"):
+            cli.dispatch(["simulate", "--horizon", "4", "--t-end", "0.125"])
+
 
 class TestBenchmark:
     def test_single_cell(self, tmp_path, capsys):

@@ -86,6 +86,23 @@ class TestCostEquivalence:
             u = u_star + 0.1 * rng.normal(size=qp.n_z)
             assert lifting.evaluate_lifted_cost(qp, u, theta) >= base - 1e-12
 
+    def test_leading_step_axis(self):
+        # (n, n_z) inputs and (n, n_theta) parameters give n costs in one
+        # call; a 1-D call still gives a float.
+        rng = np.random.default_rng(5)
+        p = make_random_problem(rng, n_x=3, n_u=2, N=3)
+        qp = lifting.build(p)
+        U = rng.normal(size=(7, qp.n_z))
+        TH = rng.normal(size=(7, qp.n_theta))
+        costs = lifting.evaluate_lifted_cost(qp, U, TH)
+        assert costs.shape == (7,)
+        for u, th, cost in zip(U, TH, costs):
+            theta = Parameter(th[:3], th[3:])
+            single = lifting.evaluate_lifted_cost(qp, u, theta)
+            assert type(single) is float
+            assert cost == pytest.approx(single, rel=1e-12, abs=0)
+            assert cost == pytest.approx(pb.evaluate_cost(p, u, theta), rel=1e-10)
+
 
 class TestConstraintEquivalence:
     def test_slacks_match_stage_evaluation(self):

@@ -1,8 +1,10 @@
 """Closed-loop harness: logging, determinism, solver variants, CSV output."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from rfmpc import beam, sim
+from rfmpc import beam, lifting, sim
 from rfmpc.lifting import LiftedQP, build as build_qp
 from rfmpc.sim import SimulationConfig
 from rfmpc.solver import ActiveSet, check_farkas, solve
@@ -136,8 +138,66 @@ class TestClosedLoop:
 
     def test_budget_exhaustion_surfaces(self):
         cfg = short_cfg(t_end=0.5, horizon=10, max_kkt_solves=0)
-        with pytest.raises(RuntimeError, match="budget exhausted"):
+        with pytest.raises(sim.BudgetExhaustedError, match="budget exhausted"):
             sim.run_closed_loop(cfg)
+        assert issubclass(sim.BudgetExhaustedError, RuntimeError)
+
+
+class TestPostLoopLogs:
+    """The logs derived after the loop against their per-step definitions."""
+
+    @pytest.mark.parametrize("mode", ["perfect", "fd"])
+    def test_logs_match_per_step_definitions(self, mode, monkeypatch):
+        # 96 steps: one full block of the post-loop pass and a partial one.
+        cfg = short_cfg(mode=mode, t_end=0.75, bound_scaling="reciprocal")
+        bench = beam.make_benchmark(N=4, bound_scaling="reciprocal")
+        qp = build_qp(bench.problem)
+        steps, grid = [], []
+
+        def recording(qp_, theta, warm, tol):
+            steps.append((theta, solve(qp_, theta, warm=warm, tol=tol)))
+            return steps[-1][1]
+
+        fd = None
+        if mode == "fd":
+            fd = beam.make_fd_plant(bench.galerkin, cfg.n_grid)
+            observe = fd.observe
+            monkeypatch.setattr(fd, "observe", lambda y: (grid.append(y), observe(y))[1])
+        run = sim.run_closed_loop(cfg, bench=bench, plant=fd, qp=qp, solver_fn=recording)
+
+        assert len(run.logs) == len(steps) == 96
+        assert any(len(res.active_set) for _, res in steps)
+        w, g = bench.problem.weights, bench.galerkin
+        j_cum = 0.0
+        for n, (log, (theta, res)) in enumerate(zip(run.logs, steps)):
+            x, u = theta.x, res.u_first
+            du = u - theta.u_prev
+            j_cum += float(x @ (w.Q[0] @ x) + u @ (w.R[0] @ u) + du @ (w.V[0] @ du))
+            j_opt = lifting.evaluate_lifted_cost(qp, res.u_seq, theta)
+            assert log.J_opt == pytest.approx(j_opt, rel=1e-12, abs=0)
+            assert log.J_cum == pytest.approx(j_cum, rel=1e-12, abs=0)
+            u_ph = u / bench.u_scale
+            assert (log.u1, log.u2) == (u_ph[0], u_ph[1])
+            assert (log.active_set, log.candidates, log.licq_failures, log.kkt_solves,
+                    log.wall_time) == (str(res.active_set), res.stats.candidates_visited,
+                                       res.stats.licq_failures, res.stats.kkt_solves,
+                                       res.stats.wall_time)
+            np.testing.assert_array_equal(run.states[n], x)
+            assert all(type(getattr(log, f.name)) is float
+                       for f in fields(log) if f.type == "float")
+        assert run.j_cum == log.J_cum
+
+        if mode == "perfect":
+            ref_means = [(g.mean_row(0) @ x, g.mean_row(3) @ x) for x in run.states]
+            ref_norms = [np.sqrt(x @ (g.M_mass @ x)) for x in run.states]
+        else:
+            assert len(grid) == len(run.states)
+            ref_means = [(fd.mean(y, 0), fd.mean(y, 3)) for y in grid]
+            ref_norms = [np.sqrt(sum(fd.trapz_w @ fd.component(y, c) ** 2 for c in range(4)))
+                         for y in grid]
+        np.testing.assert_allclose(run.means, ref_means, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(run.norms, ref_norms, rtol=1e-12, atol=0)
+        assert [[log.mean_x1, log.mean_x4] for log in run.logs] == run.means[:-1].tolist()
 
 
 class TestWarmShift:
@@ -249,6 +309,31 @@ class TestCsv:
         sim.write_step_csv(a, short_run, zero_timing=True)
         sim.write_step_csv(b, sim.run_closed_loop(short_cfg()), zero_timing=True)
         assert a.read_bytes() == b.read_bytes()
+
+    @staticmethod
+    def per_field_row(record, zero_timing=False):
+        """The CSV line rendered one field at a time, by each value's type."""
+        cells = []
+        for f in fields(record):
+            v = 0.0 if zero_timing and f.metadata.get("timing") else getattr(record, f.name)
+            cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
+        return ",".join(cells)
+
+    @pytest.mark.parametrize("zero_timing", [False, True])
+    def test_template_matches_per_field_rendering(self, zero_timing, short_run):
+        odd = [float("nan"), -0.0, np.float64(0.1), np.float64(-2.5e-300), float("inf"),
+               1.0 / 3.0, 123456789.0, np.float64("nan")]
+        records = list(short_run.logs)
+        for i, v in enumerate(odd):
+            w = odd[(i + 3) % len(odd)]
+            records.append(sim.StepLog(step=i, time=v, u1=w, u2=-v, J_opt=v, J_cum=w,
+                                       mean_x1=v, mean_x4=w, active_set=hex(i << 40),
+                                       candidates=i, licq_failures=2 ** 60 + i,
+                                       kkt_solves=0, wall_time=v))
+            records.append(sim.BenchmarkRow(N=i, algorithm="empc", runtime_s=w, J_d=v,
+                                            p_tilde=i, log2_candidates=i))
+        for record in records:
+            assert sim.csv_row(record, zero_timing) == self.per_field_row(record, zero_timing)
 
     def test_benchmark_table(self, tmp_path):
         rows = [sim.BenchmarkRow(N=3, algorithm="empc", runtime_s=1.5,
