@@ -3,9 +3,10 @@
 The pipeline: :mod:`.problem` holds receding-horizon problem data,
 :mod:`.lifting` condenses it into a parametric QP in the inputs,
 :mod:`.solver` locates the optimal active set for a query parameter with warm
-starts and rank-deficiency pruning, :mod:`.oracle` provides slow independent
-solvers for cross-checking, :mod:`.beam` builds the flexible-beam benchmark,
-and :mod:`.sim` closes the loop.
+starts and rank-deficiency pruning, :mod:`.beam` builds the flexible-beam
+benchmark, and :mod:`.sim` closes the loop.  :mod:`.oracle` holds slow
+independent solvers that the tests cross-check the search against; no command
+runs them.
 """
 from .lifting import LiftedQP, build, evaluate_lifted_cost
 from .problem import (

@@ -14,7 +14,7 @@ independent validation plant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -241,7 +241,10 @@ def cayley_discretize(g: GalerkinSystem, h: float) -> DiscretePlant:
     ``A_d = (sigma + A0)(sigma - A0)^{-1}`` with ``sigma = 2/h`` preserves the
     unit-disc structure exactly: a lossless generator maps onto the unit
     circle.  The discrete input is the continuous one scaled by ``sqrt(h)``.
+    Raises ``ValueError`` unless ``h`` is positive and finite.
     """
+    if not (isfinite(h) and h > 0):
+        raise ValueError(f"sampling interval h = {h} must be positive and finite")
     A0 = g.generator()
     sigma = 2.0 / h
     n = A0.shape[0]
@@ -436,6 +439,16 @@ def _diff_matrix(n: int, delta: float) -> np.ndarray:
 
 
 def make_fd_plant(g: GalerkinSystem, n_grid: int = 127) -> FDPlant:
+    """Finite-difference plant on ``n_grid`` uniform points observed through ``g``'s basis.
+
+    The momentum members vanish at the clamped-end node, so the trapezoidal
+    projection has full rank only with more grid points than members per
+    component; a coarser ``n_grid`` raises ``ValueError``.
+    """
+    min_grid = max(g.basis.sizes) + 1
+    if n_grid < min_grid:
+        raise ValueError(f"n_grid = {n_grid} is too coarse: projecting onto {min_grid - 1} "
+                         f"basis functions per component needs at least {min_grid} grid points")
     params = g.params
     n = n_grid
     grid = np.linspace(0.0, 1.0, n)

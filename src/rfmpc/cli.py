@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import beam as beam_mod
-from . import lifting, oracle, sim
+from . import lifting, sim
 from .problem import Parameter, load_problem
 from .solver import ActiveSet, SolveStatus, Tolerances, solve
 
@@ -69,7 +69,6 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--tol-violation", type=float, help="constraint violation band")
     p_solve.add_argument("--tol-lambda", type=float, help="multiplier sign band")
     p_solve.add_argument("--tol-singular", type=float, help="relative rank threshold")
-    p_solve.add_argument("--oracle", choices=("enumerate", "dual"), help=argparse.SUPPRESS)
 
     p_sim = sub.add_parser("simulate",
                            help="closed-loop beam run with the receding-horizon controller")
@@ -92,8 +91,6 @@ def _build_parser() -> _Parser:
                              help="closed-loop cost/runtime sweep over horizon lengths")
     p_bench.add_argument("--horizons", default="10,20,30,40,50",
                          help="comma-separated horizon lengths")
-    p_bench.add_argument("--algorithms", default="empc",
-                         help="comma-separated subset of empc,dual")
     p_bench.add_argument("--t-end", type=float, default=6.0)
     p_bench.add_argument("--mode", choices=("perfect", "fd"), default="fd")
     p_bench.add_argument("--h", type=float, default=2.0 ** -7)
@@ -159,21 +156,8 @@ def _cmd_solve(args) -> int:
         vec = np.random.default_rng(args.seed).standard_normal(qp.n_theta)
         print(f"theta (sampled, seed {args.seed}): {_fmt_vec(vec)}")
     theta = Parameter(vec[: problem.n_x], vec[problem.n_x:])
-
-    if args.oracle == "dual":
-        z = oracle.dual_ascent(qp, theta)
-        u_seq = lifting.from_z(qp, z, vec)
-        print("status: optimal (dual ascent)")
-        print(f"u: {_fmt_vec(u_seq[: qp.n_u])}")
-        print(f"z: {_fmt_vec(z)}")
-        return EXIT_OK
-
-    tol = _tolerances(qp, args)
     warm = ActiveSet.from_hex(args.warm) if args.warm else None
-    if args.oracle == "enumerate":
-        result = oracle.enumerate_active_sets(qp, theta, tol=tol)
-    else:
-        result = solve(qp, theta, warm=warm, tol=tol)
+    result = solve(qp, theta, warm=warm, tol=_tolerances(qp, args))
 
     print(f"status: {result.status.value}")
     if result.status is SolveStatus.OPTIMAL:
@@ -221,12 +205,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     horizons = [int(tok) for tok in args.horizons.split(",") if tok]
-    algorithms = [tok.strip() for tok in args.algorithms.split(",") if tok.strip()]
     cfg = sim.SimulationConfig(t_end=args.t_end, mode=args.mode, h=args.h,
                                bound_scaling=args.bound_scaling)
     print(sim.BENCHMARK_CSV_COLUMNS)
-    rows = sim.benchmark_sweep(horizons, algorithms=algorithms, cfg=cfg,
-                               progress=lambda row: print(sim.csv_row(row)))
+    rows = sim.benchmark_sweep(horizons, cfg=cfg, progress=lambda row: print(sim.csv_row(row)))
     if args.out:
         sim.write_benchmark_csv(args.out, rows, zero_timing=args.zero_timing)
         print(f"wrote {args.out}")

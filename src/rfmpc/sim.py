@@ -29,12 +29,11 @@ from operator import attrgetter
 import numpy as np
 
 from . import beam as beam_mod
-from . import oracle as oracle_mod
 from . import solver as solver_mod
 from .beam import BeamBenchmark, FDPlant, make_benchmark
 from .lifting import LiftedQP, _row_quad, build as build_qp, evaluate_lifted_cost
 from .problem import Parameter
-from .solver import ActiveSet, SolveResult, SolveStats, SolveStatus, Tolerances
+from .solver import ActiveSet, SolveStatus, Tolerances
 
 __all__ = [
     "SimulationConfig",
@@ -45,7 +44,6 @@ __all__ = [
     "BudgetExhaustedError",
     "run_closed_loop",
     "benchmark_sweep",
-    "dual_solver_fn",
     "warm_shift_map",
     "shift_warm_set",
     "csv_row",
@@ -120,21 +118,6 @@ class SimulationResult:
         return np.array([[log.u1, log.u2] for log in self.logs])
 
 
-def dual_solver_fn(qp: LiftedQP, theta, warm, tol) -> SolveResult:
-    """Closed-loop drop-in that solves each QP by dual coordinate ascent.
-
-    The result reports the empty active set and no multipliers: the dual
-    iterate is not turned into a certificate.  ``stats.wall_time`` covers the
-    whole call, as in :func:`~rfmpc.solver.solve`.
-    """
-    t0 = time.perf_counter()
-    stats = SolveStats()
-    z = oracle_mod.dual_ascent(qp, theta)
-    result = solver_mod._result(qp, theta.as_vector(), stats, SolveStatus.OPTIMAL, z=z)
-    stats.wall_time = time.perf_counter() - t0
-    return result
-
-
 def warm_shift_map(qp: LiftedQP) -> np.ndarray:
     """Row map of the receding-horizon shift, one entry per constraint row.
 
@@ -188,7 +171,8 @@ def run_closed_loop(
     ``plant`` overrides the finite-difference model in ``"fd"`` mode.  Raises
     :class:`RecursiveFeasibilityError` when a visited state admits no
     admissible input sequence and :class:`BudgetExhaustedError` when a step's
-    search stalls; either discards the partial run.
+    search stalls; either discards the partial run.  A negative or
+    non-finite ``cfg.t_end`` raises :class:`ValueError`.
 
     The loop keeps no :class:`~rfmpc.solver.SolveResult`: each step records
     ``x``, ``u``, ``u_seq`` and the search counts, and the logs are derived
@@ -198,6 +182,8 @@ def run_closed_loop(
     means and norms are read from ``states``.  In ``"fd"`` mode they are
     measured on the grid state inside the loop.
     """
+    if not 0.0 <= cfg.t_end < float("inf"):
+        raise ValueError(f"t_end = {cfg.t_end} must be finite and nonnegative")
     if bench is None:
         bench = make_benchmark(N=cfg.horizon, h=cfg.h, bound_scaling=cfg.bound_scaling)
     qp = qp if qp is not None else build_qp(bench.problem)
@@ -306,34 +292,25 @@ def _grid_measure(fd: FDPlant, y: np.ndarray) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Benchmark sweep over horizon lengths and solver variants.
+# Benchmark sweep over horizon lengths.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BenchmarkRow:
     N: int
-    algorithm: str
     runtime_s: float = field(metadata=_TIMING)
     J_d: float
     p_tilde: int
     log2_candidates: int
 
 
-_ALGORITHMS = ("empc", "dual")
+def benchmark_sweep(n_list, cfg: SimulationConfig | None = None, progress=None) -> list:
+    """Closed-loop cost and runtime of the active-set search per horizon length.
 
-
-def benchmark_sweep(
-    n_list,
-    algorithms=("empc",),
-    cfg: SimulationConfig | None = None,
-    progress=None,
-) -> list:
-    """Closed-loop cost and runtime per horizon length and solver variant.
-
-    ``empc`` is the active-set search of :func:`~rfmpc.solver.solve`,
-    ``dual`` the coordinate-ascent reference.  The last column reports the
-    base-2 log of the candidate-set cardinality, i.e. the number of
-    inequality rows.  ``progress`` receives each row when done.
+    Each row is one :func:`run_closed_loop` with :func:`~rfmpc.solver.solve`.
+    The last column reports the base-2 log of the candidate-set cardinality,
+    i.e. the number of inequality rows.  ``progress`` receives each row when
+    done.
 
     The input-bound convention is ``cfg.bound_scaling``; the default config
     uses the loose ``"reciprocal"`` one: under the tight physical bounds the
@@ -344,9 +321,6 @@ def benchmark_sweep(
     cfg = cfg if cfg is not None else SimulationConfig(
         t_end=6.0, mode="fd", bound_scaling="reciprocal"
     )
-    for alg in algorithms:
-        if alg not in _ALGORITHMS:
-            raise ValueError(f"unknown algorithm {alg!r} (choose from {_ALGORITHMS})")
     rows = []
     fd = None
     for N in n_list:
@@ -356,17 +330,13 @@ def benchmark_sweep(
         if cfg.mode == "fd" and fd is None:
             # The fd plant depends on the beam parameters only, not on N.
             fd = beam_mod.make_fd_plant(bench.galerkin, cfg.n_grid)
-        for alg in algorithms:
-            fn = dual_solver_fn if alg == "dual" else None
-            t0 = time.perf_counter()
-            result = run_closed_loop(run_cfg, bench=bench, plant=fd, qp=qp, solver_fn=fn)
-            elapsed = time.perf_counter() - t0
-            rows.append(BenchmarkRow(
-                N=int(N), algorithm=alg, runtime_s=elapsed, J_d=result.j_cum,
-                p_tilde=qp.p_tilde, log2_candidates=qp.p_tilde,
-            ))
-            if progress is not None:
-                progress(rows[-1])
+        t0 = time.perf_counter()
+        result = run_closed_loop(run_cfg, bench=bench, plant=fd, qp=qp)
+        elapsed = time.perf_counter() - t0
+        rows.append(BenchmarkRow(N=int(N), runtime_s=elapsed, J_d=result.j_cum,
+                                 p_tilde=qp.p_tilde, log2_candidates=qp.p_tilde))
+        if progress is not None:
+            progress(rows[-1])
     return rows
 
 

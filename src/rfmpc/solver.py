@@ -18,7 +18,7 @@ of minimal rank-deficient candidates (whose supersets are all rank deficient
 and can be pruned wholesale) filter them, which makes the search complete: if
 the bounded candidate space is exhausted the problem is infeasible.  Every
 :class:`SolveResult` comes from one constructor (:func:`_result`), which the
-reference solvers in :mod:`.oracle` and :mod:`.sim` share.
+enumeration reference in :mod:`.oracle` shares.
 
 Infeasibility is certified by a Farkas ray: ``y >= 0`` with ``G^T y = 0`` and
 ``b^T y = -1`` exists exactly when ``G z <= b`` is empty.  A search that has
@@ -167,10 +167,11 @@ class SolveStats:
 class SolveResult:
     """Outcome of one query, with the certificate its status calls for.
 
-    ``OPTIMAL`` carries the minimizer ``z_star``, the input sequence and, from
-    :func:`solve`, the multipliers ``lam``, which :func:`kkt_residuals` checks.
-    ``INFEASIBLE`` from :func:`solve` carries a Farkas ray ``farkas`` (one
-    entry per constraint row), which :func:`check_farkas` checks.
+    ``OPTIMAL`` carries the minimizer ``z_star``, the input sequence and the
+    multipliers ``lam``, which :func:`kkt_residuals` checks.  ``INFEASIBLE``
+    carries a Farkas ray ``farkas`` (one entry per constraint row), which
+    :func:`check_farkas` checks; only the enumeration reference in
+    :mod:`.oracle` reports it without one.
     ``BUDGET_EXHAUSTED`` carries neither: the search stalled and the ray found
     no certificate of infeasibility.
     """
@@ -311,11 +312,10 @@ def _result(qp: LiftedQP, theta_vec, stats: SolveStats, status: SolveStatus,
             mask: int = 0, z=None, lam_A=None, farkas=None) -> SolveResult:
     """The one constructor of :class:`SolveResult`.
 
-    ``z`` (``None`` unless optimal) yields the input sequence through
-    :func:`~rfmpc.lifting.from_z`; ``lam_A``, the multipliers of the rows of
-    ``mask``, is scattered into the full multiplier vector.  A result without
-    ``lam_A`` carries ``lam=None``.  ``farkas`` is the ray of an infeasible
-    result.
+    ``z`` and ``lam_A`` are ``None`` unless optimal.  ``z`` yields the input
+    sequence through :func:`~rfmpc.lifting.from_z`; ``lam_A``, the multipliers
+    of the rows of ``mask``, is scattered into the full multiplier vector.
+    ``farkas`` is the ray of an infeasible result.
     """
     u_seq = None if z is None else from_z(qp, z, theta_vec)
     lam = None
@@ -473,7 +473,7 @@ def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:
     Returns stationarity norm, the worst active-row equality error, and the
     minimum slack and multiplier.  Raises ``ValueError`` on a result without
     a minimizer or multipliers: an ``INFEASIBLE`` or ``BUDGET_EXHAUSTED``
-    result, or one from a solver that reports no multipliers.
+    result, or an optimal one whose caller dropped ``lam``.
     """
     if result.z_star is None or result.lam is None:
         raise ValueError(f"{result.status.value} result carries no certificate: "

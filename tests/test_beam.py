@@ -129,6 +129,11 @@ class TestCayley:
         rhs = sigma * np.eye(36) + A0
         np.testing.assert_allclose(lhs, rhs, atol=1e-8 * sigma)
 
+    @pytest.mark.parametrize("h", [0.0, -0.01, float("inf"), float("nan")])
+    def test_step_must_be_positive_and_finite(self, galerkin, h):
+        with pytest.raises(ValueError, match="sampling interval h"):
+            beam.cayley_discretize(galerkin, h)
+
     def test_free_step_preserves_energy(self, galerkin):
         plant = beam.cayley_discretize(galerkin, 2.0 ** -7)
         M = galerkin.M_mass
@@ -282,6 +287,20 @@ class TestFiniteDifferencePlant:
             for c in range(4)
         ])
         np.testing.assert_allclose(fd.observe(y), alpha, atol=1e-6)
+
+    def test_coarsest_grid(self, galerkin):
+        # 9 members per component; the momentum members vanish at the
+        # clamped-end node, so the projection needs 10 grid points.
+        for n_grid in (0, 1, 9):
+            with pytest.raises(ValueError, match=f"n_grid = {n_grid} is too coarse"):
+                beam.make_fd_plant(galerkin, n_grid)
+        coarse = beam.make_fd_plant(galerkin, 10)
+        alpha = np.random.default_rng(4).normal(size=36)
+        y = np.concatenate([
+            galerkin.basis.reconstruct(c, alpha[galerkin.component_slices[c]], coarse.grid)
+            for c in range(4)
+        ])
+        np.testing.assert_allclose(coarse.observe(y), alpha, atol=1e-6)
 
     def test_means_match_projection(self, fd, galerkin):
         y = beam.initial_grid_state(fd)

@@ -91,21 +91,6 @@ class TestSolve:
         assert code == 1
         assert "the 10 constraint rows" in capsys.readouterr().err
 
-    def test_enumeration_oracle_agrees(self, capsys):
-        code = cli.dispatch(["solve", str(CORNER_TOY), "--theta=-1,0",
-                             "--oracle", "enumerate"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "active_set: 0x1" in out
-
-    def test_dual_oracle(self, capsys):
-        code = cli.dispatch(["solve", str(CORNER_TOY), "--theta=-1,0",
-                             "--oracle", "dual"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "dual ascent" in out
-        assert "u: 1" in out
-
     def test_wrong_theta_length(self, capsys):
         code = cli.dispatch(["solve", str(CORNER_TOY), "--theta=1,2,3"])
         assert code == 1
@@ -160,13 +145,16 @@ class TestSimulate:
         assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
     def test_feasible_run_leaves_scipy_optimize_unloaded(self):
-        # nnls is imported only by a stalled query or a degenerate reduction.
+        # nnls is imported only by a stalled query or a degenerate reduction,
+        # and the reference solvers of rfmpc.oracle only by the tests.
         src = str(Path(rfmpc.__file__).resolve().parents[1])
         code = ("import sys\n"
                 "from rfmpc import cli\n"
-                "assert 'scipy.optimize' not in sys.modules, 'on import'\n"
+                "for mod in ('scipy.optimize', 'rfmpc.oracle'):\n"
+                "    assert mod not in sys.modules, f'{mod} on import'\n"
                 "assert cli.dispatch(['simulate', '--horizon', '4', '--t-end', '0.125']) == 0\n"
-                "assert 'scipy.optimize' not in sys.modules, 'after a run'\n")
+                "for mod in ('scipy.optimize', 'rfmpc.oracle'):\n"
+                "    assert mod not in sys.modules, f'{mod} after a run'\n")
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -212,12 +200,12 @@ class TestBenchmark:
                              "--mode", "perfect", "--out", str(csv), "--zero-timing"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.splitlines()[0] == "N,algorithm,runtime_s,J_d,p_tilde,log2_candidates"
+        assert out.splitlines()[0] == "N,runtime_s,J_d,p_tilde,log2_candidates"
         lines = csv.read_text().splitlines()
-        assert lines[0] == "N,algorithm,runtime_s,J_d,p_tilde,log2_candidates"
+        assert lines[0] == "N,runtime_s,J_d,p_tilde,log2_candidates"
         fields = lines[1].split(",")
-        assert fields[0] == "3" and fields[1] == "empc"
-        assert fields[4] == "16"  # 6 N - 2 inequality rows
+        assert fields[0] == "3" and fields[1] == "0"
+        assert fields[3] == "16"  # 6 N - 2 inequality rows
 
     def test_progress_lines_are_csv_lines(self, tmp_path, capsys):
         csv = tmp_path / "t.csv"
@@ -226,12 +214,6 @@ class TestBenchmark:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == (
             csv.read_text().splitlines() + [f"wrote {csv}"])
-
-    def test_unknown_algorithm(self, capsys):
-        code = cli.dispatch(["benchmark", "--horizons", "3", "--t-end", "0.0625",
-                             "--mode", "perfect", "--algorithms", "sqp"])
-        assert code == 1
-        assert "unknown algorithm" in capsys.readouterr().err
 
 
 class TestBeamBuild:
@@ -290,6 +272,22 @@ class TestErrorPaths:
 
     def test_unknown_flag(self, capsys):
         assert cli.dispatch(["solve", str(CORNER_TOY), "--frobnicate"]) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, setting", [
+        (["simulate", "--h", "0"], "sampling interval h = 0.0"),
+        (["simulate", "--h", "-0.01"], "sampling interval h = -0.01"),
+        (["benchmark", "--horizons", "3", "--h", "0"], "sampling interval h = 0.0"),
+        (["beam", "build", "--h", "0"], "sampling interval h = 0.0"),
+        (["simulate", "--mode", "fd", "--n-grid", "1"], "n_grid = 1"),
+        (["simulate", "--mode", "fd", "--n-grid", "9"], "n_grid = 9"),
+        (["simulate", "--t-end", "-1"], "t_end = -1.0"),
+    ])
+    def test_non_physical_setting_rejected(self, argv, setting, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # beam build's default --out
+        assert cli.dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert setting in err and "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         assert cli.dispatch(["--help"]) == 0

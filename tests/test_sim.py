@@ -1,4 +1,4 @@
-"""Closed-loop harness: logging, determinism, solver variants, CSV output."""
+"""Closed-loop harness: logging, determinism, warm starts, sweeps, CSV output."""
 from dataclasses import fields
 
 import numpy as np
@@ -30,6 +30,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown mode"):
             sim.run_closed_loop(short_cfg(mode="exact"))
 
+    @pytest.mark.parametrize("t_end", [-1.0, float("inf"), float("nan")])
+    def test_t_end_must_be_finite_and_nonnegative(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            sim.run_closed_loop(short_cfg(t_end=t_end))
+
+    def test_zero_t_end_is_an_empty_run(self):
+        res = sim.run_closed_loop(short_cfg(t_end=0.0))
+        assert res.logs == [] and res.states.shape == (1, 36) and res.j_cum == 0.0
+
 
 class TestClosedLoop:
     def test_log_and_trace_shapes(self, short_run):
@@ -60,10 +69,6 @@ class TestClosedLoop:
         # Warm starting changes the search path, never the minimizer.
         cold = sim.run_closed_loop(short_cfg(warm_start=False))
         np.testing.assert_allclose(cold.u_phys, short_run.u_phys, atol=1e-12)
-
-    def test_dual_reference_same_controls(self, short_run):
-        viaduale = sim.run_closed_loop(short_cfg(), solver_fn=sim.dual_solver_fn)
-        np.testing.assert_allclose(viaduale.u_phys, short_run.u_phys, atol=1e-6)
 
     def test_fd_mode_runs(self):
         cfg = short_cfg(mode="fd", t_end=0.0625)
@@ -267,21 +272,10 @@ class TestSweep:
         assert len(rows) == 1
         row = rows[0]
         assert row.N == 3
-        assert row.algorithm == "empc"
         assert row.p_tilde == 16
         assert row.log2_candidates == 16
         assert row.runtime_s > 0
         assert row.J_d > 0
-
-    def test_variants_agree_on_cost(self):
-        cfg = SimulationConfig(t_end=0.0625, mode="perfect", bound_scaling="reciprocal")
-        rows = sim.benchmark_sweep([3], algorithms=("empc", "dual"), cfg=cfg)
-        costs = {r.algorithm: r.J_d for r in rows}
-        assert costs["empc"] == pytest.approx(costs["dual"], rel=1e-6)
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            sim.benchmark_sweep([3], algorithms=("simplex",))
 
     def test_progress_callback(self):
         cfg = SimulationConfig(t_end=0.03125, mode="perfect", bound_scaling="reciprocal")
@@ -330,16 +324,15 @@ class TestCsv:
                                        mean_x1=v, mean_x4=w, active_set=hex(i << 40),
                                        candidates=i, licq_failures=2 ** 60 + i,
                                        kkt_solves=0, wall_time=v))
-            records.append(sim.BenchmarkRow(N=i, algorithm="empc", runtime_s=w, J_d=v,
+            records.append(sim.BenchmarkRow(N=i, runtime_s=w, J_d=v,
                                             p_tilde=i, log2_candidates=i))
         for record in records:
             assert sim.csv_row(record, zero_timing) == self.per_field_row(record, zero_timing)
 
     def test_benchmark_table(self, tmp_path):
-        rows = [sim.BenchmarkRow(N=3, algorithm="empc", runtime_s=1.5,
-                                 J_d=2.25, p_tilde=16, log2_candidates=16)]
+        rows = [sim.BenchmarkRow(N=3, runtime_s=1.5, J_d=2.25, p_tilde=16, log2_candidates=16)]
         path = tmp_path / "table.csv"
         sim.write_benchmark_csv(path, rows, zero_timing=True)
         lines = path.read_text().splitlines()
         assert lines[0] == sim.BENCHMARK_CSV_COLUMNS
-        assert lines[1] == "3,empc,0,2.25,16,16"
+        assert lines[1] == "3,0,2.25,16,16"

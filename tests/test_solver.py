@@ -1,4 +1,5 @@
 """Active-set search: hand traces, oracle cross-checks, degeneracy, budgets."""
+import dataclasses
 import signal
 import time
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import linalg as sla
 
 from conftest import random_feasible_query
-from rfmpc import lifting, oracle, sim, solver
+from rfmpc import lifting, oracle, solver
 from rfmpc.lifting import LiftedQP
 from rfmpc.problem import Parameter
 from rfmpc.solver import (
@@ -382,11 +383,11 @@ class TestOracleCrossCheck:
             kkt_residuals(qp, res, np.zeros(1))
 
     def test_no_certificate_without_multipliers(self):
-        # The dual closed-loop solver reports a minimizer but no multipliers.
+        # An optimal result handed in without its multipliers.
         qp = halfspace_qp([1.0], [-1.0])
         theta = Parameter(np.zeros(1), np.zeros(0))
-        res = sim.dual_solver_fn(qp, theta, None, None)
-        assert res.status is SolveStatus.OPTIMAL and res.lam is None
+        res = dataclasses.replace(solver.solve(qp, theta), lam=None)
+        assert res.status is SolveStatus.OPTIMAL and res.z_star is not None
         with pytest.raises(ValueError, match="optimal result carries no certificate"):
             kkt_residuals(qp, res, theta)
 
@@ -611,8 +612,6 @@ class TestStats:
         monkeypatch.setattr(solver, "_result", slow_result)
         qp = halfspace_qp([1.0], [1.0])
         assert solver.solve(qp, np.zeros(1)).stats.wall_time >= 0.05
-        theta = Parameter(np.zeros(1), np.zeros(0))
-        assert sim.dual_solver_fn(qp, theta, None, None).stats.wall_time >= 0.05
 
 
 class TestTolerances:
