@@ -35,7 +35,6 @@ __all__ = [
     "assemble",
     "cayley_discretize",
     "make_benchmark",
-    "default_initial_profiles",
     "project_initial_condition",
     "make_fd_plant",
     "initial_grid_state",
@@ -126,7 +125,10 @@ class Basis:
 
 
 def build_basis(params: BeamParams) -> Basis:
+    """Basis of ``params.n_basis`` members per component; raises ``ValueError`` below 1."""
     n = params.n_basis
+    if n < 1:
+        raise ValueError(f"n_basis = {n} must be at least 1")
     m = params.m_boundary
     leg = [shifted_legendre_coefficients(k) for k in range(n + 1)]
     boundary = np.zeros(m + 1)
@@ -257,28 +259,32 @@ def cayley_discretize(g: GalerkinSystem, h: float) -> DiscretePlant:
     return DiscretePlant(A_d=A_d, B_d=B_d, h=h)
 
 
+# The benchmark design: stage weights on the state, the input and the input
+# rate, the symmetric input box, and the bounds on the spatial means.
+Q_WEIGHT = 100.0
+R_WEIGHT = 1.0
+V_WEIGHT = 0.1
+U_MAX = 0.5
+X1_MAX = 0.45
+X4_MIN = -0.3
+
+
 def _benchmark_problem(
     g: GalerkinSystem,
     plant: DiscretePlant,
     N: int,
-    q_weight: float = 100.0,
-    r_weight: float = 1.0,
-    v_weight: float = 0.1,
-    u_lo: float = -0.5,
-    u_hi: float = 0.5,
-    x1_max: float = 0.45,
-    x4_min: float = -0.3,
     bound_scaling: str = "physical",
 ) -> ProblemDefinition:
     """Receding-horizon problem for the beam ``g`` discretized as ``plant``.
 
     The state weight is the mass-weighted Gram matrix scaled by ``h`` times
-    ``q_weight`` so the stage sum approximates the continuous-time integral of
-    the squared spatial norm; the input-increment weight ``v_weight / h^2``
+    ``Q_WEIGHT`` so the stage sum approximates the continuous-time integral of
+    the squared spatial norm; the input-increment weight ``V_WEIGHT / h^2``
     approximates the integral of the squared input rate.  Stage 0 carries the
-    input box only; later stages add bounds on the spatial means of the shear
-    displacement (above) and angular momentum (below).  No terminal weight or
-    constraint is added.
+    input box ``|u| <= U_MAX`` only; later stages add the bounds ``X1_MAX``
+    on the spatial mean of the shear displacement (above) and ``X4_MIN`` on
+    that of the angular momentum (below).  No terminal weight or constraint
+    is added.
 
     ``bound_scaling`` fixes the convention translating physical input bounds
     to the scaled discrete inputs: ``"physical"`` multiplies by ``sqrt(h)``
@@ -289,9 +295,9 @@ def _benchmark_problem(
     n = g.n_state
     N = int(N)
 
-    Q = h * q_weight * 0.5 * (g.M_mass + g.M_mass.T)
-    R = r_weight * np.eye(2)
-    V = (v_weight / h**2) * np.eye(2)
+    Q = h * Q_WEIGHT * 0.5 * (g.M_mass + g.M_mass.T)
+    R = R_WEIGHT * np.eye(2)
+    V = (V_WEIGHT / h**2) * np.eye(2)
     weights = StageWeights(
         Q=[Q.copy() for _ in range(N)],
         R=[R.copy() for _ in range(N)],
@@ -306,11 +312,8 @@ def _benchmark_problem(
         scale = 1.0 / np.sqrt(h)
     else:
         raise ValueError(f"unknown bound_scaling {bound_scaling!r}")
-    hi = scale * u_hi
-    lo = -scale * u_lo  # positive bound for the lower side
-
     box_E = np.vstack([np.eye(2), -np.eye(2)])
-    box_d = np.array([hi, hi, lo, lo])
+    box_d = np.full(4, scale * U_MAX)
     mean_x1 = g.mean_row(0)
     mean_x4 = g.mean_row(3)
 
@@ -322,7 +325,7 @@ def _benchmark_problem(
             calF.append(np.zeros((4, 2)))
             E.append(box_E.copy())
         else:
-            d.append(np.concatenate([box_d, [x1_max, -x4_min]]))
+            d.append(np.concatenate([box_d, [X1_MAX, -X4_MIN]]))
             calE.append(np.vstack([np.zeros((4, n)), mean_x1, -mean_x4]))
             calF.append(np.zeros((6, 2)))
             E.append(np.vstack([box_E, np.zeros((2, 2))]))
@@ -338,30 +341,30 @@ def _benchmark_problem(
     )
 
 
-def default_initial_profiles():
-    """Benchmark initial condition: momenta excited, displacements at rest."""
-    return [
-        lambda xi: np.zeros_like(np.asarray(xi, float)),
-        lambda xi: np.sin(np.pi * np.asarray(xi, float) / 2.0),
-        lambda xi: np.cos(np.pi * np.asarray(xi, float) / 2.0),
-        lambda xi: np.zeros_like(np.asarray(xi, float)),
-    ]
+# Benchmark initial condition, one profile per component: momenta excited,
+# displacements at rest.
+_INITIAL_PROFILES = (
+    lambda xi: np.zeros_like(xi),
+    lambda xi: np.sin(np.pi * xi / 2.0),
+    lambda xi: np.cos(np.pi * xi / 2.0),
+    lambda xi: np.zeros_like(xi),
+)
+_PROJECTION_NODES = 64  # Gauss nodes of the initial-condition projection
 
 
-def project_initial_condition(g: GalerkinSystem, profiles=None, n_quad: int = 64):
-    """Componentwise least-squares projection of spatial profiles onto the basis.
+def project_initial_condition(g: GalerkinSystem):
+    """Componentwise least-squares projection of the initial profiles onto the basis.
 
     Returns ``(alpha, errors)`` with the quadrature approximation of the
     spatial norm of each residual.
     """
-    profiles = profiles if profiles is not None else default_initial_profiles()
-    x_g, w_g = np.polynomial.legendre.leggauss(n_quad)
+    x_g, w_g = np.polynomial.legendre.leggauss(_PROJECTION_NODES)
     x_q = 0.5 * (x_g + 1.0)
     w_q = 0.5 * w_g
     alpha = np.zeros(g.n_state)
     errors = []
     for c in range(4):
-        f = np.asarray(profiles[c](x_q), float)
+        f = _INITIAL_PROFILES[c](x_q)
         Phi = g.basis.eval_component(c, x_q)
         Mb = Phi.T @ (w_q[:, None] * Phi)
         rhs = Phi.T @ (w_q * f)
@@ -491,9 +494,9 @@ def make_fd_plant(g: GalerkinSystem, n_grid: int = 127) -> FDPlant:
     return FDPlant(A_sys=A, B_sys=B, grid=grid, trapz_w=w, observer=observer, params=params)
 
 
-def initial_grid_state(fd: FDPlant, profiles=None) -> np.ndarray:
-    profiles = profiles if profiles is not None else default_initial_profiles()
-    y = np.concatenate([np.asarray(p(fd.grid), float) for p in profiles])
+def initial_grid_state(fd: FDPlant) -> np.ndarray:
+    """The initial profiles on the grid, with the boundary entries pinned at rest."""
+    y = np.concatenate([p(fd.grid) for p in _INITIAL_PROFILES])
     return fd.enforce_bc(y, np.zeros(2))
 
 
@@ -556,13 +559,13 @@ class BeamBenchmark:
 
 
 def make_benchmark(params: BeamParams | None = None, N: int = 30, h: float = 2.0 ** -7,
-                   bound_scaling: str = "physical", **kwargs) -> BeamBenchmark:
+                   bound_scaling: str = "physical") -> BeamBenchmark:
     """Assemble the beam, discretize it at step ``h`` and build the horizon-``N``
     problem under the input-bound convention ``bound_scaling`` (recorded on
-    the result); ``kwargs`` set its weights and bounds."""
+    the result)."""
     g = assemble(params)
     plant = cayley_discretize(g, h)
-    problem = _benchmark_problem(g, plant, N=N, bound_scaling=bound_scaling, **kwargs)
+    problem = _benchmark_problem(g, plant, N=N, bound_scaling=bound_scaling)
     x0, _errors = project_initial_condition(g)
     return BeamBenchmark(galerkin=g, plant=plant, problem=problem, x0=x0,
                          bound_scaling=bound_scaling)

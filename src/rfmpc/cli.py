@@ -65,10 +65,8 @@ def _build_parser() -> _Parser:
                                          "omitted: sampled standard normal")
     p_solve.add_argument("--seed", type=int, default=0, help="seed for a sampled parameter")
     p_solve.add_argument("--warm", help="warm-start active set as a hex bitmask, e.g. 0x5")
-    p_solve.add_argument("--budget", type=int, default=10000, help="KKT solve budget")
-    p_solve.add_argument("--tol-violation", type=float, help="constraint violation band")
-    p_solve.add_argument("--tol-lambda", type=float, help="multiplier sign band")
-    p_solve.add_argument("--tol-singular", type=float, help="relative rank threshold")
+    p_solve.add_argument("--budget", type=int, default=Tolerances.max_kkt_solves,
+                         help="KKT solve budget")
 
     p_sim = sub.add_parser("simulate",
                            help="closed-loop beam run with the receding-horizon controller")
@@ -82,7 +80,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--bound-scaling", choices=("physical", "reciprocal"), default="physical",
                        help="input-bound convention for the scaled discrete inputs")
     p_sim.add_argument("--cold-start", action="store_true", help="disable warm starting")
-    p_sim.add_argument("--budget", type=int, default=10000, help="KKT solve budget per step")
+    p_sim.add_argument("--budget", type=int, default=Tolerances.max_kkt_solves,
+                       help="KKT solve budget per step")
     p_sim.add_argument("--out", help="step log CSV path")
     p_sim.add_argument("--zero-timing", action="store_true",
                        help="write zeros for wall times (byte-reproducible output)")
@@ -115,19 +114,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _tolerances(qp, args) -> Tolerances:
-    overrides = {"max_kkt_solves": args.budget}
-    if args.tol_violation is not None:
-        overrides["tol_violation"] = args.tol_violation
-    if args.tol_lambda is not None:
-        overrides["tol_lambda"] = args.tol_lambda
-    if args.tol_singular is not None:
-        overrides["tol_singular"] = args.tol_singular
-    return Tolerances.for_qp(qp, **overrides)
-
-
 def _cmd_lift(args) -> int:
-    problem, _plant, _meta = load_problem(args.problem)
+    problem, _meta = load_problem(args.problem)
     qp = lifting.build(problem)
     mats = [("H", qp.H), ("F", qp.F), ("G", qp.G), ("S", qp.S), ("W", qp.W)]
     if args.out is None:
@@ -146,18 +134,20 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    problem, _plant, _meta = load_problem(args.problem)
+    problem, _meta = load_problem(args.problem)
     qp = lifting.build(problem)
     if args.theta is not None:
         vec = np.array([float(tok) for tok in args.theta.split(",")])
         if vec.size != qp.n_theta:
             raise ValueError(f"theta needs {qp.n_theta} entries, got {vec.size}")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"theta must be finite, got {args.theta}")
     else:
         vec = np.random.default_rng(args.seed).standard_normal(qp.n_theta)
         print(f"theta (sampled, seed {args.seed}): {_fmt_vec(vec)}")
     theta = Parameter(vec[: problem.n_x], vec[problem.n_x:])
     warm = ActiveSet.from_hex(args.warm) if args.warm else None
-    result = solve(qp, theta, warm=warm, tol=_tolerances(qp, args))
+    result = solve(qp, theta, warm=warm, tol=Tolerances.for_qp(qp, max_kkt_solves=args.budget))
 
     print(f"status: {result.status.value}")
     if result.status is SolveStatus.OPTIMAL:

@@ -42,6 +42,10 @@ __all__ = [
     "check_easy_slater",
 ]
 
+# ``H`` is coercive when its smallest eigenvalue exceeds this fraction of
+# ``1 + ||H||``.
+_COERCIVE_TOL = 1e-10
+
 
 @dataclass
 class LiftedQP:
@@ -109,7 +113,7 @@ class LiftedQP:
                    stage_offsets=[(0, i) for i in range(G.shape[0])], N=N, n_x=n_x, n_u=n_u)
 
 
-def build(p: ProblemDefinition, tol_coercive: float = 1e-10) -> LiftedQP:
+def build(p: ProblemDefinition) -> LiftedQP:
     """Assemble the condensed QP data from a validated problem.
 
     One loop over the stages ``k = 0..N`` carries the affine map ``T`` from
@@ -124,7 +128,7 @@ def build(p: ProblemDefinition, tol_coercive: float = 1e-10) -> LiftedQP:
     columns and ``S = G H^{-1} F`` minus their theta columns.
 
     Raises ``ValueError`` when the problem data is invalid or when ``H`` is
-    not coercive (smallest eigenvalue below ``tol_coercive * (1 + ||H||)``).
+    not coercive (smallest eigenvalue below ``_COERCIVE_TOL * (1 + ||H||)``).
     """
     report = validate(p)
     if report:
@@ -159,7 +163,7 @@ def build(p: ProblemDefinition, tol_coercive: float = 1e-10) -> LiftedQP:
 
     H = cost[n_theta:, n_theta:]
     w_H = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if w_H[0] <= tol_coercive * (1.0 + np.max(np.abs(w_H))):
+    if w_H[0] <= _COERCIVE_TOL * (1.0 + np.max(np.abs(w_H))):
         raise ValueError(f"H not coercive: smallest eigenvalue {w_H[0]:.3e}")
 
     rows = np.vstack(rows)

@@ -1,6 +1,6 @@
 """Problem data for constrained time-varying linear-quadratic receding-horizon control.
 
-Holds the plant/prediction models, per-stage weights and affine stage and
+Holds the prediction model, per-stage weights and affine stage and
 terminal constraints, validates them, and evaluates the finite-horizon cost by
 direct recursion of the prediction model.  The recursion is deliberately kept
 independent of the condensed quadratic-program form built in :mod:`.lifting`
@@ -9,7 +9,7 @@ so that the two routes can be cross-checked against each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,10 @@ __all__ = [
     "save_problem",
     "load_problem",
 ]
+
+# A symmetric matrix is positive semidefinite when its smallest eigenvalue is
+# at least minus this fraction of ``1 + max|eigenvalue|``.
+_PSD_TOL = 1e-10
 
 
 def _mat(value) -> np.ndarray:
@@ -53,11 +57,7 @@ def _vec(value) -> np.ndarray:
 
 @dataclass
 class PlantModel:
-    """Discrete-time linear model ``x+ = A x + B u``.
-
-    The same type serves as the true plant and as the prediction model; a
-    perfect-model setup simply uses one instance for both roles.
-    """
+    """Discrete-time linear prediction model ``x+ = A x + B u``."""
 
     A: np.ndarray
     B: np.ndarray
@@ -209,7 +209,7 @@ def _sym_eigs(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (A + A.T))
 
 
-def _psd_report(name: str, A: np.ndarray, tol: float, out: list):
+def _psd_report(name: str, A: np.ndarray, out: list):
     if A.shape[0] != A.shape[1]:
         out.append(f"{name} is not square: shape {A.shape}")
         return
@@ -219,11 +219,11 @@ def _psd_report(name: str, A: np.ndarray, tol: float, out: list):
         return
     if A.size:
         w = _sym_eigs(A)
-        if w[0] < -tol * (1.0 + max(abs(w[0]), abs(w[-1]))):
+        if w[0] < -_PSD_TOL * (1.0 + max(abs(w[0]), abs(w[-1]))):
             out.append(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
 
 
-def validate(p: ProblemDefinition, tol_psd: float = 1e-10) -> list:
+def validate(p: ProblemDefinition) -> list:
     """Check every data invariant; returns a list of violations (empty iff valid).
 
     Dimension mismatches are reported alongside semidefiniteness and sign
@@ -262,10 +262,10 @@ def validate(p: ProblemDefinition, tol_psd: float = 1e-10) -> list:
                 # The stage cost is jointly convex in (x, u) only if the full
                 # block with the cross term is semidefinite.
                 block = np.block([[w.Q[k], w.M[k]], [w.M[k].T, w.R[k]]])
-                _psd_report(f"[[Q, M], [M.T, R]] block at stage {k}", block, tol_psd, out)
+                _psd_report(f"[[Q, M], [M.T, R]] block at stage {k}", block, out)
             for k in range(N + 1):
-                _psd_report(f"V[{k}]", w.V[k], tol_psd, out)
-            _psd_report("P", w.P, tol_psd, out)
+                _psd_report(f"V[{k}]", w.V[k], out)
+            _psd_report("P", w.P, out)
 
     for name, seq in (("d", c.d), ("calE", c.calE), ("calF", c.calF), ("E", c.E)):
         if len(seq) != N:
@@ -373,12 +373,10 @@ def _listify(a: np.ndarray):
     return np.asarray(a, dtype=float).tolist()
 
 
-def to_json_dict(p: ProblemDefinition, plant: PlantModel | None = None) -> dict:
-    """Serialize a problem (plus the true plant, defaulting to the prediction model)."""
-    plant = plant if plant is not None else p.prediction_model
+def to_json_dict(p: ProblemDefinition) -> dict:
+    """Serialize a problem."""
     w, c = p.weights, p.constraints
     return {
-        "plant": {"A": _listify(plant.A), "B": _listify(plant.B)},
         "prediction_model": {
             "A": _listify(p.prediction_model.A),
             "B": _listify(p.prediction_model.B),
@@ -409,11 +407,10 @@ def _shaped(value, rows: int, cols: int) -> np.ndarray:
 
 
 def from_json_dict(doc: dict):
-    """Inverse of :func:`to_json_dict`; returns ``(problem, plant)``."""
+    """Inverse of :func:`to_json_dict`.  Keys it does not know, such as the
+    ``"plant"`` entry of older files, are ignored."""
     pm = doc["prediction_model"]
     prediction = PlantModel(np.asarray(pm["A"], float), np.asarray(pm["B"], float))
-    pl = doc.get("plant", pm)
-    plant = PlantModel(np.asarray(pl["A"], float), np.asarray(pl["B"], float))
     n_x, n_u = prediction.n_x, prediction.n_u
     N = int(doc["horizon"])
     wd = doc["weights"]
@@ -436,18 +433,17 @@ def from_json_dict(doc: dict):
         E_hat=_shaped(cd["E_hat"], len(d_hat), n_x),
         F_hat=_shaped(cd["F_hat"], len(d_hat), n_u),
     )
-    return ProblemDefinition(prediction, weights, constraints, N), plant
+    return ProblemDefinition(prediction, weights, constraints, N)
 
 
-def save_problem(path, p: ProblemDefinition, plant: PlantModel | None = None, meta: dict | None = None):
-    doc = to_json_dict(p, plant)
+def save_problem(path, p: ProblemDefinition, meta: dict | None = None):
+    doc = to_json_dict(p)
     if meta:
         doc["meta"] = meta
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
 def load_problem(path):
-    """Returns (problem, plant, meta)."""
+    """Returns (problem, meta)."""
     doc = json.loads(Path(path).read_text())
-    problem, plant = from_json_dict(doc)
-    return problem, plant, doc.get("meta", {})
+    return from_json_dict(doc), doc.get("meta", {})

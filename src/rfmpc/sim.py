@@ -69,7 +69,7 @@ class SimulationConfig:
     t_end: float = 10.0
     mode: str = "perfect"  # "perfect" | "fd"
     warm_start: bool = True
-    max_kkt_solves: int = 10000
+    max_kkt_solves: int = Tolerances.max_kkt_solves
     n_grid: int = 127
     bound_scaling: str = "physical"
 

@@ -122,31 +122,30 @@ def _bound_scale(qp: LiftedQP) -> float:
     return 1.0 + (np.max(np.abs(qp.W)) if qp.W.size else 0.0)
 
 
+# A candidate is rank deficient when the smallest eigenvalue of its reduced
+# KKT matrix ``K_AA`` is at most this fraction of the largest.
+_RANK_TOL = 1e-10
+
+
 @dataclass
 class Tolerances:
-    """Acceptance and rank thresholds of the search.
+    """Acceptance band and work bound of the search.
 
-    ``tol_violation``/``tol_lambda`` are absolute bands already scaled by the
-    constraint bounds (see :meth:`for_qp`); a candidate is rank deficient when
-    the smallest eigenvalue of its reduced KKT matrix ``K_AA`` is at most
-    ``tol_singular`` times the largest, which :func:`_rank_complete` decides
-    by shifted Cholesky tests.  ``max_kkt_solves`` bounds the work per query.
-    It does not bound the infeasibility certificate: the Farkas ray is sought
-    once a query has spent ``min(n_z, max_kkt_solves)`` KKT solves, so the
-    budget runs out only on a query that the ray could not prove infeasible.
+    ``tol_violation`` is one absolute band for both slacks and multipliers,
+    already scaled by the constraint bounds (see :meth:`for_qp`).
+    ``max_kkt_solves`` bounds the work per query.  It does not bound the
+    infeasibility certificate: the Farkas ray is sought once a query has
+    spent ``min(n_z, max_kkt_solves)`` KKT solves, so the budget runs out
+    only on a query that the ray could not prove infeasible.
     """
 
     tol_violation: float = 1e-9
-    tol_lambda: float = 1e-9
-    tol_singular: float = 1e-10
     max_kkt_solves: int = 10000
 
     @classmethod
-    def for_qp(cls, qp: LiftedQP, **overrides) -> "Tolerances":
-        scale = _bound_scale(qp)
-        kw = dict(tol_violation=1e-9 * scale, tol_lambda=1e-9 * scale)
-        kw.update(overrides)
-        return cls(**kw)
+    def for_qp(cls, qp: LiftedQP, max_kkt_solves: int = max_kkt_solves) -> "Tolerances":
+        """The band ``1e-9 (1 + max|W|)`` of ``qp`` with the given budget."""
+        return cls(1e-9 * _bound_scale(qp), max_kkt_solves)
 
 
 class SolveStatus(Enum):
@@ -203,7 +202,7 @@ def iter_candidate_masks(n_bits: int, max_cardinality: int):
             v = t | ((((t & -t) // (v & -v)) >> 1) - 1)
 
 
-def kkt_solve(qp: LiftedQP, aset, theta, tol_singular: float = 1e-10):
+def kkt_solve(qp: LiftedQP, aset, theta):
     """Solve the KKT system of the QP with the candidate rows as equalities.
 
     Returns ``(z_star, lam)`` where ``lam`` holds the multipliers of the
@@ -216,7 +215,7 @@ def kkt_solve(qp: LiftedQP, aset, theta, tol_singular: float = 1e-10):
     if mask == 0:
         raise ValueError("candidate active set must be nonempty")
     b = qp.W + qp.S @ _theta_vector(theta)
-    out = _evaluate(qp, mask, b, Tolerances(tol_singular=tol_singular))
+    out = _evaluate(qp, mask, b, Tolerances())
     if out is None:
         return None
     z, lam_A = out[:2]
@@ -270,7 +269,7 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     candidate is accepted, or ``None`` when the candidate is rank deficient.
     ``violated`` lists the rows with slack below ``-tol_violation`` by
     increasing slack, ``negative`` the candidate rows with a multiplier below
-    ``-tol_lambda`` by increasing multiplier: worst first, index ties broken
+    ``-tol_violation`` by increasing multiplier: worst first, index ties broken
     toward the lower index.  The candidate is accepted when both lists are
     empty.  The empty candidate costs no solve: its minimizer is the origin
     and its slack is ``b`` itself.
@@ -283,7 +282,7 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     rows = np.array(_mask_indices(mask))
     KR = qp.K[rows]
     KAA = KR[:, rows]
-    if not _rank_complete(KAA, tol.tol_singular):
+    if not _rank_complete(KAA, _RANK_TOL):
         return None
     bA = b[rows]
     lam_A = np.linalg.solve(KAA, -bA)
@@ -293,7 +292,7 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     if np.abs(slack[rows]).max() > 1e-8 * (1.0 + np.abs(bA).max()):
         return None
     viol = (slack < -tol.tol_violation).nonzero()[0]
-    neg = (lam_A < -tol.tol_lambda).nonzero()[0]
+    neg = (lam_A < -tol.tol_violation).nonzero()[0]
     if not viol.size and not neg.size:
         return -(qp.Y[:, rows] @ lam_A), lam_A, [], []
     return None, lam_A, _worst_first(viol, slack), _worst_first(neg, lam_A, rows)
@@ -495,7 +494,7 @@ def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:
     }
 
 
-def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1e-10) -> ActiveSet:
+def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta) -> ActiveSet:
     """Shrink a sufficient but degenerate active set until it satisfies LICQ.
 
     The equalities of a sufficient set are consistent (``b_A`` lies in the
@@ -507,7 +506,7 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1
     that is, on independent rows of ``G_A``.  NNLS (Lawson-Hanson) finds such
     a solution, since its passive columns stay linearly independent, and the
     rows with ``mu > 0`` are the reduced set.  A set that is already rank
-    complete at ``tol_singular`` comes back unchanged.  Raises ``ValueError``
+    complete at ``_RANK_TOL`` comes back unchanged.  Raises ``ValueError``
     when the input set is not sufficient.
     """
     b = qp.W + qp.S @ _theta_vector(theta)
@@ -515,8 +514,8 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1
     if mask:
         rows = np.array(_mask_indices(mask))
         w, U = np.linalg.eigh(qp.K[np.ix_(rows, rows)])
-        if w[-1] <= 0.0 or w[0] <= tol_singular * w[-1]:
-            r = w > tol_singular * max(w[-1], 0.0)
+        if w[-1] <= 0.0 or w[0] <= _RANK_TOL * w[-1]:
+            r = w > _RANK_TOL * max(w[-1], 0.0)
             bA, Ur = b[rows], U[:, r]
             if np.abs(bA - Ur @ (Ur.T @ bA)).max() > 1e-8 * (1.0 + np.abs(bA).max()):
                 raise ValueError("candidate set is not sufficient: its equalities are inconsistent")
@@ -531,7 +530,7 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta, tol_singular: float = 1
     # Verify the reduced candidate actually certifies the minimizer, with a
     # band ten times the search's default.
     band = 1e-8 * _bound_scale(qp)
-    out = _evaluate(qp, mask, b, Tolerances(band, band, tol_singular))
+    out = _evaluate(qp, mask, b, Tolerances(tol_violation=band))
     if out is None:
         raise ValueError("reduction failed to reach a rank-complete candidate")
     if out[2] or out[3]:

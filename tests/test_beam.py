@@ -42,6 +42,16 @@ class TestLegendreBasis:
         assert galerkin.basis.sizes == [9, 9, 9, 9]
         assert galerkin.n_state == 36
 
+    @pytest.mark.parametrize("n_basis", [0, -2])
+    def test_basis_needs_a_member(self, n_basis):
+        with pytest.raises(ValueError, match=f"n_basis = {n_basis} must be at least 1"):
+            beam.build_basis(BeamParams(n_basis=n_basis))
+
+    def test_one_member_per_component(self):
+        g = beam.assemble(BeamParams(n_basis=1))
+        assert g.basis.sizes == [1, 1, 1, 1]
+        assert np.abs(np.linalg.eigvals(g.generator()).real).max() < 1e-12
+
     def test_displacement_basis_vanishes_at_actuated_end(self, galerkin):
         # Components 1 and 3 satisfy the homogeneous boundary condition at
         # xi = 1 for every basis function except the boundary monomial, which
@@ -323,10 +333,6 @@ class TestBenchmarkBundle:
         assert bench.galerkin.mean_row(0) @ bench.x0 == pytest.approx(0.0, abs=1e-12)
         assert bench.x0.shape == (36,)
         np.testing.assert_allclose(bench.problem.constraints.d[1][4:], [0.45, 0.3])
-
-    def test_kwargs_forwarded(self):
-        bench = beam.make_benchmark(N=2, x1_max=0.6, bound_scaling="reciprocal")
-        np.testing.assert_allclose(bench.problem.constraints.d[1][4], 0.6)
 
     def test_one_assembly_and_discretization(self, monkeypatch):
         calls = []

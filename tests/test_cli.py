@@ -96,10 +96,16 @@ class TestSolve:
         assert code == 1
         assert "theta needs 2 entries" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_theta_rejected(self, theta, capsys):
+        assert cli.dispatch(["solve", str(CORNER_TOY), f"--theta={theta}"]) == 1
+        err = capsys.readouterr().err
+        assert "theta" in err and "Traceback" not in err
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         # Zero input matrix: the terminal bound x >= 0 cannot be met from x0 = -1.
         doc = json.loads(CORNER_TOY.read_text())
-        doc["plant"]["B"] = [[0.0]]
         doc["prediction_model"]["B"] = [[0.0]]
         path = tmp_path / "stuck.json"
         path.write_text(json.dumps(doc))
@@ -223,14 +229,13 @@ class TestBeamBuild:
         out = capsys.readouterr().out
         assert code == 0
         assert "horizon 3" in out and "36 states" in out and "16 inequality rows" in out
-        problem, plant, meta = load_problem(path)
+        problem, meta = load_problem(path)
         assert validate(problem) == []
         assert meta["n_basis"] == 9
+        assert "plant" not in json.loads(path.read_text())
         qp = lifting.build(problem)
         assert qp.p_tilde == 16
         assert qp.n_z == 6
-        # Prediction model equals the plant in this perfect-model export.
-        np.testing.assert_array_equal(problem.prediction_model.A, plant.A)
 
     def test_profiles_export(self, tmp_path, capsys):
         path = tmp_path / "beam2.json"
@@ -282,6 +287,8 @@ class TestErrorPaths:
         (["simulate", "--mode", "fd", "--n-grid", "1"], "n_grid = 1"),
         (["simulate", "--mode", "fd", "--n-grid", "9"], "n_grid = 9"),
         (["simulate", "--t-end", "-1"], "t_end = -1.0"),
+        (["beam", "build", "--n-basis", "0"], "n_basis = 0"),
+        (["beam", "build", "--n-basis", "-2"], "n_basis = -2"),
     ])
     def test_non_physical_setting_rejected(self, argv, setting, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # beam build's default --out

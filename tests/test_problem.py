@@ -1,4 +1,6 @@
 """Problem data validation, cost recursion, and JSON round-trips."""
+import json
+
 import numpy as np
 import pytest
 
@@ -141,26 +143,23 @@ class TestSerialization:
         p = make_random_problem(rng, n_x=3, n_u=2, N=2, rows_per_stage=2, p_hat=1)
         path = tmp_path / "problem.json"
         pb.save_problem(path, p, meta={"note": "round trip"})
-        q, plant, meta = pb.load_problem(path)
-        assert meta == {"note": "round trip"}
-        np.testing.assert_allclose(q.prediction_model.A, p.prediction_model.A)
-        np.testing.assert_allclose(plant.A, p.prediction_model.A)
-        for k in range(p.horizon):
-            np.testing.assert_allclose(q.weights.Q[k], p.weights.Q[k])
-            np.testing.assert_allclose(q.constraints.calE[k], p.constraints.calE[k])
-            np.testing.assert_allclose(q.constraints.d[k], p.constraints.d[k])
-        np.testing.assert_allclose(q.weights.P, p.weights.P)
-        np.testing.assert_allclose(q.constraints.E_hat, p.constraints.E_hat)
-        assert q.horizon == p.horizon
-
-    def test_separate_plant_round_trip(self, tmp_path):
-        p = tiny_problem()
-        plant = PlantModel(0.5, 2.0)
-        path = tmp_path / "two_models.json"
-        pb.save_problem(path, p, plant=plant)
-        _, loaded_plant, _ = pb.load_problem(path)
-        np.testing.assert_allclose(loaded_plant.A, [[0.5]])
-        np.testing.assert_allclose(loaded_plant.B, [[2.0]])
+        assert "plant" not in json.loads(path.read_text())
+        # Older files also carry a "plant" entry, which loading ignores.
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({"plant": {"A": [[0.5]], "B": [[2.0]]},
+                                      **json.loads(path.read_text())}))
+        for source in (path, legacy):
+            q, meta = pb.load_problem(source)
+            assert meta == {"note": "round trip"}
+            np.testing.assert_allclose(q.prediction_model.A, p.prediction_model.A)
+            np.testing.assert_allclose(q.prediction_model.B, p.prediction_model.B)
+            for k in range(p.horizon):
+                np.testing.assert_allclose(q.weights.Q[k], p.weights.Q[k])
+                np.testing.assert_allclose(q.constraints.calE[k], p.constraints.calE[k])
+                np.testing.assert_allclose(q.constraints.d[k], p.constraints.d[k])
+            np.testing.assert_allclose(q.weights.P, p.weights.P)
+            np.testing.assert_allclose(q.constraints.E_hat, p.constraints.E_hat)
+            assert q.horizon == p.horizon
 
     def test_zero_row_blocks_survive(self, tmp_path):
         # Stages without constraint rows serialize as empty lists and must
@@ -168,7 +167,7 @@ class TestSerialization:
         p = tiny_problem()
         path = tmp_path / "unconstrained.json"
         pb.save_problem(path, p)
-        q, _, _ = pb.load_problem(path)
+        q, _ = pb.load_problem(path)
         assert q.constraints.calE[0].shape == (0, 1)
         assert q.constraints.E_hat.shape == (0, 1)
         assert pb.validate(q) == []

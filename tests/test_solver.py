@@ -200,7 +200,7 @@ def primal_evaluate(qp, mask, b, tol):
         GA = qp.G[rows]
         Y = sla.cho_solve(sla.cho_factor(qp.H, lower=True), GA.T)
         w, U = np.linalg.eigh(0.5 * (GA @ Y + (GA @ Y).T))
-        if w[-1] <= 0.0 or w[0] <= tol.tol_singular * w[-1]:
+        if w[-1] <= 0.0 or w[0] <= solver._RANK_TOL * w[-1]:
             return None
         bA = b[rows]
         lam_A = -(U @ ((U.T @ bA) / w))
@@ -212,7 +212,7 @@ def primal_evaluate(qp, mask, b, tol):
         z, lam_A, slack = np.zeros(qp.n_z), np.zeros(0), b
     violated = sorted((k for k in range(qp.p_tilde) if slack[k] < -tol.tol_violation),
                       key=lambda k: (slack[k], k))
-    negative = [rows[i] for i in sorted((i for i in range(len(rows)) if lam_A[i] < -tol.tol_lambda),
+    negative = [rows[i] for i in sorted((i for i in range(len(rows)) if lam_A[i] < -tol.tol_violation),
                                         key=lambda i: (lam_A[i], rows[i]))]
     return z, lam_A, violated, negative
 
@@ -619,12 +619,12 @@ class TestTolerances:
         qp = halfspace_qp([1.0], [9.0])
         tol = Tolerances.for_qp(qp)
         assert tol.tol_violation == pytest.approx(1e-8)
-        assert tol.tol_lambda == pytest.approx(1e-8)
+        assert tol.max_kkt_solves == Tolerances.max_kkt_solves == 10000
 
     def test_overrides(self):
         qp = halfspace_qp([1.0], [9.0])
-        tol = Tolerances.for_qp(qp, tol_violation=1e-6, max_kkt_solves=5)
-        assert tol.tol_violation == 1e-6
+        tol = Tolerances.for_qp(qp, max_kkt_solves=5)
+        assert tol.tol_violation == pytest.approx(1e-8)
         assert tol.max_kkt_solves == 5
 
 
