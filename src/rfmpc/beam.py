@@ -8,17 +8,19 @@ Legendre combinations that satisfy the homogeneous boundary conditions (plus
 one high-order monomial per actuated component to carry boundary values)
 yields a lossless finite-dimensional model; the Cayley transform maps it to a
 discrete-time pair with spectrum on the unit circle.  A finite-difference
-model on a fine grid, stepped exactly under the held input, serves as the
-independent validation plant.
+model on a fine grid serves as the independent validation plant.  It is
+lossless too: in energy-weighted coordinates its generator is skew, so one
+singular value decomposition splits it into planar modes, and the exact step
+under a held input rotates each mode by a fixed angle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, isfinite
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import linalg as sla
 
 from .problem import PlantModel, ProblemDefinition, StageConstraints, StageWeights
 
@@ -76,6 +78,16 @@ def legendre_shifted(k: int, xi) -> np.ndarray:
 def _poly_mean(c: np.ndarray) -> float:
     """Exact integral of the polynomial over [0, 1]."""
     return float(sum(c[m] / (m + 1) for m in range(len(c))))
+
+
+def _block_diag(blocks) -> np.ndarray:
+    """Dense matrix with the 2-D ``blocks`` along its diagonal."""
+    out = np.zeros(tuple(map(sum, zip(*(b.shape for b in blocks)))))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def _add_coeffs(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
@@ -224,7 +236,7 @@ def assemble(params: BeamParams | None = None) -> GalerkinSystem:
     B[off[1] : off[2], 0] = end[1]  # boundary force enters the momentum equations
     B[off[3] : off[4], 1] = end[3]  # boundary torque enters the angular momentum equations
 
-    M_mass = sla.block_diag(*M_blocks)
+    M_mass = _block_diag(M_blocks)
     return GalerkinSystem(M_mass=M_mass, K_stiff=K, B_in=B, basis=basis, params=params)
 
 
@@ -383,10 +395,18 @@ def project_initial_condition(g: GalerkinSystem):
 class FDPlant:
     """Semi-discrete finite-difference beam on a uniform grid.
 
-    ``A_sys``/``B_sys`` give the affine right-hand side with the boundary
-    conditions eliminated algebraically; ``observer`` maps a grid state to the
+    ``A_sys``/``B_sys`` give the affine right-hand side on the grid: the four
+    boundary entries are pinned (zero rows and columns), and their prescribed
+    values act through the inputs.  ``observer`` maps a grid state to the
     Galerkin coefficient vector by trapezoidal least-squares projection.
-    ``zoh`` caches the step matrix of :func:`fd_plant_step` per interval ``h``.
+
+    The plant state is ``[alpha; beta; u_held]``: the modal coordinates of
+    the free displacement and momentum entries (see :func:`fd_plant_step`)
+    and the physical input held over the last interval, which fixes the
+    pinned entries.  :meth:`from_grid` and :meth:`to_grid` convert between
+    plant and grid states, and :meth:`observe` maps a plant state to the
+    Galerkin coefficients.  The modal form is built on first use; ``zoh``
+    caches the step operators per interval ``h``.
     """
 
     A_sys: np.ndarray
@@ -395,7 +415,7 @@ class FDPlant:
     trapz_w: np.ndarray
     observer: np.ndarray
     params: BeamParams
-    zoh: dict = field(default_factory=dict, repr=False)
+    zoh: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_grid(self) -> int:
@@ -409,18 +429,118 @@ class FDPlant:
         return float(self.trapz_w @ self.component(y, c))
 
     def enforce_bc(self, y: np.ndarray, u_phys: np.ndarray) -> np.ndarray:
-        """Pin the algebraic boundary entries to their prescribed values."""
+        """Pin the algebraic boundary entries to their prescribed values.
+
+        ``y`` may be a block of grid states, one per row, with one input per row of ``u_phys``.
+        """
         n = self.n_grid
         p = self.params
+        u = np.asarray(u_phys, float)
         y = np.array(y, float, copy=True)
-        y[0 * n + n - 1] = u_phys[0] / p.K  # shear displacement at the actuated end
-        y[1 * n + 0] = 0.0                  # momentum at the clamped end
-        y[2 * n + n - 1] = u_phys[1] / p.EI # angular displacement at the actuated end
-        y[3 * n + 0] = 0.0                  # angular momentum at the clamped end
+        y[..., 0 * n + n - 1] = u[..., 0] / p.K  # shear displacement at the actuated end
+        y[..., 1 * n + 0] = 0.0                  # momentum at the clamped end
+        y[..., 2 * n + n - 1] = u[..., 1] / p.EI # angular displacement at the actuated end
+        y[..., 3 * n + 0] = 0.0                  # angular momentum at the clamped end
         return y
 
-    def observe(self, y: np.ndarray) -> np.ndarray:
-        return self.observer @ y
+    @cached_property
+    def _modes(self) -> "_ModalForm":
+        return _modal_form(self)
+
+    @cached_property
+    def _observe_map(self) -> np.ndarray:
+        # to_grid is linear, so its image of the identity is its matrix.
+        return self.observer @ self.to_grid(np.eye(2 * len(self._modes.sigma) + 2)).T
+
+    def observe(self, state: np.ndarray) -> np.ndarray:
+        """Galerkin coefficients of a plant state, as one matrix-vector product."""
+        return self._observe_map @ state
+
+    def to_grid(self, states: np.ndarray) -> np.ndarray:
+        """Grid state of a plant state, or of a block of them (one per row)."""
+        md = self._modes
+        s = np.asarray(states, float)
+        m = len(md.sigma)
+        y = np.zeros(s.shape[:-1] + (4 * self.n_grid,))
+        y[..., md.idx_a] = s[..., :m] @ md.grid_a.T
+        y[..., md.idx_b] = s[..., m : 2 * m] @ md.grid_b.T
+        return self.enforce_bc(y, s[..., 2 * m :])
+
+    def from_grid(self, y: np.ndarray) -> np.ndarray:
+        """Plant state of a grid state whose pinned entries obey :meth:`enforce_bc`."""
+        md = self._modes
+        e = _energy_weights(self) * y
+        n, p = self.n_grid, self.params
+        return np.concatenate([md.grid_a.T @ e[md.idx_a], md.grid_b.T @ e[md.idx_b],
+                               [p.K * y[n - 1], p.EI * y[3 * n - 1]]])
+
+
+@dataclass(frozen=True)
+class _ModalForm:
+    """Planar modes of the free finite-difference entries.
+
+    With ``E`` the energy weights, ``a = E^{1/2} y[idx_a]`` (displacements)
+    and ``b = E^{1/2} y[idx_b]`` (momenta) obey ``a' = P b`` and
+    ``b' = -P^T a + G u``.  With ``P = L diag(sigma) R^T``, the modal
+    coordinates are ``alpha = L^T a`` and ``beta = R^T b``.
+    """
+
+    idx_a: np.ndarray
+    idx_b: np.ndarray
+    grid_a: np.ndarray  # E^{-1/2} L: alpha -> y[idx_a]
+    grid_b: np.ndarray  # E^{-1/2} R: beta -> y[idx_b]
+    sigma: np.ndarray
+    gain: np.ndarray    # R^T G: the input's rate on beta
+
+
+_SKEW_TOL = 1e-12  # relative skew residual of a lossless energy-weighted generator
+
+
+def _energy_weights(fd: FDPlant) -> np.ndarray:
+    """Per-entry weights of the grid state in twice :func:`fd_energy`."""
+    p, w = fd.params, fd.trapz_w
+    return np.concatenate([p.K * w, w / p.rho, p.EI * w, w / p.I_rho])
+
+
+def _modal_form(fd: FDPlant) -> _ModalForm:
+    """Modes of ``fd``; ``ValueError`` unless its generator has the lossless form.
+
+    The pinned entries must be decoupled from the rest, the inputs must drive
+    the momenta only, and the energy-weighted generator must read
+    ``[[0, P], [-P^T, 0]]``.  The last holds because :func:`_diff_matrix` is
+    summation-by-parts against the trapezoidal weights.
+    """
+    n = fd.n_grid
+    pinned = [n - 1, n, 3 * n - 1, 3 * n]
+    idx_a = np.r_[0 : n - 1, 2 * n : 3 * n - 1]
+    idx_b = np.r_[n + 1 : 2 * n, 3 * n + 1 : 4 * n]
+    free = np.r_[idx_a, idx_b]
+    m = len(idx_a)
+    root = np.sqrt(_energy_weights(fd)[free])
+    A = root[:, None] * fd.A_sys[np.ix_(free, free)] / root
+    B = root[:, None] * fd.B_sys[free]
+    if np.any(fd.A_sys[pinned]) or np.any(fd.A_sys[:, pinned]) or np.any(fd.B_sys[pinned]):
+        raise ValueError("the pinned boundary entries of the finite-difference model are coupled")
+    if np.any(B[:m]):
+        raise ValueError("the finite-difference inputs drive a displacement entry")
+    P = A[:m, m:]
+    skew = max(np.abs(A[:m, :m]).max(), np.abs(A[m:, m:]).max(), np.abs(A[m:, :m] + P.T).max())
+    if not skew <= _SKEW_TOL * np.abs(P).max():
+        raise ValueError(f"the finite-difference generator is not lossless: energy-weighted "
+                         f"skew residual {skew:.3g} against max |P| = {np.abs(P).max():.3g}")
+    L, sigma, Rt = np.linalg.svd(P)
+    return _ModalForm(idx_a=idx_a, idx_b=idx_b, grid_a=L / root[:m, None],
+                      grid_b=Rt.T / root[m:, None], sigma=sigma, gain=Rt @ B[m:])
+
+
+def _zoh_rotation(md: _ModalForm, h: float) -> tuple:
+    """Per-mode ``cos``, ``[sin; -sin]`` and stacked input gains of the exact step over ``h``."""
+    t = md.sigma * h
+    # (1 - cos t)/sigma and sin(t)/sigma, written without dividing by sigma
+    vers = 0.5 * md.sigma * (h * np.sinc(t / (2.0 * np.pi))) ** 2
+    sinc = h * np.sinc(t / np.pi)
+    return (np.cos(t), np.stack([np.sin(t), -np.sin(t)]),
+            np.vstack([vers[:, None] * md.gain, sinc[:, None] * md.gain]))
 
 
 def _diff_matrix(n: int, delta: float) -> np.ndarray:
@@ -490,7 +610,7 @@ def make_fd_plant(g: GalerkinSystem, n_grid: int = 127) -> FDPlant:
         Phi = g.basis.eval_component(c, grid)
         N_mat = Phi.T @ (w[:, None] * Phi)
         blocks.append(np.linalg.solve(N_mat, Phi.T @ np.diag(w)))
-    observer = sla.block_diag(*blocks)
+    observer = _block_diag(blocks)
     return FDPlant(A_sys=A, B_sys=B, grid=grid, trapz_w=w, observer=observer, params=params)
 
 
@@ -500,30 +620,30 @@ def initial_grid_state(fd: FDPlant) -> np.ndarray:
     return fd.enforce_bc(y, np.zeros(2))
 
 
-def fd_plant_step(fd: FDPlant, y: np.ndarray, u_phys, h: float) -> np.ndarray:
-    """Advance the grid state by one sampling interval under a held input.
+def fd_plant_step(fd: FDPlant, state: np.ndarray, u_phys, h: float) -> np.ndarray:
+    """Advance a plant state by one sampling interval under a held input.
 
-    The step is exact: the top ``n`` rows of ``expm([[A_sys, B_sys], [0, 0]] h)``
-    (Van Loan, IEEE TAC 1978) map ``(enforce_bc(y, u), u)`` to the next state.
-    They are built on the first step at each ``h`` and cached in ``fd.zoh``.
-    The pinned boundary entries have zero rows in ``A_sys`` and ``B_sys``, so
-    their rows are unit rows and they keep their prescribed values exactly.
+    The step is exact.  Mode ``i`` obeys ``alpha' = sigma beta`` and
+    ``beta' = -sigma alpha + g u`` (see :class:`_ModalForm`), so over ``h``
+    the pair rotates by ``sigma h`` about its rest point ``(g u / sigma, 0)``:
+    ``alpha+ = cos alpha + sin beta + (1 - cos) g u / sigma`` and
+    ``beta+ = cos beta - sin alpha + sin g u / sigma``.  That is O(n) work
+    per step.  The operators are built on the first step at each ``h`` and
+    cached in ``fd.zoh``.  The new state holds ``u_phys``, which pins the
+    boundary entries of its grid state.
     """
     u = np.asarray(u_phys, float).reshape(2)
-    step = fd.zoh.get(h)
-    if step is None:
-        n, m = fd.B_sys.shape
-        aug = np.block([[fd.A_sys * h, fd.B_sys * h], [np.zeros((m, n + m))]])
-        step = fd.zoh[h] = sla.expm(aug)[:n]
-    return step @ np.concatenate([fd.enforce_bc(y, u), u])
+    rot = fd.zoh.get(h)
+    if rot is None:
+        rot = fd.zoh[h] = _zoh_rotation(fd._modes, h)
+    cos, sin_pm, gain = rot
+    ab = state[: 2 * len(cos)].reshape(2, -1)
+    return np.concatenate([(cos * ab + sin_pm * ab[::-1]).ravel() + gain @ u, u])
 
 
 def fd_energy(fd: FDPlant, y: np.ndarray) -> float:
-    """Trapezoidal discretization of the beam energy."""
-    p = fd.params
-    x1, x2, x3, x4 = (fd.component(y, c) for c in range(4))
-    dens = p.K * x1**2 + x2**2 / p.rho + p.EI * x3**2 + x4**2 / p.I_rho
-    return float(0.5 * fd.trapz_w @ dens)
+    """Trapezoidal discretization of the beam energy of a grid state."""
+    return float(0.5 * _energy_weights(fd) @ (y * y))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +682,9 @@ def make_benchmark(params: BeamParams | None = None, N: int = 30, h: float = 2.0
                    bound_scaling: str = "physical") -> BeamBenchmark:
     """Assemble the beam, discretize it at step ``h`` and build the horizon-``N``
     problem under the input-bound convention ``bound_scaling`` (recorded on
-    the result)."""
+    the result).  Raises ``ValueError`` unless ``N`` is at least 1."""
+    if N < 1:
+        raise ValueError(f"horizon N = {N} must be at least 1")
     g = assemble(params)
     plant = cayley_discretize(g, h)
     problem = _benchmark_problem(g, plant, N=N, bound_scaling=bound_scaling)

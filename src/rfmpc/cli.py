@@ -48,6 +48,13 @@ def _dump_matrix(fh, M) -> None:
         fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _budget(text: str) -> int:
+    """A ``--budget`` value; argparse names the flag when this raises."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rfmpc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND",
@@ -65,7 +72,7 @@ def _build_parser() -> _Parser:
                                          "omitted: sampled standard normal")
     p_solve.add_argument("--seed", type=int, default=0, help="seed for a sampled parameter")
     p_solve.add_argument("--warm", help="warm-start active set as a hex bitmask, e.g. 0x5")
-    p_solve.add_argument("--budget", type=int, default=Tolerances.max_kkt_solves,
+    p_solve.add_argument("--budget", type=_budget, default=Tolerances.max_kkt_solves,
                          help="KKT solve budget")
 
     p_sim = sub.add_parser("simulate",
@@ -80,7 +87,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--bound-scaling", choices=("physical", "reciprocal"), default="physical",
                        help="input-bound convention for the scaled discrete inputs")
     p_sim.add_argument("--cold-start", action="store_true", help="disable warm starting")
-    p_sim.add_argument("--budget", type=int, default=Tolerances.max_kkt_solves,
+    p_sim.add_argument("--budget", type=_budget, default=Tolerances.max_kkt_solves,
                        help="KKT solve budget per step")
     p_sim.add_argument("--out", help="step log CSV path")
     p_sim.add_argument("--zero-timing", action="store_true",

@@ -14,7 +14,9 @@ the solve, the plant step and the warm shift.  It records the state, the
 input, the predicted input sequence and the search counts; the logged values
 (``J_opt``, ``J_cum``, the perfect-mode means and norms, the physical inputs)
 are derived from that record after the loop, in one vectorised pass over
-blocks of steps.
+blocks of steps.  The fd-mode means and norms are derived per block as well,
+inside the loop: the plant states of one block are kept and turned back into
+grid states together, once the block is full.
 
 A run's settings are one :class:`SimulationConfig`; the CSV columns are the
 fields of :class:`StepLog` and :class:`BenchmarkRow`, written by :func:`csv_row`.
@@ -180,7 +182,8 @@ def run_closed_loop(
     :func:`~rfmpc.lifting.evaluate_lifted_cost` per block of steps, ``J_cum``
     is the cumulative sum of the stage costs, and in ``"perfect"`` mode the
     means and norms are read from ``states``.  In ``"fd"`` mode they are
-    measured on the grid state inside the loop.
+    measured on the grid, from the last ``_BLOCK`` plant states, with one
+    :meth:`~rfmpc.beam.FDPlant.to_grid` per block.
     """
     if not 0.0 <= cfg.t_end < float("inf"):
         raise ValueError(f"t_end = {cfg.t_end} must be finite and nonnegative")
@@ -201,8 +204,9 @@ def run_closed_loop(
     n_u = bench.problem.n_u
     if cfg.mode == "fd":
         fd = plant if plant is not None else beam_mod.make_fd_plant(g, cfg.n_grid)
-        y = beam_mod.initial_grid_state(fd)
+        y = fd.from_grid(beam_mod.initial_grid_state(fd))
         x = fd.observe(y)
+        recent = np.zeros((_BLOCK, len(y)))  # the plant states of the current block
     elif cfg.mode == "perfect":
         fd = None
         x = bench.x0.copy()
@@ -222,7 +226,10 @@ def run_closed_loop(
     for n in range(n_steps):
         states[n] = x
         if fd is not None:
-            means[n], norms[n] = _grid_measure(fd, y)
+            recent[n % _BLOCK] = y
+            if n % _BLOCK == _BLOCK - 1:
+                b = slice(n + 1 - _BLOCK, n + 1)
+                means[b], norms[b] = _grid_measure(fd, recent)
 
         res = solver_fn(qp, Parameter(x, u), warm, tol)
         if res.status is SolveStatus.INFEASIBLE:
@@ -245,7 +252,9 @@ def run_closed_loop(
 
     states[n_steps] = x
     if fd is not None:
-        means[n_steps], norms[n_steps] = _grid_measure(fd, y)
+        k = n_steps % _BLOCK
+        recent[k] = y
+        means[n_steps - k :], norms[n_steps - k :] = _grid_measure(fd, recent[: k + 1])
     else:
         rows = (g.mean_row(0), g.mean_row(3))
         for b in _blocks(n_steps + 1):
@@ -285,10 +294,13 @@ def _blocks(n: int):
     return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
-def _grid_measure(fd: FDPlant, y: np.ndarray) -> tuple:
-    """Trapezoidal means of components 1 and 4 and the norm of a grid state."""
-    norm_sq = sum(fd.trapz_w @ fd.component(y, c) ** 2 for c in range(4))
-    return (fd.mean(y, 0), fd.mean(y, 3)), float(np.sqrt(norm_sq))
+def _grid_measure(fd: FDPlant, plant_states: np.ndarray) -> tuple:
+    """Trapezoidal means of components 1 and 4 and the norms of a block of plant states."""
+    Y = fd.to_grid(plant_states)
+    n, w = fd.n_grid, fd.trapz_w
+    means = np.column_stack([Y[:, :n] @ w, Y[:, 3 * n :] @ w])
+    norms = np.sqrt((Y * Y) @ np.tile(w, 4))
+    return means, norms
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,8 @@ class Tolerances:
 
     ``tol_violation`` is one absolute band for both slacks and multipliers,
     already scaled by the constraint bounds (see :meth:`for_qp`).
-    ``max_kkt_solves`` bounds the work per query.  It does not bound the
+    ``max_kkt_solves`` bounds the work per query; a negative one raises
+    ``ValueError``.  It does not bound the
     infeasibility certificate: the Farkas ray is sought once a query has
     spent ``min(n_z, max_kkt_solves)`` KKT solves, so the budget runs out
     only on a query that the ray could not prove infeasible.
@@ -141,6 +142,10 @@ class Tolerances:
 
     tol_violation: float = 1e-9
     max_kkt_solves: int = 10000
+
+    def __post_init__(self):
+        if self.max_kkt_solves < 0:
+            raise ValueError(f"max_kkt_solves = {self.max_kkt_solves} must be nonnegative")
 
     @classmethod
     def for_qp(cls, qp: LiftedQP, max_kkt_solves: int = max_kkt_solves) -> "Tolerances":

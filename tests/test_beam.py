@@ -1,4 +1,6 @@
 """Beam discretization: basis, Galerkin operators, Cayley step, FD plant."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -229,6 +231,11 @@ class TestFiniteDifferencePlant:
         assert fd.A_sys.shape == (508, 508)
         assert fd.B_sys.shape == (508, 2)
         assert fd.observer.shape == (36, 508)
+        state = fd.from_grid(beam.initial_grid_state(fd))
+        assert state.shape == (506,)
+        assert fd.to_grid(state).shape == (508,)
+        assert fd.to_grid(np.stack([state] * 3)).shape == (3, 508)
+        assert fd.observe(state).shape == (36,)
 
     def test_boundary_enforcement(self, fd):
         y = np.ones(508)
@@ -239,29 +246,57 @@ class TestFiniteDifferencePlant:
         assert y2[2 * n + n - 1] == pytest.approx(-0.5 / fd.params.EI)
         assert y2[3 * n] == 0.0
 
+    def test_grid_round_trip(self, fd):
+        y = fd.enforce_bc(np.random.default_rng(5).normal(size=508), np.array([0.25, -0.5]))
+        state = fd.from_grid(y)
+        np.testing.assert_allclose(state[-2:], [0.25, -0.5], rtol=1e-15)
+        np.testing.assert_allclose(fd.to_grid(state), y, rtol=0, atol=1e-13)
+
     def test_free_evolution_conserves_energy(self, fd):
         y = beam.initial_grid_state(fd)
         e0 = beam.fd_energy(fd, y)
+        s = fd.from_grid(y)
         for _ in range(4):
-            y = beam.fd_plant_step(fd, y, np.zeros(2), 2.0 ** -7)
-        assert beam.fd_energy(fd, y) == pytest.approx(e0, rel=1e-7)
+            s = beam.fd_plant_step(fd, s, np.zeros(2), 2.0 ** -7)
+        assert beam.fd_energy(fd, fd.to_grid(s)) == pytest.approx(e0, rel=1e-7)
 
     def test_step_matches_high_order_reference(self, fd):
         h = 2.0 ** -7
         u = np.array([0.3, -0.2])
         forcing = fd.B_sys @ u
-        y = ref = beam.initial_grid_state(fd)
+        ref = beam.initial_grid_state(fd)
+        s = fd.from_grid(ref)
         for _ in range(8):
-            y = beam.fd_plant_step(fd, y, u, h)
+            s = beam.fd_plant_step(fd, s, u, h)
+            y = fd.to_grid(s)
             ref = solve_ivp(
                 lambda t, s: fd.A_sys @ s + forcing, (0.0, h), fd.enforce_bc(ref, u),
                 method="DOP853", rtol=1e-12, atol=1e-14,
             ).y[:, -1]
             assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("n_grid", [10, 33, 127])
+    def test_step_matches_dense_expm_reference(self, galerkin, n_grid):
+        # The exact zero-order-hold step as the top rows of one dense matrix
+        # exponential (Van Loan, IEEE TAC 1978).
+        fd = beam.make_fd_plant(galerkin, n_grid)
+        h = 2.0 ** -7
+        n, m = fd.B_sys.shape
+        step = linalg.expm(np.block([[fd.A_sys * h, fd.B_sys * h], [np.zeros((m, n + m))]]))[:n]
+        rng = np.random.default_rng(n_grid)
+        y = beam.initial_grid_state(fd)
+        s = fd.from_grid(y)
+        for u in rng.uniform(-1.0, 1.0, size=(200, 2)):
+            y = step @ np.concatenate([fd.enforce_bc(y, u), u])
+            s = beam.fd_plant_step(fd, s, u, h)
+            assert np.linalg.norm(fd.to_grid(s) - y) <= 1e-12 * np.linalg.norm(y)
+        alpha = fd.observer @ y
+        assert np.linalg.norm(fd.observe(s) - alpha) <= 1e-12 * np.linalg.norm(alpha)
+
     def test_step_keeps_boundary_entries_pinned(self, fd):
         u = np.array([0.25, -0.5])
-        y = beam.fd_plant_step(fd, beam.initial_grid_state(fd), u, 2.0 ** -7)
+        s = beam.fd_plant_step(fd, fd.from_grid(beam.initial_grid_state(fd)), u, 2.0 ** -7)
+        y = fd.to_grid(s)
         n = fd.n_grid
         pinned = [n - 1, n, 2 * n + n - 1, 3 * n]
         np.testing.assert_array_equal(y[pinned], fd.enforce_bc(y, u)[pinned])
@@ -269,25 +304,67 @@ class TestFiniteDifferencePlant:
     def test_free_step_energy_drift_is_roundoff(self, fd):
         y = beam.initial_grid_state(fd)
         e0 = beam.fd_energy(fd, y)
+        s = fd.from_grid(y)
         for _ in range(4):
-            y = beam.fd_plant_step(fd, y, np.zeros(2), 2.0 ** -7)
-        assert beam.fd_energy(fd, y) == pytest.approx(e0, rel=1e-12)
+            s = beam.fd_plant_step(fd, s, np.zeros(2), 2.0 ** -7)
+        assert beam.fd_energy(fd, fd.to_grid(s)) == pytest.approx(e0, rel=1e-12)
 
     def test_step_matrix_built_once_per_interval(self, galerkin, monkeypatch):
         calls = []
-        expm = linalg.expm
-        monkeypatch.setattr(linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+
+        def counting(name):
+            original = getattr(beam, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("_modal_form", "_zoh_rotation"):
+            monkeypatch.setattr(beam, name, counting(name))
         fd = beam.make_fd_plant(galerkin)
-        y = beam.initial_grid_state(fd)
+        assert calls == [] and fd.zoh == {}
+        s = fd.from_grid(beam.initial_grid_state(fd))
+        fd.observe(s)
+        assert calls == ["_modal_form"]
         u = np.array([0.1, 0.2])
-        assert calls == []
-        y = beam.fd_plant_step(fd, y, u, 2.0 ** -7)
-        y = beam.fd_plant_step(fd, y, u, 2.0 ** -7)
-        assert calls == [(510, 510)]
-        y = beam.fd_plant_step(fd, y, u, 2.0 ** -8)
-        assert calls == [(510, 510), (510, 510)]
+        s = beam.fd_plant_step(fd, s, u, 2.0 ** -7)
+        s = beam.fd_plant_step(fd, s, u, 2.0 ** -7)
+        assert calls == ["_modal_form", "_zoh_rotation"]
+        s = beam.fd_plant_step(fd, s, u, 2.0 ** -8)
+        fd.observe(s)
+        fd.to_grid(s)
+        assert calls == ["_modal_form", "_zoh_rotation", "_zoh_rotation"]
         assert sorted(fd.zoh) == [2.0 ** -8, 2.0 ** -7]
-        assert fd.zoh[2.0 ** -7].shape == (508, 510)
+        # A second plant builds its own.
+        beam.fd_plant_step(beam.make_fd_plant(galerkin), s, u, 2.0 ** -7)
+        assert calls[3:] == ["_modal_form", "_zoh_rotation"]
+
+    # Indices on the 127-point grid: entry 3 is a shear displacement, 131
+    # and 132 are momenta, 126 is the pinned displacement at the actuated end.
+    @pytest.mark.parametrize("name, index, delta, match", [
+        ("A_sys", (132, 132), -1e-3, "not lossless"),
+        ("A_sys", (3, 131), 0.5, "not lossless"),
+        ("B_sys", (3, 0), 1e-3, "drive a displacement"),
+        ("A_sys", (5, 126), 1.0, "pinned"),
+    ], ids=["damped", "asymmetric", "input-on-displacement", "pinned-column"])
+    def test_non_lossless_model_rejected(self, fd, name, index, delta, match):
+        perturbed = getattr(fd, name).copy()
+        perturbed[index] += delta
+        bad = dataclasses.replace(fd, **{name: perturbed})
+        state = np.zeros(506)
+        with pytest.raises(ValueError, match=match):
+            beam.fd_plant_step(bad, state, np.zeros(2), 2.0 ** -7)
+        with pytest.raises(ValueError, match=match):
+            bad.observe(state)
+
+    def test_block_diagonals_match_scipy(self, fd, galerkin):
+        n = fd.n_grid
+        slices = galerkin.component_slices
+        np.testing.assert_array_equal(
+            galerkin.M_mass, linalg.block_diag(*(galerkin.M_mass[s, s] for s in slices)))
+        np.testing.assert_array_equal(fd.observer, linalg.block_diag(
+            *(fd.observer[s, c * n : (c + 1) * n] for c, s in enumerate(slices))))
 
     def test_observer_recovers_coefficients(self, fd, galerkin):
         rng = np.random.default_rng(3)
@@ -296,7 +373,7 @@ class TestFiniteDifferencePlant:
             galerkin.basis.reconstruct(c, alpha[galerkin.component_slices[c]], fd.grid)
             for c in range(4)
         ])
-        np.testing.assert_allclose(fd.observe(y), alpha, atol=1e-6)
+        np.testing.assert_allclose(fd.observer @ y, alpha, atol=1e-6)
 
     def test_coarsest_grid(self, galerkin):
         # 9 members per component; the momentum members vanish at the
@@ -310,11 +387,11 @@ class TestFiniteDifferencePlant:
             galerkin.basis.reconstruct(c, alpha[galerkin.component_slices[c]], coarse.grid)
             for c in range(4)
         ])
-        np.testing.assert_allclose(coarse.observe(y), alpha, atol=1e-6)
+        np.testing.assert_allclose(coarse.observer @ y, alpha, atol=1e-6)
 
     def test_means_match_projection(self, fd, galerkin):
         y = beam.initial_grid_state(fd)
-        alpha = fd.observe(y)
+        alpha = fd.observe(fd.from_grid(y))
         assert fd.mean(y, 0) == pytest.approx(galerkin.mean_row(0) @ alpha, abs=1e-6)
 
     def test_initial_energy_near_half(self, fd):
@@ -333,6 +410,11 @@ class TestBenchmarkBundle:
         assert bench.galerkin.mean_row(0) @ bench.x0 == pytest.approx(0.0, abs=1e-12)
         assert bench.x0.shape == (36,)
         np.testing.assert_allclose(bench.problem.constraints.d[1][4:], [0.45, 0.3])
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_horizon_must_be_positive(self, N):
+        with pytest.raises(ValueError, match=f"horizon N = {N} must be at least 1"):
+            beam.make_benchmark(N=N)
 
     def test_one_assembly_and_discretization(self, monkeypatch):
         calls = []

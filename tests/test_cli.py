@@ -289,12 +289,17 @@ class TestErrorPaths:
         (["simulate", "--t-end", "-1"], "t_end = -1.0"),
         (["beam", "build", "--n-basis", "0"], "n_basis = 0"),
         (["beam", "build", "--n-basis", "-2"], "n_basis = -2"),
+        (["beam", "build", "--horizon", "0"], "horizon N = 0"),
+        (["beam", "build", "--horizon", "-3"], "horizon N = -3"),
+        (["solve", str(CORNER_TOY), "--theta=-1,0", "--budget", "-1"], "--budget"),
+        (["simulate", "--budget", "-1"], "--budget"),
     ])
     def test_non_physical_setting_rejected(self, argv, setting, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # beam build's default --out
         assert cli.dispatch(argv) == 1
         err = capsys.readouterr().err
         assert setting in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self, capsys):
         assert cli.dispatch(["--help"]) == 0

@@ -627,6 +627,14 @@ class TestTolerances:
         assert tol.tol_violation == pytest.approx(1e-8)
         assert tol.max_kkt_solves == 5
 
+    def test_negative_budget_rejected(self):
+        qp = halfspace_qp([1.0], [9.0])
+        assert Tolerances.for_qp(qp, max_kkt_solves=0).max_kkt_solves == 0
+        with pytest.raises(ValueError, match="max_kkt_solves = -1"):
+            Tolerances.for_qp(qp, max_kkt_solves=-1)
+        with pytest.raises(ValueError, match="max_kkt_solves = -2"):
+            Tolerances(max_kkt_solves=-2)
+
 
 def _random_query(seed):
     rng = np.random.default_rng(seed)
