@@ -422,11 +422,13 @@ class FDPlant:
         return len(self.grid)
 
     def component(self, y: np.ndarray, c: int) -> np.ndarray:
+        """Component ``c`` of a grid state, or of each row of a block of them."""
         n = self.n_grid
-        return y[c * n : (c + 1) * n]
+        return y[..., c * n : (c + 1) * n]
 
-    def mean(self, y: np.ndarray, c: int) -> float:
-        return float(self.trapz_w @ self.component(y, c))
+    def mean(self, y: np.ndarray, c: int):
+        """Trapezoidal mean of component ``c`` of a grid state, or of each row of a block."""
+        return self.component(y, c) @ self.trapz_w
 
     def enforce_bc(self, y: np.ndarray, u_phys: np.ndarray) -> np.ndarray:
         """Pin the algebraic boundary entries to their prescribed values.
@@ -528,9 +530,43 @@ def _modal_form(fd: FDPlant) -> _ModalForm:
     if not skew <= _SKEW_TOL * np.abs(P).max():
         raise ValueError(f"the finite-difference generator is not lossless: energy-weighted "
                          f"skew residual {skew:.3g} against max |P| = {np.abs(P).max():.3g}")
-    L, sigma, Rt = np.linalg.svd(P)
+    L, _, Rt = np.linalg.svd(P)
+    L, sigma, R = _polish_svd(P, L, Rt.T)
     return _ModalForm(idx_a=idx_a, idx_b=idx_b, grid_a=L / root[:m, None],
-                      grid_b=Rt.T / root[m:, None], sigma=sigma, gain=Rt @ B[m:])
+                      grid_b=R / root[m:, None], sigma=sigma, gain=R.T @ B[m:])
+
+
+_MAX_ANGLE = 1e-8  # largest first-order turn between two modes: its square is below eps
+
+
+def _polish_svd(P: np.ndarray, L: np.ndarray, R: np.ndarray) -> tuple:
+    """One correction step of the singular vectors ``L``, ``R`` of ``P``; returns ``L, sigma, R``.
+
+    A float64 SVD leaves ``L^T P R`` off-diagonal by a few ulps of
+    ``max(sigma)``, which the exact step would carry as a false coupling
+    between modes.  The step makes ``L`` and ``R`` orthonormal again (one
+    Newton-Schulz step), forms ``T = L^T P R`` in extended precision
+    (``np.longdouble``; ``P`` has a few entries per row), and turns each pair
+    of modes by the first-order angles that cancel ``T[i, j]`` and
+    ``T[j, i]`` (Ogita and Aishima, 2020); ``sigma`` is the diagonal of
+    ``T``.  A pair whose angle would exceed ``_MAX_ANGLE`` has (nearly)
+    equal singular values, where first order does not hold; it is left as
+    it is, and both of its modes turn at the same rate in the step.
+    """
+    eye = np.eye(len(L))
+    L = L @ (1.5 * eye - 0.5 * (L.T @ L))
+    R = R @ (1.5 * eye - 0.5 * (R.T @ R))
+    ext = np.longdouble
+    cols = np.argsort(P == 0, axis=1, kind="stable")[:, : np.count_nonzero(P, axis=1).max()]
+    PR = (np.take_along_axis(P, cols, 1).astype(ext)[:, :, None] * R.astype(ext)[cols]).sum(1)
+    T = (L.T.astype(ext) @ PR).astype(float)
+    sigma = np.diag(T).copy()
+    si, sj = sigma[:, None], sigma[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F = (sj * T + si * T.T) / (sj**2 - si**2)
+        G = (si * T + sj * T.T) / (sj**2 - si**2)
+    apart = (np.abs(F) <= _MAX_ANGLE) & (np.abs(G) <= _MAX_ANGLE)
+    return L + L @ np.where(apart, F, 0.0), sigma, R + R @ np.where(apart, G, 0.0)
 
 
 def _zoh_rotation(md: _ModalForm, h: float) -> tuple:

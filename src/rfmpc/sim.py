@@ -183,7 +183,8 @@ def run_closed_loop(
     is the cumulative sum of the stage costs, and in ``"perfect"`` mode the
     means and norms are read from ``states``.  In ``"fd"`` mode they are
     measured on the grid, from the last ``_BLOCK`` plant states, with one
-    :meth:`~rfmpc.beam.FDPlant.to_grid` per block.
+    :meth:`~rfmpc.beam.FDPlant.to_grid` per block; step 0 is measured on the
+    initial grid state.
     """
     if not 0.0 <= cfg.t_end < float("inf"):
         raise ValueError(f"t_end = {cfg.t_end} must be finite and nonnegative")
@@ -204,7 +205,8 @@ def run_closed_loop(
     n_u = bench.problem.n_u
     if cfg.mode == "fd":
         fd = plant if plant is not None else beam_mod.make_fd_plant(g, cfg.n_grid)
-        y = fd.from_grid(beam_mod.initial_grid_state(fd))
+        y0 = beam_mod.initial_grid_state(fd)
+        y = fd.from_grid(y0)
         x = fd.observe(y)
         recent = np.zeros((_BLOCK, len(y)))  # the plant states of the current block
     elif cfg.mode == "perfect":
@@ -229,7 +231,7 @@ def run_closed_loop(
             recent[n % _BLOCK] = y
             if n % _BLOCK == _BLOCK - 1:
                 b = slice(n + 1 - _BLOCK, n + 1)
-                means[b], norms[b] = _grid_measure(fd, recent)
+                means[b], norms[b] = _grid_measure(fd, fd.to_grid(recent))
 
         res = solver_fn(qp, Parameter(x, u), warm, tol)
         if res.status is SolveStatus.INFEASIBLE:
@@ -254,7 +256,10 @@ def run_closed_loop(
     if fd is not None:
         k = n_steps % _BLOCK
         recent[k] = y
-        means[n_steps - k :], norms[n_steps - k :] = _grid_measure(fd, recent[: k + 1])
+        means[n_steps - k :], norms[n_steps - k :] = _grid_measure(fd, fd.to_grid(recent[: k + 1]))
+        # Step 0 is measured on the initial grid state itself: its plant state
+        # holds it only up to roundoff, and x1 and x4 start at rest.
+        means[:1], norms[:1] = _grid_measure(fd, y0[None])
     else:
         rows = (g.mean_row(0), g.mean_row(3))
         for b in _blocks(n_steps + 1):
@@ -294,13 +299,10 @@ def _blocks(n: int):
     return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
-def _grid_measure(fd: FDPlant, plant_states: np.ndarray) -> tuple:
-    """Trapezoidal means of components 1 and 4 and the norms of a block of plant states."""
-    Y = fd.to_grid(plant_states)
-    n, w = fd.n_grid, fd.trapz_w
-    means = np.column_stack([Y[:, :n] @ w, Y[:, 3 * n :] @ w])
-    norms = np.sqrt((Y * Y) @ np.tile(w, 4))
-    return means, norms
+def _grid_measure(fd: FDPlant, Y: np.ndarray) -> tuple:
+    """Trapezoidal means of components 1 and 4 and the norms of grid states, one per row."""
+    norms = np.sqrt(sum(fd.mean(Y * Y, c) for c in range(4)))
+    return np.column_stack([fd.mean(Y, 0), fd.mean(Y, 3)]), norms
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,22 @@ class TestFiniteDifferencePlant:
         alpha = fd.observer @ y
         assert np.linalg.norm(fd.observe(s) - alpha) <= 1e-12 * np.linalg.norm(alpha)
 
+    @pytest.mark.parametrize("n_grid", [10, 33, 127])
+    def test_modes_diagonalize_the_generator(self, galerkin, n_grid):
+        # Checked in extended precision: a float64 SVD alone leaves L^T P R
+        # off-diagonal by 7, 17 and 34 ulps of max(sigma) on these grids.
+        fd = beam.make_fd_plant(galerkin, n_grid)
+        md = fd._modes
+        root = np.sqrt(beam._energy_weights(fd))
+        P = root[md.idx_a, None] * fd.A_sys[np.ix_(md.idx_a, md.idx_b)] / root[md.idx_b]
+        L = (md.grid_a * root[md.idx_a, None]).astype(np.longdouble)
+        R = (md.grid_b * root[md.idx_b, None]).astype(np.longdouble)
+        eps = np.finfo(float).eps
+        residual = L.T @ P.astype(np.longdouble) @ R - np.diag(md.sigma)
+        assert np.abs(residual).max() <= 4 * eps * md.sigma.max()
+        for V in (L, R):
+            assert np.abs(V.T @ V - np.eye(len(V))).max() <= 8 * eps
+
     def test_step_keeps_boundary_entries_pinned(self, fd):
         u = np.array([0.25, -0.5])
         s = beam.fd_plant_step(fd, fd.from_grid(beam.initial_grid_state(fd)), u, 2.0 ** -7)

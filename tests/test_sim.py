@@ -193,24 +193,19 @@ class TestPostLoopLogs:
                        for f in fields(log) if f.type == "float")
         assert run.j_cum == log.J_cum
 
-        first = 0
         if mode == "perfect":
             ref_means = [(g.mean_row(0) @ x, g.mean_row(3) @ x) for x in run.states]
             ref_norms = [np.sqrt(x @ (g.M_mass @ x)) for x in run.states]
         else:
             assert len(plant_states) == len(run.states)
-            grid = [fd.to_grid(s) for s in plant_states]
+            # Step 0 is measured on the initial grid state, the later steps on
+            # the grid of the observed plant state.
+            grid = [beam.initial_grid_state(fd)] + [fd.to_grid(s) for s in plant_states[1:]]
+            np.testing.assert_array_equal(fd.from_grid(grid[0]), plant_states[0])
             ref_means = [(fd.mean(y, 0), fd.mean(y, 3)) for y in grid]
             ref_norms = [np.sqrt(sum(fd.trapz_w @ fd.component(y, c) ** 2 for c in range(4)))
                          for y in grid]
-            # x1 and x4 start at rest, so step 0's means vanish in exact
-            # arithmetic.  Through the modal round trip both sides read
-            # roundoff there, which a relative bound cannot compare; they are
-            # bounded by a few ulps of the grid state instead.
-            ulps = 8 * np.finfo(float).eps * np.abs(grid[0]).max()
-            assert np.abs(run.means[0]).max() <= ulps and np.abs(ref_means[0]).max() <= ulps
-            first = 1
-        np.testing.assert_allclose(run.means[first:], ref_means[first:], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(run.means, ref_means, rtol=1e-12, atol=0)
         np.testing.assert_allclose(run.norms, ref_norms, rtol=1e-12, atol=0)
         assert [[log.mean_x1, log.mean_x4] for log in run.logs] == run.means[:-1].tolist()
 
