@@ -55,6 +55,17 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+def _horizons(text: str) -> list:
+    """A ``--horizons`` list; argparse names the flag when this raises."""
+    try:
+        horizons = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        horizons = []
+    if not horizons or min(horizons) < 1:
+        raise argparse.ArgumentTypeError(f"must list one or more positive integers, got {text!r}")
+    return horizons
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rfmpc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND",
@@ -95,7 +106,7 @@ def _build_parser() -> _Parser:
 
     p_bench = sub.add_parser("benchmark",
                              help="closed-loop cost/runtime sweep over horizon lengths")
-    p_bench.add_argument("--horizons", default="10,20,30,40,50",
+    p_bench.add_argument("--horizons", type=_horizons, default="10,20,30,40,50",
                          help="comma-separated horizon lengths")
     p_bench.add_argument("--t-end", type=float, default=6.0)
     p_bench.add_argument("--mode", choices=("perfect", "fd"), default="fd")
@@ -201,11 +212,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    horizons = [int(tok) for tok in args.horizons.split(",") if tok]
     cfg = sim.SimulationConfig(t_end=args.t_end, mode=args.mode, h=args.h,
                                bound_scaling=args.bound_scaling)
     print(sim.BENCHMARK_CSV_COLUMNS)
-    rows = sim.benchmark_sweep(horizons, cfg=cfg, progress=lambda row: print(sim.csv_row(row)))
+    rows = sim.benchmark_sweep(args.horizons, cfg=cfg, progress=lambda row: print(sim.csv_row(row)))
     if args.out:
         sim.write_benchmark_csv(args.out, rows, zero_timing=args.zero_timing)
         print(f"wrote {args.out}")

@@ -21,13 +21,14 @@ the bounded candidate space is exhausted the problem is infeasible.  Every
 enumeration reference in :mod:`.oracle` shares.
 
 Infeasibility is certified by a Farkas ray: ``y >= 0`` with ``G^T y = 0`` and
-``b^T y = -1`` exists exactly when ``G z <= b`` is empty.  A search that has
-spent ``n_z`` KKT solves without an accepted candidate looks for one once,
-with one NNLS solve against the cached ``Y = H^{-1} G^T`` (:func:`_farkas_ray`);
-the search also computes it when the exhaustive order runs dry.  So an
-``INFEASIBLE`` result carries its ray, which :func:`check_farkas` verifies from
-``G`` and ``b`` alone, and ``BUDGET_EXHAUSTED`` means only that the search
-stalled on a query the ray could not prove infeasible.
+``b^T y = -1`` exists exactly when ``G z <= b`` is empty.  The rows a ray
+weights are linearly dependent, so the search looks for one once, with one
+NNLS solve against the cached ``Y = H^{-1} G^T`` (:func:`_farkas_ray`), at its
+first rank-deficient candidate or after ``n_z`` KKT solves without an accepted
+candidate, whichever comes first.  So an ``INFEASIBLE`` result carries its
+ray, which :func:`check_farkas` verifies from ``G`` and ``b`` alone, and
+``BUDGET_EXHAUSTED`` means only that the search stalled on a query the ray
+could not prove infeasible.
 
 :func:`reduce_to_licq` shrinks a sufficient but rank-deficient set to an LICQ
 subset with one NNLS (Lawson-Hanson) solve: by Caratheodory's theorem for
@@ -134,10 +135,11 @@ class Tolerances:
     ``tol_violation`` is one absolute band for both slacks and multipliers,
     already scaled by the constraint bounds (see :meth:`for_qp`).
     ``max_kkt_solves`` bounds the work per query; a negative one raises
-    ``ValueError``.  It does not bound the
-    infeasibility certificate: the Farkas ray is sought once a query has
-    spent ``min(n_z, max_kkt_solves)`` KKT solves, so the budget runs out
-    only on a query that the ray could not prove infeasible.
+    ``ValueError``.  It does not bound the infeasibility certificate: the
+    Farkas ray is sought at the first rank-deficient candidate or once a
+    query has spent ``min(n_z, max_kkt_solves)`` KKT solves, whichever comes
+    first, so the budget runs out only on a query that the ray could not
+    prove infeasible.
     """
 
     tol_violation: float = 1e-9
@@ -175,7 +177,8 @@ class SolveResult:
     multipliers ``lam``, which :func:`kkt_residuals` checks.  ``INFEASIBLE``
     carries a Farkas ray ``farkas`` (one entry per constraint row), which
     :func:`check_farkas` checks; only the enumeration reference in
-    :mod:`.oracle` reports it without one.
+    :mod:`.oracle`, and a search that ran dry after NNLS found no ray, report
+    it without one.
     ``BUDGET_EXHAUSTED`` carries neither: the search stalled and the ray found
     no certificate of infeasibility.
     """
@@ -355,12 +358,13 @@ def solve(
     filtered when they are popped: already visited ones, and those
     containing a known rank-deficient subset, are skipped.  When the stack
     runs dry the next candidate of the (cardinality, mask) order is tried,
-    so the search is complete.  Once ``min(n_z, tol.max_kkt_solves)`` KKT
-    solves have produced no accepted candidate, the query is tested once for
-    a Farkas ray.  ``INFEASIBLE`` is reported when that ray exists, or when
-    every candidate with cardinality at most ``n_z`` has been covered, and
-    carries the ray in ``farkas`` (``None`` only if, after the exhaustive
-    order, NNLS cannot reproduce a ray that :func:`check_farkas` accepts).
+    so the search is complete.  The query is tested once for a Farkas ray,
+    at the first rank-deficient candidate or once
+    ``min(n_z, tol.max_kkt_solves)`` KKT solves have produced no accepted
+    candidate, whichever comes first.  ``INFEASIBLE`` is reported when that
+    ray exists, or when every candidate with cardinality at most ``n_z`` has
+    been covered, and carries the ray in ``farkas`` (``None`` only if the
+    search ran dry after NNLS found no ray that :func:`check_farkas` accepts).
     ``BUDGET_EXHAUSTED`` is reported when
     ``tol.max_kkt_solves`` KKT solves have produced no accepted candidate and
     the ray test found no certificate: the search stalled.  A ``warm`` set
@@ -383,6 +387,14 @@ def solve(
 def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: SolveStats) -> tuple:
     """The loop of :func:`solve` from warm ``mask``.
 
+    The one ray test runs at the first rank-deficient candidate (a ray's rows
+    are linearly dependent) or after ``min(n_z, max_kkt_solves)`` KKT solves,
+    whichever comes first.  An infeasible query runs the candidate order dry
+    only after that test: with ``p >= n_z`` the ``p`` singletons alone spend
+    ``n_z`` solves, and otherwise the full row set is a candidate whose rows
+    are dependent.  So the exhausted order returns the test's ray and solves
+    no second NNLS.
+
     Returns ``(OPTIMAL, mask, z, lam_A)``, ``(INFEASIBLE, 0, None, None, ray)``
     or ``(BUDGET_EXHAUSTED,)``.
     """
@@ -393,11 +405,12 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
     licq = []
     stack = [mask if mask.bit_count() <= cap else 0]  # oversized: rank deficient
     ray_at = min(qp.n_z, tol.max_kkt_solves)  # KKT solves before the one ray test
+    ray = None
 
     while True:
         mask = stack.pop() if stack else next(fallback, None)
         if mask is None:
-            return SolveStatus.INFEASIBLE, 0, None, None, _farkas_ray(qp, b)
+            return SolveStatus.INFEASIBLE, 0, None, None, ray
         if mask in visited:
             continue
         visited.add(mask)
@@ -418,8 +431,8 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
             z, lam_A, violated, negative = out
             if not violated and not negative:
                 return SolveStatus.OPTIMAL, mask, z, lam_A
-        if stats.kkt_solves >= ray_at:
-            ray_at = float("inf")
+        if ray_at is not None and (out is None or stats.kkt_solves >= ray_at):
+            ray_at = None  # one ray test per query
             ray = _farkas_ray(qp, b)
             if ray is not None:
                 return SolveStatus.INFEASIBLE, 0, None, None, ray

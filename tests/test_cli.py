@@ -293,6 +293,8 @@ class TestErrorPaths:
         (["beam", "build", "--horizon", "-3"], "horizon N = -3"),
         (["solve", str(CORNER_TOY), "--theta=-1,0", "--budget", "-1"], "--budget"),
         (["simulate", "--budget", "-1"], "--budget"),
+        (["benchmark", "--horizons", ",", "--out", "b.csv"], "--horizons"),
+        (["benchmark", "--horizons", "10,0", "--out", "b.csv"], "--horizons"),
     ])
     def test_non_physical_setting_rejected(self, argv, setting, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # beam build's default --out

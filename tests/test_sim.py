@@ -7,7 +7,7 @@ import pytest
 from rfmpc import beam, lifting, sim
 from rfmpc.lifting import LiftedQP, build as build_qp
 from rfmpc.sim import SimulationConfig
-from rfmpc.solver import ActiveSet, check_farkas, solve
+from rfmpc.solver import ActiveSet, SolveStatus, check_farkas, solve
 
 
 def short_cfg(**kw):
@@ -19,6 +19,26 @@ def short_cfg(**kw):
 @pytest.fixture(scope="module")
 def short_run():
     return sim.run_closed_loop(short_cfg())
+
+
+@pytest.fixture(scope="module")
+def lost_feasibility():
+    """``(qp, calls, error)`` of the N = 10 physical-bounds loop, which raises.
+
+    ``calls`` holds ``(theta, result)`` of every solve, the failed one last.
+    """
+    calls = []
+
+    def recording(qp, theta, warm, tol):
+        calls.append((theta, solve(qp, theta, warm, tol)))
+        return calls[-1][1]
+
+    bench = beam.make_benchmark(N=10)
+    qp = build_qp(bench.problem)
+    with pytest.raises(sim.RecursiveFeasibilityError) as error:
+        sim.run_closed_loop(short_cfg(horizon=10, t_end=1.0), bench=bench, qp=qp,
+                            solver_fn=recording)
+    return qp, calls, error.value
 
 
 class TestConfig:
@@ -120,26 +140,32 @@ class TestClosedLoop:
             sim.run_closed_loop(short_cfg(bound_scaling="reciprocal", t_end=0.5), bench=recip,
                                 qp=build_qp(bench.problem))
 
-    def test_physical_bounds_lose_feasibility_with_a_certificate(self):
+    def test_physical_bounds_lose_feasibility_with_a_certificate(self, lost_feasibility):
         # At N = 10 the physical input bounds cannot hold the beam past step
-        # 75.  The search stalls there and certifies it with a Farkas ray
-        # after n_z KKT solves instead of spending its budget.
-        calls = []
-
-        def recording(qp, theta, warm, tol):
-            calls.append((theta, solve(qp, theta, warm, tol)))
-            return calls[-1][1]
-
-        bench = beam.make_benchmark(N=10)
-        qp = build_qp(bench.problem)
-        with pytest.raises(sim.RecursiveFeasibilityError, match="at step 75 "):
-            sim.run_closed_loop(short_cfg(horizon=10, t_end=1.0), bench=bench, qp=qp,
-                                solver_fn=recording)
+        # 75.  The search certifies it with a Farkas ray at its first
+        # rank-deficient candidate, after 15 of n_z = 20 KKT solves, instead
+        # of spending its budget.
+        qp, calls, error = lost_feasibility
+        assert "at step 75 " in str(error)
         theta, res = calls[-1]
         assert len(calls) == 76
-        assert res.stats.kkt_solves == qp.n_z
-        b = qp.W + qp.S @ np.concatenate([theta.x, theta.u_prev])
+        assert (res.stats.kkt_solves, res.stats.licq_failures) == (15, 1)
+        b = qp.W + qp.S @ theta.as_vector()
         assert check_farkas(qp.G, b, res.farkas)
+
+    @pytest.mark.parametrize("horizon, kkt_solves", [(30, 33), (50, 31), (150, 33)])
+    def test_detection_does_not_scale_with_the_horizon(self, lost_feasibility, horizon,
+                                                       kkt_solves):
+        # The step-75 state has no admissible input at longer horizons either.
+        # Solved cold, the ray is found at the first rank-deficient candidate,
+        # after a horizon-independent number of KKT solves, not after n_z of
+        # them (60, 100 and 300).
+        theta = lost_feasibility[1][-1][0]
+        qp = build_qp(beam.make_benchmark(N=horizon).problem)
+        res = solve(qp, theta)
+        assert res.status is SolveStatus.INFEASIBLE
+        assert check_farkas(qp.G, qp.W + qp.S @ theta.as_vector(), res.farkas)
+        assert (res.stats.kkt_solves, res.stats.licq_failures) == (kkt_solves, 1)
 
     def test_budget_exhaustion_surfaces(self):
         cfg = short_cfg(t_end=0.5, horizon=10, max_kkt_solves=0)

@@ -47,6 +47,15 @@ def coupled_pair():
     )
 
 
+def embedded_pair(copies):
+    """``z_1 <= -1`` and ``-z_1 <= -1`` in four variables, the first row
+    ``copies`` times: infeasible, with fewer candidates than ``n_z = 4``."""
+    G = np.zeros((copies + 1, 4))
+    G[:copies, 0], G[copies, 0] = 1.0, -1.0
+    return LiftedQP.from_matrices(H=np.eye(4), F=np.zeros((4, 1)), G=G,
+                                  S=np.zeros((copies + 1, 1)), W=-np.ones(copies + 1))
+
+
 def append_scaled_copy(qp, row, alpha):
     G = np.vstack([qp.G, alpha * qp.G[row]])
     S = np.vstack([qp.S, alpha * qp.S[row]])
@@ -573,16 +582,35 @@ class TestFarkas:
         assert res.stats.kkt_solves == 0
         assert check_farkas(qp.G, qp.W, res.farkas)
 
-    def test_exhausted_order_carries_the_ray(self):
-        # n_z = 4 exceeds the three non-empty candidates of two rows, so the
-        # candidate order runs dry before the stalled-search test is due.
-        qp = LiftedQP.from_matrices(H=np.eye(4), F=np.zeros((4, 1)),
-                                    G=[[1.0, 0, 0, 0], [-1.0, 0, 0, 0]], S=np.zeros((2, 1)),
-                                    W=[-1.0, -1.0])
+    def test_rank_deficient_candidate_triggers_the_ray(self):
+        # n_z = 4 exceeds the three non-empty candidates of two rows, and the
+        # pair {0, 1} is rank deficient: the ray is tested there, after 2 of
+        # n_z KKT solves.
+        qp = embedded_pair(copies=1)
         res = solver.solve(qp, np.zeros(1))
         assert res.status is SolveStatus.INFEASIBLE
-        assert res.stats.kkt_solves == 3 < qp.n_z
+        s = res.stats
+        assert (s.candidates_visited, s.kkt_solves, s.licq_failures) == (3, 2, 1)
         assert check_farkas(qp.G, qp.W, res.farkas)
+
+    def test_exhausted_order_tests_the_ray_once(self, monkeypatch):
+        # With no ray found, the search runs to the end of the candidate
+        # order, past both triggers of the test (its first rank-deficient
+        # pair, and n_z = 4 KKT solves) and through three rank-deficient
+        # pairs; the exhausted order reuses the one test instead of solving
+        # the NNLS again.
+        calls = []
+
+        def no_ray(qp, b):
+            calls.append(b)
+            return None
+
+        monkeypatch.setattr(solver, "_farkas_ray", no_ray)
+        qp = embedded_pair(copies=2)
+        res = solver.solve(qp, np.zeros(1))
+        assert res.status is SolveStatus.INFEASIBLE and res.farkas is None
+        assert (res.stats.kkt_solves, res.stats.licq_failures) == (6, 3)
+        assert len(calls) == 1
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(feasibility_cases())
@@ -664,14 +692,19 @@ def _duplicated_row_query(fat_warm):
 # (status, active set, candidates, KKT solves, LICQ failures) of fixed
 # queries.  Any change to the candidate order, the push order or the
 # filtering of the search changes some of them; random-49 and random-88
-# depend on removals popping before additions, and infeasible-pair ends at
-# the Farkas ray test after n_z = 1 solve.
+# depend on removals popping before additions.  infeasible-pair ends at the
+# Farkas ray test after n_z = 1 solve, infeasible-at-licq at its first
+# rank-deficient candidate before n_z = 4; random-258 and
+# duplicated-row-fat-warm are feasible through LICQ failures, so an early ray
+# test must leave their paths alone.
 SEARCH_PATHS = {
     "random-49": (lambda: _random_query(49), ("OPTIMAL", 0x452, 11, 10, 0)),
     "random-88": (lambda: _random_query(88), ("OPTIMAL", 0x96, 7, 6, 0)),
     "random-258": (lambda: _random_query(258), ("OPTIMAL", 0xc5, 65, 64, 8)),
     "stale-warm": (_stale_warm_query, ("OPTIMAL", 0x4, 3, 3, 0)),
     "infeasible-pair": (_infeasible_pair, ("INFEASIBLE", 0x0, 2, 1, 0)),
+    "infeasible-at-licq": (lambda: (embedded_pair(copies=2), np.zeros(1), None),
+                           ("INFEASIBLE", 0x0, 3, 2, 1)),
     "duplicated-row": (lambda: _duplicated_row_query(False), ("OPTIMAL", 0x5, 3, 2, 0)),
     "duplicated-row-fat-warm": (lambda: _duplicated_row_query(True), ("OPTIMAL", 0x5, 4, 3, 1)),
 }
