@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import linalg
+from scipy import linalg, special
 from scipy.integrate import solve_ivp
 
 from rfmpc import beam, lifting, problem as pb
@@ -22,23 +22,35 @@ def fd(galerkin):
 
 class TestLegendreBasis:
     def test_matches_reference_legendre(self):
-        # Shifted polynomials against numpy's Legendre evaluation on [-1, 1].
+        # Difference and sum members against scipy's shifted Legendre polynomials.
+        n = 40
         xi = np.linspace(0.0, 1.0, 41)
-        for k in range(9):
-            e = np.zeros(k + 1)
-            e[k] = 1.0
-            ref = np.polynomial.legendre.legval(2.0 * xi - 1.0, e)
-            np.testing.assert_allclose(beam.legendre_shifted(k, xi), ref, atol=1e-10)
+        basis = beam.build_basis(BeamParams(n_basis=n))
+        L = np.column_stack([special.eval_sh_legendre(k, xi) for k in range(n + 1)])
+        for c in (0, 2):
+            np.testing.assert_allclose(basis.eval_component(c, xi)[:, :-1], L[:, :n - 1] - L[:, 1:n],
+                                       rtol=0, atol=1e-13)
+        for c in (1, 3):
+            np.testing.assert_allclose(basis.eval_component(c, xi), L[:, :n] + L[:, 1:], rtol=0, atol=1e-13)
+
+    def test_boundary_member_is_the_monomial(self):
+        xi = np.linspace(0.0, 1.0, 41)
+        basis = beam.build_basis(BeamParams(n_basis=40))
+        for c in (0, 2):
+            np.testing.assert_allclose(basis.eval_component(c, xi)[:, -1], xi ** beam.M_BOUNDARY,
+                                       rtol=0, atol=1e-14)
 
     def test_orthogonality(self):
-        x_g, w_g = np.polynomial.legendre.leggauss(24)
-        xi = 0.5 * (x_g + 1.0)
-        w = 0.5 * w_g
-        for j in range(6):
-            for k in range(6):
-                ip = np.sum(w * beam.legendre_shifted(j, xi) * beam.legendre_shifted(k, xi))
-                want = 1.0 / (2 * k + 1) if j == k else 0.0
-                assert ip == pytest.approx(want, abs=1e-12)
+        # <L_j, L_k> = delta_jk / (2k + 1), so the mass block of the sums
+        # L_k + L_{k+1} is tridiagonal with known entries.
+        n = 40
+        g = beam.assemble(BeamParams(n_basis=n))
+        k = np.arange(n)
+        off = 1.0 / (2 * k[:-1] + 3)
+        want = np.diag(1.0 / (2 * k + 1) + 1.0 / (2 * k + 3)) + np.diag(off, 1) + np.diag(off, -1)
+        for c in (1, 3):
+            s = g.component_slices[c]
+            np.testing.assert_allclose(g.M_mass[s, s], want, rtol=0, atol=1e-13)
 
     def test_component_sizes(self, galerkin):
         assert galerkin.basis.sizes == [9, 9, 9, 9]
@@ -93,6 +105,13 @@ class TestGalerkinOperators:
         # Skew stiffness against the mass inner product: purely oscillatory.
         eigs = np.linalg.eigvals(galerkin.generator())
         assert np.max(np.abs(eigs.real)) < 1e-10
+
+    @pytest.mark.parametrize("n_basis, cond_bound", [(25, 1.5e4), (30, 2.5e4), (40, 6e4), (60, 2e5)])
+    def test_large_basis_is_lossless(self, n_basis, cond_bound):
+        # Measured cond(M): 1.06e4, 1.91e4, 4.73e4 and 1.67e5.
+        g = beam.assemble(BeamParams(n_basis=n_basis))
+        assert np.max(np.abs(np.linalg.eigvals(g.generator()).real)) < 1e-10
+        assert np.linalg.cond(g.M_mass) < cond_bound
 
     def test_mean_rows_exact(self, galerkin):
         # The boundary monomial xi^12 integrates to 1/13.

@@ -140,6 +140,16 @@ class TestClosedLoop:
             sim.run_closed_loop(short_cfg(bound_scaling="reciprocal", t_end=0.5), bench=recip,
                                 qp=build_qp(bench.problem))
 
+    def test_large_basis_loop_keeps_the_bounds(self):
+        # 160 states (40 members per component) against the reference loop's 36:
+        # the loop completes within the mean bounds, with fewer KKT solves (216 against 348).
+        bench = beam.make_benchmark(beam.BeamParams(n_basis=40), N=30)
+        run = sim.run_closed_loop(SimulationConfig(), bench=bench)
+        assert len(run.logs) == 1280
+        assert run.means[:, 0].max() <= 0.45 + 1e-8
+        assert run.means[:, 1].min() >= -0.3 - 1e-8
+        assert run.total_kkt_solves == 216
+
     def test_physical_bounds_lose_feasibility_with_a_certificate(self, lost_feasibility):
         # At N = 10 the physical input bounds cannot hold the beam past step
         # 75.  The search certifies it with a Farkas ray at its first
