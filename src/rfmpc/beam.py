@@ -42,7 +42,6 @@ __all__ = [
     "make_fd_plant",
     "initial_grid_state",
     "fd_plant_step",
-    "fd_energy",
 ]
 
 
@@ -466,7 +465,7 @@ _SKEW_TOL = 1e-12  # relative skew residual of a lossless energy-weighted genera
 
 
 def _energy_weights(fd: FDPlant) -> np.ndarray:
-    """Per-entry weights of the grid state in twice :func:`fd_energy`."""
+    """Per-entry weights of the grid state in twice its trapezoidal beam energy."""
     p, w = fd.params, fd.trapz_w
     return np.concatenate([p.K * w, w / p.rho, p.EI * w, w / p.I_rho])
 
@@ -642,11 +641,6 @@ def fd_plant_step(fd: FDPlant, state: np.ndarray, u_phys, h: float) -> np.ndarra
     cos, sin_pm, gain = rot
     ab = state[: 2 * len(cos)].reshape(2, -1)
     return np.concatenate([(cos * ab + sin_pm * ab[::-1]).ravel() + gain @ u, u])
-
-
-def fd_energy(fd: FDPlant, y: np.ndarray) -> float:
-    """Trapezoidal discretization of the beam energy of a grid state."""
-    return float(0.5 * _energy_weights(fd) @ (y * y))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 Problems travel as JSON files, results as CSV or whitespace matrix dumps
 (first line ``rows cols``, then row-major values with 17 significant digits).
 Exit codes: 0 success, 1 usage or invalid data, 2 infeasible (Farkas
-certificate), 3 search stalled on an uncertified query, 4 I/O failure.
+certificate), 3 search stalled on an uncertified query, 4 I/O failure or a
+file that is not a problem document.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -268,7 +268,7 @@ def dispatch(argv) -> int:
             return _cmd_benchmark(args)
         if args.command == "beam":
             return _cmd_beam_build(args)
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"rfmpc: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -18,10 +18,7 @@ stage's cost and rows back through it; the terminal stage is the same
 template with a zero input.  Building the QP factors ``H`` once and caches
 the operators every query reuses: ``H^{-1} F`` for the shift between ``u``
 and ``z``, and ``Y = H^{-1} G^T`` with ``K = G Y`` for the constraint-space
-KKT solves of :mod:`.solver`.  No query applies ``H^{-1}`` again.  The module
-also provides cost/constraint evaluation in both coordinates so the
-condensed data can be cross-checked against the stage recursion in
-:mod:`.problem`.
+KKT solves of :mod:`.solver`.  No query applies ``H^{-1}`` again.
 """
 from __future__ import annotations
 
@@ -36,10 +33,7 @@ __all__ = [
     "LiftedQP",
     "build",
     "evaluate_lifted_cost",
-    "to_z",
     "from_z",
-    "eval_constraints",
-    "check_easy_slater",
 ]
 
 # ``H`` is coercive when its smallest eigenvalue exceeds this fraction of
@@ -204,36 +198,7 @@ def evaluate_lifted_cost(qp: LiftedQP, u_seq, theta):
     return cost if batched else float(cost[0])
 
 
-def to_z(qp: LiftedQP, u_seq, theta) -> np.ndarray:
-    """Shift an input sequence to the coordinates centered at the unconstrained minimizer."""
-    u = np.asarray(u_seq, float).reshape(-1)
-    return u + qp.HinvF @ _theta_vector(theta)
-
-
 def from_z(qp: LiftedQP, z, theta) -> np.ndarray:
     """Input sequence ``u = z - H^{-1} F theta`` of a point in the centered coordinates."""
     z = np.asarray(z, float).reshape(-1)
     return z - qp.HinvF @ _theta_vector(theta)
-
-
-def eval_constraints(qp: LiftedQP, z, theta) -> np.ndarray:
-    """Constraint slacks ``W + S theta - G z`` (nonnegative iff admissible)."""
-    z = np.asarray(z, float).reshape(-1)
-    return qp.W + qp.S @ _theta_vector(theta) - qp.G @ z
-
-
-def check_easy_slater(qp: LiftedQP) -> bool:
-    """True iff a strictly admissible point exists for every parameter by inspection.
-
-    That is the case when every bound is strictly positive and some point
-    linear in ``theta`` has slack exactly ``W``: ``z = 0`` when ``S == 0``,
-    and the zero input ``u = 0`` (``z = H^{-1} F theta``) when
-    ``S == G H^{-1} F``.  :func:`build` produces the latter bit for bit
-    whenever no constraint row touches the predicted states or the previous
-    input.
-    """
-    if qp.W.size == 0:
-        return True
-    if np.min(qp.W) <= 0:
-        return False
-    return bool(not np.any(qp.S) or np.array_equal(qp.S, qp.G @ qp.HinvF))

@@ -1,10 +1,7 @@
 """Problem data for constrained time-varying linear-quadratic receding-horizon control.
 
 Holds the prediction model, per-stage weights and affine stage and
-terminal constraints, validates them, and evaluates the finite-horizon cost by
-direct recursion of the prediction model.  The recursion is deliberately kept
-independent of the condensed quadratic-program form built in :mod:`.lifting`
-so that the two routes can be cross-checked against each other.
+terminal constraints, validates them, and reads and writes them as JSON.
 """
 from __future__ import annotations
 
@@ -21,9 +18,6 @@ __all__ = [
     "Parameter",
     "ProblemDefinition",
     "validate",
-    "evaluate_cost",
-    "predict_trajectory",
-    "check_admissible",
     "to_json_dict",
     "from_json_dict",
     "save_problem",
@@ -98,23 +92,6 @@ class StageWeights:
         self.V = [_mat(Vk) for Vk in self.V]
         self.P = _mat(self.P)
 
-    @classmethod
-    def constant(cls, Q, R, P, N, M=None, V=None) -> "StageWeights":
-        """Replicate time-invariant weights over a horizon of length ``N``."""
-        Q = _mat(Q)
-        R = _mat(R)
-        P = _mat(P)
-        n_x, n_u = Q.shape[0], R.shape[0]
-        M = np.zeros((n_x, n_u)) if M is None else _mat(M)
-        V = np.zeros((n_u, n_u)) if V is None else _mat(V)
-        return cls(
-            Q=[Q.copy() for _ in range(N)],
-            R=[R.copy() for _ in range(N)],
-            M=[M.copy() for _ in range(N)],
-            V=[V.copy() for _ in range(N + 1)],
-            P=P,
-        )
-
     @property
     def horizon(self) -> int:
         return len(self.Q)
@@ -146,18 +123,6 @@ class StageConstraints:
         self.d_hat = _vec(self.d_hat)
         self.E_hat = np.atleast_2d(np.asarray(self.E_hat, float))
         self.F_hat = np.atleast_2d(np.asarray(self.F_hat, float))
-
-    @classmethod
-    def unconstrained(cls, N: int, n_x: int, n_u: int) -> "StageConstraints":
-        return cls(
-            d=[np.zeros(0) for _ in range(N)],
-            calE=[np.zeros((0, n_x)) for _ in range(N)],
-            calF=[np.zeros((0, n_u)) for _ in range(N)],
-            E=[np.zeros((0, n_u)) for _ in range(N)],
-            d_hat=np.zeros(0),
-            E_hat=np.zeros((0, n_x)),
-            F_hat=np.zeros((0, n_u)),
-        )
 
     @property
     def rows_per_stage(self) -> list:
@@ -304,67 +269,6 @@ def validate(p: ProblemDefinition) -> list:
     return out
 
 
-def _u_matrix(u_seq, N: int, n_u: int) -> np.ndarray:
-    u = np.asarray(u_seq, dtype=float)
-    try:
-        return u.reshape(N, n_u)
-    except ValueError:
-        raise ValueError(f"input sequence of size {u.size} does not match horizon {N} x {n_u}")
-
-
-def predict_trajectory(p: ProblemDefinition, u_seq, x0) -> np.ndarray:
-    """Roll the prediction model forward; returns states x'_0 .. x'_N stacked row-wise."""
-    A, B = p.prediction_model.A, p.prediction_model.B
-    u = _u_matrix(u_seq, p.horizon, p.n_u)
-    xs = np.empty((p.horizon + 1, p.n_x))
-    xs[0] = _vec(x0)
-    for k in range(p.horizon):
-        xs[k + 1] = A @ xs[k] + B @ u[k]
-    return xs
-
-
-def evaluate_cost(p: ProblemDefinition, u_seq, theta: Parameter) -> float:
-    """Finite-horizon cost by direct recursion of the stage sums.
-
-    Includes the state-input cross terms, the input-increment penalty against
-    ``theta.u_prev`` at stage 0 and the extra terminal increment weight.
-    """
-    w = p.weights
-    u = _u_matrix(u_seq, p.horizon, p.n_u)
-    xs = predict_trajectory(p, u, theta.x)
-    u_prev = theta.u_prev
-    J = 0.0
-    for k in range(p.horizon):
-        du = u[k] - u_prev
-        J += xs[k] @ w.Q[k] @ xs[k] + 2.0 * (xs[k] @ w.M[k] @ u[k]) + u[k] @ w.R[k] @ u[k]
-        J += du @ w.V[k] @ du
-        u_prev = u[k]
-    J += xs[-1] @ w.P @ xs[-1] + u[-1] @ w.V[-1] @ u[-1]
-    return float(J)
-
-
-def check_admissible(p: ProblemDefinition, u_seq, theta: Parameter, tol: float = 0.0):
-    """Evaluate all stage/terminal constraint slacks along the predicted trajectory.
-
-    Returns ``(admissible, slacks)`` where ``slacks`` stacks stage 0..N-1 rows
-    followed by the terminal rows, in the same order as the condensed
-    constraint bound vector.
-    """
-    c = p.constraints
-    u = _u_matrix(u_seq, p.horizon, p.n_u)
-    xs = predict_trajectory(p, u, theta.x)
-    u_prev = theta.u_prev
-    slacks = []
-    for k in range(p.horizon):
-        if len(c.d[k]):
-            slacks.append(c.d[k] - c.calE[k] @ xs[k] - c.calF[k] @ u_prev - c.E[k] @ u[k])
-        u_prev = u[k]
-    if len(c.d_hat):
-        slacks.append(c.d_hat - c.E_hat @ xs[-1] - c.F_hat @ u[-1])
-    s = np.concatenate(slacks) if slacks else np.zeros(0)
-    return bool(s.size == 0 or np.min(s) >= -tol), s
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization.  Matrices are stored as row-major nested lists.
 # ---------------------------------------------------------------------------
@@ -444,6 +348,12 @@ def save_problem(path, p: ProblemDefinition, meta: dict | None = None):
 
 
 def load_problem(path):
-    """Returns (problem, meta)."""
-    doc = json.loads(Path(path).read_text())
-    return from_json_dict(doc), doc.get("meta", {})
+    """Returns (problem, meta).  A file that is not a problem document (unparsable
+    JSON, a missing key, an entry of the wrong type or count) raises ``OSError``
+    naming the file."""
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text)
+        return from_json_dict(doc), doc.get("meta", {})
+    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+        raise OSError(f"{path}: not a problem file: {type(exc).__name__}: {exc}") from exc

@@ -18,7 +18,7 @@ of minimal rank-deficient candidates (whose supersets are all rank deficient
 and can be pruned wholesale) filter them, which makes the search complete: if
 the bounded candidate space is exhausted the problem is infeasible.  Every
 :class:`SolveResult` comes from one constructor (:func:`_result`), which the
-enumeration reference in :mod:`.oracle` shares.
+enumeration reference of the tests (``tests/reference.py``) shares.
 
 Infeasibility is certified by a Farkas ray: ``y >= 0`` with ``G^T y = 0`` and
 ``b^T y = -1`` exists exactly when ``G z <= b`` is empty.  The rows a ray
@@ -50,7 +50,6 @@ __all__ = [
     "SolveStatus",
     "SolveStats",
     "SolveResult",
-    "kkt_solve",
     "solve",
     "reduce_to_licq",
     "kkt_residuals",
@@ -85,14 +84,8 @@ class ActiveSet:
     def indices(self) -> list:
         return _mask_indices(self.mask)
 
-    def add(self, k: int) -> "ActiveSet":
-        return ActiveSet(self.mask | (1 << k))
-
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def __iter__(self):
-        return iter(self.indices())
 
     def __str__(self) -> str:
         return hex(self.mask)
@@ -176,9 +169,9 @@ class SolveResult:
     ``OPTIMAL`` carries the minimizer ``z_star``, the input sequence and the
     multipliers ``lam``, which :func:`kkt_residuals` checks.  ``INFEASIBLE``
     carries a Farkas ray ``farkas`` (one entry per constraint row), which
-    :func:`check_farkas` checks; only the enumeration reference in
-    :mod:`.oracle`, and a search that ran dry after NNLS found no ray, report
-    it without one.
+    :func:`check_farkas` checks; only the enumeration reference of the tests
+    (``tests/reference.py``), and a search that ran dry after NNLS found no
+    ray, report it without one.
     ``BUDGET_EXHAUSTED`` carries neither: the search stalled and the ray found
     no certificate of infeasibility.
     """
@@ -208,26 +201,6 @@ def iter_candidate_masks(n_bits: int, max_cardinality: int):
             yield v
             t = (v | (v - 1)) + 1
             v = t | ((((t & -t) // (v & -v)) >> 1) - 1)
-
-
-def kkt_solve(qp: LiftedQP, aset, theta):
-    """Solve the KKT system of the QP with the candidate rows as equalities.
-
-    Returns ``(z_star, lam)`` where ``lam`` holds the multipliers of the
-    candidate rows in ascending index order, whether or not the candidate
-    passes the acceptance test, or ``None`` when the reduced matrix
-    ``G_A H^{-1} G_A^T`` is singular at the relative threshold (the
-    linear-independence qualification fails on this candidate).
-    """
-    mask = _caller_mask(qp, aset)
-    if mask == 0:
-        raise ValueError("candidate active set must be nonempty")
-    b = qp.W + qp.S @ _theta_vector(theta)
-    out = _evaluate(qp, mask, b, Tolerances())
-    if out is None:
-        return None
-    z, lam_A = out[:2]
-    return (-(qp.Y[:, _mask_indices(mask)] @ lam_A) if z is None else z), lam_A
 
 
 def _positive_definite(KAA: np.ndarray, shift: float) -> bool:

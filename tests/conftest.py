@@ -6,7 +6,8 @@ the constraint bounds are drawn strictly positive.
 """
 import numpy as np
 
-from rfmpc import lifting, oracle
+from reference import enumerate_active_sets
+from rfmpc import lifting
 from rfmpc.problem import (
     Parameter,
     PlantModel,
@@ -76,7 +77,7 @@ def random_dimensions(rng, max_rows=12):
 def random_feasible_query(rng, max_tries=60, **dims):
     """Draw (problem, qp, theta, reference) with a feasible parameter.
 
-    The reference solve comes from the exhaustive enumeration oracle, so the
+    The reference solve comes from the exhaustive enumeration reference, so the
     returned query carries its own ground truth.
     """
     for _ in range(max_tries):
@@ -89,7 +90,7 @@ def random_feasible_query(rng, max_tries=60, **dims):
             x=0.4 * rng.normal(size=p.n_x),
             u_prev=0.4 * rng.normal(size=p.n_u),
         )
-        ref = oracle.enumerate_active_sets(qp, theta)
+        ref = enumerate_active_sets(qp, theta)
         if ref.status is SolveStatus.OPTIMAL:
             return p, qp, theta, ref
     raise RuntimeError("failed to draw a feasible random query")

@@ -1,0 +1,213 @@
+"""Independent references that the tests cross-check the product against; no
+``rfmpc`` module imports this one.
+
+The finite-horizon cost and constraint slacks are evaluated by direct
+recursion of the prediction model, deliberately independent of the condensed
+QP built in :mod:`rfmpc.lifting`, so that the two routes can be cross-checked.
+Two reference solvers reach the minimizer of a desk-scale QP without the
+search: enumeration shares only the candidate evaluator of :mod:`rfmpc.solver`,
+and dual ascent only the operators ``K`` and ``Y`` the QP cached when it was
+built.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from rfmpc.beam import FDPlant, _energy_weights
+from rfmpc.lifting import LiftedQP, _theta_vector
+from rfmpc.problem import Parameter, PlantModel, ProblemDefinition, StageConstraints, StageWeights, _vec
+from rfmpc.solver import (SolveResult, SolveStats, SolveStatus, Tolerances, _caller_mask, _evaluate,
+                          _mask_indices, _result, iter_candidate_masks)
+
+
+def scalar_problem(N, A=1.0, B=1.0, Q=1.0, R=1.0, P=1.0, V=0.0) -> ProblemDefinition:
+    """``x+ = A x + B u`` over ``N`` stages with time-invariant weights, no cross
+    weight and no constraints."""
+    weights = StageWeights(Q=[Q] * N, R=[R] * N, M=[0.0] * N, V=[V] * (N + 1), P=P)
+    empty = np.zeros((0, 1))
+    constraints = StageConstraints(d=[np.zeros(0)] * N, calE=[empty] * N, calF=[empty] * N,
+                                   E=[empty] * N, d_hat=np.zeros(0), E_hat=empty, F_hat=empty)
+    return ProblemDefinition(PlantModel(A, B), weights, constraints, N)
+
+
+def _u_matrix(u_seq, N: int, n_u: int) -> np.ndarray:
+    u = np.asarray(u_seq, dtype=float)
+    try:
+        return u.reshape(N, n_u)
+    except ValueError:
+        raise ValueError(f"input sequence of size {u.size} does not match horizon {N} x {n_u}")
+
+
+def predict_trajectory(p: ProblemDefinition, u_seq, x0) -> np.ndarray:
+    """Roll the prediction model forward; returns states x'_0 .. x'_N stacked row-wise."""
+    A, B = p.prediction_model.A, p.prediction_model.B
+    u = _u_matrix(u_seq, p.horizon, p.n_u)
+    xs = np.empty((p.horizon + 1, p.n_x))
+    xs[0] = _vec(x0)
+    for k in range(p.horizon):
+        xs[k + 1] = A @ xs[k] + B @ u[k]
+    return xs
+
+
+def evaluate_cost(p: ProblemDefinition, u_seq, theta: Parameter) -> float:
+    """Finite-horizon cost by direct recursion of the stage sums.
+
+    Includes the state-input cross terms, the input-increment penalty against
+    ``theta.u_prev`` at stage 0 and the extra terminal increment weight.
+    """
+    w = p.weights
+    u = _u_matrix(u_seq, p.horizon, p.n_u)
+    xs = predict_trajectory(p, u, theta.x)
+    u_prev = theta.u_prev
+    J = 0.0
+    for k in range(p.horizon):
+        du = u[k] - u_prev
+        J += xs[k] @ w.Q[k] @ xs[k] + 2.0 * (xs[k] @ w.M[k] @ u[k]) + u[k] @ w.R[k] @ u[k]
+        J += du @ w.V[k] @ du
+        u_prev = u[k]
+    J += xs[-1] @ w.P @ xs[-1] + u[-1] @ w.V[-1] @ u[-1]
+    return float(J)
+
+
+def check_admissible(p: ProblemDefinition, u_seq, theta: Parameter, tol: float = 0.0):
+    """Evaluate all stage/terminal constraint slacks along the predicted trajectory.
+
+    Returns ``(admissible, slacks)`` where ``slacks`` stacks stage 0..N-1 rows
+    followed by the terminal rows, in the same order as the condensed
+    constraint bound vector.
+    """
+    c = p.constraints
+    u = _u_matrix(u_seq, p.horizon, p.n_u)
+    xs = predict_trajectory(p, u, theta.x)
+    u_prev = theta.u_prev
+    slacks = []
+    for k in range(p.horizon):
+        if len(c.d[k]):
+            slacks.append(c.d[k] - c.calE[k] @ xs[k] - c.calF[k] @ u_prev - c.E[k] @ u[k])
+        u_prev = u[k]
+    if len(c.d_hat):
+        slacks.append(c.d_hat - c.E_hat @ xs[-1] - c.F_hat @ u[-1])
+    s = np.concatenate(slacks) if slacks else np.zeros(0)
+    return bool(s.size == 0 or np.min(s) >= -tol), s
+
+
+def to_z(qp: LiftedQP, u_seq, theta) -> np.ndarray:
+    """Shift an input sequence to the coordinates centered at the unconstrained minimizer."""
+    u = np.asarray(u_seq, float).reshape(-1)
+    return u + qp.HinvF @ _theta_vector(theta)
+
+
+def eval_constraints(qp: LiftedQP, z, theta) -> np.ndarray:
+    """Constraint slacks ``W + S theta - G z`` (nonnegative iff admissible)."""
+    z = np.asarray(z, float).reshape(-1)
+    return qp.W + qp.S @ _theta_vector(theta) - qp.G @ z
+
+
+def check_easy_slater(qp: LiftedQP) -> bool:
+    """True iff a strictly admissible point exists for every parameter by inspection.
+
+    That is the case when every bound is strictly positive and some point
+    linear in ``theta`` has slack exactly ``W``: ``z = 0`` when ``S == 0``,
+    and the zero input ``u = 0`` (``z = H^{-1} F theta``) when
+    ``S == G H^{-1} F``.  :func:`rfmpc.lifting.build` produces the latter bit
+    for bit whenever no constraint row touches the predicted states or the
+    previous input.
+    """
+    if qp.W.size == 0:
+        return True
+    if np.min(qp.W) <= 0:
+        return False
+    return bool(not np.any(qp.S) or np.array_equal(qp.S, qp.G @ qp.HinvF))
+
+
+def kkt_solve(qp: LiftedQP, aset, theta):
+    """Solve the KKT system of the QP with the candidate rows as equalities.
+
+    Returns ``(z_star, lam)`` where ``lam`` holds the multipliers of the
+    candidate rows in ascending index order, whether or not the candidate
+    passes the acceptance test, or ``None`` when the reduced matrix
+    ``G_A H^{-1} G_A^T`` is singular at the relative threshold (the
+    linear-independence qualification fails on this candidate).
+    """
+    mask = _caller_mask(qp, aset)
+    if mask == 0:
+        raise ValueError("candidate active set must be nonempty")
+    b = qp.W + qp.S @ _theta_vector(theta)
+    out = _evaluate(qp, mask, b, Tolerances())
+    if out is None:
+        return None
+    z, lam_A = out[:2]
+    return (-(qp.Y[:, _mask_indices(mask)] @ lam_A) if z is None else z), lam_A
+
+
+def enumerate_active_sets(qp: LiftedQP, theta, tol: Tolerances | None = None, max_constraints: int = 20) -> SolveResult:
+    """First acceptable candidate in (cardinality, numeric mask) order.
+
+    Iterates every candidate with cardinality up to the decision dimension;
+    rank-deficient candidates are skipped.  Returns an infeasibility result
+    when no candidate is accepted.  Guarded against index spaces larger than
+    ``2^max_constraints``.
+    """
+    p = qp.p_tilde
+    if p > max_constraints:
+        raise ValueError(f"enumeration over 2^{p} candidates refused (limit 2^{max_constraints})")
+    tol = tol if tol is not None else Tolerances.for_qp(qp)
+    theta_vec = _theta_vector(theta)
+    b = qp.W + qp.S @ theta_vec
+    stats = SolveStats()
+    for mask in iter_candidate_masks(p, min(qp.n_z, p)):
+        stats.candidates_visited += 1
+        if mask:
+            stats.kkt_solves += 1
+        out = _evaluate(qp, mask, b, tol)
+        if out is None:
+            stats.licq_failures += 1
+            continue
+        z, lam_A, violated, negative = out
+        if not violated and not negative:
+            return _result(qp, theta_vec, stats, SolveStatus.OPTIMAL, mask, z, lam_A)
+    return _result(qp, theta_vec, stats, SolveStatus.INFEASIBLE)
+
+
+def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000) -> np.ndarray:
+    """Minimizer via projected cyclic coordinate ascent on the dual.
+
+    Maximizes ``-<K lam, lam>/2 - <lam, b>`` over ``lam >= 0`` with the QP's
+    cached ``K = G H^{-1} G^T`` and ``b = W + S theta`` by exact coordinate
+    updates ``lam_k <- max(0, lam_k - (K lam + b)_k / K_kk)``, cycling until
+    the projected-gradient residual drops below ``tol``.  Needs a strictly
+    admissible point to exist; raises ``RuntimeError`` on non-convergence.
+    Returns ``z``; the primal iterate is ``z = -Y lam`` throughout, with the
+    cached ``Y = H^{-1} G^T``.
+    """
+    theta_vec = _theta_vector(theta)
+    b = qp.W + qp.S @ theta_vec
+    p = qp.p_tilde
+    if p == 0:
+        return np.zeros(qp.n_z)
+    K = qp.K
+    diag = np.diag(K).copy()
+    lam = np.zeros(p)
+    v = np.zeros(p)  # K @ lam, maintained incrementally
+    tiny = 1e-14 * np.max(diag)
+    for _ in range(max_iter):
+        for k in range(p):
+            if diag[k] <= tiny:
+                continue
+            new = lam[k] - (v[k] + b[k]) / diag[k]
+            if new < 0.0:
+                new = 0.0
+            delta = new - lam[k]
+            if delta != 0.0:
+                v += K[:, k] * delta
+                lam[k] = new
+        slack = b + v
+        residual = np.max(np.abs(lam - np.maximum(0.0, lam - slack)))
+        if residual <= tol:
+            return -(qp.Y @ lam)
+    raise RuntimeError(f"dual ascent did not converge within {max_iter} cycles (residual {residual:.3e})")
+
+
+def fd_energy(fd: FDPlant, y: np.ndarray) -> float:
+    """Trapezoidal discretization of the beam energy of a grid state."""
+    return float(0.5 * _energy_weights(fd) @ (y * y))

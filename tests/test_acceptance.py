@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_query
-from rfmpc import oracle, sim
+from reference import dual_ascent, enumerate_active_sets, kkt_solve
+from rfmpc import sim
 from rfmpc.lifting import LiftedQP
 from rfmpc.solver import (
     ActiveSet,
     SolveStatus,
-    Tolerances,
     check_farkas,
     kkt_residuals,
-    kkt_solve,
     reduce_to_licq,
     solve,
 )
@@ -44,7 +43,7 @@ def random_batch():
     for _ in range(200):
         _, qp, theta, ref = random_feasible_query(rng)
         res = solve(qp, theta)
-        z_dual = oracle.dual_ascent(qp, theta)
+        z_dual = dual_ascent(qp, theta)
         triples.append((qp, theta, res, ref, z_dual))
     elapsed = time.perf_counter() - t0
     return triples, elapsed
@@ -292,7 +291,7 @@ def test_infeasibility_certified(capsys):
     theta = np.zeros(3)
 
     res = solve(qp, theta)
-    ref = oracle.enumerate_active_sets(qp, theta)
+    ref = enumerate_active_sets(qp, theta)
     ray = res.farkas
     ok = (res.status is SolveStatus.INFEASIBLE
           and ref.status is SolveStatus.INFEASIBLE

@@ -151,16 +151,13 @@ class TestSimulate:
         assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
     def test_feasible_run_leaves_scipy_optimize_unloaded(self):
-        # nnls is imported only by a stalled query or a degenerate reduction,
-        # and the reference solvers of rfmpc.oracle only by the tests.
+        # nnls is imported only by a stalled query or a degenerate reduction.
         src = str(Path(rfmpc.__file__).resolve().parents[1])
         code = ("import sys\n"
                 "from rfmpc import cli\n"
-                "for mod in ('scipy.optimize', 'rfmpc.oracle'):\n"
-                "    assert mod not in sys.modules, f'{mod} on import'\n"
+                "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize on import'\n"
                 "assert cli.dispatch(['simulate', '--horizon', '4', '--t-end', '0.125']) == 0\n"
-                "for mod in ('scipy.optimize', 'rfmpc.oracle'):\n"
-                "    assert mod not in sys.modules, f'{mod} after a run'\n")
+                "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize after a run'\n")
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -271,6 +268,20 @@ class TestErrorPaths:
         partial.write_text(json.dumps({"plant": {"A": [[1.0]], "B": [[1.0]]}}))
         code = cli.dispatch(["lift", str(partial)])
         assert code == 4
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["constraints"]["calE"].append([]),  # one stage too many
+        lambda doc: doc.update(horizon=None),
+        lambda doc: [1, 2],
+        lambda doc: doc["weights"].update(Q=5),
+    ], ids=["extra-calE-entry", "null-horizon", "top-level-list", "scalar-Q"])
+    def test_malformed_problem_names_the_file(self, edit, tmp_path, capsys):
+        doc = json.loads(CORNER_TOY.read_text())
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(edit(doc) or doc))
+        assert cli.dispatch(["lift", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "I/O error" in err and str(bad) in err and "Traceback" not in err
 
     def test_no_command(self, capsys):
         assert cli.dispatch([]) == 1

@@ -4,22 +4,11 @@ import pytest
 from scipy import linalg as sla
 
 from conftest import make_random_problem
-from rfmpc import beam, lifting, problem as pb, solver
+from reference import (check_admissible, check_easy_slater, eval_constraints, evaluate_cost,
+                       scalar_problem, to_z)
+from rfmpc import beam, lifting, solver
 from rfmpc.lifting import LiftedQP
-from rfmpc.problem import (
-    Parameter,
-    PlantModel,
-    ProblemDefinition,
-    StageConstraints,
-    StageWeights,
-)
-
-
-def scalar_problem(N, A=1.0, B=1.0, Q=1.0, R=1.0, P=1.0, V=0.0):
-    w = StageWeights.constant(Q=Q, R=R, P=P, N=N, V=V)
-    return ProblemDefinition(
-        PlantModel(A, B), w, StageConstraints.unconstrained(N, 1, 1), N
-    )
+from rfmpc.problem import Parameter, StageConstraints
 
 
 class TestHandValues:
@@ -62,7 +51,7 @@ class TestCostEquivalence:
             qp = lifting.build(p)
             theta = Parameter(rng.normal(size=p.n_x), rng.normal(size=p.n_u))
             u = rng.normal(size=qp.n_z)
-            direct = pb.evaluate_cost(p, u, theta)
+            direct = evaluate_cost(p, u, theta)
             lifted = lifting.evaluate_lifted_cost(qp, u, theta)
             np.testing.assert_allclose(lifted, direct, rtol=1e-10, atol=1e-10)
 
@@ -72,7 +61,7 @@ class TestCostEquivalence:
         qp = lifting.build(p)
         theta = Parameter(rng.normal(size=2), rng.normal(size=1))
         u = rng.normal(size=2)
-        z = lifting.to_z(qp, u, theta)
+        z = to_z(qp, u, theta)
         np.testing.assert_allclose(lifting.from_z(qp, z, theta), u, atol=1e-12)
 
     def test_zero_z_is_unconstrained_minimum(self):
@@ -101,7 +90,7 @@ class TestCostEquivalence:
             single = lifting.evaluate_lifted_cost(qp, u, theta)
             assert type(single) is float
             assert cost == pytest.approx(single, rel=1e-12, abs=0)
-            assert cost == pytest.approx(pb.evaluate_cost(p, u, theta), rel=1e-10)
+            assert cost == pytest.approx(evaluate_cost(p, u, theta), rel=1e-10)
 
 
 class TestConstraintEquivalence:
@@ -120,10 +109,10 @@ class TestConstraintEquivalence:
             qp = lifting.build(p)
             theta = Parameter(rng.normal(size=p.n_x), rng.normal(size=p.n_u))
             u = rng.normal(size=qp.n_z)
-            _, direct = pb.check_admissible(p, u, theta)
-            z = lifting.to_z(qp, u, theta)
+            _, direct = check_admissible(p, u, theta)
+            z = to_z(qp, u, theta)
             np.testing.assert_allclose(
-                lifting.eval_constraints(qp, z, theta), direct, atol=1e-9
+                eval_constraints(qp, z, theta), direct, atol=1e-9
             )
 
     def test_stage_offsets(self):
@@ -152,11 +141,11 @@ class TestUnevenRows:
         for _ in range(5):
             theta = Parameter(rng.normal(size=n_x), rng.normal(size=n_u))
             u = rng.normal(size=qp.n_z)
-            _, direct = pb.check_admissible(p, u, theta)
-            slack = lifting.eval_constraints(qp, lifting.to_z(qp, u, theta), theta)
+            _, direct = check_admissible(p, u, theta)
+            slack = eval_constraints(qp, to_z(qp, u, theta), theta)
             np.testing.assert_allclose(slack, direct, atol=1e-10)
             np.testing.assert_allclose(lifting.evaluate_lifted_cost(qp, u, theta),
-                                       pb.evaluate_cost(p, u, theta), rtol=1e-10)
+                                       evaluate_cost(p, u, theta), rtol=1e-10)
 
 
 class TestGuards:
@@ -239,7 +228,7 @@ class TestFromMatrices:
     def test_empty_constraints(self):
         qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 2)), G=[], S=[], W=[])
         assert qp.p_tilde == 0
-        assert lifting.check_easy_slater(qp)
+        assert check_easy_slater(qp)
 
 
 class TestSlaterInspection:
@@ -254,18 +243,18 @@ class TestSlaterInspection:
             E_hat=np.zeros((0, 1)),
             F_hat=np.zeros((0, 1)),
         )
-        assert lifting.check_easy_slater(lifting.build(p))
+        assert check_easy_slater(lifting.build(p))
 
     def test_state_rows_defeat_inspection(self):
         rng = np.random.default_rng(4)
         p = make_random_problem(rng, n_x=2, n_u=1, N=2)
-        assert not lifting.check_easy_slater(lifting.build(p))
+        assert not check_easy_slater(lifting.build(p))
 
     def test_zero_S_from_matrices(self):
         # z = 0 has slack W for every theta, whatever F is.
         qp = LiftedQP.from_matrices(H=np.eye(2), F=[[1.0, -2.0], [0.5, 3.0]],
                                     G=[[1.0, 0.0], [-1.0, 1.0]], S=np.zeros((2, 2)), W=[0.5, 2.0])
-        assert lifting.check_easy_slater(qp)
+        assert check_easy_slater(qp)
 
     def test_S_through_zero_input(self):
         # S = G H^-1 F: the zero input u = 0 has slack W for every theta.
@@ -275,12 +264,12 @@ class TestSlaterInspection:
         qp = LiftedQP.from_matrices(H=H, F=F, G=G, S=np.zeros((4, 2)), W=np.ones(4))
         qp = LiftedQP.from_matrices(H=H, F=F, G=G, S=G @ qp.HinvF, W=np.ones(4))
         assert np.any(qp.S)
-        assert lifting.check_easy_slater(qp)
+        assert check_easy_slater(qp)
         theta = rng.normal(size=2)
-        slack = lifting.eval_constraints(qp, lifting.to_z(qp, np.zeros(3), theta), theta)
+        slack = eval_constraints(qp, to_z(qp, np.zeros(3), theta), theta)
         np.testing.assert_allclose(slack, qp.W, atol=1e-12)
 
     def test_zero_bound_defeats_inspection(self):
         qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 2)), G=np.eye(2),
                                     S=np.zeros((2, 2)), W=[1.0, 0.0])
-        assert not lifting.check_easy_slater(qp)
+        assert not check_easy_slater(qp)

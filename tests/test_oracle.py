@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_feasible_query
-from rfmpc import lifting, oracle, solver
+from reference import dual_ascent, enumerate_active_sets
+from rfmpc import solver
 from rfmpc.lifting import LiftedQP
 from rfmpc.solver import SolveStatus
 
@@ -28,7 +29,7 @@ def box_qp(lo=-1.0, hi=1.0, pull=2.0):
 class TestEnumeration:
     def test_clipped_minimum(self):
         qp, theta = box_qp(pull=2.0)
-        res = oracle.enumerate_active_sets(qp, theta)
+        res = enumerate_active_sets(qp, theta)
         assert res.status is SolveStatus.OPTIMAL
         np.testing.assert_allclose(res.u_seq, [1.0])
         np.testing.assert_allclose(res.z_star, [-1.0])
@@ -36,7 +37,7 @@ class TestEnumeration:
 
     def test_interior_minimum(self):
         qp, theta = box_qp(pull=0.25)
-        res = oracle.enumerate_active_sets(qp, theta)
+        res = enumerate_active_sets(qp, theta)
         assert res.active_set.mask == 0
         np.testing.assert_allclose(res.u_seq, [0.25])
 
@@ -44,7 +45,7 @@ class TestEnumeration:
         qp = LiftedQP.from_matrices(
             H=1.0, F=[[0.0]], G=[[1.0], [-1.0]], S=np.zeros((2, 1)), W=[-1.0, -1.0]
         )
-        res = oracle.enumerate_active_sets(qp, np.zeros(1))
+        res = enumerate_active_sets(qp, np.zeros(1))
         assert res.status is SolveStatus.INFEASIBLE
 
     def test_refuses_large_index_space(self):
@@ -56,11 +57,11 @@ class TestEnumeration:
             W=np.ones(25),
         )
         with pytest.raises(ValueError, match="enumeration over"):
-            oracle.enumerate_active_sets(qp, np.zeros(1))
+            enumerate_active_sets(qp, np.zeros(1))
 
     def test_counts_work(self):
         qp, theta = box_qp(pull=2.0)
-        res = oracle.enumerate_active_sets(qp, theta)
+        res = enumerate_active_sets(qp, theta)
         # Candidates: {}, then {0} accepted on the second KKT solve at worst.
         assert res.stats.candidates_visited >= 2
         assert res.stats.kkt_solves >= 1
@@ -71,16 +72,16 @@ class TestDualAscent:
         rng = np.random.default_rng(321)
         for _ in range(15):
             _, qp, theta, ref = random_feasible_query(rng)
-            z = oracle.dual_ascent(qp, theta)
+            z = dual_ascent(qp, theta)
             np.testing.assert_allclose(z, ref.z_star, atol=1e-7)
 
     def test_unconstrained_shortcut(self):
         qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 2)), G=[], S=[], W=[])
-        np.testing.assert_allclose(oracle.dual_ascent(qp, np.zeros(2)), np.zeros(2))
+        np.testing.assert_allclose(dual_ascent(qp, np.zeros(2)), np.zeros(2))
 
     def test_clipped_box(self):
         qp, theta = box_qp(pull=3.0)
-        np.testing.assert_allclose(oracle.dual_ascent(qp, theta), [-2.0], atol=1e-9)
+        np.testing.assert_allclose(dual_ascent(qp, theta), [-2.0], atol=1e-9)
 
     def test_nonconvergence_raises(self):
         # Coupled active rows: one coordinate cycle cannot finish the job.
@@ -92,7 +93,7 @@ class TestDualAscent:
             W=[-1.0, -1.0],
         )
         with pytest.raises(RuntimeError, match="did not converge"):
-            oracle.dual_ascent(qp, np.zeros(1), tol=1e-14, max_iter=1)
+            dual_ascent(qp, np.zeros(1), tol=1e-14, max_iter=1)
 
 
 class TestAgreementWithSearch:
@@ -101,7 +102,7 @@ class TestAgreementWithSearch:
         for _ in range(10):
             _, qp, theta, ref = random_feasible_query(rng)
             direct = solver.solve(qp, theta)
-            z_dual = oracle.dual_ascent(qp, theta)
+            z_dual = dual_ascent(qp, theta)
             np.testing.assert_allclose(direct.z_star, ref.z_star, atol=1e-8)
             np.testing.assert_allclose(z_dual, ref.z_star, atol=1e-7)
 
@@ -109,7 +110,7 @@ class TestAgreementWithSearch:
         qp = LiftedQP.from_matrices(
             H=1.0, F=[[0.0]], G=[[1.0], [-1.0]], S=np.zeros((2, 1)), W=[-1.0, -1.0]
         )
-        assert oracle.enumerate_active_sets(qp, np.zeros(1)).status is SolveStatus.INFEASIBLE
+        assert enumerate_active_sets(qp, np.zeros(1)).status is SolveStatus.INFEASIBLE
         assert solver.solve(qp, np.zeros(1)).status is SolveStatus.INFEASIBLE
 
 
@@ -149,4 +150,4 @@ class TestPropertyAgainstDualAscent:
         theta = np.zeros(1)
         res = solver.solve(qp, theta)
         assert res.status is SolveStatus.OPTIMAL
-        np.testing.assert_allclose(res.z_star, oracle.dual_ascent(qp, theta), atol=1e-7)
+        np.testing.assert_allclose(res.z_star, dual_ascent(qp, theta), atol=1e-7)

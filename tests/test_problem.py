@@ -5,20 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import make_random_problem
+from reference import check_admissible, evaluate_cost, predict_trajectory, scalar_problem
 from rfmpc import problem as pb
-from rfmpc.problem import (
-    Parameter,
-    PlantModel,
-    ProblemDefinition,
-    StageConstraints,
-    StageWeights,
-)
+from rfmpc.problem import Parameter, PlantModel, StageConstraints
 
 
 def tiny_problem(N=2):
-    w = StageWeights.constant(Q=1.0, R=1.0, P=1.0, N=N, V=0.5)
-    c = StageConstraints.unconstrained(N, 1, 1)
-    return ProblemDefinition(PlantModel(0.8, 1.0), w, c, N)
+    return scalar_problem(N, A=0.8, V=0.5)
 
 
 class TestValidate:
@@ -80,24 +73,24 @@ class TestValidate:
 class TestPrediction:
     def test_trajectory_recursion(self):
         p = tiny_problem()
-        xs = pb.predict_trajectory(p, [1.0, -2.0], x0=3.0)
+        xs = predict_trajectory(p, [1.0, -2.0], x0=3.0)
         np.testing.assert_allclose(xs[:, 0], [3.0, 0.8 * 3 + 1, 0.8 * (0.8 * 3 + 1) - 2])
 
     def test_cost_matches_manual_sum(self):
         p = tiny_problem()
         theta = Parameter(x=[1.0], u_prev=[0.5])
         u = np.array([0.3, -0.2])
-        xs = pb.predict_trajectory(p, u, theta.x)[:, 0]
+        xs = predict_trajectory(p, u, theta.x)[:, 0]
         manual = (
             xs[0] ** 2 + u[0] ** 2 + 0.5 * (u[0] - 0.5) ** 2
             + xs[1] ** 2 + u[1] ** 2 + 0.5 * (u[1] - u[0]) ** 2
             + xs[2] ** 2 + 0.5 * u[1] ** 2
         )
-        assert pb.evaluate_cost(p, u, theta) == pytest.approx(manual, rel=1e-12)
+        assert evaluate_cost(p, u, theta) == pytest.approx(manual, rel=1e-12)
 
     def test_bad_input_length(self):
         with pytest.raises(ValueError, match="does not match horizon"):
-            pb.evaluate_cost(tiny_problem(), [1.0, 2.0, 3.0], Parameter([0.0], [0.0]))
+            evaluate_cost(tiny_problem(), [1.0, 2.0, 3.0], Parameter([0.0], [0.0]))
 
 
 class TestAdmissibility:
@@ -114,8 +107,8 @@ class TestAdmissibility:
         )
         theta = Parameter([0.5], [0.0])
         u = np.array([0.25, 0.0])
-        ok, slacks = pb.check_admissible(p, u, theta)
-        xs = pb.predict_trajectory(p, u, theta.x)[:, 0]
+        ok, slacks = check_admissible(p, u, theta)
+        xs = predict_trajectory(p, u, theta.x)[:, 0]
         np.testing.assert_allclose(
             slacks, [1.0 - xs[0] - u[0], 2.0 - u[1], 3.0 - xs[2]]
         )
@@ -132,7 +125,7 @@ class TestAdmissibility:
             E_hat=np.zeros((0, 1)),
             F_hat=np.zeros((0, 1)),
         )
-        ok, slacks = pb.check_admissible(p, [1.0, 0.0], Parameter([0.0], [0.0]))
+        ok, slacks = check_admissible(p, [1.0, 0.0], Parameter([0.0], [0.0]))
         assert not ok
         assert slacks[0] == pytest.approx(-0.9)
 

@@ -275,7 +275,7 @@ class TestWarmShift:
             active = ActiveSet(mask)
             shifted = sim.shift_warm_set(active, shift)
             assert len(shifted) <= len(active)
-            assert all(0 <= i < 16 for i in shifted)
+            assert all(0 <= i < 16 for i in shifted.indices())
 
     def test_unstaged_rows(self):
         # from_matrices labels every row stage 0.
