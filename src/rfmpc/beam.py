@@ -2,19 +2,22 @@
 
 The beam state has four components over the unit interval: shear displacement,
 momentum, angular displacement and angular momentum, coupled through first
-derivatives and a zeroth-order skew pair.  One end is clamped, the other is
-actuated by a force and a torque.  A Galerkin projection onto shifted
-Legendre combinations that satisfy the homogeneous boundary conditions (plus
-one high-order monomial per actuated component to carry boundary values)
-yields a lossless finite-dimensional model; the Cayley transform maps it to a
-discrete-time pair with spectrum on the unit circle.  The members are held as
-shifted Legendre coefficient vectors and evaluated through numpy's Legendre
-series, which stay accurate at high degree, so the model stays lossless with
-a well-conditioned mass matrix at 60 members per component.  A finite-difference
-model on a fine grid serves as the independent validation plant.  It is
-lossless too: in energy-weighted coordinates its generator is skew, so one
-singular value decomposition splits it into planar modes, and the exact step
-under a held input rotates each mode by a fixed angle.
+derivatives and a zeroth-order skew pair.  All four coefficients (density,
+rotational inertia, bending stiffness and shear stiffness) are 1, so the only
+setting of the model is the number of basis members per component.  One end
+is clamped, the other is actuated by a force and a torque.  A Galerkin
+projection onto shifted Legendre combinations that satisfy the homogeneous
+boundary conditions (plus one high-order monomial per actuated component to
+carry boundary values) yields a lossless finite-dimensional model; the
+Cayley transform maps it to a discrete-time pair with spectrum on the unit
+circle.  The members are held as shifted Legendre coefficient vectors and
+evaluated through numpy's Legendre series, which stay accurate at high
+degree, so the model stays lossless with a well-conditioned mass matrix at 60
+members per component.  A finite-difference model on a fine grid serves as
+the independent validation plant.  It is lossless too: in energy-weighted
+coordinates its generator is skew, so one singular value decomposition splits
+it into planar modes, and the exact step under a held input rotates each mode
+by a fixed angle.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ from numpy.polynomial import legendre as leg, polynomial as npoly
 from .problem import PlantModel, ProblemDefinition, StageConstraints, StageWeights
 
 __all__ = [
-    "BeamParams",
     "Basis",
     "GalerkinSystem",
     "DiscretePlant",
@@ -43,17 +45,6 @@ __all__ = [
     "initial_grid_state",
     "fd_plant_step",
 ]
-
-
-@dataclass
-class BeamParams:
-    """Physical coefficients and the number ``n_basis`` of basis functions per component."""
-
-    rho: float = 1.0
-    I_rho: float = 1.0
-    EI: float = 1.0
-    K: float = 1.0
-    n_basis: int = 9
 
 
 # Exponent of the monomial that carries the nonzero boundary value of each
@@ -108,9 +99,8 @@ class Basis:
         return self.eval_component(component, xi) @ np.asarray(alpha_c, float)
 
 
-def build_basis(params: BeamParams) -> Basis:
-    """Basis of ``params.n_basis`` members per component; raises ``ValueError`` below 1."""
-    n = params.n_basis
+def build_basis(n: int) -> Basis:
+    """Basis of ``n`` members per component; raises ``ValueError`` below 1."""
     if n < 1:
         raise ValueError(f"n_basis = {n} must be at least 1")
     deg = max(n, M_BOUNDARY)
@@ -124,13 +114,12 @@ def build_basis(params: BeamParams) -> Basis:
 
 @dataclass
 class GalerkinSystem:
-    """Semi-discrete beam model ``M_mass alpha' = K_stiff alpha + B_in u``."""
+    """Semi-discrete beam model ``M_mass alpha' = K_stiff alpha + B_in u``, unit coefficients."""
 
     M_mass: np.ndarray
     K_stiff: np.ndarray
     B_in: np.ndarray
     basis: Basis
-    params: BeamParams
 
     @property
     def n_state(self) -> int:
@@ -152,17 +141,16 @@ class GalerkinSystem:
         return row
 
 
-def assemble(params: BeamParams | None = None) -> GalerkinSystem:
-    """Galerkin projection of the beam equations onto the polynomial basis.
+def assemble(n_basis: int = 9) -> GalerkinSystem:
+    """Galerkin projection of the beam equations onto ``n_basis`` members per component.
 
     The derivative terms of the actuated components are integrated by parts,
     which moves the boundary force/torque into the input matrix and couples
-    the components through exact polynomial quadrature.  With matching
-    physical coefficients the resulting generator is lossless: its spectrum is
-    purely imaginary.
+    the components through exact polynomial quadrature.  With the unit
+    coefficients the resulting generator is lossless: its spectrum is purely
+    imaginary.
     """
-    params = params if params is not None else BeamParams()
-    basis = build_basis(params)
+    basis = build_basis(n_basis)
     deg = basis.coeffs[0].shape[0] - 1
     # Gauss nodes on [-1, 1], the shifted Legendre variable t = 2 xi - 1:
     # exact for products of two basis members.
@@ -183,27 +171,26 @@ def assemble(params: BeamParams | None = None) -> GalerkinSystem:
     n_state = sum(n)
 
     K = np.zeros((n_state, n_state))
-    rho, I_rho, EI, Kc = params.rho, params.I_rho, params.EI, params.K
 
     def put(r, c, block):
         K[off[r] : off[r + 1], off[c] : off[c + 1]] = block
 
     # displacement rates driven by momenta derivatives, plus the zeroth-order
     # skew pair between shear displacement and angular momentum
-    put(0, 1, gram(vals[0], ders[1]) / rho)
-    put(0, 3, -gram(vals[0], vals[3]) / I_rho)
-    put(2, 3, gram(vals[2], ders[3]) / I_rho)
+    put(0, 1, gram(vals[0], ders[1]))
+    put(0, 3, -gram(vals[0], vals[3]))
+    put(2, 3, gram(vals[2], ders[3]))
     # momentum rates: integrated by parts against the displacement components
-    put(1, 0, -Kc * gram(ders[1], vals[0]))
-    put(3, 2, -EI * gram(ders[3], vals[2]))
-    put(3, 0, Kc * gram(vals[3], vals[0]))
+    put(1, 0, -gram(ders[1], vals[0]))
+    put(3, 2, -gram(ders[3], vals[2]))
+    put(3, 0, gram(vals[3], vals[0]))
 
     B = np.zeros((n_state, 2))
     B[off[1] : off[2], 0] = end[1]  # boundary force enters the momentum equations
     B[off[3] : off[4], 1] = end[3]  # boundary torque enters the angular momentum equations
 
     M_mass = _block_diag(M_blocks)
-    return GalerkinSystem(M_mass=M_mass, K_stiff=K, B_in=B, basis=basis, params=params)
+    return GalerkinSystem(M_mass=M_mass, K_stiff=K, B_in=B, basis=basis)
 
 
 @dataclass
@@ -359,7 +346,7 @@ def project_initial_condition(g: GalerkinSystem):
 
 @dataclass
 class FDPlant:
-    """Semi-discrete finite-difference beam on a uniform grid.
+    """Semi-discrete finite-difference beam on a uniform grid, unit coefficients.
 
     ``A_sys``/``B_sys`` give the affine right-hand side on the grid: the four
     boundary entries are pinned (zero rows and columns), and their prescribed
@@ -380,7 +367,6 @@ class FDPlant:
     grid: np.ndarray
     trapz_w: np.ndarray
     observer: np.ndarray
-    params: BeamParams
     zoh: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -399,16 +385,18 @@ class FDPlant:
     def enforce_bc(self, y: np.ndarray, u_phys: np.ndarray) -> np.ndarray:
         """Pin the algebraic boundary entries to their prescribed values.
 
-        ``y`` may be a block of grid states, one per row, with one input per row of ``u_phys``.
+        The displacements at the actuated end equal the force and the torque
+        (unit stiffnesses); the momenta at the clamped end are 0.  ``y`` may
+        be a block of grid states, one per row, with one input per row of
+        ``u_phys``.
         """
         n = self.n_grid
-        p = self.params
         u = np.asarray(u_phys, float)
         y = np.array(y, float, copy=True)
-        y[..., 0 * n + n - 1] = u[..., 0] / p.K  # shear displacement at the actuated end
-        y[..., 1 * n + 0] = 0.0                  # momentum at the clamped end
-        y[..., 2 * n + n - 1] = u[..., 1] / p.EI # angular displacement at the actuated end
-        y[..., 3 * n + 0] = 0.0                  # angular momentum at the clamped end
+        y[..., 0 * n + n - 1] = u[..., 0]  # shear displacement at the actuated end
+        y[..., 1 * n + 0] = 0.0            # momentum at the clamped end
+        y[..., 2 * n + n - 1] = u[..., 1]  # angular displacement at the actuated end
+        y[..., 3 * n + 0] = 0.0            # angular momentum at the clamped end
         return y
 
     @cached_property
@@ -437,17 +425,18 @@ class FDPlant:
     def from_grid(self, y: np.ndarray) -> np.ndarray:
         """Plant state of a grid state whose pinned entries obey :meth:`enforce_bc`."""
         md = self._modes
-        e = _energy_weights(self) * y
-        n, p = self.n_grid, self.params
+        e = np.tile(self.trapz_w, 4) * y  # energy-weighted entries
+        n = self.n_grid
         return np.concatenate([md.grid_a.T @ e[md.idx_a], md.grid_b.T @ e[md.idx_b],
-                               [p.K * y[n - 1], p.EI * y[3 * n - 1]]])
+                               y[[n - 1, 3 * n - 1]]])
 
 
 @dataclass(frozen=True)
 class _ModalForm:
     """Planar modes of the free finite-difference entries.
 
-    With ``E`` the energy weights, ``a = E^{1/2} y[idx_a]`` (displacements)
+    With ``E`` the energy weights (the trapezoidal weights, one copy per
+    component), ``a = E^{1/2} y[idx_a]`` (displacements)
     and ``b = E^{1/2} y[idx_b]`` (momenta) obey ``a' = P b`` and
     ``b' = -P^T a + G u``.  With ``P = L diag(sigma) R^T``, the modal
     coordinates are ``alpha = L^T a`` and ``beta = R^T b``.
@@ -464,12 +453,6 @@ class _ModalForm:
 _SKEW_TOL = 1e-12  # relative skew residual of a lossless energy-weighted generator
 
 
-def _energy_weights(fd: FDPlant) -> np.ndarray:
-    """Per-entry weights of the grid state in twice its trapezoidal beam energy."""
-    p, w = fd.params, fd.trapz_w
-    return np.concatenate([p.K * w, w / p.rho, p.EI * w, w / p.I_rho])
-
-
 def _modal_form(fd: FDPlant) -> _ModalForm:
     """Modes of ``fd``; ``ValueError`` unless its generator has the lossless form.
 
@@ -484,7 +467,7 @@ def _modal_form(fd: FDPlant) -> _ModalForm:
     idx_b = np.r_[n + 1 : 2 * n, 3 * n + 1 : 4 * n]
     free = np.r_[idx_a, idx_b]
     m = len(idx_a)
-    root = np.sqrt(_energy_weights(fd)[free])
+    root = np.sqrt(np.tile(fd.trapz_w, 4)[free])
     A = root[:, None] * fd.A_sys[np.ix_(free, free)] / root
     B = root[:, None] * fd.B_sys[free]
     if np.any(fd.A_sys[pinned]) or np.any(fd.A_sys[:, pinned]) or np.any(fd.B_sys[pinned]):
@@ -574,20 +557,18 @@ def make_fd_plant(g: GalerkinSystem, n_grid: int = 127) -> FDPlant:
     if n_grid < min_grid:
         raise ValueError(f"n_grid = {n_grid} is too coarse: projecting onto {min_grid - 1} "
                          f"basis functions per component needs at least {min_grid} grid points")
-    params = g.params
     n = n_grid
     grid = np.linspace(0.0, 1.0, n)
     delta = grid[1] - grid[0]
     D = _diff_matrix(n, delta)
     I = np.eye(n)
     Z = np.zeros((n, n))
-    rho, I_rho, EI, Kc = params.rho, params.I_rho, params.EI, params.K
 
     A = np.block([
-        [Z, D / rho, Z, -I / I_rho],
-        [Kc * D, Z, Z, Z],
-        [Z, Z, Z, D / I_rho],
-        [Kc * I, Z, EI * D, Z],
+        [Z, D, Z, -I],
+        [D, Z, Z, Z],
+        [Z, Z, Z, D],
+        [I, Z, D, Z],
     ])
     B = np.zeros((4 * n, 2))
     # Columns of the prescribed boundary entries act through the inputs.
@@ -595,8 +576,8 @@ def make_fd_plant(g: GalerkinSystem, n_grid: int = 127) -> FDPlant:
     i_x2_0 = 1 * n + 0
     i_x3_end = 2 * n + n - 1
     i_x4_0 = 3 * n + 0
-    B[:, 0] = A[:, i_x1_end] / Kc
-    B[:, 1] = A[:, i_x3_end] / EI
+    B[:, 0] = A[:, i_x1_end]
+    B[:, 1] = A[:, i_x3_end]
     for col in (i_x1_end, i_x2_0, i_x3_end, i_x4_0):
         A[:, col] = 0.0
     for row in (i_x1_end, i_x2_0, i_x3_end, i_x4_0):
@@ -613,7 +594,7 @@ def make_fd_plant(g: GalerkinSystem, n_grid: int = 127) -> FDPlant:
         N_mat = Phi.T @ (w[:, None] * Phi)
         blocks.append(np.linalg.solve(N_mat, Phi.T @ np.diag(w)))
     observer = _block_diag(blocks)
-    return FDPlant(A_sys=A, B_sys=B, grid=grid, trapz_w=w, observer=observer, params=params)
+    return FDPlant(A_sys=A, B_sys=B, grid=grid, trapz_w=w, observer=observer)
 
 
 def initial_grid_state(fd: FDPlant) -> np.ndarray:
@@ -662,10 +643,6 @@ class BeamBenchmark:
     bound_scaling: str
 
     @property
-    def params(self) -> BeamParams:
-        return self.galerkin.params
-
-    @property
     def h(self) -> float:
         return self.plant.h
 
@@ -675,14 +652,15 @@ class BeamBenchmark:
         return np.sqrt(self.plant.h)
 
 
-def make_benchmark(params: BeamParams | None = None, N: int = 30, h: float = 2.0 ** -7,
+def make_benchmark(n_basis: int = 9, N: int = 30, h: float = 2.0 ** -7,
                    bound_scaling: str = "physical") -> BeamBenchmark:
-    """Assemble the beam, discretize it at step ``h`` and build the horizon-``N``
-    problem under the input-bound convention ``bound_scaling`` (recorded on
-    the result).  Raises ``ValueError`` unless ``N`` is at least 1."""
+    """Assemble the beam on ``n_basis`` members per component, discretize it at
+    step ``h`` and build the horizon-``N`` problem under the input-bound
+    convention ``bound_scaling`` (recorded on the result).  Raises
+    ``ValueError`` unless ``N`` is at least 1."""
     if N < 1:
         raise ValueError(f"horizon N = {N} must be at least 1")
-    g = assemble(params)
+    g = assemble(n_basis)
     plant = cayley_discretize(g, h)
     problem = _benchmark_problem(g, plant, N=N, bound_scaling=bound_scaling)
     x0, _errors = project_initial_condition(g)

@@ -225,8 +225,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_beam_build(args) -> int:
     from .problem import save_problem
 
-    params = beam_mod.BeamParams(n_basis=args.n_basis)
-    bench = beam_mod.make_benchmark(params=params, N=args.horizon, h=args.h)
+    bench = beam_mod.make_benchmark(args.n_basis, N=args.horizon, h=args.h)
     meta = {
         "h": args.h,
         "u_scale": float(bench.u_scale),

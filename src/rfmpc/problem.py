@@ -316,7 +316,9 @@ def from_json_dict(doc: dict):
     pm = doc["prediction_model"]
     prediction = PlantModel(np.asarray(pm["A"], float), np.asarray(pm["B"], float))
     n_x, n_u = prediction.n_x, prediction.n_u
-    N = int(doc["horizon"])
+    N = doc["horizon"]
+    if type(N) is not int:
+        raise TypeError(f"horizon must be an integer, got {N!r}")
     wd = doc["weights"]
     weights = StageWeights(
         Q=[_shaped(x, n_x, n_x) for x in wd["Q"]],
@@ -348,12 +350,12 @@ def save_problem(path, p: ProblemDefinition, meta: dict | None = None):
 
 
 def load_problem(path):
-    """Returns (problem, meta).  A file that is not a problem document (unparsable
-    JSON, a missing key, an entry of the wrong type or count) raises ``OSError``
+    """Returns (problem, meta).  A file that is not a problem document (text that
+    is not UTF-8 JSON, a missing key, an entry of the wrong type, shape or
+    count, such as a ragged matrix or a non-integer horizon) raises ``OSError``
     naming the file."""
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
         return from_json_dict(doc), doc.get("meta", {})
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise OSError(f"{path}: not a problem file: {type(exc).__name__}: {exc}") from exc

@@ -280,9 +280,8 @@ def run_closed_loop(
         cum = np.cumsum(stage)
         j_cum = float(cum[-1])
         u_ph = U / bench.u_scale
-        u2 = u_ph[:, 1].tolist() if n_u > 1 else [0.0] * len(U)
-        for n, u1_n, u2_n, j_opt_n, cum_n, (m1, m4), aset, s in zip(
-                range(b.start, b.stop), u_ph[:, 0].tolist(), u2, j_opt.tolist(), cum.tolist(),
+        for n, (u1_n, u2_n), j_opt_n, cum_n, (m1, m4), aset, s in zip(
+                range(b.start, b.stop), u_ph.tolist(), j_opt.tolist(), cum.tolist(),
                 means[b].tolist(), asets[b], stats[b]):
             logs.append(StepLog(n, n * cfg.h, u1_n, u2_n, j_opt_n, cum_n, m1, m4, str(aset),
                                 s.candidates_visited, s.licq_failures, s.kkt_solves,
@@ -342,7 +341,7 @@ def benchmark_sweep(n_list, cfg: SimulationConfig | None = None, progress=None) 
         bench = make_benchmark(N=run_cfg.horizon, h=cfg.h, bound_scaling=cfg.bound_scaling)
         qp = build_qp(bench.problem)
         if cfg.mode == "fd" and fd is None:
-            # The fd plant depends on the beam parameters only, not on N.
+            # The fd plant depends on the basis only, not on N.
             fd = beam_mod.make_fd_plant(bench.galerkin, cfg.n_grid)
         t0 = time.perf_counter()
         result = run_closed_loop(run_cfg, bench=bench, plant=fd, qp=qp)

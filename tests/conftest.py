@@ -1,13 +1,15 @@
-"""Shared helpers: seeded random problem instances for cross-checking the solvers.
+"""Shared helpers: seeded random problem instances for cross-checking the solvers,
+and the reference closed loops that more than one test module reads.
 
 The generators keep every invariant of the problem data by construction: the
 stage cost blocks come from full-square factors so they are semidefinite, and
 the constraint bounds are drawn strictly positive.
 """
 import numpy as np
+import pytest
 
 from reference import enumerate_active_sets
-from rfmpc import lifting
+from rfmpc import lifting, sim
 from rfmpc.problem import (
     Parameter,
     PlantModel,
@@ -94,3 +96,29 @@ def random_feasible_query(rng, max_tries=60, **dims):
         if ref.status is SolveStatus.OPTIMAL:
             return p, qp, theta, ref
     raise RuntimeError("failed to draw a feasible random query")
+
+
+# ---------------------------------------------------------------------------
+# Reference closed loops, run once per session: ``rfmpc simulate --horizon 30``
+# under the physical bounds (perfect and fd plant) and the default
+# ``rfmpc benchmark`` sweep.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="session")
+def bench30():
+    return sim.make_benchmark(N=30)
+
+
+@pytest.fixture(scope="session")
+def warm_run(bench30):
+    return sim.run_closed_loop(sim.SimulationConfig(), bench=bench30)
+
+
+@pytest.fixture(scope="session")
+def fd_run(bench30):
+    return sim.run_closed_loop(sim.SimulationConfig(mode="fd"), bench=bench30)
+
+
+@pytest.fixture(scope="session")
+def sweep_rows():
+    return sim.benchmark_sweep([10, 20, 30, 40, 50])

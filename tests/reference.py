@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rfmpc.beam import FDPlant, _energy_weights
+from rfmpc.beam import FDPlant
 from rfmpc.lifting import LiftedQP, _theta_vector
 from rfmpc.problem import Parameter, PlantModel, ProblemDefinition, StageConstraints, StageWeights, _vec
 from rfmpc.solver import (SolveResult, SolveStats, SolveStatus, Tolerances, _caller_mask, _evaluate,
@@ -210,4 +210,4 @@ def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000)
 
 def fd_energy(fd: FDPlant, y: np.ndarray) -> float:
     """Trapezoidal discretization of the beam energy of a grid state."""
-    return float(0.5 * _energy_weights(fd) @ (y * y))
+    return float(0.5 * np.tile(fd.trapz_w, 4) @ (y * y))

@@ -2,8 +2,9 @@
 
 Each test prints one ``ACCEPTANCE <label>: PASS/FAIL`` line (outside pytest's
 capture) before asserting, so a full run doubles as a short report.  The
-expensive closed-loop runs are shared module-scoped fixtures; running a single
-test only pays for the fixtures it touches.
+expensive closed-loop runs are shared fixtures (the reference loops live in
+``conftest.py``, where ``test_reference_outputs.py`` reuses them); running a
+single test only pays for the fixtures it touches.
 """
 import time
 
@@ -50,11 +51,6 @@ def random_batch():
 
 
 @pytest.fixture(scope="module")
-def bench30():
-    return sim.make_benchmark(N=30)
-
-
-@pytest.fixture(scope="module")
 def beam_solves(bench30):
     """Recorded per-step solves from the start of the reference loop."""
     recorded = []
@@ -70,23 +66,8 @@ def beam_solves(bench30):
 
 
 @pytest.fixture(scope="module")
-def warm_run(bench30):
-    return sim.run_closed_loop(sim.SimulationConfig(), bench=bench30)
-
-
-@pytest.fixture(scope="module")
 def cold_run(bench30):
     return sim.run_closed_loop(sim.SimulationConfig(warm_start=False), bench=bench30)
-
-
-@pytest.fixture(scope="module")
-def fd_run(bench30):
-    return sim.run_closed_loop(sim.SimulationConfig(mode="fd"), bench=bench30)
-
-
-@pytest.fixture(scope="module")
-def sweep_rows():
-    return sim.benchmark_sweep([10, 20, 30, 40, 50])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 
 from reference import fd_energy
 from rfmpc import beam, lifting, problem as pb
-from rfmpc.beam import BeamParams
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +25,7 @@ class TestLegendreBasis:
         # Difference and sum members against scipy's shifted Legendre polynomials.
         n = 40
         xi = np.linspace(0.0, 1.0, 41)
-        basis = beam.build_basis(BeamParams(n_basis=n))
+        basis = beam.build_basis(n)
         L = np.column_stack([special.eval_sh_legendre(k, xi) for k in range(n + 1)])
         for c in (0, 2):
             np.testing.assert_allclose(basis.eval_component(c, xi)[:, :-1], L[:, :n - 1] - L[:, 1:n],
@@ -36,7 +35,7 @@ class TestLegendreBasis:
 
     def test_boundary_member_is_the_monomial(self):
         xi = np.linspace(0.0, 1.0, 41)
-        basis = beam.build_basis(BeamParams(n_basis=40))
+        basis = beam.build_basis(40)
         for c in (0, 2):
             np.testing.assert_allclose(basis.eval_component(c, xi)[:, -1], xi ** beam.M_BOUNDARY,
                                        rtol=0, atol=1e-14)
@@ -45,7 +44,7 @@ class TestLegendreBasis:
         # <L_j, L_k> = delta_jk / (2k + 1), so the mass block of the sums
         # L_k + L_{k+1} is tridiagonal with known entries.
         n = 40
-        g = beam.assemble(BeamParams(n_basis=n))
+        g = beam.assemble(n)
         k = np.arange(n)
         off = 1.0 / (2 * k[:-1] + 3)
         want = np.diag(1.0 / (2 * k + 1) + 1.0 / (2 * k + 3)) + np.diag(off, 1) + np.diag(off, -1)
@@ -60,10 +59,10 @@ class TestLegendreBasis:
     @pytest.mark.parametrize("n_basis", [0, -2])
     def test_basis_needs_a_member(self, n_basis):
         with pytest.raises(ValueError, match=f"n_basis = {n_basis} must be at least 1"):
-            beam.build_basis(BeamParams(n_basis=n_basis))
+            beam.build_basis(n_basis)
 
     def test_one_member_per_component(self):
-        g = beam.assemble(BeamParams(n_basis=1))
+        g = beam.assemble(1)
         assert g.basis.sizes == [1, 1, 1, 1]
         assert np.abs(np.linalg.eigvals(g.generator()).real).max() < 1e-12
 
@@ -110,7 +109,7 @@ class TestGalerkinOperators:
     @pytest.mark.parametrize("n_basis, cond_bound", [(25, 1.5e4), (30, 2.5e4), (40, 6e4), (60, 2e5)])
     def test_large_basis_is_lossless(self, n_basis, cond_bound):
         # Measured cond(M): 1.06e4, 1.91e4, 4.73e4 and 1.67e5.
-        g = beam.assemble(BeamParams(n_basis=n_basis))
+        g = beam.assemble(n_basis)
         assert np.max(np.abs(np.linalg.eigvals(g.generator()).real)) < 1e-10
         assert np.linalg.cond(g.M_mass) < cond_bound
 
@@ -261,9 +260,9 @@ class TestFiniteDifferencePlant:
         y = np.ones(508)
         y2 = fd.enforce_bc(y, np.array([0.25, -0.5]))
         n = fd.n_grid
-        assert y2[n - 1] == pytest.approx(0.25 / fd.params.K)
+        assert y2[n - 1] == 0.25
         assert y2[n] == 0.0
-        assert y2[2 * n + n - 1] == pytest.approx(-0.5 / fd.params.EI)
+        assert y2[2 * n + n - 1] == -0.5
         assert y2[3 * n] == 0.0
 
     def test_grid_round_trip(self, fd):
@@ -319,7 +318,7 @@ class TestFiniteDifferencePlant:
         # off-diagonal by 7, 17 and 34 ulps of max(sigma) on these grids.
         fd = beam.make_fd_plant(galerkin, n_grid)
         md = fd._modes
-        root = np.sqrt(beam._energy_weights(fd))
+        root = np.sqrt(np.tile(fd.trapz_w, 4))
         P = root[md.idx_a, None] * fd.A_sys[np.ix_(md.idx_a, md.idx_b)] / root[md.idx_b]
         L = (md.grid_a * root[md.idx_a, None]).astype(np.longdouble)
         R = (md.grid_b * root[md.idx_b, None]).astype(np.longdouble)
@@ -442,7 +441,7 @@ class TestBenchmarkBundle:
         assert bench.problem.horizon == 4
         assert bench.u_scale == pytest.approx(np.sqrt(2.0 ** -7))
         assert bench.h == 2.0 ** -7
-        assert bench.params == BeamParams()
+        assert bench.galerkin.basis.sizes == [9, 9, 9, 9]
         assert bench.galerkin.mean_row(0) @ bench.x0 == pytest.approx(0.0, abs=1e-12)
         assert bench.x0.shape == (36,)
         np.testing.assert_allclose(bench.problem.constraints.d[1][4:], [0.45, 0.3])

@@ -263,6 +263,13 @@ class TestErrorPaths:
         assert code == 4
         assert "I/O error" in capsys.readouterr().err
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert cli.dispatch(["lift", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "I/O error" in err and str(bad) in err
+
     def test_missing_keys(self, tmp_path, capsys):
         partial = tmp_path / "partial.json"
         partial.write_text(json.dumps({"plant": {"A": [[1.0]], "B": [[1.0]]}}))
@@ -274,7 +281,12 @@ class TestErrorPaths:
         lambda doc: doc.update(horizon=None),
         lambda doc: [1, 2],
         lambda doc: doc["weights"].update(Q=5),
-    ], ids=["extra-calE-entry", "null-horizon", "top-level-list", "scalar-Q"])
+        lambda doc: doc["prediction_model"].update(A=[[1, 2], [3]]),
+        lambda doc: doc["prediction_model"].update(A=[1.0, 2.0]),
+        lambda doc: doc.update(horizon="two"),
+        lambda doc: doc.update(horizon=1.5),
+    ], ids=["extra-calE-entry", "null-horizon", "top-level-list", "scalar-Q", "ragged-A",
+            "1-D-A", "string-horizon", "fractional-horizon"])
     def test_malformed_problem_names_the_file(self, edit, tmp_path, capsys):
         doc = json.loads(CORNER_TOY.read_text())
         bad = tmp_path / "malformed.json"

@@ -1,6 +1,8 @@
-"""Every name a module exports resolves on it, and the test references are not in the product."""
+"""Every name a module exports resolves on it, and the test references and the
+beam's coefficient settings are not in the product."""
 import importlib
 import importlib.util
+from dataclasses import fields
 
 import pytest
 
@@ -22,7 +24,11 @@ def test_test_references_are_not_in_the_product():
     assert importlib.util.find_spec("rfmpc.oracle") is None
     gone = {problem: ["predict_trajectory", "evaluate_cost", "check_admissible", "_u_matrix"],
             problem.StageWeights: ["constant"], problem.StageConstraints: ["unconstrained"],
-            lifting: ["to_z", "eval_constraints", "check_easy_slater"], beam: ["fd_energy"],
+            lifting: ["to_z", "eval_constraints", "check_easy_slater"],
+            beam: ["fd_energy", "BeamParams"], beam.BeamBenchmark: ["params"],
             solver: ["kkt_solve"], solver.ActiveSet: ["add", "__iter__"]}
     assert [(owner.__name__, name) for owner, names in gone.items() for name in names
             if hasattr(owner, name)] == []
+    # The beam's coefficients are all 1; the basis size is its only setting.
+    assert [cls.__name__ for cls in (beam.GalerkinSystem, beam.FDPlant)
+            if "params" in {f.name for f in fields(cls)}] == []

@@ -143,7 +143,7 @@ class TestClosedLoop:
     def test_large_basis_loop_keeps_the_bounds(self):
         # 160 states (40 members per component) against the reference loop's 36:
         # the loop completes within the mean bounds, with fewer KKT solves (216 against 348).
-        bench = beam.make_benchmark(beam.BeamParams(n_basis=40), N=30)
+        bench = beam.make_benchmark(40, N=30)
         run = sim.run_closed_loop(SimulationConfig(), bench=bench)
         assert len(run.logs) == 1280
         assert run.means[:, 0].max() <= 0.45 + 1e-8
