@@ -15,9 +15,10 @@ evaluated through numpy's Legendre series, which stay accurate at high
 degree, so the model stays lossless with a well-conditioned mass matrix at 60
 members per component.  A finite-difference model on a fine grid serves as
 the independent validation plant.  It is lossless too: in energy-weighted
-coordinates its generator is skew, so one singular value decomposition splits
-it into planar modes, and the exact step under a held input rotates each mode
-by a fixed angle.
+coordinates the block that couples its free displacements to its free momenta
+is read straight off the difference matrix, one singular value decomposition
+of that block splits the model into planar modes, and the exact step under a
+held input rotates each mode by a fixed angle.
 """
 from __future__ import annotations
 
@@ -348,22 +349,21 @@ def project_initial_condition(g: GalerkinSystem):
 class FDPlant:
     """Semi-discrete finite-difference beam on a uniform grid, unit coefficients.
 
-    ``A_sys``/``B_sys`` give the affine right-hand side on the grid: the four
-    boundary entries are pinned (zero rows and columns), and their prescribed
-    values act through the inputs.  ``observer`` maps a grid state to the
-    Galerkin coefficient vector by trapezoidal least-squares projection.
+    A grid state stacks the four components on ``grid``.  Four boundary
+    entries are pinned: the displacements at the actuated end equal the
+    inputs, and the momenta at the clamped end are 0.  ``observer`` maps a
+    grid state to the Galerkin coefficient vector by trapezoidal
+    least-squares projection.
 
     The plant state is ``[alpha; beta; u_held]``: the modal coordinates of
     the free displacement and momentum entries (see :func:`fd_plant_step`)
     and the physical input held over the last interval, which fixes the
     pinned entries.  :meth:`from_grid` and :meth:`to_grid` convert between
     plant and grid states, and :meth:`observe` maps a plant state to the
-    Galerkin coefficients.  The modal form is built on first use; ``zoh``
-    caches the step operators per interval ``h``.
+    Galerkin coefficients.  The modal form is built from the grid on first
+    use; ``zoh`` caches the step operators per interval ``h``.
     """
 
-    A_sys: np.ndarray
-    B_sys: np.ndarray
     grid: np.ndarray
     trapz_w: np.ndarray
     observer: np.ndarray
@@ -456,33 +456,32 @@ _SKEW_TOL = 1e-12  # relative skew residual of a lossless energy-weighted genera
 def _modal_form(fd: FDPlant) -> _ModalForm:
     """Modes of ``fd``; ``ValueError`` unless its generator has the lossless form.
 
-    The pinned entries must be decoupled from the rest, the inputs must drive
-    the momenta only, and the energy-weighted generator must read
-    ``[[0, P], [-P^T, 0]]``.  The last holds because :func:`_diff_matrix` is
-    summation-by-parts against the trapezoidal weights.
+    With ``D`` from :func:`_diff_matrix`, the grid obeys ``x1' = D x2 - x4``,
+    ``x2' = D x1``, ``x3' = D x4`` and ``x4' = x1 + D x3``.  Restricted to
+    the free entries and weighted by ``E^{1/2}``, that reads ``a' = P b``
+    and ``b' = Q a + G u``, with the pinned displacements carrying the
+    inputs into ``G``.  It is lossless when ``Q = -P^T``, which holds
+    because ``D`` is summation-by-parts against the trapezoidal weights.
     """
     n = fd.n_grid
-    pinned = [n - 1, n, 3 * n - 1, 3 * n]
     idx_a = np.r_[0 : n - 1, 2 * n : 3 * n - 1]
     idx_b = np.r_[n + 1 : 2 * n, 3 * n + 1 : 4 * n]
-    free = np.r_[idx_a, idx_b]
-    m = len(idx_a)
-    root = np.sqrt(np.tile(fd.trapz_w, 4)[free])
-    A = root[:, None] * fd.A_sys[np.ix_(free, free)] / root
-    B = root[:, None] * fd.B_sys[free]
-    if np.any(fd.A_sys[pinned]) or np.any(fd.A_sys[:, pinned]) or np.any(fd.B_sys[pinned]):
-        raise ValueError("the pinned boundary entries of the finite-difference model are coupled")
-    if np.any(B[:m]):
-        raise ValueError("the finite-difference inputs drive a displacement entry")
-    P = A[:m, m:]
-    skew = max(np.abs(A[:m, :m]).max(), np.abs(A[m:, m:]).max(), np.abs(A[m:, :m] + P.T).max())
+    root = np.sqrt(np.tile(fd.trapz_w, 4))
+    root_a, root_b = root[idx_a], root[idx_b]
+    D = _diff_matrix(n, fd.grid[1] - fd.grid[0])
+    I = np.eye(n)
+    Z = np.zeros((n - 1, n - 1))
+    P = root_a[:, None] * np.block([[D[:-1, 1:], -I[:-1, 1:]], [Z, D[:-1, 1:]]]) / root_b
+    Q = root_b[:, None] * np.block([[D[1:, :-1], Z], [I[1:, :-1], D[1:, :-1]]]) / root_a
+    G = root_b[:, None] * np.block([[D[1:, -1:], Z[:, :1]], [I[1:, -1:], D[1:, -1:]]])
+    skew = np.abs(Q + P.T).max()
     if not skew <= _SKEW_TOL * np.abs(P).max():
         raise ValueError(f"the finite-difference generator is not lossless: energy-weighted "
                          f"skew residual {skew:.3g} against max |P| = {np.abs(P).max():.3g}")
     L, _, Rt = np.linalg.svd(P)
     L, sigma, R = _polish_svd(P, L, Rt.T)
-    return _ModalForm(idx_a=idx_a, idx_b=idx_b, grid_a=L / root[:m, None],
-                      grid_b=R / root[m:, None], sigma=sigma, gain=R.T @ B[m:])
+    return _ModalForm(idx_a=idx_a, idx_b=idx_b, grid_a=L / root_a[:, None],
+                      grid_b=R / root_b[:, None], sigma=sigma, gain=R.T @ G)
 
 
 _MAX_ANGLE = 1e-8  # largest first-order turn between two modes: its square is below eps
@@ -560,30 +559,6 @@ def make_fd_plant(g: GalerkinSystem, n_grid: int = 127) -> FDPlant:
     n = n_grid
     grid = np.linspace(0.0, 1.0, n)
     delta = grid[1] - grid[0]
-    D = _diff_matrix(n, delta)
-    I = np.eye(n)
-    Z = np.zeros((n, n))
-
-    A = np.block([
-        [Z, D, Z, -I],
-        [D, Z, Z, Z],
-        [Z, Z, Z, D],
-        [I, Z, D, Z],
-    ])
-    B = np.zeros((4 * n, 2))
-    # Columns of the prescribed boundary entries act through the inputs.
-    i_x1_end = 0 * n + n - 1
-    i_x2_0 = 1 * n + 0
-    i_x3_end = 2 * n + n - 1
-    i_x4_0 = 3 * n + 0
-    B[:, 0] = A[:, i_x1_end]
-    B[:, 1] = A[:, i_x3_end]
-    for col in (i_x1_end, i_x2_0, i_x3_end, i_x4_0):
-        A[:, col] = 0.0
-    for row in (i_x1_end, i_x2_0, i_x3_end, i_x4_0):
-        A[row, :] = 0.0
-        B[row, :] = 0.0
-
     w = np.full(n, delta)
     w[0] = w[-1] = delta / 2.0
 
@@ -592,9 +567,9 @@ def make_fd_plant(g: GalerkinSystem, n_grid: int = 127) -> FDPlant:
     for c in range(4):
         Phi = g.basis.eval_component(c, grid)
         N_mat = Phi.T @ (w[:, None] * Phi)
-        blocks.append(np.linalg.solve(N_mat, Phi.T @ np.diag(w)))
+        blocks.append(np.linalg.solve(N_mat, Phi.T * w))
     observer = _block_diag(blocks)
-    return FDPlant(A_sys=A, B_sys=B, grid=grid, trapz_w=w, observer=observer)
+    return FDPlant(grid=grid, trapz_w=w, observer=observer)
 
 
 def initial_grid_state(fd: FDPlant) -> np.ndarray:

@@ -260,7 +260,12 @@ def validate(p: ProblemDefinition) -> list:
         ("V", w.V),
         ("P", [w.P]),
         ("d", c.d),
+        ("calE", c.calE),
+        ("calF", c.calF),
+        ("E", c.E),
         ("d_hat", [c.d_hat]),
+        ("E_hat", [c.E_hat]),
+        ("F_hat", [c.F_hat]),
     ):
         for a in arrays:
             if np.size(a) and not np.all(np.isfinite(a)):

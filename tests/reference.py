@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rfmpc.beam import FDPlant
+from rfmpc.beam import FDPlant, _diff_matrix
 from rfmpc.lifting import LiftedQP, _theta_vector
 from rfmpc.problem import Parameter, PlantModel, ProblemDefinition, StageConstraints, StageWeights, _vec
 from rfmpc.solver import (SolveResult, SolveStats, SolveStatus, Tolerances, _caller_mask, _evaluate,
@@ -211,3 +211,39 @@ def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000)
 def fd_energy(fd: FDPlant, y: np.ndarray) -> float:
     """Trapezoidal discretization of the beam energy of a grid state."""
     return float(0.5 * np.tile(fd.trapz_w, 4) @ (y * y))
+
+
+def fd_generator(fd: FDPlant) -> tuple:
+    """The finite-difference model as one dense system on the grid: ``(A, B)``
+    with ``y' = A y + B u``.
+
+    The four pinned boundary entries have zero rows and columns, and the
+    columns of the prescribed displacements at the actuated end act through
+    the inputs.  The product never assembles this: it reads its modal form
+    off the difference matrix.
+    """
+    n = fd.n_grid
+    D = _diff_matrix(n, fd.grid[1] - fd.grid[0])
+    I = np.eye(n)
+    Z = np.zeros((n, n))
+
+    A = np.block([
+        [Z, D, Z, -I],
+        [D, Z, Z, Z],
+        [Z, Z, Z, D],
+        [I, Z, D, Z],
+    ])
+    B = np.zeros((4 * n, 2))
+    # Columns of the prescribed boundary entries act through the inputs.
+    i_x1_end = 0 * n + n - 1
+    i_x2_0 = 1 * n + 0
+    i_x3_end = 2 * n + n - 1
+    i_x4_0 = 3 * n + 0
+    B[:, 0] = A[:, i_x1_end]
+    B[:, 1] = A[:, i_x3_end]
+    for col in (i_x1_end, i_x2_0, i_x3_end, i_x4_0):
+        A[:, col] = 0.0
+    for row in (i_x1_end, i_x2_0, i_x3_end, i_x4_0):
+        A[row, :] = 0.0
+        B[row, :] = 0.0
+    return A, B

@@ -1,5 +1,5 @@
 """Every name a module exports resolves on it, and the test references and the
-beam's coefficient settings are not in the product."""
+beam's coefficient settings and dense fd generator are not in the product."""
 import importlib
 import importlib.util
 from dataclasses import fields
@@ -32,3 +32,6 @@ def test_test_references_are_not_in_the_product():
     # The beam's coefficients are all 1; the basis size is its only setting.
     assert [cls.__name__ for cls in (beam.GalerkinSystem, beam.FDPlant)
             if "params" in {f.name for f in fields(cls)}] == []
+    # The fd plant holds no dense generator; it reads its modal form off the
+    # difference matrix.
+    assert {"A_sys", "B_sys"} & {f.name for f in fields(beam.FDPlant)} == set()

@@ -68,6 +68,21 @@ class TestValidate:
         p = tiny_problem()
         p.weights.P = np.array([[np.nan]])
         assert any("non-finite" in r for r in pb.validate(p))
+        # Every constraint matrix, on a problem with one row per stage and
+        # one terminal row.
+        for name in ("calE", "calF", "E", "E_hat", "F_hat"):
+            for bad in (np.nan, np.inf, -np.inf):
+                p = tiny_problem()
+                c = p.constraints
+                c.d, c.d_hat = [np.ones(1)] * 2, np.ones(1)
+                c.calE, c.calF, c.E = ([np.ones((1, 1))] * 2 for _ in range(3))
+                c.E_hat, c.F_hat = np.ones((1, 1)), np.ones((1, 1))
+                assert pb.validate(p) == []
+                if name in ("E_hat", "F_hat"):
+                    setattr(c, name, np.array([[bad]]))
+                else:
+                    getattr(c, name)[1] = np.array([[bad]])
+                assert pb.validate(p) == [f"{name} contains non-finite entries"]
 
 
 class TestPrediction:

@@ -150,6 +150,26 @@ class TestClosedLoop:
         assert run.means[:, 1].min() >= -0.3 - 1e-8
         assert run.total_kkt_solves == 216
 
+    @pytest.mark.parametrize("n_basis, warm_total, cold_max", [(9, 340, 32), (40, 340, 47)])
+    def test_long_horizon_search_counts(self, n_basis, warm_total, cold_max):
+        # The paper's regime: N = 150 (n_z = 300, 898 rows) over 10 s, on 36
+        # and 160 states.  The warm loop's KKT-solve total, and the largest
+        # count of a cold re-solve of every fourth visited state, are pinned
+        # as measured: the warm total does not grow with the plant.
+        bench = beam.make_benchmark(n_basis, N=150)
+        queries = []
+
+        def recording(qp, theta, warm, tol):
+            queries.append((qp, theta, tol))
+            return solve(qp, theta, warm=warm, tol=tol)
+
+        run = sim.run_closed_loop(SimulationConfig(horizon=150), bench=bench, solver_fn=recording)
+        assert len(run.logs) == 1280
+        cold = [solve(qp, theta, tol=tol) for qp, theta, tol in queries[::4]]
+        assert {res.status for res in cold} == {SolveStatus.OPTIMAL}
+        assert run.total_kkt_solves == warm_total
+        assert max(res.stats.kkt_solves for res in cold) == cold_max
+
     def test_physical_bounds_lose_feasibility_with_a_certificate(self, lost_feasibility):
         # At N = 10 the physical input bounds cannot hold the beam past step
         # 75.  The search certifies it with a Farkas ray at its first
