@@ -63,7 +63,6 @@ class LiftedQP:
     W: np.ndarray
     stage_offsets: list
     N: int
-    n_x: int
     n_u: int
     HinvF: np.ndarray = field(init=False, repr=False)
     Y: np.ndarray = field(init=False, repr=False)
@@ -89,7 +88,7 @@ class LiftedQP:
         return self.G.shape[0]
 
     @classmethod
-    def from_matrices(cls, H, F, G, S, W, N=None, n_x=None, n_u=None) -> "LiftedQP":
+    def from_matrices(cls, H, F, G, S, W, N=None, n_u=None) -> "LiftedQP":
         """Wrap raw QP data (used for desk-scale instances and tests).
 
         Skips the stage-level bookkeeping; dimension defaults treat the whole
@@ -102,9 +101,8 @@ class LiftedQP:
         W = np.asarray(W, float).reshape(-1)
         n_u = n_u if n_u is not None else 1
         N = N if N is not None else H.shape[0] // n_u
-        n_x = n_x if n_x is not None else F.shape[1] - n_u
         return cls(H=H, F=F, const_op=np.zeros((F.shape[1], F.shape[1])), G=G, S=S, W=W,
-                   stage_offsets=[(0, i) for i in range(G.shape[0])], N=N, n_x=n_x, n_u=n_u)
+                   stage_offsets=[(0, i) for i in range(G.shape[0])], N=N, n_u=n_u)
 
 
 def build(p: ProblemDefinition) -> LiftedQP:
@@ -166,7 +164,7 @@ def build(p: ProblemDefinition) -> LiftedQP:
     # after the QP exists.
     qp = LiftedQP(H=H, F=cost[n_theta:, :n_theta], const_op=cost[:n_theta, :n_theta], G=G,
                   S=None, W=np.concatenate(W),
-                  stage_offsets=stage_offsets, N=N, n_x=n_x, n_u=n_u)
+                  stage_offsets=stage_offsets, N=N, n_u=n_u)
     qp.S = G @ qp.HinvF - rows[:, :n_theta]
     return qp
 

@@ -2,11 +2,17 @@
 
 Holds the prediction model, per-stage weights and affine stage and
 terminal constraints, validates them, and reads and writes them as JSON.
+Each of the 14 problem arrays is declared once, as a field of
+:class:`PlantModel`, :class:`StageWeights` or :class:`StageConstraints`
+whose metadata gives its count and its shape by dimension name (see
+:func:`_array`).  The coercion on construction, :func:`validate`, the JSON
+writer and the reader all iterate those fields, so the file format is the
+field list: one object per record and one key per field, in field order.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,36 +35,63 @@ __all__ = [
 _PSD_TOL = 1e-10
 
 
-def _mat(value) -> np.ndarray:
-    """Coerce a scalar or nested sequence to a 2-D float array."""
-    a = np.asarray(value, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        # A bare vector is ambiguous as a matrix; only a length-1 vector has
-        # an unambiguous 1x1 reading.
-        if a.size == 1:
-            a = a.reshape(1, 1)
-        else:
-            raise ValueError(f"expected a matrix, got 1-D array of length {a.size}")
-    return a
-
-
 def _vec(value) -> np.ndarray:
     a = np.asarray(value, dtype=float)
     return a.reshape(-1)
 
 
-@dataclass
-class PlantModel:
-    """Discrete-time linear prediction model ``x+ = A x + B u``."""
+def _array(shape: str, count: str | None = None):
+    """Field of a problem array.  ``shape`` names its dimensions: ``n_x``,
+    ``n_u``, ``p`` (stage ``k``'s bound rows, ``len(d[k])``) or ``p_hat`` (the
+    terminal rows, ``len(d_hat)``); a bound vector has no columns.  ``count``
+    is None for a single array, or ``"N"`` or ``"N+1"`` for one per stage."""
+    return field(metadata={"shape": tuple(shape.split()), "count": count})
 
-    A: np.ndarray
-    B: np.ndarray
+
+def _split(f, value) -> list:
+    """``(label, entry)`` pairs of the value of field ``f``: ``[("P", P)]``
+    for a single array, ``[("Q[0]", Q[0]), ("Q[1]", Q[1]), ...]`` otherwise."""
+    if f.metadata["count"] is None:
+        return [(f.name, value)]
+    return [(f"{f.name}[{k}]", a) for k, a in enumerate(value)]
+
+
+def _join(f, entries: list):
+    """Inverse of :func:`_split` on the entries alone."""
+    return entries[0] if f.metadata["count"] is None else entries
+
+
+def _coerce(value, label: str, vector: bool) -> np.ndarray:
+    """A bound vector, flattened, or a matrix: a scalar or a length-1 vector
+    reads as 1 x 1, an empty entry is kept as given and any other 1-D entry
+    raises ``ValueError``, since a bare vector is ambiguous as a matrix."""
+    a = np.asarray(value, dtype=float)
+    if vector:
+        return a.reshape(-1)
+    if a.ndim < 2 and a.size == 1:
+        return a.reshape(1, 1)
+    if a.ndim == 1 and a.size:
+        raise ValueError(f"{label}: expected a matrix, got 1-D array of length {a.size}")
+    return a
+
+
+class _Arrays:
+    """Base of the records of problem arrays; coerces each entry of each
+    field on construction (:func:`_coerce`)."""
 
     def __post_init__(self):
-        self.A = _mat(self.A)
-        self.B = _mat(self.B)
+        for f in fields(self):
+            vector = len(f.metadata["shape"]) == 1
+            setattr(self, f.name, _join(f, [_coerce(a, label, vector)
+                                            for label, a in _split(f, getattr(self, f.name))]))
+
+
+@dataclass
+class PlantModel(_Arrays):
+    """Discrete-time linear prediction model ``x+ = A x + B u``."""
+
+    A: np.ndarray = _array("n_x n_x")
+    B: np.ndarray = _array("n_x n_u")
 
     @property
     def n_x(self) -> int:
@@ -70,7 +103,7 @@ class PlantModel:
 
 
 @dataclass
-class StageWeights:
+class StageWeights(_Arrays):
     """Per-stage quadratic weights.
 
     ``Q``, ``R``, ``M`` have one entry per stage ``k = 0..N-1``; ``V`` has
@@ -79,26 +112,15 @@ class StageWeights:
     state-input cross weight with shape ``(n_x, n_u)``.
     """
 
-    Q: list
-    R: list
-    M: list
-    V: list
-    P: np.ndarray
-
-    def __post_init__(self):
-        self.Q = [_mat(Qk) for Qk in self.Q]
-        self.R = [_mat(Rk) for Rk in self.R]
-        self.M = [_mat(Mk) for Mk in self.M]
-        self.V = [_mat(Vk) for Vk in self.V]
-        self.P = _mat(self.P)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.Q)
+    Q: list = _array("n_x n_x", "N")
+    R: list = _array("n_u n_u", "N")
+    M: list = _array("n_x n_u", "N")
+    V: list = _array("n_u n_u", "N+1")
+    P: np.ndarray = _array("n_x n_x")
 
 
 @dataclass
-class StageConstraints:
+class StageConstraints(_Arrays):
     """Affine stage and terminal constraints.
 
     Stage ``k`` requires ``calE[k] x'_k + calF[k] u'_{k-1} + E[k] u'_k <= d[k]``
@@ -107,22 +129,13 @@ class StageConstraints:
     admissible for the homogeneous problem.
     """
 
-    d: list
-    calE: list
-    calF: list
-    E: list
-    d_hat: np.ndarray
-    E_hat: np.ndarray
-    F_hat: np.ndarray
-
-    def __post_init__(self):
-        self.d = [_vec(dk) for dk in self.d]
-        self.calE = [_mat(Ek) if np.size(Ek) else np.asarray(Ek, float) for Ek in self.calE]
-        self.calF = [_mat(Fk) if np.size(Fk) else np.asarray(Fk, float) for Fk in self.calF]
-        self.E = [_mat(Ek) if np.size(Ek) else np.asarray(Ek, float) for Ek in self.E]
-        self.d_hat = _vec(self.d_hat)
-        self.E_hat = np.atleast_2d(np.asarray(self.E_hat, float))
-        self.F_hat = np.atleast_2d(np.asarray(self.F_hat, float))
+    d: list = _array("p", "N")
+    calE: list = _array("p n_x", "N")
+    calF: list = _array("p n_u", "N")
+    E: list = _array("p n_u", "N")
+    d_hat: np.ndarray = _array("p_hat")
+    E_hat: np.ndarray = _array("p_hat n_x")
+    F_hat: np.ndarray = _array("p_hat n_u")
 
     @property
     def rows_per_stage(self) -> list:
@@ -170,181 +183,123 @@ class ProblemDefinition:
         return self.prediction_model.n_u
 
 
-def _sym_eigs(A: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(0.5 * (A + A.T))
+# The JSON object of each record, in file order; ``"horizon"`` follows them.
+_RECORDS = {"prediction_model": PlantModel, "weights": StageWeights, "constraints": StageConstraints}
+
+
+def _entries(p: ProblemDefinition, out: list, fill_empty: bool = False):
+    """Yields ``(field name, label, array, expected shape)`` for every entry
+    of the problem arrays, in file order (labels as in :func:`_split`).  A
+    field with the wrong number of entries is reported to ``out`` and skipped,
+    and so are the stage constraint matrices while ``d`` has the wrong count.
+    With ``fill_empty``, each empty entry is first replaced by zeros of its
+    expected shape."""
+    N, c = p.horizon, p.constraints
+    dims = {"n_x": p.n_x, "n_u": p.n_u, "p": c.rows_per_stage, "p_hat": c.p_hat}
+    for group in _RECORDS:
+        record = getattr(p, group)
+        for f in fields(record):
+            names, count = f.metadata["shape"], f.metadata["count"]
+            entries = _split(f, getattr(record, f.name))
+            n_want = {"N": N, "N+1": N + 1}.get(count, 1)
+            if len(entries) != n_want:
+                out.append(f"{group}.{f.name} must have {n_want} entries, got {len(entries)}")
+                continue
+            if "p" in names and len(dims["p"]) != N:
+                continue
+            wants = [tuple(dims[n][k] if n == "p" else dims[n] for n in names) for k in range(len(entries))]
+            if fill_empty:
+                entries = [(label, a if np.size(a) else np.zeros(want))
+                           for (label, a), want in zip(entries, wants)]
+                setattr(record, f.name, _join(f, [a for _, a in entries]))
+            for (label, a), want in zip(entries, wants):
+                yield f.name, label, a, want
 
 
 def _psd_report(name: str, A: np.ndarray, out: list):
-    if A.shape[0] != A.shape[1]:
-        out.append(f"{name} is not square: shape {A.shape}")
+    if not A.size:
         return
-    scale = 1.0 + (np.max(np.abs(A)) if A.size else 0.0)
-    if A.size and np.max(np.abs(A - A.T)) > 1e-10 * scale:
+    if np.max(np.abs(A - A.T)) > 1e-10 * (1.0 + np.max(np.abs(A))):
         out.append(f"{name} is not symmetric")
         return
-    if A.size:
-        w = _sym_eigs(A)
-        if w[0] < -_PSD_TOL * (1.0 + max(abs(w[0]), abs(w[-1]))):
-            out.append(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
+    w = np.linalg.eigvalsh(0.5 * (A + A.T))
+    if w[0] < -_PSD_TOL * (1.0 + max(abs(w[0]), abs(w[-1]))):
+        out.append(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
 
 
 def validate(p: ProblemDefinition) -> list:
     """Check every data invariant; returns a list of violations (empty iff valid).
 
-    Dimension mismatches are reported alongside semidefiniteness and sign
-    violations rather than raised, so a caller can collect the full picture.
+    Field by field, it reports a wrong count (``"weights.Q must have 2
+    entries, got 1"``), each entry of the wrong shape (``"E[1] shape (2, 6)
+    does not match (6, 2)"``), non-finite entries once per field (``"V contains
+    non-finite entries"``) and negative bounds (``"d[0] has negative entries
+    ..."``).  The weights' symmetry and semidefiniteness are checked only when
+    every array passed the count, shape and finiteness checks.  Violations are
+    reported rather than raised, so a caller can collect the full picture.
     """
-    out = []
-    n_x, n_u, N = p.n_x, p.n_u, p.horizon
-    w, c = p.weights, p.constraints
-
-    if N < 1:
-        out.append(f"horizon must be >= 1, got {N}")
-        return out
-    if p.prediction_model.A.shape != (n_x, n_x):
-        out.append(f"A must be square, got {p.prediction_model.A.shape}")
-    if p.prediction_model.B.shape != (n_x, n_u):
-        out.append(f"B shape {p.prediction_model.B.shape} does not match ({n_x}, {n_u})")
-
-    for name, seq, want in (("Q", w.Q, N), ("R", w.R, N), ("M", w.M, N), ("V", w.V, N + 1)):
-        if len(seq) != want:
-            out.append(f"weights.{name} must have {want} entries, got {len(seq)}")
-    if len(w.Q) == N and len(w.R) == N and len(w.M) == N and len(w.V) == N + 1:
-        for k in range(N):
-            if w.Q[k].shape != (n_x, n_x):
-                out.append(f"Q[{k}] has shape {w.Q[k].shape}, expected ({n_x}, {n_x})")
-            if w.R[k].shape != (n_u, n_u):
-                out.append(f"R[{k}] has shape {w.R[k].shape}, expected ({n_u}, {n_u})")
-            if w.M[k].shape != (n_x, n_u):
-                out.append(f"M[{k}] has shape {w.M[k].shape}, expected ({n_x}, {n_u})")
-        for k in range(N + 1):
-            if w.V[k].shape != (n_u, n_u):
-                out.append(f"V[{k}] has shape {w.V[k].shape}, expected ({n_u}, {n_u})")
-        if w.P.shape != (n_x, n_x):
-            out.append(f"P has shape {w.P.shape}, expected ({n_x}, {n_x})")
-        if not out:
-            for k in range(N):
-                # The stage cost is jointly convex in (x, u) only if the full
-                # block with the cross term is semidefinite.
-                block = np.block([[w.Q[k], w.M[k]], [w.M[k].T, w.R[k]]])
-                _psd_report(f"[[Q, M], [M.T, R]] block at stage {k}", block, out)
-            for k in range(N + 1):
-                _psd_report(f"V[{k}]", w.V[k], out)
-            _psd_report("P", w.P, out)
-
-    for name, seq in (("d", c.d), ("calE", c.calE), ("calF", c.calF), ("E", c.E)):
-        if len(seq) != N:
-            out.append(f"constraints.{name} must have {N} entries, got {len(seq)}")
-    if len(c.d) == N and len(c.calE) == N and len(c.calF) == N and len(c.E) == N:
-        for k in range(N):
-            pk = len(c.d[k])
-            for name, Mk, cols in (("calE", c.calE[k], n_x), ("calF", c.calF[k], n_u), ("E", c.E[k], n_u)):
-                if Mk.shape != (pk, cols):
-                    out.append(f"constraints.{name}[{k}] has shape {Mk.shape}, expected ({pk}, {cols})")
-            if pk and np.min(c.d[k]) < 0:
-                out.append(f"d[{k}] has negative entries (min {np.min(c.d[k]):.3e})")
-    ph = len(c.d_hat)
-    if c.E_hat.shape != (ph, n_x):
-        out.append(f"E_hat has shape {c.E_hat.shape}, expected ({ph}, {n_x})")
-    if c.F_hat.shape != (ph, n_u):
-        out.append(f"F_hat has shape {c.F_hat.shape}, expected ({ph}, {n_u})")
-    if ph and np.min(c.d_hat) < 0:
-        out.append(f"d_hat has negative entries (min {np.min(c.d_hat):.3e})")
-
-    for name, arrays in (
-        ("A", [p.prediction_model.A]),
-        ("B", [p.prediction_model.B]),
-        ("Q", w.Q),
-        ("R", w.R),
-        ("M", w.M),
-        ("V", w.V),
-        ("P", [w.P]),
-        ("d", c.d),
-        ("calE", c.calE),
-        ("calF", c.calF),
-        ("E", c.E),
-        ("d_hat", [c.d_hat]),
-        ("E_hat", [c.E_hat]),
-        ("F_hat", [c.F_hat]),
-    ):
-        for a in arrays:
-            if np.size(a) and not np.all(np.isfinite(a)):
+    if p.horizon < 1:
+        return [f"horizon must be >= 1, got {p.horizon}"]
+    out, signs = [], []
+    for name, label, a, want in _entries(p, out):
+        if a.shape != want:
+            out.append(f"{label} shape {a.shape} does not match {want}")
+        elif a.size and not np.all(np.isfinite(a)):
+            if f"{name} contains non-finite entries" not in out:
                 out.append(f"{name} contains non-finite entries")
-                break
-    return out
+        elif len(want) == 1 and a.size and np.min(a) < 0:
+            signs.append(f"{label} has negative entries (min {np.min(a):.3e})")
+    if not out:
+        w = p.weights
+        for k in range(p.horizon):
+            # The stage cost is jointly convex in (x, u) only if the full
+            # block with the cross term is semidefinite.
+            block = np.block([[w.Q[k], w.M[k]], [w.M[k].T, w.R[k]]])
+            _psd_report(f"[[Q, M], [M.T, R]] block at stage {k}", block, out)
+        for k, Vk in enumerate(w.V):
+            _psd_report(f"V[{k}]", Vk, out)
+        _psd_report("P", w.P, out)
+    return out + signs
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization.  Matrices are stored as row-major nested lists.
 # ---------------------------------------------------------------------------
 
-def _listify(a: np.ndarray):
-    return np.asarray(a, dtype=float).tolist()
-
-
 def to_json_dict(p: ProblemDefinition) -> dict:
-    """Serialize a problem."""
-    w, c = p.weights, p.constraints
-    return {
-        "prediction_model": {
-            "A": _listify(p.prediction_model.A),
-            "B": _listify(p.prediction_model.B),
-        },
-        "weights": {
-            "Q": [_listify(x) for x in w.Q],
-            "R": [_listify(x) for x in w.R],
-            "M": [_listify(x) for x in w.M],
-            "V": [_listify(x) for x in w.V],
-            "P": _listify(w.P),
-        },
-        "constraints": {
-            "d": [_listify(x) for x in c.d],
-            "calE": [_listify(x) for x in c.calE],
-            "calF": [_listify(x) for x in c.calF],
-            "E": [_listify(x) for x in c.E],
-            "d_hat": _listify(c.d_hat),
-            "E_hat": _listify(c.E_hat),
-            "F_hat": _listify(c.F_hat),
-        },
-        "horizon": p.horizon,
-    }
+    """Serialize a problem: an object per record with a key per array field,
+    in field order, then the horizon."""
+    doc = {}
+    for group in _RECORDS:
+        record = getattr(p, group)
+        doc[group] = {f.name: _join(f, [np.asarray(a, dtype=float).tolist()
+                                        for _, a in _split(f, getattr(record, f.name))])
+                      for f in fields(record)}
+    doc["horizon"] = p.horizon
+    return doc
 
 
-def _shaped(value, rows: int, cols: int) -> np.ndarray:
-    a = np.asarray(value, dtype=float)
-    return a.reshape(rows, cols) if a.size else np.zeros((rows, cols))
-
-
-def from_json_dict(doc: dict):
+def from_json_dict(doc: dict) -> ProblemDefinition:
     """Inverse of :func:`to_json_dict`.  Keys it does not know, such as the
-    ``"plant"`` entry of older files, are ignored."""
-    pm = doc["prediction_model"]
-    prediction = PlantModel(np.asarray(pm["A"], float), np.asarray(pm["B"], float))
-    n_x, n_u = prediction.n_x, prediction.n_u
+    ``"plant"`` entry of older files, are ignored.
+
+    An empty entry reads as zeros of its expected shape (a stage without
+    bound rows is stored as ``[]``), a bound vector is flattened and a scalar
+    reads as a 1 x 1 matrix.  Any other entry of the wrong shape, and a field
+    with the wrong number of entries, raises ``ValueError`` naming it.
+    """
     N = doc["horizon"]
-    if type(N) is not int:
-        raise TypeError(f"horizon must be an integer, got {N!r}")
-    wd = doc["weights"]
-    weights = StageWeights(
-        Q=[_shaped(x, n_x, n_x) for x in wd["Q"]],
-        R=[_shaped(x, n_u, n_u) for x in wd["R"]],
-        M=[_shaped(x, n_x, n_u) for x in wd["M"]],
-        V=[_shaped(x, n_u, n_u) for x in wd["V"]],
-        P=_shaped(wd["P"], n_x, n_x),
-    )
-    cd = doc["constraints"]
-    d = [np.asarray(x, float).reshape(-1) for x in cd["d"]]
-    d_hat = np.asarray(cd["d_hat"], float).reshape(-1)
-    constraints = StageConstraints(
-        d=d,
-        calE=[_shaped(x, len(d[k]), n_x) for k, x in enumerate(cd["calE"])],
-        calF=[_shaped(x, len(d[k]), n_u) for k, x in enumerate(cd["calF"])],
-        E=[_shaped(x, len(d[k]), n_u) for k, x in enumerate(cd["E"])],
-        d_hat=d_hat,
-        E_hat=_shaped(cd["E_hat"], len(d_hat), n_x),
-        F_hat=_shaped(cd["F_hat"], len(d_hat), n_u),
-    )
-    return ProblemDefinition(prediction, weights, constraints, N)
+    if type(N) is not int or N < 1:
+        raise ValueError(f"horizon must be a positive integer, got {N!r}")
+    p = ProblemDefinition(*(cls(**{f.name: doc[group][f.name] for f in fields(cls)})
+                            for group, cls in _RECORDS.items()), N)
+    out = []
+    for _, label, a, want in _entries(p, out, fill_empty=True):
+        if a.shape != want:
+            raise ValueError(f"{label} shape {a.shape} does not match {want}")
+    if out:
+        raise ValueError(out[0])
+    return p
 
 
 def save_problem(path, p: ProblemDefinition, meta: dict | None = None):
@@ -355,10 +310,11 @@ def save_problem(path, p: ProblemDefinition, meta: dict | None = None):
 
 
 def load_problem(path):
-    """Returns (problem, meta).  A file that is not a problem document (text that
-    is not UTF-8 JSON, a missing key, an entry of the wrong type, shape or
-    count, such as a ragged matrix or a non-integer horizon) raises ``OSError``
-    naming the file."""
+    """Returns (problem, meta).  A file that is not a problem document raises
+    ``OSError`` naming the file: text that is not UTF-8 JSON, a missing key,
+    a horizon that is not a positive integer, a ragged matrix, a field with the wrong number of
+    entries, or an entry of the wrong shape, which the message names
+    (``E[1] shape (2, 6) does not match (6, 2)``)."""
     try:
         doc = json.loads(Path(path).read_text())
         return from_json_dict(doc), doc.get("meta", {})

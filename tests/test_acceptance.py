@@ -141,7 +141,7 @@ def test_degenerate_rows_are_handled(capsys):
         S = np.vstack([qp.S, alpha * qp.S[row], qp.S[active[0]]])
         W = np.concatenate([qp.W, [alpha * qp.W[row], qp.W[active[0]]]])
         aug = LiftedQP.from_matrices(H=qp.H, F=qp.F, G=G, S=S, W=W,
-                                     N=qp.N, n_x=qp.n_x, n_u=qp.n_u)
+                                     N=qp.N, n_u=qp.n_u)
 
         res = solve(aug, theta)
         assert res.status is SolveStatus.OPTIMAL
@@ -275,7 +275,7 @@ def test_infeasibility_certified(capsys):
     W = np.array([-1.0, -1.0, 7.0, 7.0, 7.0, 7.0, 5.0, 5.0, 9.0, 9.0])
     qp = LiftedQP.from_matrices(
         H=np.eye(2), F=np.zeros((2, 3)), G=G, S=np.zeros((10, 3)), W=W,
-        N=2, n_x=2, n_u=1,
+        N=2, n_u=1,
     )
     theta = np.zeros(3)
 

@@ -14,9 +14,17 @@ import pytest
 
 import rfmpc
 from rfmpc import cli, lifting
-from rfmpc.problem import load_problem, validate
+from rfmpc.beam import make_benchmark
+from rfmpc.problem import load_problem, to_json_dict, validate
 
 CORNER_TOY = Path(rfmpc.__file__).with_name("data") / "corner_toy.json"
+
+
+def transposed_beam_doc():
+    """The N = 2 beam problem with ``E[1]`` stored transposed, 2 x 6 for 6 x 2."""
+    doc = to_json_dict(make_benchmark(N=2).problem)
+    doc["constraints"]["E"][1] = np.transpose(doc["constraints"]["E"][1]).tolist()
+    return doc
 
 
 def read_matrix(path):
@@ -276,24 +284,26 @@ class TestErrorPaths:
         code = cli.dispatch(["lift", str(partial)])
         assert code == 4
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: doc["constraints"]["calE"].append([]),  # one stage too many
-        lambda doc: doc.update(horizon=None),
-        lambda doc: [1, 2],
-        lambda doc: doc["weights"].update(Q=5),
-        lambda doc: doc["prediction_model"].update(A=[[1, 2], [3]]),
-        lambda doc: doc["prediction_model"].update(A=[1.0, 2.0]),
-        lambda doc: doc.update(horizon="two"),
-        lambda doc: doc.update(horizon=1.5),
+    @pytest.mark.parametrize("edit, entry", [
+        (lambda doc: doc["constraints"]["calE"].append([]), "calE must have 1 entries, got 2"),  # one stage too many
+        (lambda doc: doc.update(horizon=None), "horizon must be a positive integer"),
+        (lambda doc: [1, 2], ""),
+        (lambda doc: doc["weights"].update(Q=5), ""),
+        (lambda doc: doc["prediction_model"].update(A=[[1, 2], [3]]), ""),
+        (lambda doc: doc["prediction_model"].update(A=[1.0, 2.0]), "A: expected a matrix"),
+        (lambda doc: doc.update(horizon="two"), "horizon must be a positive integer"),
+        (lambda doc: doc.update(horizon=1.5), "horizon must be a positive integer"),
+        (lambda doc: transposed_beam_doc(), "E[1] shape (2, 6) does not match (6, 2)"),
     ], ids=["extra-calE-entry", "null-horizon", "top-level-list", "scalar-Q", "ragged-A",
-            "1-D-A", "string-horizon", "fractional-horizon"])
-    def test_malformed_problem_names_the_file(self, edit, tmp_path, capsys):
+            "1-D-A", "string-horizon", "fractional-horizon", "transposed-beam-E1"])
+    def test_malformed_problem_names_the_file(self, edit, entry, tmp_path, capsys):
         doc = json.loads(CORNER_TOY.read_text())
         bad = tmp_path / "malformed.json"
         bad.write_text(json.dumps(edit(doc) or doc))
         assert cli.dispatch(["lift", str(bad)]) == 4
         err = capsys.readouterr().err
         assert "I/O error" in err and str(bad) in err and "Traceback" not in err
+        assert entry in err
 
     def test_no_command(self, capsys):
         assert cli.dispatch([]) == 1

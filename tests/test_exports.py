@@ -1,7 +1,9 @@
-"""Every name a module exports resolves on it, and the test references and the
-beam's coefficient settings and dense fd generator are not in the product."""
+"""Every name a module exports resolves on it, and the test references, the
+beam's coefficient settings, its dense fd generator and the fields nothing
+read are not in the product."""
 import importlib
 import importlib.util
+import inspect
 from dataclasses import fields
 
 import pytest
@@ -23,7 +25,7 @@ def test_test_references_are_not_in_the_product():
     # Moved to tests/reference.py, or deleted.
     assert importlib.util.find_spec("rfmpc.oracle") is None
     gone = {problem: ["predict_trajectory", "evaluate_cost", "check_admissible", "_u_matrix"],
-            problem.StageWeights: ["constant"], problem.StageConstraints: ["unconstrained"],
+            problem.StageWeights: ["constant", "horizon"], problem.StageConstraints: ["unconstrained"],
             lifting: ["to_z", "eval_constraints", "check_easy_slater"],
             beam: ["fd_energy", "BeamParams"], beam.BeamBenchmark: ["params"],
             solver: ["kkt_solve"], solver.ActiveSet: ["add", "__iter__"]}
@@ -35,3 +37,6 @@ def test_test_references_are_not_in_the_product():
     # The fd plant holds no dense generator; it reads its modal form off the
     # difference matrix.
     assert {"A_sys", "B_sys"} & {f.name for f in fields(beam.FDPlant)} == set()
+    # Nothing read the lifted QP's state dimension.
+    assert "n_x" not in {f.name for f in fields(lifting.LiftedQP)}
+    assert "n_x" not in inspect.signature(lifting.LiftedQP.from_matrices).parameters

@@ -1,5 +1,7 @@
 """Problem data validation, cost recursion, and JSON round-trips."""
 import json
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -68,6 +70,18 @@ class TestValidate:
         p = tiny_problem()
         p.weights.P = np.array([[np.nan]])
         assert any("non-finite" in r for r in pb.validate(p))
+        # An infinite weight is reported as such, before any symmetry or
+        # eigenvalue check could warn about it.
+        for name in ("Q", "R", "M", "V", "P"):
+            for bad in (np.inf, -np.inf):
+                p = tiny_problem()
+                if name == "P":
+                    p.weights.P = np.array([[bad]])
+                else:
+                    getattr(p.weights, name)[0] = np.array([[bad]])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert pb.validate(p) == [f"{name} contains non-finite entries"]
         # Every constraint matrix, on a problem with one row per stage and
         # one terminal row.
         for name in ("calE", "calF", "E", "E_hat", "F_hat"):
@@ -145,29 +159,57 @@ class TestAdmissibility:
         assert slacks[0] == pytest.approx(-0.9)
 
 
+def _arrays(p):
+    """``(label, array)`` of every problem array, in field order."""
+    for record in (p.prediction_model, p.weights, p.constraints):
+        for f in fields(record):
+            value = getattr(record, f.name)
+            for k, a in enumerate(value if isinstance(value, list) else [value]):
+                yield f"{f.name}[{k}]", a
+
+
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("dims, row_free_stage", [
+        (dict(n_x=3, n_u=2, N=2, rows_per_stage=2, p_hat=1), False),
+        (dict(n_x=3, n_u=2, N=3, rows_per_stage=2, p_hat=0), True),
+        (dict(n_x=2, n_u=1, N=2, rows_per_stage=0, p_hat=0), False),
+        (dict(n_x=1, n_u=2, N=1, rows_per_stage=0, p_hat=2), False),
+    ], ids=["rows", "row-free-stage-0", "unconstrained", "terminal-only"])
+    def test_round_trip(self, tmp_path, dims, row_free_stage):
         rng = np.random.default_rng(11)
-        p = make_random_problem(rng, n_x=3, n_u=2, N=2, rows_per_stage=2, p_hat=1)
+        p = make_random_problem(rng, **dims)
+        if row_free_stage:
+            c = p.constraints
+            c.d[0], c.calE[0] = np.zeros(0), np.zeros((0, dims["n_x"]))
+            c.calF[0], c.E[0] = np.zeros((0, dims["n_u"])), np.zeros((0, dims["n_u"]))
+        assert pb.validate(p) == []
         path = tmp_path / "problem.json"
         pb.save_problem(path, p, meta={"note": "round trip"})
-        assert "plant" not in json.loads(path.read_text())
+        saved = json.loads(path.read_text())
+        assert "plant" not in saved
         # Older files also carry a "plant" entry, which loading ignores.
         legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps({"plant": {"A": [[0.5]], "B": [[2.0]]},
-                                      **json.loads(path.read_text())}))
+        legacy.write_text(json.dumps({"plant": {"A": [[0.5]], "B": [[2.0]]}, **saved}))
         for source in (path, legacy):
             q, meta = pb.load_problem(source)
             assert meta == {"note": "round trip"}
-            np.testing.assert_allclose(q.prediction_model.A, p.prediction_model.A)
-            np.testing.assert_allclose(q.prediction_model.B, p.prediction_model.B)
-            for k in range(p.horizon):
-                np.testing.assert_allclose(q.weights.Q[k], p.weights.Q[k])
-                np.testing.assert_allclose(q.constraints.calE[k], p.constraints.calE[k])
-                np.testing.assert_allclose(q.constraints.d[k], p.constraints.d[k])
-            np.testing.assert_allclose(q.weights.P, p.weights.P)
-            np.testing.assert_allclose(q.constraints.E_hat, p.constraints.E_hat)
             assert q.horizon == p.horizon
+            expected, loaded = list(_arrays(p)), list(_arrays(q))
+            assert [label for label, _ in loaded] == [label for label, _ in expected]
+            for (label, a), (_, b) in zip(expected, loaded):
+                assert (label, b.shape, b.tobytes()) == (label, a.shape, a.tobytes())
+            assert pb.to_json_dict(q) == {k: v for k, v in saved.items() if k != "meta"}
+
+    def test_transposed_block_is_rejected(self, tmp_path):
+        # A block of the right size but the wrong shape is not reshaped.
+        p = make_random_problem(np.random.default_rng(3), n_x=3, n_u=2, N=2)
+        doc = pb.to_json_dict(p)
+        assert np.shape(doc["constraints"]["calE"][0]) == (2, 3)
+        doc["constraints"]["calE"][0] = np.transpose(doc["constraints"]["calE"][0]).tolist()
+        path = tmp_path / "transposed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(OSError, match=r"transposed\.json.*calE\[0\] shape \(3, 2\) does not match \(2, 3\)"):
+            pb.load_problem(path)
 
     def test_zero_row_blocks_survive(self, tmp_path):
         # Stages without constraint rows serialize as empty lists and must

@@ -61,7 +61,7 @@ def append_scaled_copy(qp, row, alpha):
     S = np.vstack([qp.S, alpha * qp.S[row]])
     W = np.append(qp.W, alpha * qp.W[row])
     return LiftedQP.from_matrices(
-        H=qp.H, F=qp.F, G=G, S=S, W=W, N=qp.N, n_x=qp.n_x, n_u=qp.n_u
+        H=qp.H, F=qp.F, G=G, S=S, W=W, N=qp.N, n_u=qp.n_u
     )
 
 
@@ -474,7 +474,7 @@ def degenerate_reductions(draw):
     aug = LiftedQP.from_matrices(
         H=qp.H, F=qp.F, G=np.vstack([qp.G, C @ qp.G[active]]),
         S=np.vstack([qp.S, C @ qp.S[active]]), W=np.append(qp.W, C @ qp.W[active]),
-        N=qp.N, n_x=qp.n_x, n_u=qp.n_u,
+        N=qp.N, n_u=qp.n_u,
     )
     fat = ActiveSet(ref.active_set.mask | ((1 << k) - 1) << qp.p_tilde)
     slack = eval_constraints(qp, ref.z_star, theta)
