@@ -22,17 +22,21 @@ enumeration reference of the tests (``tests/reference.py``) shares.
 
 Infeasibility is certified by a Farkas ray: ``y >= 0`` with ``G^T y = 0`` and
 ``b^T y = -1`` exists exactly when ``G z <= b`` is empty.  The rows a ray
-weights are linearly dependent, so the search looks for one once, with one
-NNLS solve against the cached ``Y = H^{-1} G^T`` (:func:`_farkas_ray`), at its
-first rank-deficient candidate or after ``n_z`` KKT solves without an accepted
-candidate, whichever comes first.  So an ``INFEASIBLE`` result carries its
-ray, which :func:`check_farkas` verifies from ``G`` and ``b`` alone, and
-``BUDGET_EXHAUSTED`` means only that the search stalled on a query the ray
-could not prove infeasible.
+weights are linearly dependent, so the search tests for one once
+(:func:`_farkas_ray`), at its first rank-deficient candidate or after ``n_z``
+KKT solves without an accepted candidate, whichever comes first.  The test is
+a nonnegative least-squares (NNLS) solve on the normal equations
+``K + b b^T`` of the cached ``K`` (:func:`_nnls`, Lawson-Hanson), first on the
+rows of the rank-deficient candidate that triggered it, where one solve
+usually finds the ray, and then, failing that, on all rows.  So an
+``INFEASIBLE`` result carries its ray, which :func:`check_farkas` verifies
+from ``G`` and ``b`` alone, and ``BUDGET_EXHAUSTED`` means only that the
+search stalled on a query the ray could not prove infeasible.
 
 :func:`reduce_to_licq` shrinks a sufficient but rank-deficient set to an LICQ
-subset with one NNLS (Lawson-Hanson) solve: by Caratheodory's theorem for
-cones its multipliers fit on independent rows, as NNLS's passive rows are.
+subset with the same NNLS, on the normal equations of ``Y_A mu = -z``: by
+Caratheodory's theorem for cones its multipliers fit on independent rows, as
+the NNLS's passive rows are.
 """
 from __future__ import annotations
 
@@ -129,10 +133,11 @@ class Tolerances:
     already scaled by the constraint bounds (see :meth:`for_qp`).
     ``max_kkt_solves`` bounds the work per query; a negative one raises
     ``ValueError``.  It does not bound the infeasibility certificate: the
-    Farkas ray is sought at the first rank-deficient candidate or once a
-    query has spent ``min(n_z, max_kkt_solves)`` KKT solves, whichever comes
-    first, so the budget runs out only on a query that the ray could not
-    prove infeasible.
+    Farkas ray is sought once, by NNLS on the rows of the first
+    rank-deficient candidate and then on all rows, at that candidate or once
+    a query has spent ``min(n_z, max_kkt_solves)`` KKT solves, whichever
+    comes first, so the budget runs out only on a query that the ray could
+    not prove infeasible.  The NNLS solves count no KKT solve.
     """
 
     tol_violation: float = 1e-9
@@ -169,9 +174,11 @@ class SolveResult:
     ``OPTIMAL`` carries the minimizer ``z_star``, the input sequence and the
     multipliers ``lam``, which :func:`kkt_residuals` checks.  ``INFEASIBLE``
     carries a Farkas ray ``farkas`` (one entry per constraint row), which
-    :func:`check_farkas` checks; only the enumeration reference of the tests
-    (``tests/reference.py``), and a search that ran dry after NNLS found no
-    ray, report it without one.
+    :func:`check_farkas` checks.  A ray found on the rows of the
+    rank-deficient candidate that triggered the ray test weights only those
+    rows.  Only the enumeration reference of the tests
+    (``tests/reference.py``), and a search that ran dry after the NNLS found
+    no ray on the trigger's rows or on all rows, report it without one.
     ``BUDGET_EXHAUSTED`` carries neither: the search stalled and the ray found
     no certificate of infeasibility.
     """
@@ -361,12 +368,13 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
     """The loop of :func:`solve` from warm ``mask``.
 
     The one ray test runs at the first rank-deficient candidate (a ray's rows
-    are linearly dependent) or after ``min(n_z, max_kkt_solves)`` KKT solves,
+    are linearly dependent), whose rows it searches first, or after
+    ``min(n_z, max_kkt_solves)`` KKT solves, where it searches all rows,
     whichever comes first.  An infeasible query runs the candidate order dry
     only after that test: with ``p >= n_z`` the ``p`` singletons alone spend
     ``n_z`` solves, and otherwise the full row set is a candidate whose rows
-    are dependent.  So the exhausted order returns the test's ray and solves
-    no second NNLS.
+    are dependent.  So the exhausted order returns the test's ray and runs
+    no second test.
 
     Returns ``(OPTIMAL, mask, z, lam_A)``, ``(INFEASIBLE, 0, None, None, ray)``
     or ``(BUDGET_EXHAUSTED,)``.
@@ -406,7 +414,7 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
                 return SolveStatus.OPTIMAL, mask, z, lam_A
         if ray_at is not None and (out is None or stats.kkt_solves >= ray_at):
             ray_at = None  # one ray test per query
-            ray = _farkas_ray(qp, b)
+            ray = _farkas_ray(qp, b, mask if out is None else 0)
             if ray is not None:
                 return SolveStatus.INFEASIBLE, 0, None, None, ray
         if stats.kkt_solves >= tol.max_kkt_solves:
@@ -422,22 +430,86 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
             stack.append(mask & ~(1 << k))
 
 
-def _farkas_ray(qp: LiftedQP, b: np.ndarray):
-    """A Farkas ray of ``G z <= b`` from one NNLS solve, or ``None``.
+def _farkas_ray(qp: LiftedQP, b: np.ndarray, trigger: int):
+    """A Farkas ray of ``G z <= b`` from :func:`_nnls` on the cached ``K``, or ``None``.
 
-    ``H`` is nonsingular, so ``G^T y = 0`` holds exactly when ``Y y = 0`` with
-    the cached ``Y = H^{-1} G^T``.  The least-squares distance of
-    ``[Y; b^T] y`` to ``[0; -1]`` over ``y >= 0`` is therefore zero exactly
-    when the constraints are infeasible, and the minimizer is then the ray.
-    The minimizer is judged by :func:`check_farkas` on ``G`` itself, not by
-    the residual, whose size in ``Y`` scales with ``H^{-1}``.
+    ``G^T y = 0`` holds exactly when ``y^T K y = |G^T y|^2_{H^{-1}}`` is zero,
+    so ``y >= 0`` minimizing ``y^T K y + (b^T y + 1)^2``, that is
+    ``y^T (K + b b^T) y + 2 b^T y``, reaches zero exactly when ``y`` is a ray.
+    The NNLS runs first on the rows of ``trigger``, the rank-deficient
+    candidate that started the test, with all of them passive: on a minimal
+    dependent set that is one solve, ``y = -v / (b_A^T v)`` for the null
+    vector ``v`` of ``K_AA``.  When that gives no ray, or the test was
+    started by the KKT-solve count (``trigger`` 0), it runs on all rows from
+    an empty passive set.  Each minimizer is judged by :func:`check_farkas` on
+    ``G`` itself, not by the objective, whose size scales with ``H^{-1}``.
     """
-    from scipy.optimize import nnls  # loaded on a stalled query only
-
-    target = np.zeros(qp.n_z + 1)
-    target[-1] = -1.0
-    y, _ = nnls(np.vstack([qp.Y, b]), target)
+    y = np.zeros(qp.p_tilde)
+    if trigger:
+        rows = np.array(_mask_indices(trigger))
+        bA = b[rows]
+        y[rows] = _nnls(qp.K[np.ix_(rows, rows)] + np.outer(bA, bA), -bA, passive=True)
+        if check_farkas(qp.G, b, y):
+            return y
+    y = _nnls(qp.K + np.outer(b, b), -b)
     return y if check_farkas(qp.G, b, y) else None
+
+
+def _nnls(C: np.ndarray, d: np.ndarray, passive: bool = False) -> np.ndarray:
+    """``y >= 0`` minimizing ``y^T C y - 2 d^T y`` for a symmetric semidefinite ``C``.
+
+    This is the Lawson-Hanson (1974) active-set method on the normal
+    equations ``C = A^T A``, ``d = A^T t`` of ``min |A y - t|`` (the fast
+    NNLS of Bro and de Jong, J. Chemometrics 11, 1997).  Each step makes
+    passive the variable with the largest gradient ``d - C y``, if that
+    exceeds its own rounding, and solves ``C_PP s = d_P`` on the passive set
+    ``P``, stepping back along the segment to ``s`` while ``s`` has a
+    nonpositive entry.  The passive columns of ``A`` stay linearly
+    independent, so ``C_PP`` stays nonsingular.  With ``passive`` every
+    variable starts passive, which ends after one solve when that solve is
+    positive; a singular ``C`` or a first solve with a nonpositive entry
+    falls back to the empty start.
+    """
+    n = len(d)
+    # The rounding of the gradient d - C y, entry by entry.
+    absC, err = np.abs(C), 10.0 * n * np.finfo(float).eps
+    P = np.zeros(n, dtype=bool)
+    y = np.zeros(n)
+    if passive:
+        try:
+            s = np.linalg.solve(C, d)
+        except np.linalg.LinAlgError:
+            s = None
+        if s is not None and np.all(s > 0.0):
+            P[:], y = True, s
+    for _ in range(3 * n):
+        w = np.where(P, -np.inf, d - C @ y - err * (np.abs(d) + absC @ y))
+        j = int(w.argmax())
+        if w[j] <= 0.0:
+            break
+        P[j] = True
+        while True:
+            idx = P.nonzero()[0]
+            try:
+                s = np.linalg.solve(C[np.ix_(idx, idx)], d[idx])
+            except np.linalg.LinAlgError:
+                return y  # a dependent column entered: keep the last iterate
+            yP, y = y[idx], np.zeros(n)
+            if np.all(s > 0.0):
+                y[idx] = s
+                break
+            # Step back along the segment to the first entry it zeroes, and
+            # drop the entries that reach zero from the passive set.
+            out = s <= 0.0
+            den = yP[out] - s[out]
+            ratio = yP[out] / np.where(den > 0.0, den, 1.0)
+            k = ratio.argmin()
+            yP = yP + ratio[k] * (s - yP)
+            yP[out.nonzero()[0][k]] = 0.0
+            keep = yP > 0.0
+            P[idx] = keep
+            y[idx[keep]] = yP[keep]
+    return y
 
 
 def check_farkas(G, b, y) -> bool:
@@ -494,11 +566,12 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta) -> ActiveSet:
     ``z = Y_A U_r ((U_r^T b_A) / w_r)``.  The set is sufficient when
     ``-z = Y_A mu`` has a solution ``mu >= 0``; by Caratheodory's theorem for
     cones one exists on linearly independent columns of ``Y_A = H^{-1} G_A^T``,
-    that is, on independent rows of ``G_A``.  NNLS (Lawson-Hanson) finds such
-    a solution, since its passive columns stay linearly independent, and the
-    rows with ``mu > 0`` are the reduced set.  A set that is already rank
-    complete at ``_RANK_TOL`` comes back unchanged.  Raises ``ValueError``
-    when the input set is not sufficient.
+    that is, on independent rows of ``G_A``.  :func:`_nnls` on the normal
+    equations ``Y_A^T Y_A``, ``-Y_A^T z`` finds such a solution, since its
+    passive columns stay linearly independent; its residual decides
+    sufficiency, and the rows with ``mu > 0`` are the reduced set.  A set
+    that is already rank complete at ``_RANK_TOL`` comes back unchanged.
+    Raises ``ValueError`` when the input set is not sufficient.
     """
     b = qp.W + qp.S @ _theta_vector(theta)
     mask = _caller_mask(qp, aset)
@@ -510,11 +583,10 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta) -> ActiveSet:
             bA, Ur = b[rows], U[:, r]
             if np.abs(bA - Ur @ (Ur.T @ bA)).max() > 1e-8 * (1.0 + np.abs(bA).max()):
                 raise ValueError("candidate set is not sufficient: its equalities are inconsistent")
-            z = qp.Y[:, rows] @ (Ur @ ((Ur.T @ bA) / w[r]))
-            from scipy.optimize import nnls  # loaded on a degenerate set only
-
-            mu, resid = nnls(qp.Y[:, rows], -z)
-            if resid > 1e-8 * (1.0 + np.linalg.norm(z)):
+            YA = qp.Y[:, rows]
+            z = YA @ (Ur @ ((Ur.T @ bA) / w[r]))
+            mu = _nnls(YA.T @ YA, -(YA.T @ z))
+            if np.linalg.norm(YA @ mu + z) > 1e-8 * (1.0 + np.linalg.norm(z)):
                 raise ValueError("candidate set is not sufficient: no nonnegative multipliers")
             mask = ActiveSet.from_indices(rows[mu > 0]).mask
 

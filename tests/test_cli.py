@@ -158,17 +158,32 @@ class TestSimulate:
         assert "steps: 16" in proc.stdout
         assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
-    def test_feasible_run_leaves_scipy_optimize_unloaded(self):
-        # nnls is imported only by a stalled query or a degenerate reduction.
+    def test_feasible_run_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # The product imports no scipy.optimize: not for a feasible loop, not
+        # for the Farkas ray of an infeasible query, and not for the NNLS of a
+        # degenerate reduction.
+        doc = json.loads(CORNER_TOY.read_text())
+        doc["prediction_model"]["B"] = [[0.0]]
+        stuck = tmp_path / "stuck.json"
+        stuck.write_text(json.dumps(doc))
         src = str(Path(rfmpc.__file__).resolve().parents[1])
         code = ("import sys\n"
                 "from rfmpc import cli\n"
+                "from rfmpc.lifting import LiftedQP\n"
+                "from rfmpc.solver import ActiveSet, reduce_to_licq\n"
                 "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize on import'\n"
                 "assert cli.dispatch(['simulate', '--horizon', '4', '--t-end', '0.125']) == 0\n"
-                "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize after a run'\n")
+                "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize after a run'\n"
+                f"assert cli.dispatch(['solve', {str(stuck)!r}, '--theta=-1,0']) == 2\n"
+                "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize after a ray'\n"
+                "qp = LiftedQP.from_matrices(H=1.0, F=[[0.0]], G=[[-1.0], [-2.0]],\n"
+                "                            S=[[0.0], [0.0]], W=[-1.0, -2.0])\n"
+                "assert len(reduce_to_licq(qp, ActiveSet(0b11), [0.0])) == 1\n"
+                "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize after a reduction'\n")
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+        assert "farkas_ray: 1 of 1 rows" in proc.stdout
 
     def test_infeasible_horizon_exit_code(self, capsys):
         code = cli.dispatch(["simulate", "--horizon", "2", "--t-end", "0.5"])

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import linalg as sla
+from scipy.optimize import nnls as scipy_nnls
 
 from conftest import random_feasible_query
 from reference import enumerate_active_sets, eval_constraints, kkt_solve
-from rfmpc import solver
+from rfmpc import lifting, solver
+from rfmpc.beam import make_benchmark
 from rfmpc.lifting import LiftedQP
 from rfmpc.problem import Parameter
 from rfmpc.solver import (
@@ -63,6 +65,24 @@ def append_scaled_copy(qp, row, alpha):
     return LiftedQP.from_matrices(
         H=qp.H, F=qp.F, G=G, S=S, W=W, N=qp.N, n_u=qp.n_u
     )
+
+
+# (a, k, u_prev as a fraction of the input bound): theta = (a A_d^k x0,
+# u_prev) on the N = 10 beam lies outside the feasible set.  These are the
+# unperturbed base points of the query-infeasible benchmark workload.
+BEAM_INFEASIBLE_BASES = (
+    (1.025, 190, (0.55, -0.55)),
+    (1.064, 68, (-0.06, -0.39)),
+    (1.021, 123, (0.28, 0.35)),
+    (0.930, 163, (-0.52, -0.20)),
+    (0.978, 119, (-0.35, -0.70)),
+)
+
+
+@pytest.fixture(scope="module")
+def beam10():
+    bench = make_benchmark(N=10)
+    return bench, lifting.build(bench.problem)
 
 
 class TestActiveSet:
@@ -552,6 +572,45 @@ def feasibility_cases(draw):
     )
 
 
+@st.composite
+def nnls_cases(draw):
+    """``(A, t, passive)``: a small least-squares problem, its columns drawn
+    with some of them repeated (so ``A^T A`` may be singular), and whether
+    the NNLS starts with every variable passive."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    A = draw(hnp.arrays(float, (m, n), elements=st.integers(-4, 4).map(float))) * scale
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    A = np.hstack([A, A[:, repeats]])
+    t = draw(hnp.arrays(float, m, elements=st.floats(-10.0, 10.0, allow_subnormal=False)))
+    return A, t, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(nnls_cases())
+def test_nnls_matches_scipy(case):
+    # The normal-equation NNLS reaches scipy's least-squares objective and
+    # satisfies the NNLS optimality conditions: y >= 0, gradient d - C y <= 0
+    # and zero where y > 0.  Repeated columns make the all-passive start
+    # singular; it must fall back to the empty start, not raise.  The
+    # objective is compared one way, as scipy's own point can miss the
+    # optimum: on A = [[1000, 4000], [0, 1000], [-1000, -4000], [1000, 1000]],
+    # t = [1, 1e-174, 1, 1e-174] scipy 1.17 returns x_1 = 0.001 with squared
+    # residual 5.0 where y = 0 gives 2.0.
+    A, t, passive = case
+    C, d = A.T @ A, A.T @ t
+    y = solver._nnls(C, d, passive=passive)
+    x, _ = scipy_nnls(A, t)
+    assert np.all(y >= 0.0)
+    f_y, f_x = np.sum((A @ y - t) ** 2), np.sum((A @ x - t) ** 2)
+    assert f_y - f_x <= 1e-10 * max(t @ t, np.finfo(float).tiny)
+    g = d - C @ y
+    band = 1e-9 * (1.0 + np.abs(C).max() * y.sum() + np.abs(d).max())
+    assert np.all(g <= band)
+    assert np.all(np.abs(g[y > 0.0]) <= band)
+
+
 class TestFarkas:
     """Infeasibility certificates: the Farkas ray and its stand-alone check."""
 
@@ -598,12 +657,12 @@ class TestFarkas:
         # With no ray found, the search runs to the end of the candidate
         # order, past both triggers of the test (its first rank-deficient
         # pair, and n_z = 4 KKT solves) and through three rank-deficient
-        # pairs; the exhausted order reuses the one test instead of solving
-        # the NNLS again.
+        # pairs; the exhausted order reuses the one test instead of running
+        # the NNLS again.  The test is handed the pair that triggered it.
         calls = []
 
-        def no_ray(qp, b):
-            calls.append(b)
+        def no_ray(qp, b, trigger):
+            calls.append(trigger)
             return None
 
         monkeypatch.setattr(solver, "_farkas_ray", no_ray)
@@ -611,7 +670,48 @@ class TestFarkas:
         res = solver.solve(qp, np.zeros(1))
         assert res.status is SolveStatus.INFEASIBLE and res.farkas is None
         assert (res.stats.kkt_solves, res.stats.licq_failures) == (6, 3)
-        assert len(calls) == 1
+        assert calls == [0b101]
+
+    @pytest.mark.parametrize("base", range(len(BEAM_INFEASIBLE_BASES)))
+    def test_ray_lies_on_the_trigger_rows(self, beam10, base, monkeypatch):
+        # On the N = 10 beam the ray test fires at a rank-deficient
+        # candidate, one NNLS on that candidate's rows finds the ray, and the
+        # ray weights only those rows.
+        triggers, sizes = [], []
+        farkas_ray, nnls = solver._farkas_ray, solver._nnls
+
+        def recorded(qp, b, trigger):
+            triggers.append(trigger)
+            return farkas_ray(qp, b, trigger)
+
+        def sized(C, d, passive=False):
+            sizes.append(len(d))
+            return nnls(C, d, passive)
+
+        monkeypatch.setattr(solver, "_farkas_ray", recorded)
+        monkeypatch.setattr(solver, "_nnls", sized)
+        bench, qp = beam10
+        a, k, u = BEAM_INFEASIBLE_BASES[base]
+        theta = Parameter(a * np.linalg.matrix_power(bench.plant.A_d, k) @ bench.x0,
+                          0.5 * bench.u_scale * np.array(u))
+        res = solver.solve(qp, theta)
+        assert res.status is SolveStatus.INFEASIBLE
+        assert len(triggers) == 1 and triggers[0] != 0
+        assert sizes == [triggers[0].bit_count()]
+        b = qp.W + qp.S @ theta.as_vector()
+        assert check_farkas(qp.G, b, res.farkas)
+        assert ActiveSet.from_indices(np.flatnonzero(res.farkas)).mask & ~triggers[0] == 0
+
+    def test_trigger_without_a_ray_falls_back_to_all_rows(self):
+        # The warm pair repeats the row z_1 <= -1: rank deficient, singular
+        # C = K_AA + b_A b_A^T, and no ray on its rows.  The ray on all rows
+        # needs the row -z_1 <= -1 outside it.
+        qp = embedded_pair(copies=2)
+        res = solver.solve(qp, np.zeros(1), warm=ActiveSet(0b011))
+        assert res.status is SolveStatus.INFEASIBLE
+        assert (res.stats.kkt_solves, res.stats.licq_failures) == (1, 1)
+        assert check_farkas(qp.G, qp.W, res.farkas)
+        assert res.farkas[2] > 0.0
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(feasibility_cases())
