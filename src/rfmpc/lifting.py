@@ -15,17 +15,16 @@ cost operators ``H``, ``F`` and ``const_op``, the constraint data ``G``,
 matrices: one pass over the stages carries the affine map from
 ``(theta, u)`` to the stage's ``(x'_k, u'_{k-1}, u'_k)`` and pulls each
 stage's cost and rows back through it; the terminal stage is the same
-template with a zero input.  Building the QP factors ``H`` once and caches
-the operators every query reuses: ``H^{-1} F`` for the shift between ``u``
-and ``z``, and ``Y = H^{-1} G^T`` with ``K = G Y`` for the constraint-space
-KKT solves of :mod:`.solver`.  No query applies ``H^{-1}`` again.
+template with a zero input.  Building the QP factors ``H`` once, with numpy,
+and caches the operators every query reuses: ``H^{-1} F`` for the shift
+between ``u`` and ``z``, and ``Y = H^{-1} G^T`` with ``K = G Y`` for the
+constraint-space KKT solves of :mod:`.solver`.  No query reads ``H`` again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from .problem import Parameter, ProblemDefinition, validate
 
@@ -48,11 +47,12 @@ class LiftedQP:
     ``H``, ``F`` and ``const_op`` make up the condensed cost
     ``<H u, u> + 2 <u, F theta> + <const_op theta, theta>``, and
     ``stage_offsets[i]`` is ``(stage, local_row)`` for constraint row ``i``,
-    with the terminal rows labelled by stage ``N``.  One Cholesky
-    factorization of the symmetrized ``H`` yields ``HinvF`` (``H^{-1} F``,
-    n_z x n_theta), ``Y`` (``H^{-1} G^T``, n_z x p) and the symmetrized
-    constraint-space matrix ``K = G Y`` (p x p), on which every candidate's
-    KKT solve runs.  The factor itself is not kept.
+    with the terminal rows labelled by stage ``N``.  With ``Li`` the inverse
+    Cholesky factor of the symmetrized ``H`` (``H^{-1} = Li^T Li``), the QP
+    caches ``HinvF`` (``H^{-1} F``, n_z x n_theta), ``Y`` (``H^{-1} G^T``,
+    n_z x p) and ``K = G Y`` (p x p), formed as ``B^T B`` with ``B = Li G^T``
+    so that it is exactly symmetric; every candidate's KKT solve runs on it.
+    An ``H`` that is not positive definite raises ``np.linalg.LinAlgError``.
     """
 
     H: np.ndarray
@@ -69,11 +69,11 @@ class LiftedQP:
     K: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        chol = sla.cho_factor(0.5 * (self.H + self.H.T), lower=True)
-        self.HinvF = sla.cho_solve(chol, self.F)
-        self.Y = sla.cho_solve(chol, self.G.T)
-        K = self.G @ self.Y
-        self.K = 0.5 * (K + K.T)
+        Li = np.linalg.inv(np.linalg.cholesky(0.5 * (self.H + self.H.T)))
+        self.HinvF = Li.T @ (Li @ self.F)
+        B = Li @ self.G.T
+        self.Y = Li.T @ B
+        self.K = B.T @ B
 
     @property
     def n_z(self) -> int:
@@ -190,8 +190,7 @@ def evaluate_lifted_cost(qp: LiftedQP, u_seq, theta):
     u = np.asarray(u_seq, float)
     batched = u.ndim == 2
     u = u.reshape(-1, qp.n_z)
-    th = theta.as_vector() if isinstance(theta, Parameter) else np.asarray(theta, float)
-    th = th.reshape(-1, qp.n_theta)
+    th = _theta_vector(theta).reshape(-1, qp.n_theta)
     cost = _row_quad(u, qp.H, u) + 2.0 * _row_quad(th, qp.F.T, u) + _row_quad(th, qp.const_op, th)
     return cost if batched else float(cost[0])
 

@@ -518,14 +518,14 @@ def check_farkas(G, b, y) -> bool:
     The test needs only ``G`` and ``b``: ``y >= 0``, ``G^T y = 0`` up to
     rounding (``||G^T y||_inf <= 1e-9 max|G| sum(y)``) and
     ``b^T y <= -1 + 1e-9``.  Any ``z`` would then give the contradiction
-    ``0 = (G^T y)^T z = y^T G z <= b^T y < 0``.  The scale is the whole of
-    ``G``, not the rows that ``y`` weights: a ray on a zero row ``0 <= b_k < 0``
-    may carry rounding-level weight on other rows.
+    ``0 = (G^T y)^T z = y^T G z <= b^T y < 0``.  ``G^T y`` is formed on the
+    rows where ``y > 0``, but the scale is the whole of ``G``: a ray on a zero
+    row ``0 <= b_k < 0`` may carry rounding-level weight on other rows.
     """
     G, b, y = np.asarray(G, float), np.asarray(b, float), np.asarray(y, float)
     if y.shape != b.shape or np.any(y < 0.0):
         return False
-    gty = np.abs(G.T @ y).max(initial=0.0)
+    gty = np.abs(G[y > 0.0].T @ y[y > 0.0]).max(initial=0.0)
     return bool(gty <= 1e-9 * np.abs(G).max(initial=0.0) * y.sum() and b @ y <= -1.0 + 1e-9)
 
 

@@ -1,7 +1,8 @@
 """Condensed QP assembly cross-checked against the stage recursion."""
+import copy
+
 import numpy as np
 import pytest
-from scipy import linalg as sla
 
 from conftest import make_random_problem
 from reference import (check_admissible, check_easy_slater, eval_constraints, evaluate_cost,
@@ -161,17 +162,18 @@ class TestGuards:
 
     def test_single_factorization_is_bitwise_unchanged(self):
         # build takes S through the QP's cached H^-1 F; it must equal the
-        # product through a fresh cho_factor bit for bit.  With the rows'
-        # state and previous-input couplings zeroed, S has no other term.
+        # product through a fresh inverse Cholesky factor, H^-1 = Li^T Li,
+        # bit for bit.  With the rows' state and previous-input couplings
+        # zeroed, S has no other term.
         p = beam.make_benchmark(N=30).problem
         c = p.constraints
         c.calE = [np.zeros_like(E) for E in c.calE]
         c.calF = [np.zeros_like(F) for F in c.calF]
         c.E_hat, c.F_hat = np.zeros_like(c.E_hat), np.zeros_like(c.F_hat)
         qp = lifting.build(p)
-        chol = sla.cho_factor(0.5 * (qp.H + qp.H.T), lower=True)
+        Li = np.linalg.inv(np.linalg.cholesky(0.5 * (qp.H + qp.H.T)))
         assert np.any(qp.S)
-        np.testing.assert_array_equal(qp.S, qp.G @ sla.cho_solve(chol, qp.F))
+        np.testing.assert_array_equal(qp.S, qp.G @ (Li.T @ (Li @ qp.F)))
 
 
 @pytest.fixture(scope="module")
@@ -201,19 +203,29 @@ class TestCachedOperators:
         for cached, fresh in ((qp.Y, Y), (qp.K, qp.G @ Y), (qp.HinvF, np.linalg.solve(qp.H, qp.F))):
             assert np.max(np.abs(cached - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
-    def test_solves_apply_no_inverse(self, beam_qp30, monkeypatch):
+    def test_solves_apply_no_inverse(self, beam_qp30):
         # A query reads the operators cached at build time: neither a cold
-        # nor a warm solve goes back to the factor of H.
+        # nor a warm solve reads H, so a copy whose H is NaN gives the same
+        # results, bit for bit.
         bench, qp = beam_qp30
+        blind = copy.copy(qp)
+        blind.H = np.full_like(qp.H, np.nan)
         theta = Parameter(2.0 * bench.x0, np.zeros(qp.n_u))
-        calls = []
-        cho_solve = sla.cho_solve
-        monkeypatch.setattr(sla, "cho_solve", lambda *a, **kw: calls.append(1) or cho_solve(*a, **kw))
-        cold = solver.solve(qp, theta)
-        warm = solver.solve(qp, theta, warm=cold.active_set)
+
+        def cold_and_warm(q):
+            cold = solver.solve(q, theta)
+            return cold, solver.solve(q, theta, warm=cold.active_set)
+
+        def counts(res):
+            return res.stats.candidates_visited, res.stats.kkt_solves, res.stats.licq_failures
+
+        cold, warm = cold_and_warm(qp)
         assert cold.status is warm.status is solver.SolveStatus.OPTIMAL
         assert len(cold.active_set) > 0 and warm.stats.kkt_solves == 1
-        assert calls == []
+        for got, want in zip(cold_and_warm(blind), (cold, warm)):
+            assert got.status is want.status and got.active_set == want.active_set
+            np.testing.assert_array_equal(got.z_star, want.z_star)
+            assert counts(got) == counts(want)
 
 
 class TestFromMatrices:
@@ -224,6 +236,11 @@ class TestFromMatrices:
         np.testing.assert_allclose(qp.HinvF, [[0.5, 0.0]])
         np.testing.assert_allclose(qp.Y, [[-0.5]])
         np.testing.assert_allclose(qp.K, [[0.5]])
+
+    def test_indefinite_hessian_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            LiftedQP.from_matrices(H=[[1.0, 2.0], [2.0, 1.0]], F=np.zeros((2, 1)), G=[[1.0, 0.0]],
+                                   S=[[0.0]], W=[1.0])
 
     def test_empty_constraints(self):
         qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 2)), G=[], S=[], W=[])
