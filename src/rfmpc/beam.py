@@ -9,22 +9,22 @@ is clamped, the other is actuated by a force and a torque.  A Galerkin
 projection onto shifted Legendre combinations that satisfy the homogeneous
 boundary conditions (plus one high-order monomial per actuated component to
 carry boundary values) yields a lossless finite-dimensional model; the
-Cayley transform maps it to a discrete-time pair with spectrum on the unit
-circle.  The members are held as shifted Legendre coefficient vectors and
-evaluated through numpy's Legendre series, which stay accurate at high
-degree, so the model stays lossless with a well-conditioned mass matrix at 60
-members per component.  A finite-difference model on a fine grid serves as
-the independent validation plant.  It is lossless too: in energy-weighted
+Cayley transform at the fixed sampling interval ``SAMPLING_INTERVAL`` maps it
+to a discrete-time pair with spectrum on the unit circle.  The members are
+held as shifted Legendre coefficient vectors and evaluated through numpy's
+Legendre series, which stay accurate at high degree, so the model stays
+lossless with a well-conditioned mass matrix at 60 members per component.
+A finite-difference model on a fine grid serves as the independent
+validation plant.  It is lossless too: in energy-weighted
 coordinates the block that couples its free displacements to its free momenta
 is read straight off the difference matrix, one singular value decomposition
 of that block splits the model into planar modes, and the exact step under a
-held input rotates each mode by a fixed angle.
+held input rotates each mode by a fixed angle, computed once per plant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
 
 import numpy as np
 from numpy.polynomial import legendre as leg, polynomial as npoly
@@ -194,27 +194,27 @@ def assemble(n_basis: int = 9) -> GalerkinSystem:
     return GalerkinSystem(M_mass=M_mass, K_stiff=K, B_in=B, basis=basis)
 
 
+# The sampling interval of the discrete-time controller and of the plant step.
+SAMPLING_INTERVAL = 2.0 ** -7
+
+
 @dataclass
 class DiscretePlant:
-    """Discrete-time pair from the Cayley transform at step ``h``."""
+    """Discrete-time pair from the Cayley transform at ``SAMPLING_INTERVAL``."""
 
     A_d: np.ndarray
     B_d: np.ndarray
-    h: float
 
 
-def cayley_discretize(g: GalerkinSystem, h: float) -> DiscretePlant:
-    """Cayley transform of the semi-discrete model.
+def cayley_discretize(g: GalerkinSystem) -> DiscretePlant:
+    """Cayley transform of the semi-discrete model at ``h = SAMPLING_INTERVAL``.
 
     ``A_d = (sigma + A0)(sigma - A0)^{-1}`` with ``sigma = 2/h`` preserves the
     unit-disc structure exactly: a lossless generator maps onto the unit
     circle.  The discrete input is the continuous one scaled by ``sqrt(h)``.
-    Raises ``ValueError`` unless ``h`` is positive and finite.
     """
-    if not (isfinite(h) and h > 0):
-        raise ValueError(f"sampling interval h = {h} must be positive and finite")
     A0 = g.generator()
-    sigma = 2.0 / h
+    sigma = 2.0 / SAMPLING_INTERVAL
     n = A0.shape[0]
     R = sigma * np.eye(n) - A0
     try:
@@ -222,7 +222,7 @@ def cayley_discretize(g: GalerkinSystem, h: float) -> DiscretePlant:
         B_d = np.sqrt(2.0 * sigma) * np.linalg.solve(R, np.linalg.solve(g.M_mass, g.B_in))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"resolvent singular at sigma = {sigma}") from exc
-    return DiscretePlant(A_d=A_d, B_d=B_d, h=h)
+    return DiscretePlant(A_d=A_d, B_d=B_d)
 
 
 # The benchmark design: stage weights on the state, the input and the input
@@ -250,27 +250,24 @@ def _benchmark_problem(
     input box ``|u| <= U_MAX`` only; later stages add the bounds ``X1_MAX``
     on the spatial mean of the shear displacement (above) and ``X4_MIN`` on
     that of the angular momentum (below).  No terminal weight or constraint
-    is added.
+    is added.  The stages share their blocks, which no caller writes in
+    place: every ``Q[k]`` is one array, and so are the other weights and
+    the blocks of stages 1 to ``N - 1``.
 
     ``bound_scaling`` fixes the convention translating physical input bounds
     to the scaled discrete inputs: ``"physical"`` multiplies by ``sqrt(h)``
     (discrete inputs approximate ``sqrt(h)`` times the physical signal);
     ``"reciprocal"`` divides instead.
     """
-    h = plant.h
+    h = SAMPLING_INTERVAL
     n = g.n_state
     N = int(N)
 
     Q = h * Q_WEIGHT * 0.5 * (g.M_mass + g.M_mass.T)
     R = R_WEIGHT * np.eye(2)
     V = (V_WEIGHT / h**2) * np.eye(2)
-    weights = StageWeights(
-        Q=[Q.copy() for _ in range(N)],
-        R=[R.copy() for _ in range(N)],
-        M=[np.zeros((n, 2)) for _ in range(N)],
-        V=[V.copy() for _ in range(N)] + [np.zeros((2, 2))],
-        P=np.zeros((n, n)),
-    )
+    weights = StageWeights(Q=[Q] * N, R=[R] * N, M=[np.zeros((n, 2))] * N,
+                           V=[V] * N + [np.zeros((2, 2))], P=np.zeros((n, n)))
 
     if bound_scaling == "physical":
         scale = np.sqrt(h)
@@ -283,18 +280,12 @@ def _benchmark_problem(
     mean_x1 = g.mean_row(0)
     mean_x4 = g.mean_row(3)
 
-    d, calE, calF, E = [], [], [], []
-    for k in range(N):
-        if k == 0:
-            d.append(box_d.copy())
-            calE.append(np.zeros((4, n)))
-            calF.append(np.zeros((4, 2)))
-            E.append(box_E.copy())
-        else:
-            d.append(np.concatenate([box_d, [X1_MAX, -X4_MIN]]))
-            calE.append(np.vstack([np.zeros((4, n)), mean_x1, -mean_x4]))
-            calF.append(np.zeros((6, 2)))
-            E.append(np.vstack([box_E, np.zeros((2, 2))]))
+    first = (box_d, np.zeros((4, n)), np.zeros((4, 2)), box_E)
+    later = (np.concatenate([box_d, [X1_MAX, -X4_MIN]]),
+             np.vstack([np.zeros((4, n)), mean_x1, -mean_x4]),
+             np.zeros((6, 2)),
+             np.vstack([box_E, np.zeros((2, 2))]))
+    d, calE, calF, E = zip(*[first] + [later] * (N - 1))
     constraints = StageConstraints(
         d=d, calE=calE, calF=calF, E=E,
         d_hat=np.zeros(0), E_hat=np.zeros((0, n)), F_hat=np.zeros((0, 2)),
@@ -361,13 +352,12 @@ class FDPlant:
     pinned entries.  :meth:`from_grid` and :meth:`to_grid` convert between
     plant and grid states, and :meth:`observe` maps a plant state to the
     Galerkin coefficients.  The modal form is built from the grid on first
-    use; ``zoh`` caches the step operators per interval ``h``.
+    use, and so are the step operators of :func:`fd_plant_step`.
     """
 
     grid: np.ndarray
     trapz_w: np.ndarray
     observer: np.ndarray
-    zoh: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_grid(self) -> int:
@@ -402,6 +392,10 @@ class FDPlant:
     @cached_property
     def _modes(self) -> "_ModalForm":
         return _modal_form(self)
+
+    @cached_property
+    def _zoh(self) -> tuple:
+        return _zoh_rotation(self._modes)
 
     @cached_property
     def _observe_map(self) -> np.ndarray:
@@ -517,8 +511,10 @@ def _polish_svd(P: np.ndarray, L: np.ndarray, R: np.ndarray) -> tuple:
     return L + L @ np.where(apart, F, 0.0), sigma, R + R @ np.where(apart, G, 0.0)
 
 
-def _zoh_rotation(md: _ModalForm, h: float) -> tuple:
-    """Per-mode ``cos``, ``[sin; -sin]`` and stacked input gains of the exact step over ``h``."""
+def _zoh_rotation(md: _ModalForm) -> tuple:
+    """Per-mode ``cos``, ``[sin; -sin]`` and stacked input gains of the exact
+    step over ``h = SAMPLING_INTERVAL``."""
+    h = SAMPLING_INTERVAL
     t = md.sigma * h
     # (1 - cos t)/sigma and sin(t)/sigma, written without dividing by sigma
     vers = 0.5 * md.sigma * (h * np.sinc(t / (2.0 * np.pi))) ** 2
@@ -578,23 +574,20 @@ def initial_grid_state(fd: FDPlant) -> np.ndarray:
     return fd.enforce_bc(y, np.zeros(2))
 
 
-def fd_plant_step(fd: FDPlant, state: np.ndarray, u_phys, h: float) -> np.ndarray:
-    """Advance a plant state by one sampling interval under a held input.
+def fd_plant_step(fd: FDPlant, state: np.ndarray, u_phys) -> np.ndarray:
+    """Advance a plant state by one sampling interval ``h`` under a held input.
 
     The step is exact.  Mode ``i`` obeys ``alpha' = sigma beta`` and
     ``beta' = -sigma alpha + g u`` (see :class:`_ModalForm`), so over ``h``
     the pair rotates by ``sigma h`` about its rest point ``(g u / sigma, 0)``:
     ``alpha+ = cos alpha + sin beta + (1 - cos) g u / sigma`` and
     ``beta+ = cos beta - sin alpha + sin g u / sigma``.  That is O(n) work
-    per step.  The operators are built on the first step at each ``h`` and
-    cached in ``fd.zoh``.  The new state holds ``u_phys``, which pins the
-    boundary entries of its grid state.
+    per step.  The operators are built on the plant's first step and kept
+    on the plant.  The new state holds ``u_phys``, which pins the boundary
+    entries of its grid state.
     """
     u = np.asarray(u_phys, float).reshape(2)
-    rot = fd.zoh.get(h)
-    if rot is None:
-        rot = fd.zoh[h] = _zoh_rotation(fd._modes, h)
-    cos, sin_pm, gain = rot
+    cos, sin_pm, gain = fd._zoh
     ab = state[: 2 * len(cos)].reshape(2, -1)
     return np.concatenate([(cos * ab + sin_pm * ab[::-1]).ravel() + gain @ u, u])
 
@@ -618,25 +611,21 @@ class BeamBenchmark:
     bound_scaling: str
 
     @property
-    def h(self) -> float:
-        return self.plant.h
-
-    @property
     def u_scale(self) -> float:
         """Discrete input = ``u_scale`` * physical input."""
-        return np.sqrt(self.plant.h)
+        return np.sqrt(SAMPLING_INTERVAL)
 
 
-def make_benchmark(n_basis: int = 9, N: int = 30, h: float = 2.0 ** -7,
+def make_benchmark(n_basis: int = 9, N: int = 30,
                    bound_scaling: str = "physical") -> BeamBenchmark:
     """Assemble the beam on ``n_basis`` members per component, discretize it at
-    step ``h`` and build the horizon-``N`` problem under the input-bound
-    convention ``bound_scaling`` (recorded on the result).  Raises
-    ``ValueError`` unless ``N`` is at least 1."""
+    ``SAMPLING_INTERVAL`` and build the horizon-``N`` problem under the
+    input-bound convention ``bound_scaling`` (recorded on the result).
+    Raises ``ValueError`` unless ``N`` is at least 1."""
     if N < 1:
         raise ValueError(f"horizon N = {N} must be at least 1")
     g = assemble(n_basis)
-    plant = cayley_discretize(g, h)
+    plant = cayley_discretize(g)
     problem = _benchmark_problem(g, plant, N=N, bound_scaling=bound_scaling)
     x0, _errors = project_initial_condition(g)
     return BeamBenchmark(galerkin=g, plant=plant, problem=problem, x0=x0,

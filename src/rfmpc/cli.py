@@ -93,7 +93,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--mode", choices=("perfect", "fd"), default="perfect",
                        help="plant: the prediction model itself, or the finite-difference model")
     p_sim.add_argument("--t-end", type=float, default=10.0, help="simulated time span")
-    p_sim.add_argument("--h", type=float, default=2.0 ** -7, help="sampling interval")
     p_sim.add_argument("--n-grid", type=int, default=127, help="finite-difference grid points")
     p_sim.add_argument("--bound-scaling", choices=("physical", "reciprocal"), default="physical",
                        help="input-bound convention for the scaled discrete inputs")
@@ -110,7 +109,6 @@ def _build_parser() -> _Parser:
                          help="comma-separated horizon lengths")
     p_bench.add_argument("--t-end", type=float, default=6.0)
     p_bench.add_argument("--mode", choices=("perfect", "fd"), default="fd")
-    p_bench.add_argument("--h", type=float, default=2.0 ** -7)
     p_bench.add_argument("--bound-scaling", choices=("physical", "reciprocal"),
                          default="reciprocal",
                          help="input-bound convention; short horizons require the loose reading")
@@ -124,7 +122,6 @@ def _build_parser() -> _Parser:
     p_build = beam_sub.add_parser("build",
                                   help="assemble the beam benchmark problem JSON")
     p_build.add_argument("--horizon", type=int, default=30, metavar="N")
-    p_build.add_argument("--h", type=float, default=2.0 ** -7, help="sampling interval")
     p_build.add_argument("--n-basis", type=int, default=9, help="basis functions per component")
     p_build.add_argument("--out", default="beam_problem.json", help="problem JSON path")
     p_build.add_argument("--profiles-out",
@@ -186,7 +183,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = sim.SimulationConfig(
-        horizon=args.horizon, h=args.h, t_end=args.t_end, mode=args.mode,
+        horizon=args.horizon, t_end=args.t_end, mode=args.mode,
         warm_start=not args.cold_start, max_kkt_solves=args.budget, n_grid=args.n_grid,
         bound_scaling=args.bound_scaling,
     )
@@ -212,8 +209,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = sim.SimulationConfig(t_end=args.t_end, mode=args.mode, h=args.h,
-                               bound_scaling=args.bound_scaling)
+    cfg = sim.SimulationConfig(t_end=args.t_end, mode=args.mode, bound_scaling=args.bound_scaling)
     print(sim.BENCHMARK_CSV_COLUMNS)
     rows = sim.benchmark_sweep(args.horizons, cfg=cfg, progress=lambda row: print(sim.csv_row(row)))
     if args.out:
@@ -225,9 +221,9 @@ def _cmd_benchmark(args) -> int:
 def _cmd_beam_build(args) -> int:
     from .problem import save_problem
 
-    bench = beam_mod.make_benchmark(args.n_basis, N=args.horizon, h=args.h)
+    bench = beam_mod.make_benchmark(args.n_basis, N=args.horizon)
     meta = {
-        "h": args.h,
+        "h": beam_mod.SAMPLING_INTERVAL,
         "u_scale": float(bench.u_scale),
         "n_basis": args.n_basis,
         "x0": bench.x0.tolist(),

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import beam as beam_mod
 from . import solver as solver_mod
-from .beam import BeamBenchmark, FDPlant, make_benchmark
+from .beam import SAMPLING_INTERVAL, BeamBenchmark, FDPlant, make_benchmark
 from .lifting import LiftedQP, _row_quad, build as build_qp, evaluate_lifted_cost
 from .problem import Parameter
 from .solver import ActiveSet, SolveStatus, Tolerances
@@ -67,7 +67,6 @@ class BudgetExhaustedError(RuntimeError):
 @dataclass
 class SimulationConfig:
     horizon: int = 30
-    h: float = 2.0 ** -7
     t_end: float = 10.0
     mode: str = "perfect"  # "perfect" | "fd"
     warm_start: bool = True
@@ -77,7 +76,7 @@ class SimulationConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.h))
+        return int(round(self.t_end / SAMPLING_INTERVAL))
 
 
 _TIMING = {"timing": True}  # field metadata of the wall-clock columns
@@ -167,14 +166,15 @@ def run_closed_loop(
     ``cfg.max_kkt_solves``.  With ``cfg.warm_start`` every step after the
     first receives the previous step's active set mapped through
     :func:`warm_shift_map` (built once per call) as ``warm``; otherwise
-    ``warm`` is ``None``.  A given ``bench`` must match ``cfg.h`` and
-    ``cfg.bound_scaling``, and a given ``qp`` ``cfg.horizon`` and the bound
-    vector ``W`` that ``bench.problem`` stacks (else :class:`ValueError`);
-    ``plant`` overrides the finite-difference model in ``"fd"`` mode.  Raises
+    ``warm`` is ``None``.  A given ``bench`` must match ``cfg.bound_scaling``,
+    and a given ``qp`` ``cfg.horizon`` and the bound vector ``W`` that
+    ``bench.problem`` stacks (else :class:`ValueError`); ``plant`` overrides
+    the finite-difference model in ``"fd"`` mode.  Raises
     :class:`RecursiveFeasibilityError` when a visited state admits no
     admissible input sequence and :class:`BudgetExhaustedError` when a step's
     search stalls; either discards the partial run.  A negative or
-    non-finite ``cfg.t_end`` raises :class:`ValueError`.
+    non-finite ``cfg.t_end`` raises :class:`ValueError`, and so does one
+    whose step record does not fit in memory.
 
     The loop keeps no :class:`~rfmpc.solver.SolveResult`: each step records
     ``x``, ``u``, ``u_seq`` and the search counts, and the logs are derived
@@ -189,14 +189,13 @@ def run_closed_loop(
     if not 0.0 <= cfg.t_end < float("inf"):
         raise ValueError(f"t_end = {cfg.t_end} must be finite and nonnegative")
     if bench is None:
-        bench = make_benchmark(N=cfg.horizon, h=cfg.h, bound_scaling=cfg.bound_scaling)
+        bench = make_benchmark(N=cfg.horizon, bound_scaling=cfg.bound_scaling)
     qp = qp if qp is not None else build_qp(bench.problem)
     c = bench.problem.constraints
     same_bounds = np.array_equal(qp.W, np.concatenate([*c.d, c.d_hat]))
-    if (cfg.h, cfg.bound_scaling, cfg.horizon) != (bench.h, bench.bound_scaling, qp.N) or not same_bounds:
-        raise ValueError(f"config (h = {cfg.h}, {cfg.bound_scaling} bounds, N = {cfg.horizon}) "
-                         f"does not match the benchmark (h = {bench.h}, "
-                         f"{bench.bound_scaling} bounds) and QP (N = {qp.N}, "
+    if (cfg.bound_scaling, cfg.horizon) != (bench.bound_scaling, qp.N) or not same_bounds:
+        raise ValueError(f"config ({cfg.bound_scaling} bounds, N = {cfg.horizon}) does not match "
+                         f"the benchmark ({bench.bound_scaling} bounds) and QP (N = {qp.N}, "
                          f"bounds {'equal' if same_bounds else 'unequal'} to the benchmark's)")
     tol = Tolerances.for_qp(qp, max_kkt_solves=cfg.max_kkt_solves)
     solver_fn = solver_fn if solver_fn is not None else solver_mod.solve
@@ -216,10 +215,14 @@ def run_closed_loop(
         raise ValueError(f"unknown mode {cfg.mode!r}")
 
     n_steps = cfg.n_steps
-    states = np.zeros((n_steps + 1, len(x)))
-    inputs = np.zeros((n_steps + 1, n_u))  # row n + 1: step n's input; row 0: the zero u_prev
-    means = np.zeros((n_steps + 1, 2))
-    norms = np.zeros(n_steps + 1)
+    try:
+        states = np.zeros((n_steps + 1, len(x)))
+        inputs = np.zeros((n_steps + 1, n_u))  # row n + 1: step n's input; row 0: the zero u_prev
+        means = np.zeros((n_steps + 1, 2))
+        norms = np.zeros(n_steps + 1)
+    except (MemoryError, ValueError) as exc:  # too many bytes, or too many rows for numpy
+        raise ValueError(f"t_end = {cfg.t_end} is {n_steps} steps, whose record does not "
+                         f"fit in memory") from exc
     u_seqs, asets, stats = [], [], []
     u = np.zeros(n_u)
     warm = None
@@ -236,7 +239,7 @@ def run_closed_loop(
         res = solver_fn(qp, Parameter(x, u), warm, tol)
         if res.status is SolveStatus.INFEASIBLE:
             raise RecursiveFeasibilityError(
-                f"no admissible input sequence at step {n} (t = {n * cfg.h:.6f})"
+                f"no admissible input sequence at step {n} (t = {n * SAMPLING_INTERVAL:.6f})"
             )
         if res.status is SolveStatus.BUDGET_EXHAUSTED:
             raise BudgetExhaustedError(f"KKT-solve budget exhausted at step {n}")
@@ -248,7 +251,7 @@ def run_closed_loop(
         if fd is None:
             x = bench.plant.A_d @ x + bench.plant.B_d @ u
         else:
-            y = beam_mod.fd_plant_step(fd, y, u / bench.u_scale, cfg.h)
+            y = beam_mod.fd_plant_step(fd, y, u / bench.u_scale)
             x = fd.observe(y)
         warm = shift_warm_set(res.active_set, shift) if cfg.warm_start else None
 
@@ -283,9 +286,9 @@ def run_closed_loop(
         for n, (u1_n, u2_n), j_opt_n, cum_n, (m1, m4), aset, s in zip(
                 range(b.start, b.stop), u_ph.tolist(), j_opt.tolist(), cum.tolist(),
                 means[b].tolist(), asets[b], stats[b]):
-            logs.append(StepLog(n, n * cfg.h, u1_n, u2_n, j_opt_n, cum_n, m1, m4, str(aset),
-                                s.candidates_visited, s.licq_failures, s.kkt_solves,
-                                s.wall_time))
+            logs.append(StepLog(n, n * SAMPLING_INTERVAL, u1_n, u2_n, j_opt_n, cum_n, m1, m4,
+                                str(aset), s.candidates_visited, s.licq_failures,
+                                s.kkt_solves, s.wall_time))
     return SimulationResult(logs=logs, states=states, means=means, norms=norms, j_cum=j_cum,
                             config=cfg)
 
@@ -338,7 +341,7 @@ def benchmark_sweep(n_list, cfg: SimulationConfig | None = None, progress=None) 
     fd = None
     for N in n_list:
         run_cfg = replace(cfg, horizon=int(N))
-        bench = make_benchmark(N=run_cfg.horizon, h=cfg.h, bound_scaling=cfg.bound_scaling)
+        bench = make_benchmark(N=run_cfg.horizon, bound_scaling=cfg.bound_scaling)
         qp = build_qp(bench.problem)
         if cfg.mode == "fd" and fd is None:
             # The fd plant depends on the basis only, not on N.

@@ -14,6 +14,7 @@ import pytest
 from conftest import random_feasible_query
 from reference import dual_ascent, enumerate_active_sets, kkt_solve
 from rfmpc import sim
+from rfmpc.beam import SAMPLING_INTERVAL
 from rfmpc.lifting import LiftedQP
 from rfmpc.solver import (
     ActiveSet,
@@ -246,7 +247,7 @@ def test_imperfect_model_run(fd_run, fd_run_fine, capsys):
             problems.append(f"{grid}left the 2-delta ball, peak {r.norms[inside[0]:].max():.4f}")
         else:
             details.append(f"{grid}overshoot +{overshoot:.2e} (<= 5e-03), entered the 5% ball "
-                           f"at t = {inside[0] * r.config.h:.2f} s and stayed within 2x")
+                           f"at t = {inside[0] * SAMPLING_INTERVAL:.2f} s and stayed within 2x")
     report(capsys, "imperfect-model-run", not problems, "; ".join(problems or details))
 
 

@@ -145,26 +145,20 @@ class TestGalerkinOperators:
 
 class TestCayley:
     def test_unit_circle(self, galerkin):
-        plant = beam.cayley_discretize(galerkin, 2.0 ** -7)
+        plant = beam.cayley_discretize(galerkin)
         mags = np.abs(np.linalg.eigvals(plant.A_d))
         np.testing.assert_allclose(mags, 1.0, atol=1e-12)
 
     def test_resolvent_identity(self, galerkin):
-        h = 2.0 ** -7
-        plant = beam.cayley_discretize(galerkin, h)
+        plant = beam.cayley_discretize(galerkin)
         A0 = galerkin.generator()
-        sigma = 2.0 / h
+        sigma = 2.0 / beam.SAMPLING_INTERVAL
         lhs = (sigma * np.eye(36) - A0) @ plant.A_d
         rhs = sigma * np.eye(36) + A0
         np.testing.assert_allclose(lhs, rhs, atol=1e-8 * sigma)
 
-    @pytest.mark.parametrize("h", [0.0, -0.01, float("inf"), float("nan")])
-    def test_step_must_be_positive_and_finite(self, galerkin, h):
-        with pytest.raises(ValueError, match="sampling interval h"):
-            beam.cayley_discretize(galerkin, h)
-
     def test_free_step_preserves_energy(self, galerkin):
-        plant = beam.cayley_discretize(galerkin, 2.0 ** -7)
+        plant = beam.cayley_discretize(galerkin)
         M = galerkin.M_mass
         rng = np.random.default_rng(12)
         for _ in range(3):
@@ -190,9 +184,9 @@ class TestBenchmarkProblem:
         assert qp.n_z == 6
 
     def test_bound_scaling_conventions(self):
-        h = 2.0 ** -7
-        phys = beam.make_benchmark(N=2, h=h, bound_scaling="physical").problem
-        recip = beam.make_benchmark(N=2, h=h, bound_scaling="reciprocal").problem
+        h = beam.SAMPLING_INTERVAL
+        phys = beam.make_benchmark(N=2, bound_scaling="physical").problem
+        recip = beam.make_benchmark(N=2, bound_scaling="reciprocal").problem
         np.testing.assert_allclose(phys.constraints.d[0], np.sqrt(h) * 0.5)
         np.testing.assert_allclose(recip.constraints.d[0], 0.5 / np.sqrt(h))
         # State bounds are in physical units in either convention.
@@ -204,8 +198,8 @@ class TestBenchmarkProblem:
             beam.make_benchmark(N=2, bound_scaling="inverse")
 
     def test_weights(self):
-        h = 2.0 ** -7
-        p = beam.make_benchmark(N=2, h=h).problem
+        h = beam.SAMPLING_INTERVAL
+        p = beam.make_benchmark(N=2).problem
         g = beam.assemble()
         np.testing.assert_allclose(p.weights.Q[0], h * 100.0 * g.M_mass, atol=1e-12)
         np.testing.assert_allclose(p.weights.R[0], np.eye(2))
@@ -272,18 +266,18 @@ class TestFiniteDifferencePlant:
         e0 = fd_energy(fd, y)
         s = fd.from_grid(y)
         for _ in range(4):
-            s = beam.fd_plant_step(fd, s, np.zeros(2), 2.0 ** -7)
+            s = beam.fd_plant_step(fd, s, np.zeros(2))
         assert fd_energy(fd, fd.to_grid(s)) == pytest.approx(e0, rel=1e-7)
 
     def test_step_matches_high_order_reference(self, fd):
-        h = 2.0 ** -7
+        h = beam.SAMPLING_INTERVAL
         u = np.array([0.3, -0.2])
         A, B = fd_generator(fd)
         forcing = B @ u
         ref = beam.initial_grid_state(fd)
         s = fd.from_grid(ref)
         for _ in range(8):
-            s = beam.fd_plant_step(fd, s, u, h)
+            s = beam.fd_plant_step(fd, s, u)
             y = fd.to_grid(s)
             ref = solve_ivp(
                 lambda t, s: A @ s + forcing, (0.0, h), fd.enforce_bc(ref, u),
@@ -296,7 +290,7 @@ class TestFiniteDifferencePlant:
         # The exact zero-order-hold step as the top rows of one dense matrix
         # exponential (Van Loan, IEEE TAC 1978).
         fd = beam.make_fd_plant(galerkin, n_grid)
-        h = 2.0 ** -7
+        h = beam.SAMPLING_INTERVAL
         A, B = fd_generator(fd)
         n, m = B.shape
         step = linalg.expm(np.block([[A * h, B * h], [np.zeros((m, n + m))]]))[:n]
@@ -305,7 +299,7 @@ class TestFiniteDifferencePlant:
         s = fd.from_grid(y)
         for u in rng.uniform(-1.0, 1.0, size=(200, 2)):
             y = step @ np.concatenate([fd.enforce_bc(y, u), u])
-            s = beam.fd_plant_step(fd, s, u, h)
+            s = beam.fd_plant_step(fd, s, u)
             assert np.linalg.norm(fd.to_grid(s) - y) <= 1e-12 * np.linalg.norm(y)
         alpha = fd.observer @ y
         assert np.linalg.norm(fd.observe(s) - alpha) <= 1e-12 * np.linalg.norm(alpha)
@@ -328,7 +322,7 @@ class TestFiniteDifferencePlant:
 
     def test_step_keeps_boundary_entries_pinned(self, fd):
         u = np.array([0.25, -0.5])
-        s = beam.fd_plant_step(fd, fd.from_grid(beam.initial_grid_state(fd)), u, 2.0 ** -7)
+        s = beam.fd_plant_step(fd, fd.from_grid(beam.initial_grid_state(fd)), u)
         y = fd.to_grid(s)
         n = fd.n_grid
         pinned = [n - 1, n, 2 * n + n - 1, 3 * n]
@@ -339,10 +333,10 @@ class TestFiniteDifferencePlant:
         e0 = fd_energy(fd, y)
         s = fd.from_grid(y)
         for _ in range(4):
-            s = beam.fd_plant_step(fd, s, np.zeros(2), 2.0 ** -7)
+            s = beam.fd_plant_step(fd, s, np.zeros(2))
         assert fd_energy(fd, fd.to_grid(s)) == pytest.approx(e0, rel=1e-12)
 
-    def test_step_matrix_built_once_per_interval(self, galerkin, monkeypatch):
+    def test_step_matrix_built_once_per_plant(self, galerkin, monkeypatch):
         calls = []
 
         def counting(name):
@@ -356,22 +350,21 @@ class TestFiniteDifferencePlant:
         for name in ("_modal_form", "_zoh_rotation"):
             monkeypatch.setattr(beam, name, counting(name))
         fd = beam.make_fd_plant(galerkin)
-        assert calls == [] and fd.zoh == {}
+        assert calls == []
         s = fd.from_grid(beam.initial_grid_state(fd))
         fd.observe(s)
         assert calls == ["_modal_form"]
         u = np.array([0.1, 0.2])
-        s = beam.fd_plant_step(fd, s, u, 2.0 ** -7)
-        s = beam.fd_plant_step(fd, s, u, 2.0 ** -7)
+        s = beam.fd_plant_step(fd, s, u)
         assert calls == ["_modal_form", "_zoh_rotation"]
-        s = beam.fd_plant_step(fd, s, u, 2.0 ** -8)
+        for _ in range(3):
+            s = beam.fd_plant_step(fd, s, u)
         fd.observe(s)
         fd.to_grid(s)
-        assert calls == ["_modal_form", "_zoh_rotation", "_zoh_rotation"]
-        assert sorted(fd.zoh) == [2.0 ** -8, 2.0 ** -7]
-        # A second plant builds its own.
-        beam.fd_plant_step(beam.make_fd_plant(galerkin), s, u, 2.0 ** -7)
-        assert calls[3:] == ["_modal_form", "_zoh_rotation"]
+        assert calls == ["_modal_form", "_zoh_rotation"]
+        # A fresh plant builds its own.
+        beam.fd_plant_step(beam.make_fd_plant(galerkin), s, u)
+        assert calls[2:] == ["_modal_form", "_zoh_rotation"]
 
     @pytest.mark.parametrize("perturb", [
         lambda D: D - 1e-3 * np.eye(len(D)),  # a symmetric part of W D dissipates energy
@@ -384,7 +377,7 @@ class TestFiniteDifferencePlant:
         monkeypatch.setattr(beam, "_diff_matrix", lambda n, delta: perturb(sbp(n, delta)))
         state = np.zeros(506)
         with pytest.raises(ValueError, match="not lossless"):
-            beam.fd_plant_step(beam.make_fd_plant(galerkin), state, np.zeros(2), 2.0 ** -7)
+            beam.fd_plant_step(beam.make_fd_plant(galerkin), state, np.zeros(2))
         with pytest.raises(ValueError, match="not lossless"):
             beam.make_fd_plant(galerkin).observe(state)
 
@@ -434,8 +427,8 @@ class TestBenchmarkBundle:
     def test_wiring(self):
         bench = beam.make_benchmark(N=4)
         assert bench.problem.horizon == 4
-        assert bench.u_scale == pytest.approx(np.sqrt(2.0 ** -7))
-        assert bench.h == 2.0 ** -7
+        assert beam.SAMPLING_INTERVAL == 2.0 ** -7
+        assert bench.u_scale == pytest.approx(np.sqrt(beam.SAMPLING_INTERVAL))
         assert bench.galerkin.basis.sizes == [9, 9, 9, 9]
         assert bench.galerkin.mean_row(0) @ bench.x0 == pytest.approx(0.0, abs=1e-12)
         assert bench.x0.shape == (36,)

@@ -14,7 +14,7 @@ import pytest
 
 import rfmpc
 from rfmpc import cli, lifting
-from rfmpc.beam import make_benchmark
+from rfmpc.beam import SAMPLING_INTERVAL, make_benchmark
 from rfmpc.problem import load_problem, to_json_dict, validate
 
 CORNER_TOY = Path(rfmpc.__file__).with_name("data") / "corner_toy.json"
@@ -339,10 +339,11 @@ class TestErrorPaths:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, setting", [
-        (["simulate", "--h", "0"], "sampling interval h = 0.0"),
-        (["simulate", "--h", "-0.01"], "sampling interval h = -0.01"),
-        (["benchmark", "--horizons", "3", "--h", "0"], "sampling interval h = 0.0"),
-        (["beam", "build", "--h", "0"], "sampling interval h = 0.0"),
+        # The sampling interval is a constant: no command takes it.
+        (["simulate", "--h", "0.01"], "--h"),
+        (["simulate", "--h=0.01"], "--h"),
+        (["benchmark", "--h", "0.01"], "--h"),
+        (["beam", "build", "--h", "0.01"], "--h"),
         (["simulate", "--mode", "fd", "--n-grid", "1"], "n_grid = 1"),
         (["simulate", "--mode", "fd", "--n-grid", "9"], "n_grid = 9"),
         (["simulate", "--t-end", "-1"], "t_end = -1.0"),
@@ -361,6 +362,25 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert setting in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_unrecordable_run_rejected(self):
+        # 1e9 s is 1.28e11 steps, a record of tens of TiB, which numpy fails
+        # to allocate at once; numpy refuses the longer ones before
+        # allocating.  The child's address space is capped so that a machine
+        # that overcommits memory refuses 1e9 too, instead of running on.
+        src = str(Path(rfmpc.__file__).resolve().parents[1])
+        t_ends = ["1e9", "1e15", "1e300"]
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (16 << 30, 16 << 30))\n"
+                "from rfmpc import cli\n"
+                "print([cli.dispatch(['simulate', '--t-end', t, '--horizon', '2'])\n"
+                f"       for t in {t_ends}])\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "[1, 1, 1]", proc.stderr
+        for t in map(float, t_ends):
+            assert f"t_end = {t} is {round(t / SAMPLING_INTERVAL)} steps" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_help_exits_zero(self, capsys):
         assert cli.dispatch(["--help"]) == 0
