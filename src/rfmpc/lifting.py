@@ -11,11 +11,14 @@ previous input.  A :class:`LiftedQP` is one flat record of this QP: the
 cost operators ``H``, ``F`` and ``const_op``, the constraint data ``G``,
 ``S``, ``W`` with each row's stage, and the horizon sizes.
 
-:func:`build` condenses with one stage template instead of stacked block
-matrices: one pass over the stages carries the affine map from
-``(theta, u)`` to the stage's ``(x'_k, u'_{k-1}, u'_k)`` and pulls each
-stage's cost and rows back through it; the terminal stage is the same
-template with a zero input.  Building the QP factors ``H`` once, with numpy,
+:func:`build` condenses by a backward recursion on the augmented state
+``s_k = (x'_k, u'_{k-1})``, in the manner of Frison and Jorgensen ("A fast
+condensing method for solution of linear-quadratic control problems", IEEE
+CDC 2013): a backward pass accumulates the cost-to-go ``P_m`` of the state,
+a forward pass carries the powers of the state matrix, and ``H`` is
+gathered from products with the impulse responses.  That is O(N) products
+of state-sized blocks and O(N^2) of input-sized ones; no per-stage power or
+``P_m`` is stored.  Building the QP factors ``H`` once, with numpy,
 and caches the operators every query reuses: ``H^{-1} F`` for the shift
 between ``u`` and ``z``, and ``Y = H^{-1} G^T`` with ``K = G Y`` for the
 constraint-space KKT solves of :mod:`.solver`.  No query reads ``H`` again.
@@ -23,6 +26,7 @@ constraint-space KKT solves of :mod:`.solver`.  No query reads ``H`` again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +56,8 @@ class LiftedQP:
     caches ``HinvF`` (``H^{-1} F``, n_z x n_theta), ``Y`` (``H^{-1} G^T``,
     n_z x p) and ``K = G Y`` (p x p), formed as ``B^T B`` with ``B = Li G^T``
     so that it is exactly symmetric; every candidate's KKT solve runs on it.
-    An ``H`` that is not positive definite raises ``np.linalg.LinAlgError``.
+    ``G_max`` is ``max|G|``, computed on first use.  An ``H`` that is not
+    positive definite raises ``np.linalg.LinAlgError``.
     """
 
     H: np.ndarray
@@ -87,6 +92,11 @@ class LiftedQP:
     def p_tilde(self) -> int:
         return self.G.shape[0]
 
+    @cached_property
+    def G_max(self) -> float:
+        """``max|G|``, the scale of the Farkas ray test of :mod:`.solver`."""
+        return np.abs(self.G).max(initial=0.0)
+
     @classmethod
     def from_matrices(cls, H, F, G, S, W, N=None, n_u=None) -> "LiftedQP":
         """Wrap raw QP data (used for desk-scale instances and tests).
@@ -108,16 +118,28 @@ class LiftedQP:
 def build(p: ProblemDefinition) -> LiftedQP:
     """Assemble the condensed QP data from a validated problem.
 
-    One loop over the stages ``k = 0..N`` carries the affine map ``T`` from
-    ``v = (x, u_prev, u_0..u_{N-1})`` to ``(x'_k, u'_{k-1}, u'_k)``, starting
-    from ``x'_0 = x``, ``u'_{-1} = u_prev`` and stepping
-    ``x'_{k+1} = A x'_k + B u'_k``.  Each stage adds
-    ``T^T [[Q, 0, M], [0, V, -V], [M^T, -V, R + V]] T`` to the cost matrix
-    over ``v``, whose theta-theta, u-theta and u-u blocks are ``const_op``,
-    ``F`` and ``H``, and appends its rows ``[calE calF E] T``.  The terminal
-    stage is the same template with ``u'_N = 0``, ``Q = P``, ``M = R = 0``,
-    ``V = V_N`` and rows ``[E_hat F_hat 0]``.  ``G`` is the rows' input
-    columns and ``S = G H^{-1} F`` minus their theta columns.
+    The recursion runs on the augmented state ``s_k = (x'_k, u'_{k-1})``,
+    ``s_0 = theta``, which steps as ``s_{k+1} = At s_k + Bt u_k`` with
+    ``At = diag(A, 0)`` and ``Bt = [B; I]``, so that
+    ``s_k = At^k theta + sum_{j<k} At^{k-1-j} Bt u_j``.  Stage ``k`` costs
+    ``<Lss_k s, s> + 2 <Lsu_k u, s> + <(R_k + V_k) u, u>`` with
+    ``Lss_k = diag(Q_k, V_k)`` and ``Lsu_k = [M_k; -V_k]``, and the terminal
+    stage ``<P_N s, s>`` with ``P_N = diag(P, V_N)``.  One backward pass
+    forms ``P_m = Lss_m + At^T P_{m+1} At`` and keeps only the
+    ``n_u x n_s`` products ``Z_i = Bt^T P_{i+1}``; ``const_op = P_0``.  One
+    forward pass carries the power ``At^k`` and gives
+    ``F_k = Z_k At^{k+1} + Lsu_k^T At^k``, the impulse responses
+    ``At^m Bt``, and the rows of stage ``k``: ``[calE_k calF_k] At^k`` on
+    theta, ``[calE_k calF_k] At^{k-1-j} Bt`` on ``u_j`` for ``j < k`` (a
+    slice of the stacked impulse responses) and ``E_k`` on ``u_k``; the
+    terminal rows are ``[E_hat F_hat]`` with no ``u_N``.  ``H`` comes from
+    two products with the stacked impulse responses and a Toeplitz gather:
+    ``H_ij = Z_i At^{i-j} Bt + Lsu_i^T At^{i-1-j} Bt`` for ``i > j`` and
+    ``H_ii = Z_i Bt + R_i + V_i``.  This is the backward condensing of
+    Frison and Jorgensen ("A fast condensing method for solution of
+    linear-quadratic control problems", IEEE CDC 2013): O(N) products of
+    ``n_s x n_s`` blocks and O(N^2) of small ones.  ``G`` is the rows'
+    input columns and ``S = G H^{-1} F`` minus their theta columns.
 
     Raises ``ValueError`` when the problem data is invalid or when ``H`` is
     not coercive (smallest eigenvalue below ``_COERCIVE_TOL * (1 + ||H||)``).
@@ -126,47 +148,75 @@ def build(p: ProblemDefinition) -> LiftedQP:
     if report:
         raise ValueError("invalid problem: " + "; ".join(report))
 
-    A, B = p.prediction_model.A, p.prediction_model.B
-    n_x, n_u, N = p.n_x, p.n_u, p.horizon
-    w, c = p.weights, p.constraints
-    n_theta = n_x + n_u
-    x, prev, cur = slice(0, n_x), slice(n_x, n_theta), slice(n_theta, n_theta + n_u)
-    T = np.zeros((n_x + 2 * n_u, n_theta + N * n_u))
-    T[:n_theta, :n_theta] = np.eye(n_theta)
-    cost = np.zeros((T.shape[1], T.shape[1]))
-    rows, W, stage_offsets = [], [], []
-    O_xu = np.zeros((n_x, n_u))
-    for k in range(N + 1):
-        if k < N:
-            T[cur, n_theta + k * n_u : n_theta + (k + 1) * n_u] = np.eye(n_u)
-            Q, M, R, V = w.Q[k], w.M[k], w.R[k], w.V[k]
-            d, E_k = c.d[k], np.hstack([c.calE[k], c.calF[k], c.E[k]])
-        else:
-            Q, M, R, V = w.P, O_xu, 0.0, w.V[N]
-            d, E_k = c.d_hat, np.hstack([c.E_hat, c.F_hat, np.zeros((c.p_hat, n_u))])
-        L = np.block([[Q, O_xu, M], [O_xu.T, V, -V], [M.T, -V, R + V]])
-        cost += T.T @ (L @ T)
-        rows.append(E_k @ T)
-        W.append(d)
-        stage_offsets.extend((k, i) for i in range(len(d)))
-        T[x] = A @ T[x] + B @ T[cur]
-        T[prev] = T[cur]
-        T[cur] = 0.0
-
-    H = cost[n_theta:, n_theta:]
+    H, F, const_op, G, rows_theta = _condense(p)
     w_H = np.linalg.eigvalsh(0.5 * (H + H.T))
     if w_H[0] <= _COERCIVE_TOL * (1.0 + np.max(np.abs(w_H))):
         raise ValueError(f"H not coercive: smallest eigenvalue {w_H[0]:.3e}")
 
-    rows = np.vstack(rows)
-    G = rows[:, n_theta:]
     # The QP factors H once; S reads the cached H^{-1} F, so S is filled in
     # after the QP exists.
-    qp = LiftedQP(H=H, F=cost[n_theta:, :n_theta], const_op=cost[:n_theta, :n_theta], G=G,
-                  S=None, W=np.concatenate(W),
-                  stage_offsets=stage_offsets, N=N, n_u=n_u)
-    qp.S = G @ qp.HinvF - rows[:, :n_theta]
+    c = p.constraints
+    qp = LiftedQP(H=H, F=F, const_op=const_op, G=G, S=None, W=np.concatenate(c.d + [c.d_hat]),
+                  stage_offsets=[(k, i) for k, n in enumerate(c.rows_per_stage + [c.p_hat])
+                                 for i in range(n)],
+                  N=p.horizon, n_u=p.n_u)
+    qp.S = G @ qp.HinvF - rows_theta
     return qp
+
+
+def _condense(p: ProblemDefinition) -> tuple:
+    """``(H, F, const_op, G, rows_theta)`` of :func:`build`, whose docstring
+    gives the recursion; ``rows_theta`` is the rows' theta columns.  Only
+    these leave the call, so its work arrays are freed before ``H`` is
+    factored."""
+    A, B = p.prediction_model.A, p.prediction_model.B
+    n_x, n_u, N = p.n_x, p.n_u, p.horizon
+    w, c = p.weights, p.constraints
+    n_s = n_x + n_u
+    At = np.zeros((n_s, n_s))
+    At[:n_x, :n_x] = A
+    Bt = np.vstack([B, np.eye(n_u)])
+    Lsu = np.concatenate([np.asarray(w.M), -np.asarray(w.V[:N])], axis=1)
+
+    Z = np.empty((N, n_u, n_s))
+    P = np.zeros((n_s, n_s))
+    P[:n_x, :n_x], P[n_x:, n_x:] = w.P, w.V[N]
+    for i in range(N - 1, -1, -1):
+        Z[i] = Bt.T @ P
+        P = At.T @ (P @ At)
+        P[:n_x, :n_x] += w.Q[i]
+        P[n_x:, n_x:] += w.V[i]
+
+    # Gam holds the impulse responses At^m Bt in reverse, m = N-1 .. 0, so
+    # that stage k's rows on u_0 .. u_{k-1} take its last k blocks.
+    Gam = np.empty((n_s, N * n_u))
+    F = np.empty((N, n_u, n_s))
+    starts = np.cumsum([0] + c.rows_per_stage + [c.p_hat])
+    G = np.zeros((starts[-1], N * n_u))
+    rows_theta = np.empty((starts[-1], n_s))
+    Ak = np.eye(n_s)
+    for k in range(N + 1):
+        r = slice(starts[k], starts[k + 1])
+        C = np.hstack([c.calE[k], c.calF[k]] if k < N else [c.E_hat, c.F_hat])
+        rows_theta[r] = C @ Ak
+        G[r, : k * n_u] = C @ Gam[:, (N - k) * n_u :]
+        if k == N:
+            break
+        G[r, k * n_u : (k + 1) * n_u] = c.E[k]
+        Gam[:, (N - 1 - k) * n_u : (N - k) * n_u] = Ak @ Bt
+        Ak, A_prev = At @ Ak, Ak
+        F[k] = Z[k] @ Ak + Lsu[k].T @ A_prev
+
+    # Block (i, q) of ZG is Z_i At^{N-1-q} Bt, and of LG Lsu_i^T At^{N-1-q} Bt.
+    ZG = (Z.reshape(N * n_u, n_s) @ Gam).reshape(N, n_u, N, n_u)
+    LG = (Lsu.transpose(0, 2, 1).reshape(N * n_u, n_s) @ Gam).reshape(N, n_u, N, n_u)
+    i, j = np.tril_indices(N, -1)
+    low = ZG[i, :, N - 1 - i + j] + LG[i, :, N - i + j]
+    H = np.empty((N, n_u, N, n_u))
+    H[i, :, j], H[j, :, i] = low, low.transpose(0, 2, 1)
+    d = np.arange(N)
+    H[d, :, d] = ZG[d, :, N - 1] + np.asarray(w.R) + np.asarray(w.V[:N])
+    return H.reshape(N * n_u, N * n_u), F.reshape(N * n_u, n_s), P, G, rows_theta
 
 
 def _theta_vector(theta) -> np.ndarray:

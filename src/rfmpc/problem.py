@@ -216,15 +216,17 @@ def _entries(p: ProblemDefinition, out: list, fill_empty: bool = False):
                 yield f.name, label, a, want
 
 
-def _psd_report(name: str, A: np.ndarray, out: list):
+def _psd_verdict(A: np.ndarray) -> str | None:
+    """What is wrong with the weight block ``A`` (``"is not symmetric"`` or
+    ``"is not positive semidefinite (min eig ...)"``), or None."""
     if not A.size:
-        return
+        return None
     if np.max(np.abs(A - A.T)) > 1e-10 * (1.0 + np.max(np.abs(A))):
-        out.append(f"{name} is not symmetric")
-        return
+        return "is not symmetric"
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
     if w[0] < -_PSD_TOL * (1.0 + max(abs(w[0]), abs(w[-1]))):
-        out.append(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
+        return f"is not positive semidefinite (min eig {w[0]:.3e})"
+    return None
 
 
 def validate(p: ProblemDefinition) -> list:
@@ -235,8 +237,13 @@ def validate(p: ProblemDefinition) -> list:
     does not match (6, 2)"``), non-finite entries once per field (``"V contains
     non-finite entries"``) and negative bounds (``"d[0] has negative entries
     ..."``).  The weights' symmetry and semidefiniteness are checked only when
-    every array passed the count, shape and finiteness checks.  Violations are
-    reported rather than raised, so a caller can collect the full picture.
+    every array passed the count, shape and finiteness checks, on the joint
+    block ``[[Q, M], [M.T, R]]`` of each stage, each ``V[k]`` and ``P``.
+    Each distinct block is judged once, keyed by the bytes of the arrays it
+    is made of, since most problems repeat one block across the stages; its
+    verdict is reported at every stage that has it (``"V[3] is not
+    symmetric"``).  Violations are reported rather than raised, so a caller
+    can collect the full picture.
     """
     if p.horizon < 1:
         return [f"horizon must be >= 1, got {p.horizon}"]
@@ -250,15 +257,22 @@ def validate(p: ProblemDefinition) -> list:
         elif len(want) == 1 and a.size and np.min(a) < 0:
             signs.append(f"{label} has negative entries (min {np.min(a):.3e})")
     if not out:
+        # The stage cost is jointly convex in (x, u) only if the full block
+        # with the cross term is semidefinite.
         w = p.weights
-        for k in range(p.horizon):
-            # The stage cost is jointly convex in (x, u) only if the full
-            # block with the cross term is semidefinite.
-            block = np.block([[w.Q[k], w.M[k]], [w.M[k].T, w.R[k]]])
-            _psd_report(f"[[Q, M], [M.T, R]] block at stage {k}", block, out)
-        for k, Vk in enumerate(w.V):
-            _psd_report(f"V[{k}]", Vk, out)
-        _psd_report("P", w.P, out)
+        blocks = [(f"[[Q, M], [M.T, R]] block at stage {k}", (w.Q[k], w.M[k], w.R[k]))
+                  for k in range(p.horizon)]
+        blocks += [(f"V[{k}]", (Vk,)) for k, Vk in enumerate(w.V)] + [("P", (w.P,))]
+        verdicts = {}
+        for name, parts in blocks:
+            key = tuple(a.tobytes() for a in parts)
+            if key not in verdicts:
+                if len(parts) == 3:
+                    Q, M, R = parts
+                    parts = (np.block([[Q, M], [M.T, R]]),)
+                verdicts[key] = _psd_verdict(parts[0])
+            if verdicts[key]:
+                out.append(f"{name} {verdicts[key]}")
     return out + signs
 
 

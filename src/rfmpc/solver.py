@@ -449,10 +449,10 @@ def _farkas_ray(qp: LiftedQP, b: np.ndarray, trigger: int):
         rows = np.array(_mask_indices(trigger))
         bA = b[rows]
         y[rows] = _nnls(qp.K[np.ix_(rows, rows)] + np.outer(bA, bA), -bA, passive=True)
-        if check_farkas(qp.G, b, y):
+        if _farkas_holds(qp.G, b, y, qp.G_max):
             return y
     y = _nnls(qp.K + np.outer(b, b), -b)
-    return y if check_farkas(qp.G, b, y) else None
+    return y if _farkas_holds(qp.G, b, y, qp.G_max) else None
 
 
 def _nnls(C: np.ndarray, d: np.ndarray, passive: bool = False) -> np.ndarray:
@@ -522,11 +522,18 @@ def check_farkas(G, b, y) -> bool:
     rows where ``y > 0``, but the scale is the whole of ``G``: a ray on a zero
     row ``0 <= b_k < 0`` may carry rounding-level weight on other rows.
     """
-    G, b, y = np.asarray(G, float), np.asarray(b, float), np.asarray(y, float)
+    G = np.asarray(G, float)
+    return _farkas_holds(G, b, y, np.abs(G).max(initial=0.0))
+
+
+def _farkas_holds(G: np.ndarray, b, y, G_max: float) -> bool:
+    """:func:`check_farkas` with the scale ``max|G|`` given, as the search
+    passes the one its QP cached (``LiftedQP.G_max``)."""
+    b, y = np.asarray(b, float), np.asarray(y, float)
     if y.shape != b.shape or np.any(y < 0.0):
         return False
     gty = np.abs(G[y > 0.0].T @ y[y > 0.0]).max(initial=0.0)
-    return bool(gty <= 1e-9 * np.abs(G).max(initial=0.0) * y.sum() and b @ y <= -1.0 + 1e-9)
+    return bool(gty <= 1e-9 * G_max * y.sum() and b @ y <= -1.0 + 1e-9)
 
 
 def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:

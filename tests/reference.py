@@ -3,7 +3,8 @@
 
 The finite-horizon cost and constraint slacks are evaluated by direct
 recursion of the prediction model, deliberately independent of the condensed
-QP built in :mod:`rfmpc.lifting`, so that the two routes can be cross-checked.
+QP built in :mod:`rfmpc.lifting`, so that the two routes can be cross-checked;
+:func:`condense_template` builds that QP by a second, forward route.
 Two reference solvers reach the minimizer of a desk-scale QP without the
 search: enumeration shares only the candidate evaluator of :mod:`rfmpc.solver`,
 and dual ascent only the operators ``K`` and ``Y`` the QP cached when it was
@@ -89,6 +90,59 @@ def check_admissible(p: ProblemDefinition, u_seq, theta: Parameter, tol: float =
         slacks.append(c.d_hat - c.E_hat @ xs[-1] - c.F_hat @ u[-1])
     s = np.concatenate(slacks) if slacks else np.zeros(0)
     return bool(s.size == 0 or np.min(s) >= -tol), s
+
+
+def condense_template(p: ProblemDefinition) -> LiftedQP:
+    """The condensed QP by a forward stage template, without validation or
+    the coercivity check.
+
+    One loop over the stages ``k = 0..N`` carries the affine map ``T`` from
+    ``v = (x, u_prev, u_0..u_{N-1})`` to ``(x'_k, u'_{k-1}, u'_k)``, starting
+    from ``x'_0 = x``, ``u'_{-1} = u_prev`` and stepping
+    ``x'_{k+1} = A x'_k + B u'_k``.  Each stage adds
+    ``T^T [[Q, 0, M], [0, V, -V], [M^T, -V, R + V]] T`` to the cost matrix
+    over ``v``, whose theta-theta, u-theta and u-u blocks are ``const_op``,
+    ``F`` and ``H``, and appends its rows ``[calE calF E] T``.  The terminal
+    stage is the same template with ``u'_N = 0``, ``Q = P``, ``M = R = 0``,
+    ``V = V_N`` and rows ``[E_hat F_hat 0]``.  ``G`` is the rows' input
+    columns and ``S = G H^{-1} F`` minus their theta columns.  Pushing the
+    whole template through every stage is O(N^3) work, but it shares no step
+    with the backward recursion of :func:`rfmpc.lifting.build`.
+    """
+    A, B = p.prediction_model.A, p.prediction_model.B
+    n_x, n_u, N = p.n_x, p.n_u, p.horizon
+    w, c = p.weights, p.constraints
+    n_theta = n_x + n_u
+    x, prev, cur = slice(0, n_x), slice(n_x, n_theta), slice(n_theta, n_theta + n_u)
+    T = np.zeros((n_x + 2 * n_u, n_theta + N * n_u))
+    T[:n_theta, :n_theta] = np.eye(n_theta)
+    cost = np.zeros((T.shape[1], T.shape[1]))
+    rows, W, stage_offsets = [], [], []
+    O_xu = np.zeros((n_x, n_u))
+    for k in range(N + 1):
+        if k < N:
+            T[cur, n_theta + k * n_u : n_theta + (k + 1) * n_u] = np.eye(n_u)
+            Q, M, R, V = w.Q[k], w.M[k], w.R[k], w.V[k]
+            d, E_k = c.d[k], np.hstack([c.calE[k], c.calF[k], c.E[k]])
+        else:
+            Q, M, R, V = w.P, O_xu, 0.0, w.V[N]
+            d, E_k = c.d_hat, np.hstack([c.E_hat, c.F_hat, np.zeros((c.p_hat, n_u))])
+        L = np.block([[Q, O_xu, M], [O_xu.T, V, -V], [M.T, -V, R + V]])
+        cost += T.T @ (L @ T)
+        rows.append(E_k @ T)
+        W.append(d)
+        stage_offsets.extend((k, i) for i in range(len(d)))
+        T[x] = A @ T[x] + B @ T[cur]
+        T[prev] = T[cur]
+        T[cur] = 0.0
+
+    rows = np.vstack(rows)
+    G = rows[:, n_theta:]
+    qp = LiftedQP(H=cost[n_theta:, n_theta:], F=cost[n_theta:, :n_theta],
+                  const_op=cost[:n_theta, :n_theta], G=G, S=None, W=np.concatenate(W),
+                  stage_offsets=stage_offsets, N=N, n_u=n_u)
+    qp.S = G @ qp.HinvF - rows[:, :n_theta]
+    return qp
 
 
 def to_z(qp: LiftedQP, u_seq, theta) -> np.ndarray:

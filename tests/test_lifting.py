@@ -1,12 +1,14 @@
-"""Condensed QP assembly cross-checked against the stage recursion."""
+"""Condensed QP assembly cross-checked against the stage recursion and the
+forward stage template."""
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_random_problem
-from reference import (check_admissible, check_easy_slater, eval_constraints, evaluate_cost,
-                       scalar_problem, to_z)
+from reference import (check_admissible, check_easy_slater, condense_template, eval_constraints,
+                       evaluate_cost, scalar_problem, to_z)
 from rfmpc import beam, lifting, solver
 from rfmpc.lifting import LiftedQP
 from rfmpc.problem import Parameter, StageConstraints
@@ -147,6 +149,68 @@ class TestUnevenRows:
             np.testing.assert_allclose(slack, direct, atol=1e-10)
             np.testing.assert_allclose(lifting.evaluate_lifted_cost(qp, u, theta),
                                        evaluate_cost(p, u, theta), rtol=1e-10)
+
+
+def assert_matches_template(p):
+    """``build`` against the forward template: the operators within 1e-12
+    of the template's largest entry, the bounds and row labels exactly."""
+    got, want = lifting.build(p), condense_template(p)
+    for name in ("H", "F", "const_op", "G", "S"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=0.0), name
+    np.testing.assert_array_equal(got.W, want.W)
+    assert got.stage_offsets == want.stage_offsets
+
+
+class TestAgainstTemplate:
+    @pytest.mark.parametrize("n_u", [1, 2])
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_random_stage_varying_problems(self, N, n_u):
+        # make_random_problem draws Q, R, M and V afresh for every stage.
+        rng = np.random.default_rng(100 * N + n_u)
+        for _ in range(3):
+            p = make_random_problem(rng, n_x=int(rng.integers(1, 5)), n_u=n_u, N=N,
+                                    rows_per_stage=int(rng.integers(1, 3)),
+                                    p_hat=int(rng.integers(0, 3)))
+            assert_matches_template(p)
+
+    @pytest.mark.parametrize("p_hat", [0, 2])
+    def test_zero_row_stages(self, p_hat):
+        # Stages 0, 2 and 4 have no rows; with p_hat 0 the last rows are stage 3's.
+        rng = np.random.default_rng(40 + p_hat)
+        n_x, n_u, N = 3, 2, 5
+        p = make_random_problem(rng, n_x=n_x, n_u=n_u, N=N, rows_per_stage=0, p_hat=p_hat)
+        c = p.constraints
+        for k, pk in ((1, 2), (3, 1)):
+            c.d[k] = rng.uniform(0.3, 1.5, size=pk)
+            c.calE[k] = rng.normal(size=(pk, n_x))
+            c.calF[k] = rng.normal(size=(pk, n_u))
+            c.E[k] = rng.normal(size=(pk, n_u))
+        assert_matches_template(p)
+
+    def test_no_rows_at_all(self):
+        p = make_random_problem(np.random.default_rng(8), n_x=2, n_u=1, N=3,
+                                rows_per_stage=0, p_hat=0)
+        assert lifting.build(p).p_tilde == 0
+        assert_matches_template(p)
+
+    def test_beam_at_long_horizon(self):
+        assert_matches_template(beam.make_benchmark(9, N=150).problem)
+
+
+def test_build_memory_at_long_horizon():
+    # The recursion carries the powers of the state matrix and P_{m+1}
+    # through its loops instead of storing one per stage; stored, they would
+    # take about 60 MiB more here.
+    p = beam.make_benchmark(40, N=150).problem
+    tracemalloc.start()
+    try:
+        lifting.build(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 class TestGuards:

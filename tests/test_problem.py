@@ -99,6 +99,47 @@ class TestValidate:
                 assert pb.validate(p) == [f"{name} contains non-finite entries"]
 
 
+class TestValidatePerStage:
+    """``validate`` judges each distinct weight block once and reports it at
+    every stage that has it."""
+
+    def test_shared_bad_blocks_reported_at_every_stage(self):
+        p = make_random_problem(np.random.default_rng(3), n_x=2, n_u=2, N=3)
+        p.weights.Q = [np.diag([-1.0, 0.0])] * 3
+        p.weights.M = [np.zeros((2, 2))] * 3
+        p.weights.R = [np.eye(2)] * 3
+        p.weights.V = [np.array([[1.0, 2.0], [0.0, 1.0]])] * 4
+        assert pb.validate(p) == (
+            [f"[[Q, M], [M.T, R]] block at stage {k} is not positive semidefinite (min eig -1.000e+00)"
+             for k in range(3)]
+            + [f"V[{k}] is not symmetric" for k in range(4)])
+
+    def test_one_bad_stage_among_equal_blocks(self):
+        p = tiny_problem(N=5)
+        p.weights.M[2] = np.array([[5.0]])
+        p.weights.V[3] = np.array([[-0.5]])
+        assert pb.validate(p) == [
+            "[[Q, M], [M.T, R]] block at stage 2 is not positive semidefinite (min eig -4.000e+00)",
+            "V[3] is not positive semidefinite (min eig -5.000e-01)",
+        ]
+
+    def test_json_round_trip_gives_identical_report(self, tmp_path, monkeypatch):
+        p = tiny_problem(N=4)
+        p.weights.Q = [np.array([[-1.0]])] * 4
+        p.weights.V[1] = np.array([[-0.5]])
+        path = tmp_path / "p.json"
+        pb.save_problem(path, p)
+        loaded, _ = pb.load_problem(path)
+        assert loaded.weights.Q[0] is not loaded.weights.Q[1]
+        report = pb.validate(p)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(A) or eigvalsh(A))
+        assert pb.validate(loaded) == report and len(report) == 5
+        # One joint block, two distinct V blocks and P: four judgements, not ten.
+        assert len(calls) == 4
+
+
 class TestPrediction:
     def test_trajectory_recursion(self):
         p = tiny_problem()
