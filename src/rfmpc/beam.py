@@ -350,9 +350,10 @@ class FDPlant:
     the free displacement and momentum entries (see :func:`fd_plant_step`)
     and the physical input held over the last interval, which fixes the
     pinned entries.  :meth:`from_grid` and :meth:`to_grid` convert between
-    plant and grid states, and :meth:`observe` maps a plant state to the
-    Galerkin coefficients.  The modal form is built from the grid on first
-    use, and so are the step operators of :func:`fd_plant_step`.
+    plant and grid states, :meth:`observe` maps a plant state to the
+    Galerkin coefficients and :meth:`measure` to the spatial means and norm
+    of its grid state.  The modal form is built from the grid on first use,
+    and so are the step operators of :func:`fd_plant_step`.
     """
 
     grid: np.ndarray
@@ -398,13 +399,23 @@ class FDPlant:
         return _zoh_rotation(self._modes)
 
     @cached_property
-    def _observe_map(self) -> np.ndarray:
-        # to_grid is linear, so its image of the identity is its matrix.
-        return self.observer @ self.to_grid(np.eye(2 * len(self._modes.sigma) + 2)).T
+    def _maps(self) -> tuple:
+        """Matrices of :meth:`observe` and of the means of components 1 and 4."""
+        # to_grid is linear, so its image of the identity is its matrix, transposed.
+        Y = self.to_grid(np.eye(2 * len(self._modes.sigma) + 2))
+        return self.observer @ Y.T, np.stack([self.mean(Y, 0), self.mean(Y, 3)])
 
     def observe(self, state: np.ndarray) -> np.ndarray:
         """Galerkin coefficients of a plant state, as one matrix-vector product."""
-        return self._observe_map @ state
+        return self._maps[0] @ state
+
+    def measure(self, state: np.ndarray) -> tuple:
+        """Trapezoidal means of components 1 and 4, and the spatial norm, of a
+        plant state's grid state.  The norm needs no grid: the modal
+        coordinates are energy-weighted and orthonormal, the pinned momenta
+        are 0, and the pinned displacements hold the input at weight ``trapz_w[-1]``."""
+        ab, u = state[:-2], state[-2:]
+        return self._maps[1] @ state, np.sqrt(ab @ ab + self.trapz_w[-1] * (u @ u))
 
     def to_grid(self, states: np.ndarray) -> np.ndarray:
         """Grid state of a plant state, or of a block of them (one per row)."""

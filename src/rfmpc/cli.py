@@ -2,9 +2,9 @@
 
 Problems travel as JSON files, results as CSV or whitespace matrix dumps
 (first line ``rows cols``, then row-major values with 17 significant digits).
-Exit codes: 0 success, 1 usage or invalid data, 2 infeasible (Farkas
-certificate), 3 search stalled on an uncertified query, 4 I/O failure or a
-file that is not a problem document.
+Exit codes: 0 success, 1 usage, invalid data or a size that does not fit in
+memory, 2 infeasible (Farkas certificate), 3 search stalled on an
+uncertified query, 4 I/O failure or a file that is not a problem document.
 """
 from __future__ import annotations
 
@@ -268,6 +268,9 @@ def dispatch(argv) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"rfmpc: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size setting too large for this machine
+        print(f"rfmpc: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE
 

@@ -320,7 +320,7 @@ def save_problem(path, p: ProblemDefinition, meta: dict | None = None):
     doc = to_json_dict(p)
     if meta:
         doc["meta"] = meta
-    Path(path).write_text(json.dumps(doc, indent=1))
+    Path(path).write_text(json.dumps(doc))
 
 
 def load_problem(path):

@@ -14,9 +14,8 @@ the solve, the plant step and the warm shift.  It records the state, the
 input, the predicted input sequence and the search counts; the logged values
 (``J_opt``, ``J_cum``, the perfect-mode means and norms, the physical inputs)
 are derived from that record after the loop, in one vectorised pass over
-blocks of steps.  The fd-mode means and norms are derived per block as well,
-inside the loop: the plant states of one block are kept and turned back into
-grid states together, once the block is full.
+blocks of steps.  The fd-mode means and norms are measured on each plant
+state as it is stepped, without a grid.
 
 A run's settings are one :class:`SimulationConfig`; the CSV columns are the
 fields of :class:`StepLog` and :class:`BenchmarkRow`, written by :func:`csv_row`.
@@ -181,10 +180,9 @@ def run_closed_loop(
     after the loop.  ``J_opt`` comes from one batched
     :func:`~rfmpc.lifting.evaluate_lifted_cost` per block of steps, ``J_cum``
     is the cumulative sum of the stage costs, and in ``"perfect"`` mode the
-    means and norms are read from ``states``.  In ``"fd"`` mode they are
-    measured on the grid, from the last ``_BLOCK`` plant states, with one
-    :meth:`~rfmpc.beam.FDPlant.to_grid` per block; step 0 is measured on the
-    initial grid state.
+    means and norms are read from ``states``.  In ``"fd"`` mode each step's
+    plant state is measured by :meth:`~rfmpc.beam.FDPlant.measure`; step 0
+    is measured on the initial grid state.
     """
     if not 0.0 <= cfg.t_end < float("inf"):
         raise ValueError(f"t_end = {cfg.t_end} must be finite and nonnegative")
@@ -207,7 +205,6 @@ def run_closed_loop(
         y0 = beam_mod.initial_grid_state(fd)
         y = fd.from_grid(y0)
         x = fd.observe(y)
-        recent = np.zeros((_BLOCK, len(y)))  # the plant states of the current block
     elif cfg.mode == "perfect":
         fd = None
         x = bench.x0.copy()
@@ -223,6 +220,11 @@ def run_closed_loop(
     except (MemoryError, ValueError) as exc:  # too many bytes, or too many rows for numpy
         raise ValueError(f"t_end = {cfg.t_end} is {n_steps} steps, whose record does not "
                          f"fit in memory") from exc
+    if fd is not None:
+        # Step 0 is measured on the initial grid state itself: its plant state
+        # holds it only up to roundoff, and x1 and x4 start at rest.
+        means[0] = fd.mean(y0, 0), fd.mean(y0, 3)
+        norms[0] = np.sqrt(np.tile(fd.trapz_w, 4) @ y0**2)
     u_seqs, asets, stats = [], [], []
     u = np.zeros(n_u)
     warm = None
@@ -230,12 +232,6 @@ def run_closed_loop(
 
     for n in range(n_steps):
         states[n] = x
-        if fd is not None:
-            recent[n % _BLOCK] = y
-            if n % _BLOCK == _BLOCK - 1:
-                b = slice(n + 1 - _BLOCK, n + 1)
-                means[b], norms[b] = _grid_measure(fd, fd.to_grid(recent))
-
         res = solver_fn(qp, Parameter(x, u), warm, tol)
         if res.status is SolveStatus.INFEASIBLE:
             raise RecursiveFeasibilityError(
@@ -253,17 +249,11 @@ def run_closed_loop(
         else:
             y = beam_mod.fd_plant_step(fd, y, u / bench.u_scale)
             x = fd.observe(y)
+            means[n + 1], norms[n + 1] = fd.measure(y)
         warm = shift_warm_set(res.active_set, shift) if cfg.warm_start else None
 
     states[n_steps] = x
-    if fd is not None:
-        k = n_steps % _BLOCK
-        recent[k] = y
-        means[n_steps - k :], norms[n_steps - k :] = _grid_measure(fd, fd.to_grid(recent[: k + 1]))
-        # Step 0 is measured on the initial grid state itself: its plant state
-        # holds it only up to roundoff, and x1 and x4 start at rest.
-        means[:1], norms[:1] = _grid_measure(fd, y0[None])
-    else:
+    if fd is None:
         rows = (g.mean_row(0), g.mean_row(3))
         for b in _blocks(n_steps + 1):
             for j, row in enumerate(rows):
@@ -299,12 +289,6 @@ _BLOCK = 64  # steps per block of the post-loop pass: bounds its temporaries
 def _blocks(n: int):
     """Consecutive slices of at most ``_BLOCK`` rows covering ``range(n)``."""
     return (slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
-
-
-def _grid_measure(fd: FDPlant, Y: np.ndarray) -> tuple:
-    """Trapezoidal means of components 1 and 4 and the norms of grid states, one per row."""
-    norms = np.sqrt(sum(fd.mean(Y * Y, c) for c in range(4)))
-    return np.column_stack([fd.mean(Y, 0), fd.mean(Y, 3)]), norms
 
 
 # ---------------------------------------------------------------------------

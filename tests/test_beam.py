@@ -5,7 +5,7 @@ from scipy import linalg, special
 from scipy.integrate import solve_ivp
 
 from reference import fd_energy, fd_generator
-from rfmpc import beam, lifting, problem as pb
+from rfmpc import beam, lifting, problem as pb, sim
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +380,30 @@ class TestFiniteDifferencePlant:
             beam.fd_plant_step(beam.make_fd_plant(galerkin), state, np.zeros(2))
         with pytest.raises(ValueError, match="not lossless"):
             beam.make_fd_plant(galerkin).observe(state)
+
+    @pytest.mark.parametrize("n_grid", [127, 255])
+    def test_measure_matches_grid_and_loop_needs_no_grid(self, galerkin, n_grid, monkeypatch):
+        fd = beam.make_fd_plant(galerkin, n_grid)
+        rng = np.random.default_rng(n_grid)
+        states = rng.standard_normal((8, 4 * n_grid - 2))
+        states[:, -2:] *= 10.0  # held inputs that dominate the pinned entries
+        for s in states:
+            y = fd.to_grid(s)
+            ref_means = [np.trapezoid(fd.component(y, c), fd.grid) for c in (0, 3)]
+            ref_norm = np.sqrt(sum(np.trapezoid(y_c**2, fd.grid) for y_c in np.split(y, 4)))
+            means, norm = fd.measure(s)
+            # A mean is at most the norm, the scale its roundoff is relative to.
+            assert np.abs(means - ref_means).max() <= 1e-12 * ref_norm
+            assert abs(norm - ref_norm) <= 1e-12 * ref_norm
+        # Once its maps exist, a closed loop measures the plant without its grid.
+        calls = []
+        to_grid = fd.to_grid
+        monkeypatch.setattr(fd, "to_grid", lambda s: (calls.append(1), to_grid(s))[1])
+        cfg = sim.SimulationConfig(horizon=4, t_end=0.75, mode="fd", n_grid=n_grid,
+                                   bound_scaling="reciprocal")
+        sim.run_closed_loop(cfg, bench=beam.make_benchmark(N=4, bound_scaling="reciprocal"),
+                            plant=fd)
+        assert calls == []
 
     def test_block_diagonals_match_scipy(self, fd, galerkin):
         n = fd.n_grid

@@ -382,6 +382,24 @@ class TestErrorPaths:
             assert f"t_end = {t} is {round(t / SAMPLING_INTERVAL)} steps" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_oversized_plant_rejected(self, tmp_path):
+        # A 200000-point grid and a 100000-member basis each ask numpy for a
+        # dense matrix of tens of GiB.  As above, the child's address space is
+        # capped so that the allocations fail at once.
+        src = str(Path(rfmpc.__file__).resolve().parents[1])
+        runs = [["simulate", "--mode", "fd", "--n-grid", "200000", "--t-end", "0.01"],
+                ["beam", "build", "--n-basis", "100000", "--out", str(tmp_path / "b.json")]]
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+                "from rfmpc import cli\n"
+                f"print([cli.dispatch(argv) for argv in {runs}])\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "[1, 1]", proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2 and all(line.startswith("rfmpc: out of memory: ") for line in lines)
+        assert not (tmp_path / "b.json").exists()
+
     def test_help_exits_zero(self, capsys):
         assert cli.dispatch(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out

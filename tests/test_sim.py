@@ -217,15 +217,29 @@ class TestPostLoopLogs:
             steps.append((theta, solve(qp_, theta, warm=warm, tol=tol)))
             return steps[-1][1]
 
+        calls = {"fd_plant_step": 0, "evaluate_lifted_cost": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(sim, "evaluate_lifted_cost")
         fd = None
         if mode == "fd":
             fd = beam.make_fd_plant(bench.galerkin, cfg.n_grid)
             observe = fd.observe
             monkeypatch.setattr(fd, "observe",
                                 lambda s: (plant_states.append(s), observe(s))[1])
+            counting(beam, "fd_plant_step")
         run = sim.run_closed_loop(cfg, bench=bench, plant=fd, qp=qp, solver_fn=recording)
 
         assert len(run.logs) == len(steps) == 96
+        # The names a tracer patches: one plant step per step, one cost per block.
+        assert calls == {"fd_plant_step": 96 if mode == "fd" else 0, "evaluate_lifted_cost": 2}
         assert any(len(res.active_set) for _, res in steps)
         w, g = bench.problem.weights, bench.galerkin
         j_cum = 0.0
