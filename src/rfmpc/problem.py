@@ -67,7 +67,7 @@ def _coerce(value, label: str, vector: bool) -> np.ndarray:
     raises ``ValueError``, since a bare vector is ambiguous as a matrix."""
     a = np.asarray(value, dtype=float)
     if vector:
-        return a.reshape(-1)
+        return a if a.ndim == 1 else a.reshape(-1)  # a shared vector stays shared
     if a.ndim < 2 and a.size == 1:
         return a.reshape(1, 1)
     if a.ndim == 1 and a.size:
@@ -236,26 +236,35 @@ def validate(p: ProblemDefinition) -> list:
     entries, got 1"``), each entry of the wrong shape (``"E[1] shape (2, 6)
     does not match (6, 2)"``), non-finite entries once per field (``"V contains
     non-finite entries"``) and negative bounds (``"d[0] has negative entries
-    ..."``).  The weights' symmetry and semidefiniteness are checked only when
-    every array passed the count, shape and finiteness checks, on the joint
-    block ``[[Q, M], [M.T, R]]`` of each stage, each ``V[k]`` and ``P``.
-    Each distinct block is judged once, keyed by the bytes of the arrays it
-    is made of, since most problems repeat one block across the stages; its
-    verdict is reported at every stage that has it (``"V[3] is not
-    symmetric"``).  Violations are reported rather than raised, so a caller
-    can collect the full picture.
+    ..."``).  An array that several entries share, as the stages of the beam
+    do, is checked for finiteness and sign once and reported at each of
+    those entries.  The weights' symmetry and semidefiniteness are checked
+    only when every array passed the count, shape and finiteness checks, on
+    the joint block ``[[Q, M], [M.T, R]]`` of each stage, each ``V[k]`` and
+    ``P``.  Each distinct block is judged once, keyed by the bytes of the
+    arrays it is made of, since most problems repeat one block across the
+    stages; its verdict is reported at every stage that has it (``"V[3] is
+    not symmetric"``).  Violations are reported rather than raised, so a
+    caller can collect the full picture.
     """
     if p.horizon < 1:
         return [f"horizon must be >= 1, got {p.horizon}"]
-    out, signs = [], []
+    out, signs, judged = [], [], {}
     for name, label, a, want in _entries(p, out):
         if a.shape != want:
             out.append(f"{label} shape {a.shape} does not match {want}")
-        elif a.size and not np.all(np.isfinite(a)):
+            continue
+        if not a.size:
+            continue
+        if id(a) not in judged:  # an array shared by several entries is judged once
+            finite = bool(np.all(np.isfinite(a)))
+            judged[id(a)] = finite, np.min(a) if finite and a.ndim == 1 else 0.0
+        finite, low = judged[id(a)]
+        if not finite:
             if f"{name} contains non-finite entries" not in out:
                 out.append(f"{name} contains non-finite entries")
-        elif len(want) == 1 and a.size and np.min(a) < 0:
-            signs.append(f"{label} has negative entries (min {np.min(a):.3e})")
+        elif low < 0:
+            signs.append(f"{label} has negative entries (min {low:.3e})")
     if not out:
         # The stage cost is jointly convex in (x, u) only if the full block
         # with the cross term is semidefinite.

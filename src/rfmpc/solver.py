@@ -9,7 +9,15 @@ operators the :class:`~rfmpc.lifting.LiftedQP` cached when it was built
 (``K = G H^{-1} G^T`` and ``Y = H^{-1} G^T``): a candidate costs a gather
 of rows of ``K``, a shifted Cholesky test of its block ``K_AA`` that screens
 its rank (a second one, and an eigendecomposition, only near the rank
-threshold) and one small solve, with no solve against ``H``.  One loop
+threshold) and one small solve, with no solve against ``H``.  The Cholesky
+tests and the solve, like the NNLS's solves below, call LAPACK straight
+through the gufuncs that :func:`numpy.linalg.cholesky` and
+:func:`numpy.linalg.solve` call (:func:`_positive_definite`,
+:func:`_solve`): the same routines, so the same bits, without the wrappers'
+call cost, which is several times the LAPACK work on a block of a few rows.
+A failed factorization or a singular solve then reads as NaN instead of
+raising ``LinAlgError``, and each call runs under its own ``np.errstate``,
+so the empty candidate, which makes no call, pays for none.  One loop
 (:func:`solve`) otherwise branches by activating violated rows and
 deactivating rows with negative multipliers.  Candidates come off a
 stack of promising candidates (most recent first) and, when the stack runs
@@ -45,6 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .lifting import LiftedQP, _theta_vector, from_z
 
@@ -210,15 +219,28 @@ def iter_candidate_masks(n_bits: int, max_cardinality: int):
             v = t | ((((t & -t) // (v & -v)) >> 1) - 1)
 
 
+@np.errstate(all="ignore")
 def _positive_definite(KAA: np.ndarray, shift: float) -> bool:
-    """Whether ``K_AA - shift I`` has a Cholesky factor (is positive definite)."""
+    """Whether ``K_AA - shift I`` has a Cholesky factor (is positive definite).
+
+    The verdict of :func:`numpy.linalg.cholesky`, from the gufunc it calls
+    (LAPACK ``potrf``): a failed factorization fills the factor with NaN and
+    raises the floating-point invalid flag where the wrapper raises
+    ``LinAlgError``, so a NaN ``L[0, 0]`` means no factor.  The call's own
+    ``errstate`` keeps the flag from becoming a warning.
+    """
     M = KAA.copy()
     M.flat[:: len(M) + 1] -= shift
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    L00 = _umath_linalg.cholesky_lo(M, signature="d->d").item(0)
+    return L00 == L00
+
+
+@np.errstate(all="ignore")
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A^{-1} b`` bit for bit as :func:`numpy.linalg.solve`, from the gufunc
+    it calls for one right-hand side (LAPACK ``gesv``), and all NaN where
+    that raises ``LinAlgError`` (``A`` exactly singular)."""
+    return _umath_linalg.solve1(A, b, signature="dd->d")
 
 
 def _rank_complete(KAA: np.ndarray, tau: float) -> bool:
@@ -229,7 +251,9 @@ def _rank_complete(KAA: np.ndarray, tau: float) -> bool:
     tau lam_max``: rank complete.  No factor of ``K_AA - tau max diag(K_AA) I``
     proves ``lam_min <= tau max diag <= tau lam_max``: rank deficient.  Both
     bounds hold up to rounding; in the band between them an eigendecomposition
-    decides, so the verdict is the one of :func:`numpy.linalg.eigh`.
+    decides, so the verdict is the one of :func:`numpy.linalg.eigh`.  Each
+    test is one gufunc call (:func:`_positive_definite`); only the rare band
+    pays for a full ``eigh``.
     """
     d = KAA.diagonal().tolist()
     if _positive_definite(KAA, tau * sum(d)):
@@ -247,11 +271,13 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     """One KKT solve of a candidate and its acceptance test, in constraint space.
 
     With ``A`` the candidate rows, :func:`_rank_complete` screens the rank of
-    ``K_AA``.  The multipliers then solve ``K_AA lam_A = -b_A``, and the
-    constraint values ``G z = -K[:, A] lam_A`` come from the rows ``K[A]``
-    (``K`` is symmetric), so the test touches no ``G`` row and applies no
-    ``H^{-1}``.  The minimizer ``z = -Y[:, A] lam_A`` is formed only for an
-    accepted candidate.
+    ``K_AA``.  The multipliers then solve ``K_AA lam_A = -b_A`` in one gufunc
+    call (:func:`_solve`), and the constraint values ``G z = -K[:, A] lam_A``
+    come from the rows ``K[A]`` (``K`` is symmetric), so the test touches no
+    ``G`` row and applies no ``H^{-1}``.  A candidate whose active rows do not
+    reproduce their bounds, a NaN solve included, counts as rank deficient.
+    The minimizer ``z = -Y[:, A] lam_A`` is formed only for an accepted
+    candidate.
 
     Returns ``(z, lam_A, violated, negative)``, with ``z`` ``None`` unless the
     candidate is accepted, or ``None`` when the candidate is rank deficient.
@@ -268,16 +294,16 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
             return np.zeros(qp.n_z), _NO_ROWS, [], []
         return None, _NO_ROWS, _worst_first(viol, b), []
     rows = np.array(_mask_indices(mask))
-    KR = qp.K[rows]
-    KAA = KR[:, rows]
+    KR = qp.K.take(rows, axis=0)  # take: the gather of K[rows] at half the call cost
+    KAA = KR.take(rows, axis=1)
     if not _rank_complete(KAA, _RANK_TOL):
         return None
     bA = b[rows]
-    lam_A = np.linalg.solve(KAA, -bA)
+    lam_A = _solve(KAA, -bA)
     slack = b + lam_A @ KR  # b - G z
     # A candidate whose equalities cannot be reproduced numerically is
-    # rank deficient for all practical purposes.
-    if np.abs(slack[rows]).max() > 1e-8 * (1.0 + np.abs(bA).max()):
+    # rank deficient for all practical purposes; so is a NaN solve.
+    if not np.abs(slack[rows]).max() <= 1e-8 * (1.0 + np.abs(bA).max()):
         return None
     viol = (slack < -tol.tol_violation).nonzero()[0]
     neg = (lam_A < -tol.tol_violation).nonzero()[0]
@@ -465,10 +491,12 @@ def _nnls(C: np.ndarray, d: np.ndarray, passive: bool = False) -> np.ndarray:
     exceeds its own rounding, and solves ``C_PP s = d_P`` on the passive set
     ``P``, stepping back along the segment to ``s`` while ``s`` has a
     nonpositive entry.  The passive columns of ``A`` stay linearly
-    independent, so ``C_PP`` stays nonsingular.  With ``passive`` every
-    variable starts passive, which ends after one solve when that solve is
-    positive; a singular ``C`` or a first solve with a nonpositive entry
-    falls back to the empty start.
+    independent, so ``C_PP`` stays nonsingular; should a dependent column
+    enter all the same, its solve reads NaN (:func:`_solve`) and the last
+    iterate is returned.  With ``passive`` every variable starts passive,
+    which ends after one solve when that solve is positive; a singular ``C``
+    (a NaN solve) or a first solve with a nonpositive entry falls back to the
+    empty start.
     """
     n = len(d)
     # The rounding of the gradient d - C y, entry by entry.
@@ -476,11 +504,8 @@ def _nnls(C: np.ndarray, d: np.ndarray, passive: bool = False) -> np.ndarray:
     P = np.zeros(n, dtype=bool)
     y = np.zeros(n)
     if passive:
-        try:
-            s = np.linalg.solve(C, d)
-        except np.linalg.LinAlgError:
-            s = None
-        if s is not None and np.all(s > 0.0):
+        s = _solve(C, d)  # all NaN, so not positive, when C is singular
+        if np.all(s > 0.0):
             P[:], y = True, s
     for _ in range(3 * n):
         w = np.where(P, -np.inf, d - C @ y - err * (np.abs(d) + absC @ y))
@@ -490,9 +515,8 @@ def _nnls(C: np.ndarray, d: np.ndarray, passive: bool = False) -> np.ndarray:
         P[j] = True
         while True:
             idx = P.nonzero()[0]
-            try:
-                s = np.linalg.solve(C[np.ix_(idx, idx)], d[idx])
-            except np.linalg.LinAlgError:
+            s = _solve(C[np.ix_(idx, idx)], d[idx])
+            if s[0] != s[0]:
                 return y  # a dependent column entered: keep the last iterate
             yP, y = y[idx], np.zeros(n)
             if np.all(s > 0.0):

@@ -140,6 +140,47 @@ class TestValidatePerStage:
         assert len(calls) == 4
 
 
+class TestValidateSharedEntries:
+    """``validate`` checks each distinct array once for finiteness and sign,
+    as the beam shares one array per stage block, and reports every entry
+    as if it had been checked on its own."""
+
+    @staticmethod
+    def shared(N=4):
+        """A random problem whose stage arrays are one array per field."""
+        p = make_random_problem(np.random.default_rng(5), n_x=2, n_u=1, N=N)
+        w, c = p.weights, p.constraints
+        w.Q, w.R, w.M, c.d, c.calE, c.calF, c.E = (
+            [entries[0]] * N for entries in (w.Q, w.R, w.M, c.d, c.calE, c.calF, c.E))
+        w.V = [w.V[0]] * (N + 1)
+        return p
+
+    def test_one_finiteness_check_per_distinct_array(self, monkeypatch):
+        p = self.shared()
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a) or isfinite(a))
+        assert pb.validate(p) == []
+        # A, B, P, d_hat, E_hat, F_hat and one array for each of the 8 stage
+        # fields, where each of the 39 entries used to get its own check.
+        assert len(calls) == 14
+
+    def test_bad_shared_entries_reported_per_entry(self):
+        p = self.shared()
+        p.constraints.d = [np.array([-0.1, 1.0])] * 4
+        assert pb.validate(p) == [f"d[{k}] has negative entries (min -1.000e-01)" for k in range(4)]
+        p.constraints.d[2] = np.array([1.0, -0.2])
+        assert pb.validate(p) == [f"d[{k}] has negative entries (min -{0.2 if k == 2 else 0.1:.3e})"
+                                  for k in range(4)]
+        p = self.shared()
+        p.constraints.E = [np.array([[np.inf], [0.0]])] * 4
+        p.weights.V = [np.array([[np.nan]])] * 5
+        assert pb.validate(p) == ["V contains non-finite entries", "E contains non-finite entries"]
+        p = self.shared()
+        p.constraints.calE = [np.ones((2, 3))] * 4
+        assert pb.validate(p) == [f"calE[{k}] shape (2, 3) does not match (2, 2)" for k in range(4)]
+
+
 class TestPrediction:
     def test_trajectory_recursion(self):
         p = tiny_problem()

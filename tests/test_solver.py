@@ -2,12 +2,14 @@
 import dataclasses
 import signal
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.linalg import _umath_linalg
 from scipy import linalg as sla
 from scipy.optimize import nnls as scipy_nnls
 
@@ -349,6 +351,78 @@ def test_rank_screen_keeps_the_eigh_verdict(record_property):
         record_property(name, value)
     print(f"rank screen: {counts}")
     assert counts["band"] > 0, counts
+
+
+def kernel_matrices(rng, n):
+    """Square matrices of size ``n`` for the LAPACK kernel: symmetric positive
+    definite, symmetric indefinite, general, and exactly singular ones (a
+    zero matrix, a duplicated row and column, a zero column), whose
+    factorization or solve meets an exact zero pivot."""
+    X = rng.standard_normal((n, n))
+    Q = np.linalg.qr(X)[0]
+    w = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    w[0] = -abs(w[0])
+    yield "definite", X @ X.T + 1e-3 * np.eye(n)
+    yield "indefinite", 0.5 * ((Q * w) @ Q.T + ((Q * w) @ Q.T).T)
+    yield "general", X
+    yield "zero", np.zeros((n, n))
+    if n > 1:
+        S = X @ X.T
+        S[-1], S[:, -1] = S[0], S[:, 0]
+        yield "duplicated", S
+        Z = X.copy()
+        Z[:, n // 2] = 0.0
+        yield "zero column", Z
+
+
+def test_lapack_kernel_is_numpy_linalg():
+    """``_positive_definite`` and ``_solve`` call the gufuncs that
+    :func:`numpy.linalg.cholesky` and :func:`numpy.linalg.solve` call,
+    ``numpy.linalg._umath_linalg.cholesky_lo`` and ``solve1``, which numpy
+    has carried under these names since 1.8 (the package asks for numpy
+    1.24 or later).  The verdict of ``_positive_definite`` is whether
+    ``numpy.linalg.cholesky`` raises; ``_solve`` is bitwise equal to
+    ``numpy.linalg.solve`` and all NaN exactly where that raises
+    ``LinAlgError``; no floating-point warning escapes either, and the
+    error state is left as it was.  A numpy that moves, renames or changes
+    the gufuncs fails here instead of changing the search."""
+    rng = np.random.default_rng(29)
+    counts = dict.fromkeys(["factored", "not factored", "solved", "singular"], 0)
+    state = np.geterr()
+    for n in range(1, 31):
+        for kind, M in kernel_matrices(rng, n):
+            b = rng.standard_normal(n)
+            for shift in (0.0, 1e-10 * np.trace(M)):
+                try:
+                    np.linalg.cholesky(M - shift * np.eye(n))
+                    factored = True
+                except np.linalg.LinAlgError:
+                    factored = False
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert solver._positive_definite(M, shift) is factored, (kind, n, shift)
+                counts["factored" if factored else "not factored"] += 1
+            try:
+                ref = np.linalg.solve(M, b)
+            except np.linalg.LinAlgError:
+                ref = None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = solver._solve(M, b)
+            if ref is None:
+                assert np.isnan(got).all(), (kind, n)
+                counts["singular"] += 1
+            else:
+                assert got.tobytes() == ref.tobytes(), (kind, n)
+                counts["solved"] += 1
+            assert np.geterr() == state
+    print(f"LAPACK kernel: {counts}")
+    assert min(counts.values()) >= 30, counts
+    # What the per-call error state hides: a failed gufunc call raises the
+    # invalid flag and fills its output with NaN.
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        L = _umath_linalg.cholesky_lo(-np.eye(3), signature="d->d")
+    assert np.isnan(L).all()
 
 
 class TestWarmStart:
