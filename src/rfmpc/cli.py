@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
 from . import beam as beam_mod
 from . import lifting, sim
-from .problem import Parameter, load_problem
+from .problem import Parameter, load_problem, save_problem
 from .solver import ActiveSet, SolveStatus, Tolerances, solve
 
 __all__ = ["dispatch", "main"]
@@ -43,9 +45,7 @@ def _dump_matrix(fh, M) -> None:
     M = np.asarray(M, float)
     if M.ndim == 1:
         M = M.reshape(-1, 1)
-    fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-    for row in M:
-        fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(fh, M, fmt="%.17g", header=f"{M.shape[0]} {M.shape[1]}", comments="")
 
 
 def _budget(text: str) -> int:
@@ -66,6 +66,25 @@ def _horizons(text: str) -> list:
     return horizons
 
 
+def _run_flags(p, cfg: sim.SimulationConfig, table: str, run) -> None:
+    """The flags ``simulate`` and ``benchmark`` share, the handler ``run``, and
+    every run setting's default: each field of ``cfg``, read back by :func:`_config`."""
+    p.add_argument("--mode", choices=("perfect", "fd"),
+                   help="plant: the prediction model itself, or the finite-difference model")
+    p.add_argument("--t-end", type=float, help="simulated time span")
+    p.add_argument("--bound-scaling", choices=("physical", "reciprocal"),
+                   help="input-bound convention for the scaled discrete inputs")
+    p.add_argument("--out", help=f"{table} CSV path")
+    p.add_argument("--zero-timing", action="store_true",
+                   help="write zeros for the timing columns (byte-reproducible output)")
+    p.set_defaults(run=run, **vars(cfg))
+
+
+def _config(args) -> sim.SimulationConfig:
+    return sim.SimulationConfig(**{f.name: getattr(args, f.name)
+                                   for f in fields(sim.SimulationConfig)})
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rfmpc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND",
@@ -75,6 +94,7 @@ def _build_parser() -> _Parser:
                             help="condense a problem JSON into its QP matrices")
     p_lift.add_argument("problem", help="problem JSON file")
     p_lift.add_argument("--out", help="directory for H/F/G/S/W dumps (default: stdout)")
+    p_lift.set_defaults(run=_cmd_lift)
 
     p_solve = sub.add_parser("solve",
                              help="solve one parametric QP query")
@@ -85,40 +105,27 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--warm", help="warm-start active set as a hex bitmask, e.g. 0x5")
     p_solve.add_argument("--budget", type=_budget, default=Tolerances.max_kkt_solves,
                          help="KKT solve budget")
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_sim = sub.add_parser("simulate",
                            help="closed-loop beam run with the receding-horizon controller")
-    p_sim.add_argument("--horizon", type=int, default=30, metavar="N",
+    p_sim.add_argument("--horizon", type=int, metavar="N",
                        help="prediction horizon in sampling intervals")
-    p_sim.add_argument("--mode", choices=("perfect", "fd"), default="perfect",
-                       help="plant: the prediction model itself, or the finite-difference model")
-    p_sim.add_argument("--t-end", type=float, default=10.0, help="simulated time span")
-    p_sim.add_argument("--n-grid", type=int, default=127, help="finite-difference grid points")
-    p_sim.add_argument("--bound-scaling", choices=("physical", "reciprocal"), default="physical",
-                       help="input-bound convention for the scaled discrete inputs")
-    p_sim.add_argument("--cold-start", action="store_true", help="disable warm starting")
-    p_sim.add_argument("--budget", type=_budget, default=Tolerances.max_kkt_solves,
+    p_sim.add_argument("--n-grid", type=int, help="finite-difference grid points")
+    p_sim.add_argument("--cold-start", dest="warm_start", action="store_false",
+                       help="disable warm starting")
+    p_sim.add_argument("--budget", dest="max_kkt_solves", type=_budget, metavar="BUDGET",
                        help="KKT solve budget per step")
-    p_sim.add_argument("--out", help="step log CSV path")
-    p_sim.add_argument("--zero-timing", action="store_true",
-                       help="write zeros for wall times (byte-reproducible output)")
+    _run_flags(p_sim, sim.SimulationConfig(), "step log", _cmd_simulate)
 
     p_bench = sub.add_parser("benchmark",
                              help="closed-loop cost/runtime sweep over horizon lengths")
     p_bench.add_argument("--horizons", type=_horizons, default="10,20,30,40,50",
                          help="comma-separated horizon lengths")
-    p_bench.add_argument("--t-end", type=float, default=6.0)
-    p_bench.add_argument("--mode", choices=("perfect", "fd"), default="fd")
-    p_bench.add_argument("--bound-scaling", choices=("physical", "reciprocal"),
-                         default="reciprocal",
-                         help="input-bound convention; short horizons require the loose reading")
-    p_bench.add_argument("--out", help="benchmark table CSV path")
-    p_bench.add_argument("--zero-timing", action="store_true",
-                         help="write zeros for runtimes (byte-reproducible output)")
+    _run_flags(p_bench, sim.SWEEP_CONFIG, "benchmark table", _cmd_benchmark)
 
     p_beam = sub.add_parser("beam", help="beam model tools")
-    beam_sub = p_beam.add_subparsers(dest="beam_command", required=True, metavar="SUBCOMMAND",
-                                 parser_class=_Parser)
+    beam_sub = p_beam.add_subparsers(required=True, metavar="SUBCOMMAND", parser_class=_Parser)
     p_build = beam_sub.add_parser("build",
                                   help="assemble the beam benchmark problem JSON")
     p_build.add_argument("--horizon", type=int, default=30, metavar="N")
@@ -126,6 +133,7 @@ def _build_parser() -> _Parser:
     p_build.add_argument("--out", default="beam_problem.json", help="problem JSON path")
     p_build.add_argument("--profiles-out",
                          help="CSV of the projected initial profiles on a spatial grid")
+    p_build.set_defaults(run=_cmd_beam_build)
     return parser
 
 
@@ -138,7 +146,6 @@ def _cmd_lift(args) -> int:
             sys.stdout.write(f"# {name}\n")
             _dump_matrix(sys.stdout, M)
         return EXIT_OK
-    from pathlib import Path
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, M in mats:
@@ -182,19 +189,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = sim.SimulationConfig(
-        horizon=args.horizon, t_end=args.t_end, mode=args.mode,
-        warm_start=not args.cold_start, max_kkt_solves=args.budget, n_grid=args.n_grid,
-        bound_scaling=args.bound_scaling,
-    )
-    try:
-        result = sim.run_closed_loop(cfg)
-    except sim.RecursiveFeasibilityError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except sim.BudgetExhaustedError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = sim.run_closed_loop(_config(args))
     if args.out:
         sim.write_step_csv(args.out, result, zero_timing=args.zero_timing)
     norm0 = result.norms[0] if result.norms[0] > 0 else 1.0
@@ -209,9 +204,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = sim.SimulationConfig(t_end=args.t_end, mode=args.mode, bound_scaling=args.bound_scaling)
     print(sim.BENCHMARK_CSV_COLUMNS)
-    rows = sim.benchmark_sweep(args.horizons, cfg=cfg, progress=lambda row: print(sim.csv_row(row)))
+    rows = sim.benchmark_sweep(args.horizons, cfg=_config(args),
+                               progress=lambda row: print(sim.csv_row(row)))
     if args.out:
         sim.write_benchmark_csv(args.out, rows, zero_timing=args.zero_timing)
         print(f"wrote {args.out}")
@@ -219,8 +214,6 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_beam_build(args) -> int:
-    from .problem import save_problem
-
     bench = beam_mod.make_benchmark(args.n_basis, N=args.horizon)
     meta = {
         "h": beam_mod.SAMPLING_INTERVAL,
@@ -236,11 +229,8 @@ def _cmd_beam_build(args) -> int:
         xi = np.linspace(0.0, 1.0, 201)
         cols = [bench.galerkin.basis.reconstruct(
             c, bench.x0[bench.galerkin.component_slices[c]], xi) for c in range(4)]
-        with open(args.profiles_out, "w") as fh:
-            fh.write("xi,x1,x2,x3,x4\n")
-            for i in range(len(xi)):
-                fh.write(",".join(f"{v:.17g}" for v in
-                                  [xi[i], cols[0][i], cols[1][i], cols[2][i], cols[3][i]]) + "\n")
+        np.savetxt(args.profiles_out, np.column_stack([xi, *cols]), fmt="%.17g", delimiter=",",
+                   header="xi,x1,x2,x3,x4", comments="")
         print(f"wrote {args.profiles_out}")
     return EXIT_OK
 
@@ -253,16 +243,13 @@ def dispatch(argv) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        if args.command == "lift":
-            return _cmd_lift(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "benchmark":
-            return _cmd_benchmark(args)
-        if args.command == "beam":
-            return _cmd_beam_build(args)
+        return args.run(args)
+    except sim.RecursiveFeasibilityError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except sim.BudgetExhaustedError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except OSError as exc:
         print(f"rfmpc: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -272,7 +259,6 @@ def dispatch(argv) -> int:
     except MemoryError as exc:  # a size setting too large for this machine
         print(f"rfmpc: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 def main() -> None:

@@ -38,6 +38,7 @@ from .solver import ActiveSet, SolveStatus, Tolerances
 
 __all__ = [
     "SimulationConfig",
+    "SWEEP_CONFIG",
     "StepLog",
     "SimulationResult",
     "BenchmarkRow",
@@ -63,7 +64,7 @@ class BudgetExhaustedError(RuntimeError):
     """A step's search spent its KKT-solve budget without a certified answer."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
     horizon: int = 30
     t_end: float = 10.0
@@ -166,9 +167,10 @@ def run_closed_loop(
     first receives the previous step's active set mapped through
     :func:`warm_shift_map` (built once per call) as ``warm``; otherwise
     ``warm`` is ``None``.  A given ``bench`` must match ``cfg.bound_scaling``,
-    and a given ``qp`` ``cfg.horizon`` and the bound vector ``W`` that
-    ``bench.problem`` stacks (else :class:`ValueError`); ``plant`` overrides
-    the finite-difference model in ``"fd"`` mode.  Raises
+    a given ``qp`` ``cfg.horizon`` and the bound vector ``W`` that
+    ``bench.problem`` stacks, and a given ``plant``, which replaces the
+    finite-difference model, ``"fd"`` mode, ``cfg.n_grid`` and ``bench``'s
+    state dimension (else :class:`ValueError`).  Raises
     :class:`RecursiveFeasibilityError` when a visited state admits no
     admissible input sequence and :class:`BudgetExhaustedError` when a step's
     search stalls; either discards the partial run.  A negative or
@@ -191,10 +193,16 @@ def run_closed_loop(
     qp = qp if qp is not None else build_qp(bench.problem)
     c = bench.problem.constraints
     same_bounds = np.array_equal(qp.W, np.concatenate([*c.d, c.d_hat]))
-    if (cfg.bound_scaling, cfg.horizon) != (bench.bound_scaling, qp.N) or not same_bounds:
-        raise ValueError(f"config ({cfg.bound_scaling} bounds, N = {cfg.horizon}) does not match "
-                         f"the benchmark ({bench.bound_scaling} bounds) and QP (N = {qp.N}, "
-                         f"bounds {'equal' if same_bounds else 'unequal'} to the benchmark's)")
+    n_x = bench.problem.n_x
+    fits = same_bounds and (plant is None or (
+        cfg.mode == "fd" and (plant.n_grid, len(plant.observer)) == (cfg.n_grid, n_x)))
+    if (cfg.bound_scaling, cfg.horizon) != (bench.bound_scaling, qp.N) or not fits:
+        given = ("no plant" if plant is None
+                 else f"plant ({plant.n_grid} points, {len(plant.observer)} states)")
+        raise ValueError(f"config ({cfg.mode} mode, {cfg.bound_scaling} bounds, N = {cfg.horizon}, "
+                         f"n_grid = {cfg.n_grid}) does not match the benchmark ({bench.bound_scaling} "
+                         f"bounds, {n_x} states), QP (N = {qp.N}, bounds "
+                         f"{'equal' if same_bounds else 'unequal'} to the benchmark's) and {given}")
     tol = Tolerances.for_qp(qp, max_kkt_solves=cfg.max_kkt_solves)
     solver_fn = solver_fn if solver_fn is not None else solver_mod.solve
 
@@ -304,7 +312,10 @@ class BenchmarkRow:
     log2_candidates: int
 
 
-def benchmark_sweep(n_list, cfg: SimulationConfig | None = None, progress=None) -> list:
+SWEEP_CONFIG = SimulationConfig(t_end=6.0, mode="fd", bound_scaling="reciprocal")
+
+
+def benchmark_sweep(n_list, cfg: SimulationConfig = SWEEP_CONFIG, progress=None) -> list:
     """Closed-loop cost and runtime of the active-set search per horizon length.
 
     Each row is one :func:`run_closed_loop` with :func:`~rfmpc.solver.solve`.
@@ -312,15 +323,12 @@ def benchmark_sweep(n_list, cfg: SimulationConfig | None = None, progress=None) 
     i.e. the number of inequality rows.  ``progress`` receives each row when
     done.
 
-    The input-bound convention is ``cfg.bound_scaling``; the default config
+    The input-bound convention is ``cfg.bound_scaling``.  :data:`SWEEP_CONFIG`
     uses the loose ``"reciprocal"`` one: under the tight physical bounds the
     short-horizon controllers run into states from which no admissible input
     sequence exists (the receding-horizon problem is not recursively feasible
     for small ``N``), so a sweep starting at ``N = 10`` needs the loose one.
     """
-    cfg = cfg if cfg is not None else SimulationConfig(
-        t_end=6.0, mode="fd", bound_scaling="reciprocal"
-    )
     rows = []
     fd = None
     for N in n_list:

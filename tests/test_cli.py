@@ -3,17 +3,19 @@
 Everything goes through ``cli.dispatch`` so the exit codes and printed
 output are exercised exactly as a shell user would see them.
 """
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rfmpc
-from rfmpc import cli, lifting
+from rfmpc import cli, lifting, sim
 from rfmpc.beam import SAMPLING_INTERVAL, make_benchmark
 from rfmpc.problem import load_problem, to_json_dict, validate
 
@@ -251,6 +253,61 @@ class TestBenchmark:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == (
             csv.read_text().splitlines() + [f"wrote {csv}"])
+
+    def test_lost_feasibility_exit_code(self, capsys):
+        # The sweep's runs map their errors as simulate's do: one line and exit 2.
+        code = cli.dispatch(["benchmark", "--horizons", "10", "--t-end", "1", "--mode", "perfect",
+                             "--bound-scaling", "physical"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "benchmark: no admissible input sequence at step 75 (t = 0.585938)\n")
+
+
+class TestRunSettings:
+    """``simulate`` and ``benchmark`` pass the library's configs, each flag
+    writing the field of the same name."""
+
+    SWEEP_DEFAULT = inspect.signature(sim.benchmark_sweep).parameters["cfg"].default
+
+    class Captured(Exception):
+        """Carries the arguments that a command passed to the library."""
+
+    @classmethod
+    def library_call(cls, argv, monkeypatch):
+        def run_closed_loop(cfg):
+            raise cls.Captured(cfg)
+
+        def benchmark_sweep(n_list, cfg, progress):
+            raise cls.Captured(cfg, n_list)
+
+        monkeypatch.setattr(cli.sim, "run_closed_loop", run_closed_loop)
+        monkeypatch.setattr(cli.sim, "benchmark_sweep", benchmark_sweep)
+        with pytest.raises(cls.Captured) as call:
+            cli.dispatch(argv)
+        return call.value.args
+
+    def test_no_flags_pass_the_library_defaults(self, monkeypatch, capsys):
+        assert self.library_call(["simulate"], monkeypatch) == (sim.SimulationConfig(),)
+        assert self.library_call(["benchmark"], monkeypatch) == (
+            self.SWEEP_DEFAULT, [10, 20, 30, 40, 50])
+        assert self.SWEEP_DEFAULT is sim.SWEEP_CONFIG
+
+    @pytest.mark.parametrize("argv, field, value", [
+        (["simulate", "--horizon", "7"], "horizon", 7),
+        (["simulate", "--mode", "fd"], "mode", "fd"),
+        (["simulate", "--t-end", "0.5"], "t_end", 0.5),
+        (["simulate", "--n-grid", "33"], "n_grid", 33),
+        (["simulate", "--bound-scaling", "reciprocal"], "bound_scaling", "reciprocal"),
+        (["simulate", "--cold-start"], "warm_start", False),
+        (["simulate", "--budget", "5"], "max_kkt_solves", 5),
+        (["benchmark", "--mode", "perfect"], "mode", "perfect"),
+        (["benchmark", "--t-end", "0.5"], "t_end", 0.5),
+        (["benchmark", "--bound-scaling", "physical"], "bound_scaling", "physical"),
+    ])
+    def test_flag_sets_its_field(self, argv, field, value, monkeypatch, capsys):
+        base = sim.SimulationConfig() if argv[0] == "simulate" else self.SWEEP_DEFAULT
+        cfg = self.library_call(argv, monkeypatch)[0]
+        assert cfg == replace(base, **{field: value})
 
 
 class TestBeamBuild:

@@ -138,6 +138,20 @@ class TestClosedLoop:
             sim.run_closed_loop(short_cfg(bound_scaling="reciprocal", t_end=0.5), bench=recip,
                                 qp=build_qp(bench.problem))
 
+    def test_mismatched_plant_rejected(self):
+        # A plant for another grid or basis than the run's, or any plant in
+        # perfect mode, would run a loop that the config does not name.
+        bench = beam.make_benchmark(N=4)
+        plant = beam.make_fd_plant(bench.galerkin, 127)
+        runs = [(short_cfg(mode="fd", n_grid=255), bench),
+                (short_cfg(), bench),
+                (short_cfg(mode="fd"), beam.make_benchmark(12, N=4))]
+        for cfg, run_bench in runs:
+            with pytest.raises(ValueError, match="does not match"):
+                sim.run_closed_loop(cfg, bench=run_bench, plant=plant)
+        res = sim.run_closed_loop(short_cfg(mode="fd"), bench=bench, plant=plant)
+        assert len(res.logs) == 16
+
     def test_large_basis_loop_keeps_the_bounds(self):
         # 160 states (40 members per component) against the reference loop's 36:
         # the loop completes within the mean bounds, with fewer KKT solves (216 against 348).
