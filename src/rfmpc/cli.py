@@ -48,11 +48,31 @@ def _dump_matrix(fh, M) -> None:
     np.savetxt(fh, M, fmt="%.17g", header=f"{M.shape[0]} {M.shape[1]}", comments="")
 
 
-def _budget(text: str) -> int:
-    """A ``--budget`` value; argparse names the flag when this raises."""
+def _nonnegative_int(text: str) -> int:
+    """A ``--budget`` or ``--seed`` value; argparse names the flag when this raises."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return int(text)
+
+
+def _theta(text: str) -> np.ndarray:
+    """A ``--theta`` vector; argparse names the flag when this raises.  The handler
+    checks its length, which depends on the problem."""
+    try:
+        vec = np.array([float(tok) for tok in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(vec)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return vec
+
+
+def _warm(text: str) -> ActiveSet:
+    """A ``--warm`` hex bitmask; argparse names the flag when this raises."""
+    try:
+        return ActiveSet.from_hex(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _horizons(text: str) -> list:
@@ -76,13 +96,20 @@ def _run_flags(p, cfg: sim.SimulationConfig, table: str, run) -> None:
                    help="input-bound convention for the scaled discrete inputs")
     p.add_argument("--out", help=f"{table} CSV path")
     p.add_argument("--zero-timing", action="store_true",
-                   help="write zeros for the timing columns (byte-reproducible output)")
+                   help="zero the timing columns of every row printed or written "
+                        "(byte-reproducible output)")
     p.set_defaults(run=run, **vars(cfg))
 
 
 def _config(args) -> sim.SimulationConfig:
     return sim.SimulationConfig(**{f.name: getattr(args, f.name)
                                    for f in fields(sim.SimulationConfig)})
+
+
+def _shown(args, records):
+    """``records`` as printed and written: under ``--zero-timing``, which only
+    this function reads, with their timings zeroed."""
+    return map(sim.zero_timing, records) if args.zero_timing else records
 
 
 def _build_parser() -> _Parser:
@@ -99,11 +126,14 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve",
                              help="solve one parametric QP query")
     p_solve.add_argument("problem", help="problem JSON file")
-    p_solve.add_argument("--theta", help="comma-separated parameter vector (x, then previous input); "
-                                         "omitted: sampled standard normal")
-    p_solve.add_argument("--seed", type=int, default=0, help="seed for a sampled parameter")
-    p_solve.add_argument("--warm", help="warm-start active set as a hex bitmask, e.g. 0x5")
-    p_solve.add_argument("--budget", type=_budget, default=Tolerances.max_kkt_solves,
+    p_solve.add_argument("--theta", type=_theta,
+                         help="comma-separated parameter vector (x, then previous input); "
+                              "omitted: sampled standard normal")
+    p_solve.add_argument("--seed", type=_nonnegative_int, default=0,
+                         help="seed for a sampled parameter")
+    p_solve.add_argument("--warm", type=_warm,
+                         help="warm-start active set as a hex bitmask, e.g. 0x5")
+    p_solve.add_argument("--budget", type=_nonnegative_int, default=Tolerances.max_kkt_solves,
                          help="KKT solve budget")
     p_solve.set_defaults(run=_cmd_solve)
 
@@ -114,7 +144,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--n-grid", type=int, help="finite-difference grid points")
     p_sim.add_argument("--cold-start", dest="warm_start", action="store_false",
                        help="disable warm starting")
-    p_sim.add_argument("--budget", dest="max_kkt_solves", type=_budget, metavar="BUDGET",
+    p_sim.add_argument("--budget", dest="max_kkt_solves", type=_nonnegative_int, metavar="BUDGET",
                        help="KKT solve budget per step")
     _run_flags(p_sim, sim.SimulationConfig(), "step log", _cmd_simulate)
 
@@ -158,18 +188,14 @@ def _cmd_lift(args) -> int:
 def _cmd_solve(args) -> int:
     problem, _meta = load_problem(args.problem)
     qp = lifting.build(problem)
-    if args.theta is not None:
-        vec = np.array([float(tok) for tok in args.theta.split(",")])
-        if vec.size != qp.n_theta:
-            raise ValueError(f"theta needs {qp.n_theta} entries, got {vec.size}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"theta must be finite, got {args.theta}")
-    else:
+    vec = args.theta
+    if vec is None:
         vec = np.random.default_rng(args.seed).standard_normal(qp.n_theta)
         print(f"theta (sampled, seed {args.seed}): {_fmt_vec(vec)}")
+    elif vec.size != qp.n_theta:
+        raise ValueError(f"theta needs {qp.n_theta} entries, got {vec.size}")
     theta = Parameter(vec[: problem.n_x], vec[problem.n_x:])
-    warm = ActiveSet.from_hex(args.warm) if args.warm else None
-    result = solve(qp, theta, warm=warm, tol=Tolerances.for_qp(qp, max_kkt_solves=args.budget))
+    result = solve(qp, theta, warm=args.warm, tol=Tolerances.for_qp(qp, max_kkt_solves=args.budget))
 
     print(f"status: {result.status.value}")
     if result.status is SolveStatus.OPTIMAL:
@@ -191,7 +217,8 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     result = sim.run_closed_loop(_config(args))
     if args.out:
-        sim.write_step_csv(args.out, result, zero_timing=args.zero_timing)
+        result.logs = list(_shown(args, result.logs))
+        sim.write_step_csv(args.out, result)
     norm0 = result.norms[0] if result.norms[0] > 0 else 1.0
     print(f"steps: {len(result.logs)}  J_d: {result.j_cum:.17g}")
     print(f"final_norm_ratio: {result.norms[-1] / norm0:.6e}")
@@ -205,10 +232,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     print(sim.BENCHMARK_CSV_COLUMNS)
-    rows = sim.benchmark_sweep(args.horizons, cfg=_config(args),
-                               progress=lambda row: print(sim.csv_row(row)))
-    if args.out:
-        sim.write_benchmark_csv(args.out, rows, zero_timing=args.zero_timing)
+    rows = []
+    for row in _shown(args, sim.benchmark_sweep(args.horizons, cfg=_config(args))):
+        print(sim.csv_row(row))
+        rows.append(row)
+    if args.out:  # written once the sweep is done, so a failed sweep leaves no file
+        sim.write_benchmark_csv(args.out, rows)
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -18,7 +18,8 @@ blocks of steps.  The fd-mode means and norms are measured on each plant
 state as it is stepped, without a grid.
 
 A run's settings are one :class:`SimulationConfig`; the CSV columns are the
-fields of :class:`StepLog` and :class:`BenchmarkRow`, written by :func:`csv_row`.
+fields of :class:`StepLog` and :class:`BenchmarkRow`, written by :func:`csv_row`
+as the records hold them: :func:`zero_timing` zeroes a record's timings first.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ __all__ = [
     "benchmark_sweep",
     "warm_shift_map",
     "shift_warm_set",
+    "zero_timing",
     "csv_row",
     "write_step_csv",
     "write_benchmark_csv",
@@ -80,6 +82,11 @@ class SimulationConfig:
 
 
 _TIMING = {"timing": True}  # field metadata of the wall-clock columns
+
+
+def zero_timing(record):
+    """A copy of a :class:`StepLog` or :class:`BenchmarkRow` with its ``_TIMING`` fields at 0.0."""
+    return replace(record, **{f.name: 0.0 for f in fields(record) if f.metadata.get("timing")})
 
 
 @dataclass
@@ -315,13 +322,13 @@ class BenchmarkRow:
 SWEEP_CONFIG = SimulationConfig(t_end=6.0, mode="fd", bound_scaling="reciprocal")
 
 
-def benchmark_sweep(n_list, cfg: SimulationConfig = SWEEP_CONFIG, progress=None) -> list:
+def benchmark_sweep(n_list, cfg: SimulationConfig = SWEEP_CONFIG):
     """Closed-loop cost and runtime of the active-set search per horizon length.
 
-    Each row is one :func:`run_closed_loop` with :func:`~rfmpc.solver.solve`.
-    The last column reports the base-2 log of the candidate-set cardinality,
-    i.e. the number of inequality rows.  ``progress`` receives each row when
-    done.
+    Yields each :class:`BenchmarkRow`, one :func:`run_closed_loop` with
+    :func:`~rfmpc.solver.solve` and its measured ``runtime_s``, as that run
+    finishes.  The last column reports the base-2 log of the candidate-set
+    cardinality, i.e. the number of inequality rows.
 
     The input-bound convention is ``cfg.bound_scaling``.  :data:`SWEEP_CONFIG`
     uses the loose ``"reciprocal"`` one: under the tight physical bounds the
@@ -329,7 +336,6 @@ def benchmark_sweep(n_list, cfg: SimulationConfig = SWEEP_CONFIG, progress=None)
     sequence exists (the receding-horizon problem is not recursively feasible
     for small ``N``), so a sweep starting at ``N = 10`` needs the loose one.
     """
-    rows = []
     fd = None
     for N in n_list:
         run_cfg = replace(cfg, horizon=int(N))
@@ -341,11 +347,8 @@ def benchmark_sweep(n_list, cfg: SimulationConfig = SWEEP_CONFIG, progress=None)
         t0 = time.perf_counter()
         result = run_closed_loop(run_cfg, bench=bench, plant=fd, qp=qp)
         elapsed = time.perf_counter() - t0
-        rows.append(BenchmarkRow(N=int(N), runtime_s=elapsed, J_d=result.j_cum,
-                                 p_tilde=qp.p_tilde, log2_candidates=qp.p_tilde))
-        if progress is not None:
-            progress(rows[-1])
-    return rows
+        yield BenchmarkRow(N=int(N), runtime_s=elapsed, J_d=result.j_cum,
+                           p_tilde=qp.p_tilde, log2_candidates=qp.p_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -357,35 +360,30 @@ BENCHMARK_CSV_COLUMNS = ",".join(f.name for f in fields(BenchmarkRow))
 
 
 @lru_cache(maxsize=None)
-def _csv_format(cls, zero_timing: bool) -> tuple:
-    """``(template, getter)`` of a record class: ``%.17g`` for float fields,
-    ``%s`` for the others, and a literal ``0`` for zeroed timings."""
-    cells, names = [], []
-    for f in fields(cls):
-        if zero_timing and f.metadata.get("timing"):
-            cells.append("0")
-            continue
-        cells.append("%.17g" if f.type in ("float", float) else "%s")
-        names.append(f.name)
-    return ",".join(cells), attrgetter(*names)
+def _csv_format(cls) -> tuple:
+    """``(template, getter)`` of a record class: ``%.17g`` for float fields
+    and ``%s`` for the others.  A zeroed timing is ``"%.17g" % 0.0``, ``0``."""
+    fs = fields(cls)
+    template = ",".join("%.17g" if f.type in ("float", float) else "%s" for f in fs)
+    return template, attrgetter(*(f.name for f in fs))
 
 
-def csv_row(record, zero_timing: bool = False) -> str:
-    """CSV line of a :class:`StepLog` or :class:`BenchmarkRow`; ``zero_timing`` zeroes its timings."""
-    template, values = _csv_format(type(record), zero_timing)
+def csv_row(record) -> str:
+    """CSV line of a :class:`StepLog` or :class:`BenchmarkRow`."""
+    template, values = _csv_format(type(record))
     return template % values(record)
 
 
-def write_step_csv(path, result: SimulationResult, zero_timing: bool = False) -> None:
+def write_step_csv(path, result: SimulationResult) -> None:
     with open(path, "w") as fh:
         fh.write("# J_opt includes the parameter-dependent constant cost term\n")
         fh.write(STEP_CSV_COLUMNS + "\n")
         for log in result.logs:
-            fh.write(csv_row(log, zero_timing) + "\n")
+            fh.write(csv_row(log) + "\n")
 
 
-def write_benchmark_csv(path, rows, zero_timing: bool = False) -> None:
+def write_benchmark_csv(path, rows) -> None:
     with open(path, "w") as fh:
         fh.write(BENCHMARK_CSV_COLUMNS + "\n")
         for row in rows:
-            fh.write(csv_row(row, zero_timing) + "\n")
+            fh.write(csv_row(row) + "\n")

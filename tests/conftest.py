@@ -121,4 +121,4 @@ def fd_run(bench30):
 
 @pytest.fixture(scope="session")
 def sweep_rows():
-    return sim.benchmark_sweep([10, 20, 30, 40, 50])
+    return list(sim.benchmark_sweep([10, 20, 30, 40, 50]))

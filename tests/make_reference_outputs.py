@@ -7,12 +7,15 @@ Three dumps pin the text writers: the ``rfmpc lift`` stdout dumps of the
 corner toy and of a problem with no constraint rows, and the
 ``rfmpc beam build --horizon 2 --profiles-out`` CSV.
 ``test_reference_outputs.py`` regenerates the same outputs and compares them.
-Rewrite the reference only for a change that is meant to move these outputs,
-and say so where the change is recorded.
+Rewrite a reference only for a change that is meant to move it, and say so
+where the change is recorded.
 
-Run from the repository root::
+Run from the repository root.  With no arguments the script lists the
+reference names and writes nothing; with names it rewrites those files only,
+so the references that a change does not mean to move keep their bytes::
 
     PYTHONPATH=src python tests/make_reference_outputs.py
+    PYTHONPATH=src python tests/make_reference_outputs.py benchmark.csv lift-no-rows.txt
 """
 import contextlib
 import gzip
@@ -59,17 +62,26 @@ def _write_gz(name: str, data: bytes) -> None:
         gz.write(data)
 
 
-def main() -> int:
-    OUT_DIR.mkdir(exist_ok=True)
+def all_runs(tmp: Path) -> dict:
+    """File name -> ``(argv, path)`` of every reference: the ``--zero-timing``
+    CSVs of :data:`RUNS`, then the dumps of :func:`dump_runs`."""
+    csvs = {f"{stem}.csv": ([*argv, "--zero-timing", "--out", str(tmp / f"{stem}.csv")],
+                            tmp / f"{stem}.csv") for stem, argv in RUNS.items()}
+    return {**csvs, **dump_runs(tmp)}
+
+
+def main(names) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for stem, argv in RUNS.items():
-            csv = Path(tmp) / f"{stem}.csv"
-            code = cli.dispatch([*argv, "--zero-timing", "--out", str(csv)])
-            if code != 0:
-                print(f"{stem}: rfmpc exited {code}", file=sys.stderr)
-                return code
-            _write_gz(f"{stem}.csv", csv.read_bytes())
-        for name, (argv, path) in dump_runs(Path(tmp)).items():
+        runs = all_runs(Path(tmp))
+        unknown = [name for name in names if name not in runs]
+        if unknown:
+            print(f"no reference named {', '.join(unknown)}", file=sys.stderr)
+        if unknown or not names:
+            print("references (name one or more to rewrite it):", *runs, sep="\n  ")
+            return 1 if unknown else 0
+        OUT_DIR.mkdir(exist_ok=True)
+        for name in names:
+            argv, path = runs[name]
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = cli.dispatch(argv)
@@ -77,8 +89,9 @@ def main() -> int:
                 print(f"{name}: rfmpc exited {code}", file=sys.stderr)
                 return code
             _write_gz(name, path.read_bytes() if path else stdout.getvalue().encode())
+            print(f"wrote {OUT_DIR.name}/{name}.gz")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -248,11 +248,27 @@ class TestBenchmark:
 
     def test_progress_lines_are_csv_lines(self, tmp_path, capsys):
         csv = tmp_path / "t.csv"
-        code = cli.dispatch(["benchmark", "--horizons", "3", "--t-end", "0.03125",
-                             "--mode", "perfect", "--out", str(csv)])
-        assert code == 0
-        assert capsys.readouterr().out.splitlines() == (
-            csv.read_text().splitlines() + [f"wrote {csv}"])
+        argv = ["benchmark", "--horizons", "2,3", "--t-end", "0.05", "--mode", "perfect",
+                "--out", str(csv)]
+        outs = []
+        for flags in ([], ["--zero-timing"], ["--zero-timing"]):
+            assert cli.dispatch(argv + flags) == 0
+            outs.append(capsys.readouterr().out)
+            assert outs[-1].splitlines() == csv.read_text().splitlines() + [f"wrote {csv}"]
+        # The printed rows carry the zeroed timings too, so two runs print the same bytes.
+        assert [line.split(",")[1] for line in outs[1].splitlines()[1:3]] == ["0", "0"]
+        assert outs[1] == outs[2]
+
+    def test_failed_sweep_leaves_no_file(self, tmp_path, capsys):
+        # N = 20 finishes and prints its row; N = 10 loses feasibility at step 75.
+        csv = tmp_path / "t.csv"
+        code = cli.dispatch(["benchmark", "--horizons", "20,10", "--t-end", "1",
+                             "--mode", "perfect", "--bound-scaling", "physical", "--out", str(csv)])
+        assert code == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == sim.BENCHMARK_CSV_COLUMNS and out[1].startswith("20,")
+        assert len(out) == 2
+        assert not csv.exists()
 
     def test_lost_feasibility_exit_code(self, capsys):
         # The sweep's runs map their errors as simulate's do: one line and exit 2.
@@ -277,7 +293,7 @@ class TestRunSettings:
         def run_closed_loop(cfg):
             raise cls.Captured(cfg)
 
-        def benchmark_sweep(n_list, cfg, progress):
+        def benchmark_sweep(n_list, cfg):
             raise cls.Captured(cfg, n_list)
 
         monkeypatch.setattr(cli.sim, "run_closed_loop", run_closed_loop)
@@ -412,6 +428,9 @@ class TestErrorPaths:
         (["simulate", "--budget", "-1"], "--budget"),
         (["benchmark", "--horizons", ",", "--out", "b.csv"], "--horizons"),
         (["benchmark", "--horizons", "10,0", "--out", "b.csv"], "--horizons"),
+        (["solve", str(CORNER_TOY), "--theta=1,,2"], "--theta"),
+        (["solve", str(CORNER_TOY), "--warm", "zz"], "--warm"),
+        (["solve", str(CORNER_TOY), "--seed", "-1"], "--seed"),
     ])
     def test_non_physical_setting_rejected(self, argv, setting, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # beam build's default --out

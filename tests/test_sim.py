@@ -1,5 +1,5 @@
 """Closed-loop harness: logging, determinism, warm starts, sweeps, CSV output."""
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -355,7 +355,7 @@ class TestWarmShift:
 class TestSweep:
     def test_single_cell(self):
         cfg = SimulationConfig(t_end=0.0625, mode="perfect", bound_scaling="reciprocal")
-        rows = sim.benchmark_sweep([3], cfg=cfg)
+        rows = list(sim.benchmark_sweep([3], cfg=cfg))
         assert len(rows) == 1
         row = rows[0]
         assert row.N == 3
@@ -364,12 +364,20 @@ class TestSweep:
         assert row.runtime_s > 0
         assert row.J_d > 0
 
-    def test_progress_callback(self):
+    def test_rows_are_yielded_as_runs_finish(self, monkeypatch):
         cfg = SimulationConfig(t_end=0.03125, mode="perfect", bound_scaling="reciprocal")
-        seen = []
-        sim.benchmark_sweep([3], cfg=cfg, progress=seen.append)
-        assert len(seen) == 1
-        assert seen[0].N == 3
+        runs, run_closed_loop = [], sim.run_closed_loop
+
+        def counting(run_cfg, **kwargs):
+            runs.append(run_cfg.horizon)
+            return run_closed_loop(run_cfg, **kwargs)
+
+        monkeypatch.setattr(sim, "run_closed_loop", counting)
+        sweep = sim.benchmark_sweep([3, 2], cfg=cfg)
+        assert runs == []  # nothing runs before the first row is asked for
+        assert next(sweep).N == 3 and runs == [3]
+        assert next(sweep).N == 2 and runs == [3, 2]
+        assert next(sweep, None) is None
 
 
 class TestCsv:
@@ -387,9 +395,18 @@ class TestCsv:
     def test_zero_timing_is_reproducible(self, tmp_path, short_run):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        sim.write_step_csv(a, short_run, zero_timing=True)
-        sim.write_step_csv(b, sim.run_closed_loop(short_cfg()), zero_timing=True)
+        for path, run in ((a, short_run), (b, sim.run_closed_loop(short_cfg()))):
+            sim.write_step_csv(path, replace(run, logs=[sim.zero_timing(log) for log in run.logs]))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_zero_timing_copies_and_zeroes_only_the_timings(self, short_run):
+        log = short_run.logs[-1]
+        assert log.wall_time > 0.0
+        zeroed = sim.zero_timing(log)
+        assert zeroed is not log and log.wall_time > 0.0
+        assert zeroed == replace(log, wall_time=0.0)
+        row = sim.BenchmarkRow(N=3, runtime_s=1.5, J_d=2.25, p_tilde=16, log2_candidates=16)
+        assert sim.zero_timing(row) == replace(row, runtime_s=0.0)
 
     @staticmethod
     def per_field_row(record, zero_timing=False):
@@ -414,12 +431,15 @@ class TestCsv:
             records.append(sim.BenchmarkRow(N=i, runtime_s=w, J_d=v,
                                             p_tilde=i, log2_candidates=i))
         for record in records:
-            assert sim.csv_row(record, zero_timing) == self.per_field_row(record, zero_timing)
+            shown = sim.zero_timing(record) if zero_timing else record
+            assert sim.csv_row(shown) == self.per_field_row(record, zero_timing)
 
     def test_benchmark_table(self, tmp_path):
         rows = [sim.BenchmarkRow(N=3, runtime_s=1.5, J_d=2.25, p_tilde=16, log2_candidates=16)]
         path = tmp_path / "table.csv"
-        sim.write_benchmark_csv(path, rows, zero_timing=True)
+        sim.write_benchmark_csv(path, rows)
+        assert path.read_text().splitlines() == [sim.BENCHMARK_CSV_COLUMNS, "3,1.5,2.25,16,16"]
+        sim.write_benchmark_csv(path, map(sim.zero_timing, rows))
         lines = path.read_text().splitlines()
         assert lines[0] == sim.BENCHMARK_CSV_COLUMNS
         assert lines[1] == "3,0,2.25,16,16"

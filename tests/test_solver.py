@@ -536,6 +536,26 @@ class TestDegeneracy:
         with pytest.raises(ValueError, match="not sufficient"):
             reduce_to_licq(qp, bogus, np.zeros(1))
 
+    def test_unreproduced_equalities_are_a_licq_failure(self):
+        # Two nearly parallel rows: K_AA passes the rank screen (condition
+        # number 4.4e9), but its solve misses b_A by 4.2e-7, above the 2e-8
+        # equality band, so the candidate counts as rank deficient.
+        qp = LiftedQP.from_matrices(H=[[2.0, 0.5], [0.5, 1.0]], F=np.zeros((2, 1)),
+                                    G=[[1.0, 0.3], [1.0, 0.30002]], S=np.zeros((2, 1)),
+                                    W=[0.7, -1.0])
+        assert solver._rank_complete(qp.K, solver._RANK_TOL)
+        assert solver._evaluate(qp, 0b11, qp.W, Tolerances.for_qp(qp)) is None
+        res = solver.solve(qp, np.zeros(1), warm=ActiveSet(0b11))
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.stats.licq_failures == 1
+
+    def test_reduction_rejects_consistent_set_with_negative_multipliers(self):
+        # z <= 1 twice: the set of both rows is consistent (z = 1) and rank
+        # deficient, but holding z = 1 needs mu < 0, so the NNLS leaves a residual.
+        qp = halfspace_qp([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="no nonnegative multipliers"):
+            reduce_to_licq(qp, ActiveSet.from_indices([0, 1]), np.zeros(1))
+
     def test_reduction_of_clean_set_is_identity(self):
         qp = halfspace_qp([-1.0], [-1.0])
         reduced = reduce_to_licq(qp, ActiveSet.from_indices([0]), np.zeros(1))
