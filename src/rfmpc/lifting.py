@@ -56,8 +56,9 @@ class LiftedQP:
     caches ``HinvF`` (``H^{-1} F``, n_z x n_theta), ``Y`` (``H^{-1} G^T``,
     n_z x p) and ``K = G Y`` (p x p), formed as ``B^T B`` with ``B = Li G^T``
     so that it is exactly symmetric; every candidate's KKT solve runs on it.
-    ``G_max`` is ``max|G|``, computed on first use.  An ``H`` that is not
-    positive definite raises ``np.linalg.LinAlgError``.
+    ``G_max`` (``max|G|``) and ``bound_scale`` (``1 + max|W|``) are computed
+    on first use.  An ``H`` that is not positive definite raises
+    ``np.linalg.LinAlgError``.
     """
 
     H: np.ndarray
@@ -96,6 +97,11 @@ class LiftedQP:
     def G_max(self) -> float:
         """``max|G|``, the scale of the Farkas ray test of :mod:`.solver`."""
         return np.abs(self.G).max(initial=0.0)
+
+    @cached_property
+    def bound_scale(self) -> float:
+        """``1 + max|W|``, the scale of the acceptance bands of :mod:`.solver`."""
+        return 1.0 + np.abs(self.W).max(initial=0.0)
 
     @classmethod
     def from_matrices(cls, H, F, G, S, W, N=None, n_u=None) -> "LiftedQP":

@@ -16,9 +16,9 @@ through the gufuncs that :func:`numpy.linalg.cholesky` and
 :func:`_solve`): the same routines, so the same bits, without the wrappers'
 call cost, which is several times the LAPACK work on a block of a few rows.
 A failed factorization or a singular solve then reads as NaN instead of
-raising ``LinAlgError``, and each call runs under its own ``np.errstate``,
-so the empty candidate, which makes no call, pays for none.  One loop
-(:func:`solve`) otherwise branches by activating violated rows and
+raising ``LinAlgError``; the search holds one ``np.errstate`` per query for
+the flags that raises (:func:`_search`), and :func:`reduce_to_licq` its own.
+One loop (:func:`solve`) otherwise branches by activating violated rows and
 deactivating rows with negative multipliers.  Candidates come off a
 stack of promising candidates (most recent first) and, when the stack runs
 dry, from the exhaustive (cardinality, mask) order.  A visited set and a list
@@ -124,11 +124,6 @@ def _caller_mask(qp: LiftedQP, aset) -> int:
     return mask
 
 
-def _bound_scale(qp: LiftedQP) -> float:
-    """``1 + max|W|``: the scale of the absolute acceptance bands."""
-    return 1.0 + (np.max(np.abs(qp.W)) if qp.W.size else 0.0)
-
-
 # A candidate is rank deficient when the smallest eigenvalue of its reduced
 # KKT matrix ``K_AA`` is at most this fraction of the largest.
 _RANK_TOL = 1e-10
@@ -159,7 +154,7 @@ class Tolerances:
     @classmethod
     def for_qp(cls, qp: LiftedQP, max_kkt_solves: int = max_kkt_solves) -> "Tolerances":
         """The band ``1e-9 (1 + max|W|)`` of ``qp`` with the given budget."""
-        return cls(1e-9 * _bound_scale(qp), max_kkt_solves)
+        return cls(1e-9 * qp.bound_scale, max_kkt_solves)
 
 
 class SolveStatus(Enum):
@@ -219,27 +214,26 @@ def iter_candidate_masks(n_bits: int, max_cardinality: int):
             v = t | ((((t & -t) // (v & -v)) >> 1) - 1)
 
 
-@np.errstate(all="ignore")
 def _positive_definite(KAA: np.ndarray, shift: float) -> bool:
     """Whether ``K_AA - shift I`` has a Cholesky factor (is positive definite).
 
     The verdict of :func:`numpy.linalg.cholesky`, from the gufunc it calls
     (LAPACK ``potrf``): a failed factorization fills the factor with NaN and
     raises the floating-point invalid flag where the wrapper raises
-    ``LinAlgError``, so a NaN ``L[0, 0]`` means no factor.  The call's own
-    ``errstate`` keeps the flag from becoming a warning.
+    ``LinAlgError``, so a NaN ``L[0, 0]`` means no factor.  The caller holds
+    the ``np.errstate`` that keeps the flag from becoming a warning.
     """
     M = KAA.copy()
-    M.flat[:: len(M) + 1] -= shift
+    M.reshape(-1)[:: len(M) + 1] -= shift
     L00 = _umath_linalg.cholesky_lo(M, signature="d->d").item(0)
     return L00 == L00
 
 
-@np.errstate(all="ignore")
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``A^{-1} b`` bit for bit as :func:`numpy.linalg.solve`, from the gufunc
     it calls for one right-hand side (LAPACK ``gesv``), and all NaN where
-    that raises ``LinAlgError`` (``A`` exactly singular)."""
+    that raises ``LinAlgError`` (``A`` exactly singular), whose invalid flag
+    the caller's ``np.errstate`` ignores."""
     return _umath_linalg.solve1(A, b, signature="dd->d")
 
 
@@ -277,7 +271,9 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     ``G`` row and applies no ``H^{-1}``.  A candidate whose active rows do not
     reproduce their bounds, a NaN solve included, counts as rank deficient.
     The minimizer ``z = -Y[:, A] lam_A`` is formed only for an accepted
-    candidate.
+    candidate.  The checks on the ``|A|`` entries of ``slack[A]`` and
+    ``lam_A`` run on Python floats, cheaper than numpy calls at a few
+    entries.  The caller holds the ``np.errstate`` of the LAPACK calls.
 
     Returns ``(z, lam_A, violated, negative)``, with ``z`` ``None`` unless the
     candidate is accepted, or ``None`` when the candidate is rank deficient.
@@ -288,37 +284,43 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     empty.  The empty candidate costs no solve: its minimizer is the origin
     and its slack is ``b`` itself.
     """
+    low = -tol.tol_violation
     if not mask:
-        viol = (b < -tol.tol_violation).nonzero()[0]
+        viol = (b < low).nonzero()[0]
         if not viol.size:
             return np.zeros(qp.n_z), _NO_ROWS, [], []
         return None, _NO_ROWS, _worst_first(viol, b), []
-    rows = np.array(_mask_indices(mask))
-    KR = qp.K.take(rows, axis=0)  # take: the gather of K[rows] at half the call cost
-    KAA = KR.take(rows, axis=1)
+    rows = _mask_indices(mask)
+    idx = np.array(rows)
+    KR = qp.K.take(idx, axis=0)  # take: the gather of K[rows] at half the call cost
+    KAA = KR.take(idx, axis=1)
     if not _rank_complete(KAA, _RANK_TOL):
         return None
-    bA = b[rows]
+    bA = b.take(idx)
     lam_A = _solve(KAA, -bA)
     slack = b + lam_A @ KR  # b - G z
     # A candidate whose equalities cannot be reproduced numerically is
-    # rank deficient for all practical purposes; so is a NaN solve.
-    if not np.abs(slack[rows]).max() <= 1e-8 * (1.0 + np.abs(bA).max()):
+    # rank deficient for all practical purposes; so is a NaN solve, whose
+    # NaN entries fail every comparison.
+    eq_band = 1e-8 * (1.0 + max(map(abs, bA.tolist())))
+    if not all(abs(v) <= eq_band for v in slack.take(idx).tolist()):
         return None
-    viol = (slack < -tol.tol_violation).nonzero()[0]
-    neg = (lam_A < -tol.tol_violation).nonzero()[0]
-    if not viol.size and not neg.size:
-        return -(qp.Y[:, rows] @ lam_A), lam_A, [], []
-    return None, lam_A, _worst_first(viol, slack), _worst_first(neg, lam_A, rows)
+    viol = (slack < low).nonzero()[0]
+    lam = lam_A.tolist()
+    neg = [i for i, v in enumerate(lam) if v < low]
+    if not viol.size and not neg:
+        return -(qp.Y[:, idx] @ lam_A), lam_A, [], []
+    # A stable sort: tied multipliers stay on the lower index.
+    negative = [rows[i] for i in sorted(neg, key=lam.__getitem__)] if neg else []
+    return None, lam_A, _worst_first(viol, slack), negative
 
 
-def _worst_first(idx: np.ndarray, values: np.ndarray, labels=None) -> list:
+def _worst_first(idx: np.ndarray, values: np.ndarray) -> list:
     """``idx`` by increasing ``values[idx]`` as a list, ties to the lower index
-    (a stable sort of ascending indices), optionally mapped through ``labels``."""
+    (a stable sort of ascending indices)."""
     if not idx.size:
         return []
-    idx = idx[values[idx].argsort(kind="stable")]
-    return (idx if labels is None else labels[idx]).tolist()
+    return idx[values[idx].argsort(kind="stable")].tolist()
 
 
 def _result(qp: LiftedQP, theta_vec, stats: SolveStats, status: SolveStatus,
@@ -402,6 +404,11 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
     are dependent.  So the exhausted order returns the test's ray and runs
     no second test.
 
+    One ``np.errstate`` ignores the flags of a NaN factor or solve from the
+    first candidate that can reach LAPACK (a non-empty one, or the empty one
+    before a ray test at ``ray_at`` 0) to the end of the query, so a query
+    accepted at the empty candidate enters none.
+
     Returns ``(OPTIMAL, mask, z, lam_A)``, ``(INFEASIBLE, 0, None, None, ray)``
     or ``(BUDGET_EXHAUSTED,)``.
     """
@@ -412,48 +419,52 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
     licq = []
     stack = [mask if mask.bit_count() <= cap else 0]  # oversized: rank deficient
     ray_at = min(qp.n_z, tol.max_kkt_solves)  # KKT solves before the one ray test
-    ray = None
-
-    while True:
-        mask = stack.pop() if stack else next(fallback, None)
-        if mask is None:
-            return SolveStatus.INFEASIBLE, 0, None, None, ray
-        if mask in visited:
-            continue
-        visited.add(mask)
-        if any(l & mask == l for l in licq):
-            continue
-
-        stats.candidates_visited += 1
-        if mask:
-            stats.kkt_solves += 1
-        out = _evaluate(qp, mask, b, tol)
-        if out is None:
-            stats.licq_failures += 1
-            # mask contains no known violator (filtered above); keep only
-            # inclusion-minimal rank-deficient candidates.
-            licq = [l for l in licq if mask & l != mask] + [mask]
-            violated = negative = ()
-        else:
-            z, lam_A, violated, negative = out
-            if not violated and not negative:
-                return SolveStatus.OPTIMAL, mask, z, lam_A
-        if ray_at is not None and (out is None or stats.kkt_solves >= ray_at):
-            ray_at = None  # one ray test per query
-            ray = _farkas_ray(qp, b, mask if out is None else 0)
-            if ray is not None:
+    ray = guard = None
+    try:
+        while True:
+            mask = stack.pop() if stack else next(fallback, None)
+            if mask is None:
                 return SolveStatus.INFEASIBLE, 0, None, None, ray
-        if stats.kkt_solves >= tol.max_kkt_solves:
-            return (SolveStatus.BUDGET_EXHAUSTED,)
+            if mask in visited:
+                continue
+            visited.add(mask)
+            if licq and any(l & mask == l for l in licq):
+                continue
 
-        # Push in reverse examination order so the worst offender pops first;
-        # removals are pushed after additions and therefore pop before them.
-        for k in reversed(violated):
-            m2 = mask | (1 << k)
-            if m2.bit_count() <= cap:
-                stack.append(m2)
-        for k in reversed(negative):
-            stack.append(mask & ~(1 << k))
+            stats.candidates_visited += 1
+            if mask:
+                stats.kkt_solves += 1
+            if guard is None and (mask or ray_at == 0):
+                guard = np.errstate(all="ignore")
+                guard.__enter__()
+            out = _evaluate(qp, mask, b, tol)
+            if out is None:
+                stats.licq_failures += 1
+                # mask contains no known violator (filtered above); keep only
+                # inclusion-minimal rank-deficient candidates.
+                licq = [l for l in licq if mask & l != mask] + [mask]
+                violated = negative = ()
+            else:
+                z, lam_A, violated, negative = out
+                if not violated and not negative:
+                    return SolveStatus.OPTIMAL, mask, z, lam_A
+            if ray_at is not None and (out is None or stats.kkt_solves >= ray_at):
+                ray_at = None  # one ray test per query
+                ray = _farkas_ray(qp, b, mask if out is None else 0)
+                if ray is not None:
+                    return SolveStatus.INFEASIBLE, 0, None, None, ray
+            if stats.kkt_solves >= tol.max_kkt_solves:
+                return (SolveStatus.BUDGET_EXHAUSTED,)
+
+            # Push in reverse examination order so the worst offender pops
+            # first; removals are pushed after additions and so pop before
+            # them.  Additions share one cardinality (an active row: visited).
+            if mask.bit_count() < cap:
+                stack += [mask | 1 << k for k in reversed(violated)]
+            stack += [mask & ~(1 << k) for k in reversed(negative)]
+    finally:
+        if guard is not None:
+            guard.__exit__(None, None, None)
 
 
 def _farkas_ray(qp: LiftedQP, b: np.ndarray, trigger: int):
@@ -588,6 +599,7 @@ def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:
     }
 
 
+@np.errstate(all="ignore")  # the NNLS and the KKT solve may meet a singular block
 def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta) -> ActiveSet:
     """Shrink a sufficient but degenerate active set until it satisfies LICQ.
 
@@ -623,8 +635,7 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta) -> ActiveSet:
 
     # Verify the reduced candidate actually certifies the minimizer, with a
     # band ten times the search's default.
-    band = 1e-8 * _bound_scale(qp)
-    out = _evaluate(qp, mask, b, Tolerances(tol_violation=band))
+    out = _evaluate(qp, mask, b, Tolerances(tol_violation=1e-8 * qp.bound_scale))
     if out is None:
         raise ValueError("reduction failed to reach a rank-complete candidate")
     if out[2] or out[3]:

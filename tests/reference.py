@@ -8,7 +8,8 @@ QP built in :mod:`rfmpc.lifting`, so that the two routes can be cross-checked;
 Two reference solvers reach the minimizer of a desk-scale QP without the
 search: enumeration shares only the candidate evaluator of :mod:`rfmpc.solver`,
 and dual ascent only the operators ``K`` and ``Y`` the QP cached when it was
-built.
+built.  :func:`numpy_evaluate` keeps an earlier, all-numpy form of that
+evaluator, whose bits the current one must reproduce.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ import numpy as np
 from rfmpc.beam import FDPlant, _diff_matrix
 from rfmpc.lifting import LiftedQP, _theta_vector
 from rfmpc.problem import Parameter, PlantModel, ProblemDefinition, StageConstraints, StageWeights, _vec
-from rfmpc.solver import (SolveResult, SolveStats, SolveStatus, Tolerances, _caller_mask, _evaluate,
-                          _mask_indices, _result, iter_candidate_masks)
+from rfmpc.solver import (_NO_ROWS, _RANK_TOL, SolveResult, SolveStats, SolveStatus, Tolerances, _caller_mask,
+                          _evaluate, _mask_indices, _rank_complete, _result, _solve, iter_candidate_masks)
 
 
 def scalar_problem(N, A=1.0, B=1.0, Q=1.0, R=1.0, P=1.0, V=0.0) -> ProblemDefinition:
@@ -174,6 +175,7 @@ def check_easy_slater(qp: LiftedQP) -> bool:
     return bool(not np.any(qp.S) or np.array_equal(qp.S, qp.G @ qp.HinvF))
 
 
+@np.errstate(all="ignore")  # the evaluator leaves the flags of a NaN solve to its caller
 def kkt_solve(qp: LiftedQP, aset, theta):
     """Solve the KKT system of the QP with the candidate rows as equalities.
 
@@ -194,6 +196,44 @@ def kkt_solve(qp: LiftedQP, aset, theta):
     return (-(qp.Y[:, _mask_indices(mask)] @ lam_A) if z is None else z), lam_A
 
 
+def numpy_evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
+    """The candidate evaluator as it stood before its checks on the ``|A|``
+    entries of ``slack[A]`` and ``lam_A`` moved to Python floats: each of them
+    a numpy reduction.  It shares the rank screen and the solve with
+    :func:`rfmpc.solver._evaluate`, which must return its bits; its caller
+    holds the ``np.errstate``."""
+    if not mask:
+        viol = (b < -tol.tol_violation).nonzero()[0]
+        if not viol.size:
+            return np.zeros(qp.n_z), _NO_ROWS, [], []
+        return None, _NO_ROWS, _numpy_worst_first(viol, b), []
+    rows = np.array(_mask_indices(mask))
+    KR = qp.K.take(rows, axis=0)
+    KAA = KR.take(rows, axis=1)
+    if not _rank_complete(KAA, _RANK_TOL):
+        return None
+    bA = b[rows]
+    lam_A = _solve(KAA, -bA)
+    slack = b + lam_A @ KR
+    if not np.abs(slack[rows]).max() <= 1e-8 * (1.0 + np.abs(bA).max()):
+        return None
+    viol = (slack < -tol.tol_violation).nonzero()[0]
+    neg = (lam_A < -tol.tol_violation).nonzero()[0]
+    if not viol.size and not neg.size:
+        return -(qp.Y[:, rows] @ lam_A), lam_A, [], []
+    return None, lam_A, _numpy_worst_first(viol, slack), _numpy_worst_first(neg, lam_A, rows)
+
+
+def _numpy_worst_first(idx: np.ndarray, values: np.ndarray, labels=None) -> list:
+    """``idx`` by increasing ``values[idx]`` as a list, ties to the lower index
+    (a stable sort of ascending indices), optionally mapped through ``labels``."""
+    if not idx.size:
+        return []
+    idx = idx[values[idx].argsort(kind="stable")]
+    return (idx if labels is None else labels[idx]).tolist()
+
+
+@np.errstate(all="ignore")  # the evaluator leaves the flags of a NaN solve to its caller
 def enumerate_active_sets(qp: LiftedQP, theta, tol: Tolerances | None = None, max_constraints: int = 20) -> SolveResult:
     """First acceptable candidate in (cardinality, numeric mask) order.
 

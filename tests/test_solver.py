@@ -1,8 +1,10 @@
 """Active-set search: hand traces, oracle cross-checks, degeneracy, budgets."""
 import dataclasses
+import json
 import signal
 import time
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,7 @@ from scipy import linalg as sla
 from scipy.optimize import nnls as scipy_nnls
 
 from conftest import random_feasible_query
-from reference import enumerate_active_sets, eval_constraints, kkt_solve
+from reference import enumerate_active_sets, eval_constraints, kkt_solve, numpy_evaluate
 from rfmpc import lifting, solver
 from rfmpc.beam import make_benchmark
 from rfmpc.lifting import LiftedQP
@@ -277,7 +279,8 @@ class TestEvaluatorAgainstPrimalReference:
     def test_same_verdict_point_and_lists(self, case):
         qp, mask, b = case
         tol = Tolerances.for_qp(qp)
-        got = solver._evaluate(qp, mask, b, tol)
+        with np.errstate(all="ignore"):  # the search's guard
+            got = solver._evaluate(qp, mask, b, tol)
         ref = primal_evaluate(qp, mask, b, tol)
         assert (got is None) == (ref is None)
         if ref is None:
@@ -300,6 +303,66 @@ class TestEvaluatorAgainstPrimalReference:
             assert sorted(rows) == sorted(ref_rows)
             keys = [key(k) for k in rows]
             assert all(a <= c + 1e-12 * (1.0 + abs(c)) for a, c in zip(keys, keys[1:]))
+
+
+@st.composite
+def nan_evaluator_cases(draw):
+    """:func:`evaluator_cases`, half of them with NaN in some entries of the
+    right-hand side: on an active row the solve reads NaN, on the other rows
+    only their slacks do."""
+    qp, mask, b = draw(evaluator_cases())
+    if draw(st.booleans()):
+        b = np.where(draw(hnp.arrays(bool, len(b))), np.nan, b)
+    return qp, mask, b
+
+
+# (qp, mask, b) of hand-made evaluator cases.
+EVALUATOR_CASES = {
+    # Rows 2 and 3 both have slack -1 in exact arithmetic: rounding orders them.
+    "tied-slacks": (LiftedQP.from_matrices(H=np.diag([2.0, 1.0]), F=np.zeros((2, 1)),
+                                           G=[[0, 2], [2, 2], [3, 0], [0, 0], [0, 2]],
+                                           S=np.zeros((5, 1)), W=[-1.0, 1.0, 2.0, -1.0, -1.0]),
+                    0b11, np.array([-1.0, 1.0, 2.0, -1.0, -1.0])),
+    # Rows 0 and 2 both need the multiplier -1 exactly: the lower index first.
+    "tied-multipliers": (LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 1)), G=[[1, 0], [5, 5], [0, 1]],
+                                                S=np.zeros((3, 1)), W=[1.0, 100.0, 1.0]),
+                         0b101, np.array([1.0, 100.0, 1.0])),
+    "singular-block": (halfspace_qp([-1.0, -1.0], [-1.0, -1.0]), 0b11, np.array([-1.0, -1.0])),
+    "nan-solve": (halfspace_qp([-1.0, 1.0], [-1.0, 2.0]), 0b1, np.array([np.nan, 2.0])),
+    "nan-inactive-slack": (halfspace_qp([-1.0, 1.0, 1.0], [-1.0, 2.0, 2.0]), 0b1, np.array([-1.0, np.nan, 2.0])),
+}
+
+
+class TestEvaluatorAgainstNumpyReference:
+    """The evaluator's checks on Python floats against the earlier all-numpy
+    form kept in ``tests/reference.py``: the same verdict, the same bits of
+    ``z`` and ``lam_A`` and the same lists in the same order."""
+
+    @staticmethod
+    def same(qp, mask, b):
+        tol = Tolerances.for_qp(qp)
+        with np.errstate(all="ignore"):  # the search's guard
+            got, ref = solver._evaluate(qp, mask, b, tol), numpy_evaluate(qp, mask, b, tol)
+        if ref is None:
+            assert got is None
+            return None
+        for g, r in zip(got[:2], ref[:2]):
+            assert (g is None) == (r is None)
+            assert r is None or g.tobytes() == r.tobytes()
+        assert got[2:] == ref[2:]
+        return got
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(nan_evaluator_cases())
+    def test_bitwise_equal(self, case):
+        self.same(*case)
+
+    @pytest.mark.parametrize("name", list(EVALUATOR_CASES))
+    def test_hand_made_cases(self, name):
+        got = self.same(*EVALUATOR_CASES[name])
+        expected = {"tied-slacks": ([3, 2], [1]), "tied-multipliers": ([], [0, 2]),
+                    "nan-inactive-slack": ([], [])}
+        assert (got if got is None else got[2:]) == expected.get(name)
 
 
 @st.composite
@@ -338,7 +401,7 @@ def test_rank_screen_keeps_the_eigh_verdict(record_property):
     @given(kaa_blocks())
     def prop(K):
         counts["draws"] += 1
-        with mock.patch.object(np.linalg, "eigh", counting_eigh):
+        with mock.patch.object(np.linalg, "eigh", counting_eigh), np.errstate(all="ignore"):
             got = solver._rank_complete(K, tau)
         w = eigh(K)[0]
         if got != (w[-1] > 0.0 and w[0] > tau * w[-1]):
@@ -383,8 +446,9 @@ def test_lapack_kernel_is_numpy_linalg():
     1.24 or later).  The verdict of ``_positive_definite`` is whether
     ``numpy.linalg.cholesky`` raises; ``_solve`` is bitwise equal to
     ``numpy.linalg.solve`` and all NaN exactly where that raises
-    ``LinAlgError``; no floating-point warning escapes either, and the
-    error state is left as it was.  A numpy that moves, renames or changes
+    ``LinAlgError``.  Each is called under the explicit ``np.errstate`` that
+    its callers hold (the search, or ``reduce_to_licq``): no floating-point
+    warning escapes it, and the error state is left as it was.  A numpy that moves, renames or changes
     the gufuncs fails here instead of changing the search."""
     rng = np.random.default_rng(29)
     counts = dict.fromkeys(["factored", "not factored", "solved", "singular"], 0)
@@ -398,7 +462,7 @@ def test_lapack_kernel_is_numpy_linalg():
                     factored = True
                 except np.linalg.LinAlgError:
                     factored = False
-                with warnings.catch_warnings():
+                with warnings.catch_warnings(), np.errstate(all="ignore"):
                     warnings.simplefilter("error")
                     assert solver._positive_definite(M, shift) is factored, (kind, n, shift)
                 counts["factored" if factored else "not factored"] += 1
@@ -406,7 +470,7 @@ def test_lapack_kernel_is_numpy_linalg():
                 ref = np.linalg.solve(M, b)
             except np.linalg.LinAlgError:
                 ref = None
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("error")
                 got = solver._solve(M, b)
             if ref is None:
@@ -694,7 +758,8 @@ def test_nnls_matches_scipy(case):
     # residual 5.0 where y = 0 gives 2.0.
     A, t, passive = case
     C, d = A.T @ A, A.T @ t
-    y = solver._nnls(C, d, passive=passive)
+    with np.errstate(all="ignore"):  # the guard of the search or of reduce_to_licq
+        y = solver._nnls(C, d, passive=passive)
     x, _ = scipy_nnls(A, t)
     assert np.all(y >= 0.0)
     f_y, f_x = np.sum((A @ y - t) ** 2), np.sum((A @ x - t) ** 2)
@@ -915,3 +980,112 @@ def test_search_path_is_pinned(case):
     s = res.stats
     got = (res.status.name, res.active_set.mask, s.candidates_visited, s.kkt_solves, s.licq_failures)
     assert got == expected
+
+
+COLD_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cold_pool.json"
+
+
+def test_cold_pool_search_is_pinned():
+    """The 189 stored N = 50 queries of the ``query-cold`` benchmark, each
+    solved cold: every one reaches its stored active set and minimizer, and
+    the search's totals are pinned, so any change to its path shows here."""
+    pool = json.loads(COLD_POOL.read_text())
+    bench = make_benchmark(N=pool["horizon"], bound_scaling=pool["bound_scaling"])
+    qp = lifting.build(bench.problem)
+    totals = [0, 0, 0]
+    for e in pool["entries"]:
+        res = solver.solve(qp, Parameter(np.array(e["x"]), np.array(e["u_prev"])))
+        assert res.status is SolveStatus.OPTIMAL, e["step"]
+        assert res.active_set.mask == int(e["active_set"], 16), e["step"]
+        assert np.abs(res.z_star - e["z_star"]).max() <= 1e-9, e["step"]
+        s = res.stats
+        totals = [t + c for t, c in zip(totals, (s.kkt_solves, s.candidates_visited, s.licq_failures))]
+    assert len(pool["entries"]) == 189
+    assert totals == [2399, 2588, 0]
+
+
+class TestErrorStateIsRestored:
+    """The search holds one ``np.errstate`` per query from its first candidate
+    that can reach LAPACK; ``reduce_to_licq`` and the reference ``kkt_solve``
+    hold their own.  On every exit the caller's error state is back and no
+    ``RuntimeWarning`` has escaped."""
+
+    @staticmethod
+    def clean(call):
+        state = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = call()
+        assert np.geterr() == state
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return out
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        """Record the ``invalid`` error state at each call of ``solver.<name>``."""
+        seen, real = [], getattr(solver, name)
+
+        def recorded(*args):
+            seen.append(np.geterr()["invalid"])
+            return real(*args)
+
+        monkeypatch.setattr(solver, name, recorded)
+        return seen
+
+    def test_accepted_empty_candidate_enters_no_guard(self, monkeypatch):
+        seen = self.spy(monkeypatch, "_evaluate")
+        res = self.clean(lambda: solver.solve(halfspace_qp([1.0], [1.0]), np.zeros(1)))
+        assert res.status is SolveStatus.OPTIMAL and res.active_set.mask == 0
+        assert seen == [np.geterr()["invalid"]] and seen != ["ignore"]
+
+    def test_optimal_after_a_failed_factorization(self, monkeypatch):
+        seen = self.spy(monkeypatch, "_evaluate")
+        qp, theta, warm = _duplicated_row_query(True)
+        res = self.clean(lambda: solver.solve(qp, theta, warm=warm))
+        assert res.status is SolveStatus.OPTIMAL and res.stats.licq_failures == 1
+        assert seen == ["ignore"] * res.stats.candidates_visited
+
+    def test_infeasible_with_a_ray(self):
+        qp = embedded_pair(copies=1)
+        res = self.clean(lambda: solver.solve(qp, np.zeros(1)))
+        assert res.status is SolveStatus.INFEASIBLE and check_farkas(qp.G, qp.W, res.farkas)
+
+    def test_ray_test_after_the_empty_candidate_is_guarded(self, monkeypatch):
+        # A zero budget runs the ray test right after the empty candidate.
+        seen = self.spy(monkeypatch, "_farkas_ray")
+        qp = halfspace_qp([1.0, -1.0], [-1.0, -1.0])
+        res = self.clean(lambda: solver.solve(qp, np.zeros(1), tol=Tolerances.for_qp(qp, max_kkt_solves=0)))
+        assert res.status is SolveStatus.INFEASIBLE and seen == ["ignore"]
+
+    def test_budget_exhausted(self):
+        qp = coupled_pair()
+        res = self.clean(lambda: solver.solve(qp, np.zeros(1), tol=Tolerances.for_qp(qp, max_kkt_solves=1)))
+        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+
+    def test_exception_inside_the_loop(self, monkeypatch):
+        evaluate = solver._evaluate
+
+        def failing(qp, mask, b, tol):
+            if mask:
+                raise RuntimeError("evaluator failed")
+            return evaluate(qp, mask, b, tol)
+
+        monkeypatch.setattr(solver, "_evaluate", failing)
+
+        def call():
+            with pytest.raises(RuntimeError, match="evaluator failed"):
+                solver.solve(coupled_pair(), np.zeros(1))
+
+        self.clean(call)
+
+    def test_reduction_and_kkt_solve(self):
+        qp, theta, warm = _duplicated_row_query(True)
+        assert self.clean(lambda: kkt_solve(qp, warm, theta)) is None
+        reduced = self.clean(lambda: reduce_to_licq(qp, warm, theta))
+        assert self.clean(lambda: kkt_solve(qp, reduced, theta)) is not None
+
+        def rejected():
+            with pytest.raises(ValueError, match="no nonnegative multipliers"):
+                reduce_to_licq(halfspace_qp([1.0, 1.0], [1.0, 1.0]), ActiveSet(0b11), np.zeros(1))
+
+        self.clean(rejected)
