@@ -151,12 +151,13 @@ def warm_shift_map(qp: LiftedQP) -> np.ndarray:
     return shift
 
 
-def shift_warm_set(active: ActiveSet, shift: np.ndarray) -> ActiveSet:
-    """Map ``active`` through a :func:`warm_shift_map`, dropping unmapped rows."""
+def shift_warm_set(active: ActiveSet, shift) -> ActiveSet:
+    """Map ``active`` through a :func:`warm_shift_map` or its ``tolist()``,
+    dropping unmapped rows.  The loop passes the list: at a few rows, Python
+    ints cost less than numpy calls."""
     if not active.mask:
         return active
-    rows = shift[active.indices()]
-    return ActiveSet.from_indices(rows[rows >= 0])
+    return ActiveSet.from_indices(j for j in map(shift.__getitem__, active.indices()) if j >= 0)
 
 
 def run_closed_loop(
@@ -243,7 +244,8 @@ def run_closed_loop(
     u_seqs, asets, stats = [], [], []
     u = np.zeros(n_u)
     warm = None
-    shift = warm_shift_map(qp)
+    shift = warm_shift_map(qp).tolist()
+    A_d, B_d = bench.plant.A_d, bench.plant.B_d
 
     for n in range(n_steps):
         states[n] = x
@@ -260,7 +262,7 @@ def run_closed_loop(
         stats.append(res.stats)
 
         if fd is None:
-            x = bench.plant.A_d @ x + bench.plant.B_d @ u
+            x = A_d @ x + B_d @ u
         else:
             y = beam_mod.fd_plant_step(fd, y, u / bench.u_scale)
             x = fd.observe(y)

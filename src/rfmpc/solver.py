@@ -51,11 +51,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .lifting import LiftedQP, _theta_vector, from_z
+from .lifting import LiftedQP, _theta_vector
 
 __all__ = [
     "ActiveSet",
@@ -163,7 +164,7 @@ class SolveStatus(Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveStats:
     candidates_visited: int = 0
     kkt_solves: int = 0
@@ -171,7 +172,7 @@ class SolveStats:
     wall_time: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveResult:
     """Outcome of one query, with the certificate its status calls for.
 
@@ -282,14 +283,14 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     ``-tol_violation`` by increasing multiplier: worst first, index ties broken
     toward the lower index.  The candidate is accepted when both lists are
     empty.  The empty candidate costs no solve: its minimizer is the origin
-    and its slack is ``b`` itself.
+    and its slack is ``b`` itself, where a NaN entry counts as violated (it
+    sorts last).  Its test reads the least entry of ``b``, or its first NaN.
     """
     low = -tol.tol_violation
     if not mask:
-        viol = (b < low).nonzero()[0]
-        if not viol.size:
+        if not b.size or b[b.argmin()] >= low:
             return np.zeros(qp.n_z), _NO_ROWS, [], []
-        return None, _NO_ROWS, _worst_first(viol, b), []
+        return None, _NO_ROWS, _worst_first((~(b >= low)).nonzero()[0], b), []
     rows = _mask_indices(mask)
     idx = np.array(rows)
     KR = qp.K.take(idx, axis=0)  # take: the gather of K[rows] at half the call cost
@@ -323,31 +324,50 @@ def _worst_first(idx: np.ndarray, values: np.ndarray) -> list:
     return idx[values[idx].argsort(kind="stable")].tolist()
 
 
-def _result(qp: LiftedQP, theta_vec, stats: SolveStats, status: SolveStatus,
-            mask: int = 0, z=None, lam_A=None, farkas=None) -> SolveResult:
+def _result(qp: LiftedQP, theta_vec: np.ndarray, stats: SolveStats, status: SolveStatus,
+            mask: int = 0, z=None, lam_A=None, farkas=None, warm=None) -> SolveResult:
     """The one constructor of :class:`SolveResult`.
 
     ``z`` and ``lam_A`` are ``None`` unless optimal.  ``z`` yields the input
-    sequence through :func:`~rfmpc.lifting.from_z`; ``lam_A``, the multipliers
-    of the rows of ``mask``, is scattered into the full multiplier vector.
-    ``farkas`` is the ray of an infeasible result.
+    sequence ``z - H^{-1} F theta``; ``lam_A``, the multipliers of the rows
+    of ``mask``, is scattered into the full multiplier vector.  ``farkas`` is
+    the ray of an infeasible result.  A ``warm`` :class:`ActiveSet` whose
+    mask is ``mask`` is itself the result's ``active_set``.
     """
-    u_seq = None if z is None else from_z(qp, z, theta_vec)
-    lam = None
+    u_seq = u_first = lam = None
+    if z is not None:
+        u_seq = z - qp.HinvF @ theta_vec
+        u_first = u_seq[: qp.n_u]
     if lam_A is not None:
         lam = np.zeros(qp.p_tilde)
         if mask:
             lam[_mask_indices(mask)] = lam_A
-    return SolveResult(
-        status=status,
-        active_set=ActiveSet(mask),
-        u_first=None if u_seq is None else u_seq[: qp.n_u],
-        u_seq=u_seq,
-        z_star=z,
-        lam=lam,
-        stats=stats,
-        farkas=farkas,
-    )
+    aset = warm if isinstance(warm, ActiveSet) and warm.mask == mask else ActiveSet(mask)
+    return SolveResult(status, aset, u_first, u_seq, z, lam, stats, farkas)
+
+
+def _rhs(qp: LiftedQP, theta) -> tuple:
+    """``(theta_vec, b)``: ``theta`` as a vector, which must be finite
+    (else ``ValueError``), and ``b = W + S theta``.  A sum over Python floats
+    screens ``theta``; only a sum that is not finite has its entries tested."""
+    theta_vec = _theta_vector(theta)
+    if not isfinite(sum(theta_vec.tolist())):
+        bad = (~np.isfinite(theta_vec)).nonzero()[0].tolist()
+        if bad:
+            raise ValueError(f"theta must be finite, but its entries {bad} are not")
+    b = qp.S @ theta_vec
+    b += qp.W
+    return theta_vec, b
+
+
+def _check_bounds(b: np.ndarray) -> None:
+    """Raise ``ValueError`` when ``b = W + S theta`` of a finite ``theta`` is
+    not finite: ``theta`` is too large for ``S theta`` to be formed.  The
+    least and the largest entry decide (``argmin`` and ``argmax`` stop at the
+    first NaN), at half the cost of ``np.isfinite(b).all()``."""
+    if b.size and not (-np.inf < b[b.argmin()] and b[b.argmax()] < np.inf):
+        rows = (~np.isfinite(b)).nonzero()[0].tolist()
+        raise ValueError(f"theta is too large: b = W + S theta is not finite in rows {rows}")
 
 
 def solve(
@@ -377,17 +397,21 @@ def solve(
     ``tol.max_kkt_solves`` KKT solves have produced no accepted candidate and
     the ray test found no certificate: the search stalled.  A ``warm`` set
     with a negative mask or a row at or above ``p_tilde`` raises
-    ``ValueError``.
+    ``ValueError``.  ``theta`` must be finite, or ``ValueError`` is raised.
+    So must ``b = W + S theta``, with one exception: a ``+inf`` bound cannot
+    be violated, so a query accepted at the empty set may carry one.  When
+    the accepted set is ``warm``'s, the result's ``active_set`` is the
+    ``warm`` object itself.
 
     ``stats.wall_time`` covers the whole call, result construction included.
     """
     t0 = time.perf_counter()
-    theta_vec = _theta_vector(theta)
+    theta_vec, b = _rhs(qp, theta)
     tol = tol if tol is not None else Tolerances.for_qp(qp)
     stats = SolveStats()
     mask = 0 if warm is None else _caller_mask(qp, warm)
-    found = _search(qp, qp.W + qp.S @ theta_vec, mask, tol, stats)
-    result = _result(qp, theta_vec, stats, *found)
+    found = _search(qp, b, mask, tol, stats)
+    result = _result(qp, theta_vec, stats, *found, warm=warm)
     stats.wall_time = time.perf_counter() - t0
     return result
 
@@ -407,21 +431,25 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
     One ``np.errstate`` ignores the flags of a NaN factor or solve from the
     first candidate that can reach LAPACK (a non-empty one, or the empty one
     before a ray test at ``ray_at`` 0) to the end of the query, so a query
-    accepted at the empty candidate enters none.
+    accepted at the empty candidate enters none.  ``b`` is checked to be
+    finite (:func:`_check_bounds`) as the guard is entered; before that, the
+    empty candidate rejects a NaN or ``-inf`` bound by itself.
 
     Returns ``(OPTIMAL, mask, z, lam_A)``, ``(INFEASIBLE, 0, None, None, ray)``
     or ``(BUDGET_EXHAUSTED,)``.
     """
-    p = qp.p_tilde
-    cap = min(qp.n_z, p)
+    n_z, p = qp.Y.shape
+    cap = n_z if n_z < p else p
+    budget = tol.max_kkt_solves
     visited = set()
-    fallback = iter_candidate_masks(p, cap)
     licq = []
     stack = [mask if mask.bit_count() <= cap else 0]  # oversized: rank deficient
-    ray_at = min(qp.n_z, tol.max_kkt_solves)  # KKT solves before the one ray test
-    ray = guard = None
+    ray_at = n_z if n_z < budget else budget  # KKT solves before the one ray test
+    ray = guard = fallback = None
     try:
         while True:
+            if not stack and fallback is None:
+                fallback = iter_candidate_masks(p, cap)
             mask = stack.pop() if stack else next(fallback, None)
             if mask is None:
                 return SolveStatus.INFEASIBLE, 0, None, None, ray
@@ -435,6 +463,7 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
             if mask:
                 stats.kkt_solves += 1
             if guard is None and (mask or ray_at == 0):
+                _check_bounds(b)
                 guard = np.errstate(all="ignore")
                 guard.__enter__()
             out = _evaluate(qp, mask, b, tol)
@@ -453,7 +482,7 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
                 ray = _farkas_ray(qp, b, mask if out is None else 0)
                 if ray is not None:
                     return SolveStatus.INFEASIBLE, 0, None, None, ray
-            if stats.kkt_solves >= tol.max_kkt_solves:
+            if stats.kkt_solves >= budget:
                 return (SolveStatus.BUDGET_EXHAUSTED,)
 
             # Push in reverse examination order so the worst offender pops
@@ -526,6 +555,8 @@ def _nnls(C: np.ndarray, d: np.ndarray, passive: bool = False) -> np.ndarray:
         P[j] = True
         while True:
             idx = P.nonzero()[0]
+            if not idx.size:
+                return y  # the step back emptied P (an overflowed C): keep the last iterate
             s = _solve(C[np.ix_(idx, idx)], d[idx])
             if s[0] != s[0]:
                 return y  # a dependent column entered: keep the last iterate
@@ -582,11 +613,11 @@ def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:
     if result.z_star is None or result.lam is None:
         raise ValueError(f"{result.status.value} result carries no certificate: "
                          "it has no minimizer or no multipliers")
-    theta_vec = _theta_vector(theta)
+    b = _rhs(qp, theta)[1]
+    _check_bounds(b)
     z = result.z_star
     rows = result.active_set.indices()
     GA = qp.G[rows]
-    b = qp.W + qp.S @ theta_vec
     stationarity = np.linalg.norm(qp.H @ z + GA.T @ result.lam[rows])
     eq = float(np.max(np.abs(GA @ z - b[rows]))) if rows else 0.0
     slack = b - qp.G @ z
@@ -614,9 +645,11 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta) -> ActiveSet:
     passive columns stay linearly independent; its residual decides
     sufficiency, and the rows with ``mu > 0`` are the reduced set.  A set
     that is already rank complete at ``_RANK_TOL`` comes back unchanged.
-    Raises ``ValueError`` when the input set is not sufficient.
+    Raises ``ValueError`` when the input set is not sufficient, or when
+    ``theta`` is not finite or too large (as :func:`solve` does).
     """
-    b = qp.W + qp.S @ _theta_vector(theta)
+    b = _rhs(qp, theta)[1]
+    _check_bounds(b)
     mask = _caller_mask(qp, aset)
     if mask:
         rows = np.array(_mask_indices(mask))

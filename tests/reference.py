@@ -9,7 +9,9 @@ Two reference solvers reach the minimizer of a desk-scale QP without the
 search: enumeration shares only the candidate evaluator of :mod:`rfmpc.solver`,
 and dual ascent only the operators ``K`` and ``Y`` the QP cached when it was
 built.  :func:`numpy_evaluate` keeps an earlier, all-numpy form of that
-evaluator, whose bits the current one must reproduce.
+evaluator, whose bits the current one must reproduce, and
+:func:`numpy_shift_warm_set` the numpy form of the receding-horizon shift of
+a warm set.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 from rfmpc.beam import FDPlant, _diff_matrix
 from rfmpc.lifting import LiftedQP, _theta_vector
 from rfmpc.problem import Parameter, PlantModel, ProblemDefinition, StageConstraints, StageWeights, _vec
-from rfmpc.solver import (_NO_ROWS, _RANK_TOL, SolveResult, SolveStats, SolveStatus, Tolerances, _caller_mask,
+from rfmpc.solver import (_NO_ROWS, _RANK_TOL, ActiveSet, SolveResult, SolveStats, SolveStatus, Tolerances, _caller_mask,
                           _evaluate, _mask_indices, _rank_complete, _result, _solve, iter_candidate_masks)
 
 
@@ -201,9 +203,10 @@ def numpy_evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     entries of ``slack[A]`` and ``lam_A`` moved to Python floats: each of them
     a numpy reduction.  It shares the rank screen and the solve with
     :func:`rfmpc.solver._evaluate`, which must return its bits; its caller
-    holds the ``np.errstate``."""
+    holds the ``np.errstate``.  At the empty candidate a NaN bound counts
+    as violated, as it does in the evaluator."""
     if not mask:
-        viol = (b < -tol.tol_violation).nonzero()[0]
+        viol = (~(b >= -tol.tol_violation)).nonzero()[0]
         if not viol.size:
             return np.zeros(qp.n_z), _NO_ROWS, [], []
         return None, _NO_ROWS, _numpy_worst_first(viol, b), []
@@ -300,6 +303,15 @@ def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000)
         if residual <= tol:
             return -(qp.Y @ lam)
     raise RuntimeError(f"dual ascent did not converge within {max_iter} cycles (residual {residual:.3e})")
+
+
+def numpy_shift_warm_set(active: ActiveSet, shift: np.ndarray) -> ActiveSet:
+    """:func:`rfmpc.sim.shift_warm_set` as it stood on numpy: the set's rows
+    gathered through the map array, the unmapped ones dropped."""
+    if not active.mask:
+        return active
+    rows = shift[active.indices()]
+    return ActiveSet.from_indices(rows[rows >= 0])
 
 
 def fd_energy(fd: FDPlant, y: np.ndarray) -> float:

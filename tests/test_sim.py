@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from reference import numpy_shift_warm_set
 from rfmpc import beam, lifting, sim
 from rfmpc.lifting import LiftedQP, build as build_qp
 from rfmpc.sim import SimulationConfig
@@ -322,6 +323,25 @@ class TestWarmShift:
             shifted = sim.shift_warm_set(active, shift)
             assert len(shifted) <= len(active)
             assert all(0 <= i < 16 for i in shifted.indices())
+
+    def test_python_map_is_the_numpy_map(self, warm_run, fd_run):
+        # Every set the N = 30 perfect and fd loops produce, and 1000 random
+        # masks at each of N = 10, 30 and 150, map as they did on numpy.
+        def same(active, shift):
+            got = sim.shift_warm_set(active, shift)
+            assert got == numpy_shift_warm_set(active, shift) == sim.shift_warm_set(active, shift.tolist())
+
+        shift30 = sim.warm_shift_map(build_qp(beam.make_benchmark(N=30).problem))
+        sets = {log.active_set for run in (warm_run, fd_run) for log in run.logs}
+        assert len(sets) > 20
+        for text in sets:
+            same(ActiveSet.from_hex(text), shift30)
+        rng = np.random.default_rng(33)
+        for N in (10, 30, 150):
+            shift = shift30 if N == 30 else sim.warm_shift_map(build_qp(beam.make_benchmark(N=N).problem))
+            p = len(shift)
+            for density in rng.uniform(0.0, 0.2, size=1000):
+                same(ActiveSet.from_indices((rng.random(p) < density).nonzero()[0]), shift)
 
     def test_unstaged_rows(self):
         # from_matrices labels every row stage 0.

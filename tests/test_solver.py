@@ -17,7 +17,7 @@ from scipy.optimize import nnls as scipy_nnls
 
 from conftest import random_feasible_query
 from reference import enumerate_active_sets, eval_constraints, kkt_solve, numpy_evaluate
-from rfmpc import lifting, solver
+from rfmpc import lifting, sim, solver
 from rfmpc.beam import make_benchmark
 from rfmpc.lifting import LiftedQP
 from rfmpc.problem import Parameter
@@ -515,6 +515,104 @@ class TestWarmStart:
         assert res.status is SolveStatus.OPTIMAL
         np.testing.assert_allclose(res.z_star, [1.0])
 
+    def test_loop_queries_as_parameter_and_vector(self, bench30):
+        # The queries of the N = 30 perfect loop, solved again from the
+        # Parameter and from its vector: the same bits, and a warm set that
+        # is accepted as it stands is returned as the caller's own object.
+        qp = lifting.build(bench30.problem)
+        queries = []
+
+        def recording(qp_, theta, warm, tol):
+            queries.append((theta, warm, tol))
+            return solver.solve(qp_, theta, warm, tol)
+
+        sim.run_closed_loop(sim.SimulationConfig(), bench=bench30, qp=qp, solver_fn=recording)
+        hits = 0
+        for theta, warm, tol in queries:
+            a = solver.solve(qp, theta, warm, tol)
+            b = solver.solve(qp, theta.as_vector(), warm, tol)
+            assert a.status is b.status is SolveStatus.OPTIMAL
+            assert a.active_set == b.active_set
+            for x, y in ((a.u_seq, b.u_seq), (a.z_star, b.z_star), (a.lam, b.lam)):
+                assert x.tobytes() == y.tobytes()
+            assert dataclasses.replace(a.stats, wall_time=0.0) == dataclasses.replace(b.stats, wall_time=0.0)
+            if warm is not None and a.active_set == warm:
+                hits += 1
+                assert a.active_set is warm and b.active_set is warm
+        assert (len(queries), hits) == (1280, 1195)
+
+
+class TestNonFiniteTheta:
+    """A NaN or infinite entry of theta, or a finite theta so large that
+    ``b = W + S theta`` is not finite, raises ``ValueError`` at once: in
+    ``solve``, ``reduce_to_licq`` and ``kkt_residuals``."""
+
+    @staticmethod
+    def raises(qp, theta, match):
+        # An unchecked infinite bound once sent the search through the whole
+        # fallback order; the alarm turns such a hang into a failure.
+        def hang(signum, frame):
+            raise TimeoutError("a non-finite query was not rejected")
+
+        optimal = solver.solve(qp, np.zeros(qp.n_theta))
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            for call in (lambda: solver.solve(qp, theta, tol=Tolerances.for_qp(qp, max_kkt_solves=200)),
+                         lambda: reduce_to_licq(qp, ActiveSet(0), theta),
+                         lambda: kkt_residuals(qp, optimal, theta)):
+                with pytest.raises(ValueError, match=match):
+                    call()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, beam10, value):
+        bench, qp = beam10
+        theta = np.zeros(qp.n_theta)
+        theta[0] = value
+        self.raises(qp, theta, r"theta must be finite, but its entries \[0\] are not")
+        with pytest.raises(ValueError, match="theta must be finite"):
+            solver.solve(qp, Parameter(theta[: bench.problem.n_x], theta[bench.problem.n_x:]))
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_overflowing_bounds(self, beam10, value):
+        # S theta overflows: to -inf in some rows for +1e308, to +inf for -1e308.
+        _, qp = beam10
+        theta = np.full(qp.n_theta, value)
+        with np.errstate(over="ignore"):
+            self.raises(qp, theta, "theta is too large: b = W [+] S theta is not finite")
+
+    @pytest.mark.parametrize("bounds", [[np.nan, 1.0], [1.0, -np.inf]])
+    def test_search_rejects_a_non_finite_bound(self, bounds):
+        # Which of inf - inf or +-inf the BLAS sum of S theta makes depends on
+        # its kernel, so the search is given b itself.  A NaN bound, which no
+        # slack test calls violated, must not be accepted at the empty set.
+        qp = halfspace_qp([1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="theta is too large"):
+            solver._search(qp, np.array(bounds), 0, Tolerances.for_qp(qp), solver.SolveStats())
+
+    def test_infinite_bound_accepted_at_the_empty_set(self):
+        # A +inf bound cannot be violated: z = 0 is the exact minimizer.
+        qp = LiftedQP.from_matrices(H=1.0, F=[[0.0]], G=[[1.0]], S=[[10.0]], W=[1.0])
+        with np.errstate(over="ignore"):
+            res = solver.solve(qp, np.array([1e308]))
+        assert res.status is SolveStatus.OPTIMAL and res.active_set == ActiveSet(0)
+        assert res.z_star.tolist() == [0.0] and res.lam.tolist() == [0.0]
+
+    def test_overflowed_ray_test_ends_the_search(self, beam10):
+        # b b^T overflows in the ray test's normal equations at this size;
+        # the NNLS once indexed the empty solve that followed.  The search
+        # now runs to its budget (a large finite theta ends there, not in
+        # INFEASIBLE: a known defect of the ray test's scaling).
+        _, qp = beam10
+        theta = np.zeros(qp.n_theta)
+        theta[0] = 1e160
+        with np.errstate(over="ignore"):
+            res = solver.solve(qp, theta, tol=Tolerances.for_qp(qp, max_kkt_solves=200))
+        assert res.status in (SolveStatus.INFEASIBLE, SolveStatus.BUDGET_EXHAUSTED)
+
 
 class TestOracleCrossCheck:
     def test_random_instances_match_enumeration(self):
@@ -768,6 +866,15 @@ def test_nnls_matches_scipy(case):
     band = 1e-9 * (1.0 + np.abs(C).max() * y.sum() + np.abs(d).max())
     assert np.all(g <= band)
     assert np.all(np.abs(g[y > 0.0]) <= band)
+
+
+@pytest.mark.parametrize("C, d", [([[np.inf]], [1.0]), ([[np.inf, 1.0], [1.0, 2.0]], [1.0, -1.0])])
+def test_nnls_keeps_the_last_iterate_when_the_passive_set_empties(C, d):
+    # An infinite C_jj makes the first passive solve 0, not positive; the
+    # step back then empties the passive set, and the last iterate stands.
+    with np.errstate(all="ignore"):
+        y = solver._nnls(np.array(C), np.array(d))
+    assert y.tolist() == [0.0] * len(d)
 
 
 class TestFarkas:
