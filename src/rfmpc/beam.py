@@ -352,8 +352,8 @@ class FDPlant:
     pinned entries.  :meth:`from_grid` and :meth:`to_grid` convert between
     plant and grid states, :meth:`observe` maps a plant state to the
     Galerkin coefficients and :meth:`measure` to the spatial means and norm
-    of its grid state.  The modal form is built from the grid on first use,
-    and so are the step operators of :func:`fd_plant_step`.
+    of its grid state.  The modal form, which holds the step operators of
+    :func:`fd_plant_step`, is built from the grid on first use.
     """
 
     grid: np.ndarray
@@ -393,10 +393,6 @@ class FDPlant:
     @cached_property
     def _modes(self) -> "_ModalForm":
         return _modal_form(self)
-
-    @cached_property
-    def _zoh(self) -> tuple:
-        return _zoh_rotation(self._modes)
 
     @cached_property
     def _maps(self) -> tuple:
@@ -444,7 +440,9 @@ class _ModalForm:
     component), ``a = E^{1/2} y[idx_a]`` (displacements)
     and ``b = E^{1/2} y[idx_b]`` (momenta) obey ``a' = P b`` and
     ``b' = -P^T a + G u``.  With ``P = L diag(sigma) R^T``, the modal
-    coordinates are ``alpha = L^T a`` and ``beta = R^T b``.
+    coordinates are ``alpha = L^T a`` and ``beta = R^T b``.  ``cos``,
+    ``sin_pm`` and ``gain`` are the per-mode operators of the exact step
+    over ``h = SAMPLING_INTERVAL`` (see :func:`fd_plant_step`).
     """
 
     idx_a: np.ndarray
@@ -452,7 +450,9 @@ class _ModalForm:
     grid_a: np.ndarray  # E^{-1/2} L: alpha -> y[idx_a]
     grid_b: np.ndarray  # E^{-1/2} R: beta -> y[idx_b]
     sigma: np.ndarray
-    gain: np.ndarray    # R^T G: the input's rate on beta
+    cos: np.ndarray     # cos(sigma h)
+    sin_pm: np.ndarray  # [sin(sigma h); -sin(sigma h)]
+    gain: np.ndarray    # [(1 - cos); sin] R^T G / sigma: a held input's step on [alpha; beta]
 
 
 _SKEW_TOL = 1e-12  # relative skew residual of a lossless energy-weighted generator
@@ -485,8 +485,16 @@ def _modal_form(fd: FDPlant) -> _ModalForm:
                          f"skew residual {skew:.3g} against max |P| = {np.abs(P).max():.3g}")
     L, _, Rt = np.linalg.svd(P)
     L, sigma, R = _polish_svd(P, L, Rt.T)
+    h = SAMPLING_INTERVAL
+    t = sigma * h
+    # (1 - cos t)/sigma and sin(t)/sigma, written without dividing by sigma
+    vers = 0.5 * sigma * (h * np.sinc(t / (2.0 * np.pi))) ** 2
+    sinc = h * np.sinc(t / np.pi)
+    RtG = R.T @ G
     return _ModalForm(idx_a=idx_a, idx_b=idx_b, grid_a=L / root_a[:, None],
-                      grid_b=R / root_b[:, None], sigma=sigma, gain=R.T @ G)
+                      grid_b=R / root_b[:, None], sigma=sigma, cos=np.cos(t),
+                      sin_pm=np.stack([np.sin(t), -np.sin(t)]),
+                      gain=np.vstack([vers[:, None] * RtG, sinc[:, None] * RtG]))
 
 
 _MAX_ANGLE = 1e-8  # largest first-order turn between two modes: its square is below eps
@@ -520,18 +528,6 @@ def _polish_svd(P: np.ndarray, L: np.ndarray, R: np.ndarray) -> tuple:
         G = (si * T + sj * T.T) / (sj**2 - si**2)
     apart = (np.abs(F) <= _MAX_ANGLE) & (np.abs(G) <= _MAX_ANGLE)
     return L + L @ np.where(apart, F, 0.0), sigma, R + R @ np.where(apart, G, 0.0)
-
-
-def _zoh_rotation(md: _ModalForm) -> tuple:
-    """Per-mode ``cos``, ``[sin; -sin]`` and stacked input gains of the exact
-    step over ``h = SAMPLING_INTERVAL``."""
-    h = SAMPLING_INTERVAL
-    t = md.sigma * h
-    # (1 - cos t)/sigma and sin(t)/sigma, written without dividing by sigma
-    vers = 0.5 * md.sigma * (h * np.sinc(t / (2.0 * np.pi))) ** 2
-    sinc = h * np.sinc(t / np.pi)
-    return (np.cos(t), np.stack([np.sin(t), -np.sin(t)]),
-            np.vstack([vers[:, None] * md.gain, sinc[:, None] * md.gain]))
 
 
 def _diff_matrix(n: int, delta: float) -> np.ndarray:
@@ -593,14 +589,13 @@ def fd_plant_step(fd: FDPlant, state: np.ndarray, u_phys) -> np.ndarray:
     the pair rotates by ``sigma h`` about its rest point ``(g u / sigma, 0)``:
     ``alpha+ = cos alpha + sin beta + (1 - cos) g u / sigma`` and
     ``beta+ = cos beta - sin alpha + sin g u / sigma``.  That is O(n) work
-    per step.  The operators are built on the plant's first step and kept
-    on the plant.  The new state holds ``u_phys``, which pins the boundary
-    entries of its grid state.
+    per step.  The operators are fields of the plant's modal form.  The new
+    state holds ``u_phys``, which pins the boundary entries of its grid state.
     """
     u = np.asarray(u_phys, float).reshape(2)
-    cos, sin_pm, gain = fd._zoh
-    ab = state[: 2 * len(cos)].reshape(2, -1)
-    return np.concatenate([(cos * ab + sin_pm * ab[::-1]).ravel() + gain @ u, u])
+    md = fd._modes
+    ab = state[: 2 * len(md.cos)].reshape(2, -1)
+    return np.concatenate([(md.cos * ab + md.sin_pm * ab[::-1]).ravel() + md.gain @ u, u])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import beam as beam_mod
 from . import lifting, sim
-from .problem import Parameter, load_problem, save_problem
+from .problem import load_problem, save_problem
 from .solver import ActiveSet, SolveStatus, Tolerances, solve
 
 __all__ = ["dispatch", "main"]
@@ -186,15 +186,13 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    problem, _meta = load_problem(args.problem)
-    qp = lifting.build(problem)
-    vec = args.theta
-    if vec is None:
-        vec = np.random.default_rng(args.seed).standard_normal(qp.n_theta)
-        print(f"theta (sampled, seed {args.seed}): {_fmt_vec(vec)}")
-    elif vec.size != qp.n_theta:
-        raise ValueError(f"theta needs {qp.n_theta} entries, got {vec.size}")
-    theta = Parameter(vec[: problem.n_x], vec[problem.n_x:])
+    qp = lifting.build(load_problem(args.problem)[0])
+    theta = args.theta
+    if theta is None:
+        theta = np.random.default_rng(args.seed).standard_normal(qp.n_theta)
+        print(f"theta (sampled, seed {args.seed}): {_fmt_vec(theta)}")
+    elif theta.size != qp.n_theta:
+        raise ValueError(f"theta needs {qp.n_theta} entries, got {theta.size}")
     result = solve(qp, theta, warm=args.warm, tol=Tolerances.for_qp(qp, max_kkt_solves=args.budget))
 
     print(f"status: {result.status.value}")

@@ -36,7 +36,6 @@ __all__ = [
     "LiftedQP",
     "build",
     "evaluate_lifted_cost",
-    "from_z",
 ]
 
 # ``H`` is coercive when its smallest eigenvalue exceeds this fraction of
@@ -249,9 +248,3 @@ def evaluate_lifted_cost(qp: LiftedQP, u_seq, theta):
     th = _theta_vector(theta).reshape(-1, qp.n_theta)
     cost = _row_quad(u, qp.H, u) + 2.0 * _row_quad(th, qp.F.T, u) + _row_quad(th, qp.const_op, th)
     return cost if batched else float(cost[0])
-
-
-def from_z(qp: LiftedQP, z, theta) -> np.ndarray:
-    """Input sequence ``u = z - H^{-1} F theta`` of a point in the centered coordinates."""
-    z = np.asarray(z, float).reshape(-1)
-    return z - qp.HinvF @ _theta_vector(theta)

@@ -93,6 +93,11 @@ class PlantModel(_Arrays):
     A: np.ndarray = _array("n_x n_x")
     B: np.ndarray = _array("n_x n_u")
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.B.ndim == 1:  # an empty B: it sets n_u, so it cannot be read as zeros
+            raise ValueError("B: expected a matrix, got 1-D array of length 0")
+
     @property
     def n_x(self) -> int:
         return self.A.shape[0]
@@ -232,6 +237,7 @@ def _psd_verdict(A: np.ndarray) -> str | None:
 def validate(p: ProblemDefinition) -> list:
     """Check every data invariant; returns a list of violations (empty iff valid).
 
+    A problem with no input (a ``B`` with no columns) is reported first.
     Field by field, it reports a wrong count (``"weights.Q must have 2
     entries, got 1"``), each entry of the wrong shape (``"E[1] shape (2, 6)
     does not match (6, 2)"``), non-finite entries once per field (``"V contains
@@ -250,6 +256,8 @@ def validate(p: ProblemDefinition) -> list:
     if p.horizon < 1:
         return [f"horizon must be >= 1, got {p.horizon}"]
     out, signs, judged = [], [], {}
+    if not p.n_u:
+        out.append("B has no columns: the problem needs an input")
     for name, label, a, want in _entries(p, out):
         if a.shape != want:
             out.append(f"{label} shape {a.shape} does not match {want}")

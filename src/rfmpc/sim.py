@@ -126,8 +126,8 @@ class SimulationResult:
         return np.array([[log.u1, log.u2] for log in self.logs])
 
 
-def warm_shift_map(qp: LiftedQP) -> np.ndarray:
-    """Row map of the receding-horizon shift, one entry per constraint row.
+def warm_shift_map(qp: LiftedQP) -> list:
+    """Row map of the receding-horizon shift, one int per constraint row.
 
     Through ``qp.stage_offsets``, entry ``i`` is the row that row
     ``i`` becomes one sampling interval later, or ``-1`` if it has none:
@@ -142,19 +142,17 @@ def warm_shift_map(qp: LiftedQP) -> np.ndarray:
 
     QPs without stage bookkeeping (:meth:`LiftedQP.from_matrices` labels
     every row stage 0) therefore start each step cold unless ``N == 1``.
+    The map is a list: at the few rows of a warm set, Python ints cost less
+    than numpy calls.
     """
     offsets = qp.stage_offsets
     row_of = {off: i for i, off in enumerate(offsets)}
-    shift = np.full(len(offsets), -1, dtype=np.intp)
-    for i, (k, local) in enumerate(offsets):
-        shift[i] = i if k >= qp.N - 1 else row_of.get((k - 1, local), -1)
-    return shift
+    return [i if k >= qp.N - 1 else row_of.get((k - 1, local), -1)
+            for i, (k, local) in enumerate(offsets)]
 
 
-def shift_warm_set(active: ActiveSet, shift) -> ActiveSet:
-    """Map ``active`` through a :func:`warm_shift_map` or its ``tolist()``,
-    dropping unmapped rows.  The loop passes the list: at a few rows, Python
-    ints cost less than numpy calls."""
+def shift_warm_set(active: ActiveSet, shift: list) -> ActiveSet:
+    """Map ``active`` through a :func:`warm_shift_map`, dropping unmapped rows."""
     if not active.mask:
         return active
     return ActiveSet.from_indices(j for j in map(shift.__getitem__, active.indices()) if j >= 0)
@@ -244,7 +242,7 @@ def run_closed_loop(
     u_seqs, asets, stats = [], [], []
     u = np.zeros(n_u)
     warm = None
-    shift = warm_shift_map(qp).tolist()
+    shift = warm_shift_map(qp)
     A_d, B_d = bench.plant.A_d, bench.plant.B_d
 
     for n in range(n_steps):

@@ -337,34 +337,30 @@ class TestFiniteDifferencePlant:
         assert fd_energy(fd, fd.to_grid(s)) == pytest.approx(e0, rel=1e-12)
 
     def test_step_matrix_built_once_per_plant(self, galerkin, monkeypatch):
+        # The step operators are fields of the modal form, which the first
+        # from_grid builds; nothing after it builds anything.
         calls = []
+        original = beam._modal_form
 
-        def counting(name):
-            original = getattr(beam, name)
+        def counting(fd):
+            calls.append(fd)
+            return original(fd)
 
-            def wrapper(*args):
-                calls.append(name)
-                return original(*args)
-            return wrapper
-
-        for name in ("_modal_form", "_zoh_rotation"):
-            monkeypatch.setattr(beam, name, counting(name))
+        monkeypatch.setattr(beam, "_modal_form", counting)
         fd = beam.make_fd_plant(galerkin)
         assert calls == []
         s = fd.from_grid(beam.initial_grid_state(fd))
-        fd.observe(s)
-        assert calls == ["_modal_form"]
+        assert calls == [fd]
         u = np.array([0.1, 0.2])
-        s = beam.fd_plant_step(fd, s, u)
-        assert calls == ["_modal_form", "_zoh_rotation"]
-        for _ in range(3):
+        for _ in range(4):
             s = beam.fd_plant_step(fd, s, u)
         fd.observe(s)
         fd.to_grid(s)
-        assert calls == ["_modal_form", "_zoh_rotation"]
+        assert calls == [fd]
         # A fresh plant builds its own.
-        beam.fd_plant_step(beam.make_fd_plant(galerkin), s, u)
-        assert calls[2:] == ["_modal_form", "_zoh_rotation"]
+        fresh = beam.make_fd_plant(galerkin)
+        beam.fd_plant_step(fresh, s, u)
+        assert calls == [fd, fresh]
 
     @pytest.mark.parametrize("perturb", [
         lambda D: D - 1e-3 * np.eye(len(D)),  # a symmetric part of W D dissipates energy

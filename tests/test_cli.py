@@ -29,6 +29,15 @@ def transposed_beam_doc():
     return doc
 
 
+def no_input_doc():
+    """The corner toy with no input: ``B`` and every input-sized entry empty."""
+    doc = json.loads(CORNER_TOY.read_text())
+    doc["prediction_model"]["B"] = [[]]
+    doc["weights"].update(R=[[]], M=[[]], V=[[], []])
+    doc["constraints"]["F_hat"] = []
+    return doc
+
+
 def read_matrix(path):
     with open(path) as fh:
         rows, cols = (int(tok) for tok in fh.readline().split())
@@ -393,8 +402,13 @@ class TestErrorPaths:
         (lambda doc: doc.update(horizon="two"), "horizon must be a positive integer"),
         (lambda doc: doc.update(horizon=1.5), "horizon must be a positive integer"),
         (lambda doc: transposed_beam_doc(), "E[1] shape (2, 6) does not match (6, 2)"),
+        # B sets the input count, so an empty 1-D B cannot be read as zeros.
+        (lambda doc: doc["prediction_model"].update(B=[]), "B: expected a matrix"),
+        # A wrong count of d leaves the stage rows unknown: only d is named.
+        (lambda doc: doc["constraints"]["d"].append([]), "constraints.d must have 1 entries, got 2"),
     ], ids=["extra-calE-entry", "null-horizon", "top-level-list", "scalar-Q", "ragged-A",
-            "1-D-A", "string-horizon", "fractional-horizon", "transposed-beam-E1"])
+            "1-D-A", "string-horizon", "fractional-horizon", "transposed-beam-E1", "empty-1-D-B",
+            "extra-d-entry"])
     def test_malformed_problem_names_the_file(self, edit, entry, tmp_path, capsys):
         doc = json.loads(CORNER_TOY.read_text())
         bad = tmp_path / "malformed.json"
@@ -403,6 +417,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "I/O error" in err and str(bad) in err and "Traceback" not in err
         assert entry in err
+
+    @pytest.mark.parametrize("command", [["lift"], ["solve", "--theta=-1"]], ids=["lift", "solve"])
+    def test_problem_without_inputs_rejected(self, command, tmp_path, capsys):
+        path = tmp_path / "no_input.json"
+        path.write_text(json.dumps(no_input_doc()))
+        assert cli.dispatch([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rfmpc: invalid problem: B has no columns: the problem needs an input\n"
 
     def test_no_command(self, capsys):
         assert cli.dispatch([]) == 1
@@ -431,6 +454,7 @@ class TestErrorPaths:
         (["solve", str(CORNER_TOY), "--theta=1,,2"], "--theta"),
         (["solve", str(CORNER_TOY), "--warm", "zz"], "--warm"),
         (["solve", str(CORNER_TOY), "--seed", "-1"], "--seed"),
+        (["benchmark", "--horizons", "10,x", "--out", "b.csv"], "--horizons"),
     ])
     def test_non_physical_setting_rejected(self, argv, setting, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # beam build's default --out

@@ -26,8 +26,9 @@ def test_test_references_are_not_in_the_product():
     assert importlib.util.find_spec("rfmpc.oracle") is None
     gone = {problem: ["predict_trajectory", "evaluate_cost", "check_admissible", "_u_matrix"],
             problem.StageWeights: ["constant", "horizon"], problem.StageConstraints: ["unconstrained"],
-            lifting: ["to_z", "eval_constraints", "check_easy_slater"],
-            beam: ["fd_energy", "BeamParams"], beam.BeamBenchmark: ["params"],
+            lifting: ["to_z", "eval_constraints", "check_easy_slater", "from_z"],
+            beam: ["fd_energy", "BeamParams", "_zoh_rotation"], beam.BeamBenchmark: ["params"],
+            beam.FDPlant: ["_zoh"],
             solver: ["kkt_solve"], solver.ActiveSet: ["add", "__iter__"]}
     assert [(owner.__name__, name) for owner, names in gone.items() for name in names
             if hasattr(owner, name)] == []

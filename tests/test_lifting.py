@@ -65,14 +65,18 @@ class TestCostEquivalence:
         theta = Parameter(rng.normal(size=2), rng.normal(size=1))
         u = rng.normal(size=2)
         z = to_z(qp, u, theta)
-        np.testing.assert_allclose(lifting.from_z(qp, z, theta), u, atol=1e-12)
+        np.testing.assert_allclose(z - qp.HinvF @ theta.as_vector(), u, atol=1e-12)
+        # The solver maps its minimizer back the same way.
+        res = solver.solve(qp, theta)
+        np.testing.assert_allclose(to_z(qp, res.u_seq, theta), res.z_star, atol=1e-12)
 
     def test_zero_z_is_unconstrained_minimum(self):
         rng = np.random.default_rng(13)
         p = make_random_problem(rng, n_x=3, n_u=2, N=2)
         qp = lifting.build(p)
         theta = Parameter(rng.normal(size=3), rng.normal(size=2))
-        u_star = lifting.from_z(qp, np.zeros(qp.n_z), theta)
+        u_star = -(qp.HinvF @ theta.as_vector())  # z = 0
+        np.testing.assert_allclose(to_z(qp, u_star, theta), np.zeros(qp.n_z), atol=1e-12)
         base = lifting.evaluate_lifted_cost(qp, u_star, theta)
         for _ in range(5):
             u = u_star + 0.1 * rng.normal(size=qp.n_z)

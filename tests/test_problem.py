@@ -1,13 +1,14 @@
 """Problem data validation, cost recursion, and JSON round-trips."""
 import json
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import make_random_problem
 from reference import check_admissible, evaluate_cost, predict_trajectory, scalar_problem
+from rfmpc import lifting
 from rfmpc import problem as pb
 from rfmpc.problem import Parameter, PlantModel, StageConstraints
 
@@ -97,6 +98,32 @@ class TestValidate:
                 else:
                     getattr(c, name)[1] = np.array([[bad]])
                 assert pb.validate(p) == [f"{name} contains non-finite entries"]
+
+    def test_wrong_bound_count_reports_only_d(self):
+        # The stage rows are counted by d, so the matrices that have them are
+        # not shape-checked while d has the wrong count.
+        p = tiny_problem()
+        p.constraints.d = p.constraints.d + [np.zeros(0)]
+        p.constraints.E[0] = np.ones((3, 3))
+        assert pb.validate(p) == ["constraints.d must have 2 entries, got 3"]
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_empty_horizon(self, horizon):
+        p = replace(tiny_problem(), horizon=horizon)
+        assert pb.validate(p) == [f"horizon must be >= 1, got {horizon}"]
+
+    def test_problem_without_inputs(self, tmp_path):
+        # Every input-sized entry is empty, so the file loads with n_u = 0.
+        doc = pb.to_json_dict(tiny_problem(N=1))
+        doc["prediction_model"]["B"] = [[]]
+        doc["weights"].update(R=[[]], M=[[]], V=[[], []])
+        path = tmp_path / "no_input.json"
+        path.write_text(json.dumps(doc))
+        q, _ = pb.load_problem(path)
+        assert q.n_u == 0
+        assert pb.validate(q) == ["B has no columns: the problem needs an input"]
+        with pytest.raises(ValueError, match="B has no columns"):
+            lifting.build(q)
 
 
 class TestValidatePerStage:
@@ -313,3 +340,5 @@ class TestParameter:
     def test_matrix_coercion_rejects_vectors(self):
         with pytest.raises(ValueError, match="expected a matrix"):
             PlantModel(np.array([1.0, 2.0]), 1.0)
+        with pytest.raises(ValueError, match="B: expected a matrix"):
+            PlantModel(1.0, [])

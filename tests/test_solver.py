@@ -877,6 +877,28 @@ def test_nnls_keeps_the_last_iterate_when_the_passive_set_empties(C, d):
     assert y.tolist() == [0.0] * len(d)
 
 
+def test_nnls_keeps_the_last_iterate_when_a_dependent_column_enters(monkeypatch):
+    # The columns of C = A^T A are e1, e2 and e1 + e2.  The third enters,
+    # then the first (y = [1, 0, 2]); the second then makes the passive
+    # block exactly singular, and its solve reads NaN.
+    C = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    d = np.array([3.0, 3.0, 5.0])
+    solves, solve = [], solver._solve
+
+    def recording(A, b):
+        solves.append(solve(A, b))
+        return solves[-1]
+
+    monkeypatch.setattr(solver, "_solve", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):  # the guard of the search or of reduce_to_licq
+            y = solver._nnls(C, d)
+    assert [s.tolist() for s in solves[:2]] == [[2.5], [1.0, 2.0]]
+    assert len(solves) == 3 and np.isnan(solves[2]).all()
+    assert y.tolist() == [1.0, 0.0, 2.0]
+
+
 class TestFarkas:
     """Infeasibility certificates: the Farkas ray and its stand-alone check."""
 
