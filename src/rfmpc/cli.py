@@ -141,7 +141,8 @@ def _build_parser() -> _Parser:
                            help="closed-loop beam run with the receding-horizon controller")
     p_sim.add_argument("--horizon", type=int, metavar="N",
                        help="prediction horizon in sampling intervals")
-    p_sim.add_argument("--n-grid", type=int, help="finite-difference grid points")
+    p_sim.add_argument("--n-grid", type=int,
+                       help="finite-difference grid points, at least 10 (--mode fd only)")
     p_sim.add_argument("--cold-start", dest="warm_start", action="store_false",
                        help="disable warm starting")
     p_sim.add_argument("--budget", dest="max_kkt_solves", type=_nonnegative_int, metavar="BUDGET",
@@ -191,8 +192,6 @@ def _cmd_solve(args) -> int:
     if theta is None:
         theta = np.random.default_rng(args.seed).standard_normal(qp.n_theta)
         print(f"theta (sampled, seed {args.seed}): {_fmt_vec(theta)}")
-    elif theta.size != qp.n_theta:
-        raise ValueError(f"theta needs {qp.n_theta} entries, got {theta.size}")
     result = solve(qp, theta, warm=args.warm, tol=Tolerances.for_qp(qp, max_kkt_solves=args.budget))
 
     print(f"status: {result.status.value}")

@@ -240,11 +240,15 @@ def evaluate_lifted_cost(qp: LiftedQP, u_seq, theta):
 
     A 1-D ``u_seq`` gives one float.  With a leading step axis, ``u_seq``
     of shape ``(n, n_z)`` and ``theta`` of shape ``(n, n_theta)`` give the
-    ``n`` costs as an array, in one pass of matrix products.
+    ``n`` costs as an array, in one pass of matrix products.  A ``theta``
+    with other than ``n_theta`` entries per step raises ``ValueError``.
     """
     u = np.asarray(u_seq, float)
     batched = u.ndim == 2
     u = u.reshape(-1, qp.n_z)
-    th = _theta_vector(theta).reshape(-1, qp.n_theta)
+    th = _theta_vector(theta)
+    if th.size != len(u) * qp.n_theta:
+        raise ValueError(f"theta needs {len(u) * qp.n_theta} entries, got {th.size}")
+    th = th.reshape(-1, qp.n_theta)
     cost = _row_quad(u, qp.H, u) + 2.0 * _row_quad(th, qp.F.T, u) + _row_quad(th, qp.const_op, th)
     return cost if batched else float(cost[0])

@@ -347,15 +347,19 @@ def _result(qp: LiftedQP, theta_vec: np.ndarray, stats: SolveStats, status: Solv
 
 
 def _rhs(qp: LiftedQP, theta) -> tuple:
-    """``(theta_vec, b)``: ``theta`` as a vector, which must be finite
-    (else ``ValueError``), and ``b = W + S theta``.  A sum over Python floats
-    screens ``theta``; only a sum that is not finite has its entries tested."""
+    """``(theta_vec, b)``: ``theta`` as a vector, which must be finite and of
+    length ``n_theta`` (else ``ValueError``), and ``b = W + S theta``.  A sum
+    over Python floats screens ``theta``, whose entries are tested only when
+    it is not finite; the length is the product's own check, renamed."""
     theta_vec = _theta_vector(theta)
     if not isfinite(sum(theta_vec.tolist())):
         bad = (~np.isfinite(theta_vec)).nonzero()[0].tolist()
         if bad:
             raise ValueError(f"theta must be finite, but its entries {bad} are not")
-    b = qp.S @ theta_vec
+    try:
+        b = qp.S @ theta_vec
+    except ValueError:
+        raise ValueError(f"theta needs {qp.n_theta} entries, got {theta_vec.size}") from None
     b += qp.W
     return theta_vec, b
 
@@ -397,11 +401,11 @@ def solve(
     ``tol.max_kkt_solves`` KKT solves have produced no accepted candidate and
     the ray test found no certificate: the search stalled.  A ``warm`` set
     with a negative mask or a row at or above ``p_tilde`` raises
-    ``ValueError``.  ``theta`` must be finite, or ``ValueError`` is raised.
-    So must ``b = W + S theta``, with one exception: a ``+inf`` bound cannot
-    be violated, so a query accepted at the empty set may carry one.  When
-    the accepted set is ``warm``'s, the result's ``active_set`` is the
-    ``warm`` object itself.
+    ``ValueError``.  ``theta`` must have ``n_theta`` entries and be finite,
+    or ``ValueError`` is raised.  So must ``b = W + S theta`` be finite,
+    with one exception: a ``+inf`` bound cannot be violated, so a query
+    accepted at the empty set may carry one.  When the accepted set is
+    ``warm``'s, the result's ``active_set`` is the ``warm`` object itself.
 
     ``stats.wall_time`` covers the whole call, result construction included.
     """
@@ -608,7 +612,8 @@ def kkt_residuals(qp: LiftedQP, result: SolveResult, theta) -> dict:
     Returns stationarity norm, the worst active-row equality error, and the
     minimum slack and multiplier.  Raises ``ValueError`` on a result without
     a minimizer or multipliers: an ``INFEASIBLE`` or ``BUDGET_EXHAUSTED``
-    result, or an optimal one whose caller dropped ``lam``.
+    result, or an optimal one whose caller dropped ``lam``, and on a
+    ``theta`` that is not finite, not of length ``n_theta`` or too large.
     """
     if result.z_star is None or result.lam is None:
         raise ValueError(f"{result.status.value} result carries no certificate: "
@@ -646,7 +651,7 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta) -> ActiveSet:
     sufficiency, and the rows with ``mu > 0`` are the reduced set.  A set
     that is already rank complete at ``_RANK_TOL`` comes back unchanged.
     Raises ``ValueError`` when the input set is not sufficient, or when
-    ``theta`` is not finite or too large (as :func:`solve` does).
+    ``theta`` is not finite, not of length ``n_theta`` or too large.
     """
     b = _rhs(qp, theta)[1]
     _check_bounds(b)

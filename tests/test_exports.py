@@ -1,6 +1,7 @@
-"""Every name a module exports resolves on it, and the test references, the
-beam's coefficient settings, its dense fd generator and the fields nothing
-read are not in the product."""
+"""Every name a module exports resolves on it, the package exports only its
+version, and the test references, the beam's coefficient settings, its dense
+fd generator, the package's re-exports and the fields nothing read are not in
+the product."""
 import importlib
 import importlib.util
 import inspect
@@ -8,6 +9,7 @@ from dataclasses import fields
 
 import pytest
 
+import rfmpc
 from rfmpc import beam, lifting, problem, solver
 
 MODULES = ["rfmpc", "rfmpc.lifting", "rfmpc.solver", "rfmpc.sim", "rfmpc.beam",
@@ -21,10 +23,20 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def test_package_exports_only_its_version():
+    # The submodules are the API: each name has one import path.
+    assert rfmpc.__all__ == ["__version__"]
+
+
 def test_test_references_are_not_in_the_product():
     # Moved to tests/reference.py, or deleted.
     assert importlib.util.find_spec("rfmpc.oracle") is None
-    gone = {problem: ["predict_trajectory", "evaluate_cost", "check_admissible", "_u_matrix"],
+    gone = {rfmpc: ["LiftedQP", "build", "evaluate_lifted_cost",
+                    "Parameter", "PlantModel", "ProblemDefinition", "StageConstraints", "StageWeights",
+                    "load_problem", "save_problem", "validate",
+                    "ActiveSet", "SolveResult", "SolveStatus", "Tolerances", "kkt_residuals",
+                    "reduce_to_licq", "solve"],
+            problem: ["predict_trajectory", "evaluate_cost", "check_admissible", "_u_matrix"],
             problem.StageWeights: ["constant", "horizon"], problem.StageConstraints: ["unconstrained"],
             lifting: ["to_z", "eval_constraints", "check_easy_slater", "from_z"],
             beam: ["fd_energy", "BeamParams", "_zoh_rotation"], beam.BeamBenchmark: ["params"],

@@ -614,6 +614,35 @@ class TestNonFiniteTheta:
         assert res.status in (SolveStatus.INFEASIBLE, SolveStatus.BUDGET_EXHAUSTED)
 
 
+class TestThetaLength:
+    """A theta with other than ``n_theta`` entries raises the ``ValueError``
+    that names theta, from every library entry point that takes one."""
+
+    @pytest.fixture(scope="class")
+    def entry_points(self, beam10):
+        _, qp = beam10
+        optimal = solver.solve(qp, np.zeros(qp.n_theta))
+        return {"solve": lambda theta: solver.solve(qp, theta),
+                "kkt_residuals": lambda theta: kkt_residuals(qp, optimal, theta),
+                "reduce_to_licq": lambda theta: reduce_to_licq(qp, ActiveSet(0), theta),
+                "evaluate_lifted_cost": lambda theta: lifting.evaluate_lifted_cost(qp, np.zeros(qp.n_z), theta)}
+
+    @pytest.mark.parametrize("name", ["solve", "kkt_residuals", "reduce_to_licq", "evaluate_lifted_cost"])
+    def test_wrong_length(self, beam10, entry_points, name):
+        bench, qp = beam10
+        short_x = Parameter(np.zeros(bench.problem.n_x - 1), np.zeros(bench.problem.n_u))
+        for theta, m in ((np.zeros(qp.n_theta + 1), qp.n_theta + 1), (np.zeros(qp.n_theta - 1), qp.n_theta - 1),
+                         (np.zeros(2 * qp.n_theta), 2 * qp.n_theta), (short_x, qp.n_theta - 1)):
+            with pytest.raises(ValueError, match=f"^theta needs {qp.n_theta} entries, got {m}$"):
+                entry_points[name](theta)
+
+    def test_batched_cost_needs_a_theta_per_step(self, beam10):
+        # Two full rows of theta for three input sequences.
+        _, qp = beam10
+        with pytest.raises(ValueError, match=f"^theta needs {3 * qp.n_theta} entries, got {2 * qp.n_theta}$"):
+            lifting.evaluate_lifted_cost(qp, np.zeros((3, qp.n_z)), np.zeros((2, qp.n_theta)))
+
+
 class TestOracleCrossCheck:
     def test_random_instances_match_enumeration(self):
         rng = np.random.default_rng(2024)
@@ -717,6 +746,18 @@ class TestDegeneracy:
         qp = halfspace_qp([1.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="no nonnegative multipliers"):
             reduce_to_licq(qp, ActiveSet.from_indices([0, 1]), np.zeros(1))
+
+    def test_reduction_to_an_ill_conditioned_support_fails(self):
+        # Rows g, g + 1e-6 e_2 and g again, with -z* = g + (g + 1e-6 e_2):
+        # the set is sufficient, but the NNLS must keep both nearly parallel
+        # rows to reproduce the range-part z, and their K_AA has condition
+        # number 4e12, beyond the rank screen's 1e10.
+        G = np.array([[1.0, 0.0], [1.0, 1e-6], [1.0, 0.0]])
+        qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 1)), G=G,
+                                    S=np.zeros((3, 1)), W=G @ -(G[0] + G[1]))
+        assert np.linalg.cond(qp.K[:2, :2]) > 1e10
+        with pytest.raises(ValueError, match="reduction failed to reach a rank-complete candidate"):
+            reduce_to_licq(qp, ActiveSet(0b111), np.zeros(1))
 
     def test_reduction_of_clean_set_is_identity(self):
         qp = halfspace_qp([-1.0], [-1.0])
