@@ -22,6 +22,9 @@ of state-sized blocks and O(N^2) of input-sized ones; no per-stage power or
 and caches the operators every query reuses: ``H^{-1} F`` for the shift
 between ``u`` and ``z``, and ``Y = H^{-1} G^T`` with ``K = G Y`` for the
 constraint-space KKT solves of :mod:`.solver`.  No query reads ``H`` again.
+On first use the QP also stacks ``theta_op = [H^{-1} F; S]``, so that one
+product with ``theta`` gives a query both the shift and ``S theta``; ``S``
+and ``HinvF`` must not be reassigned after the first query.
 """
 from __future__ import annotations
 
@@ -55,9 +58,10 @@ class LiftedQP:
     caches ``HinvF`` (``H^{-1} F``, n_z x n_theta), ``Y`` (``H^{-1} G^T``,
     n_z x p) and ``K = G Y`` (p x p), formed as ``B^T B`` with ``B = Li G^T``
     so that it is exactly symmetric; every candidate's KKT solve runs on it.
-    ``G_max`` (``max|G|``) and ``bound_scale`` (``1 + max|W|``) are computed
-    on first use.  An ``H`` that is not positive definite raises
-    ``np.linalg.LinAlgError``.
+    ``G_max`` (``max|G|``), ``bound_scale`` (``1 + max|W|``) and
+    ``theta_op`` (``[HinvF; S]``, so that ``S`` and ``HinvF`` must not be
+    reassigned after the first query) are computed on first use.  An ``H``
+    that is not positive definite raises ``np.linalg.LinAlgError``.
     """
 
     H: np.ndarray
@@ -101,6 +105,14 @@ class LiftedQP:
     def bound_scale(self) -> float:
         """``1 + max|W|``, the scale of the acceptance bands of :mod:`.solver`."""
         return 1.0 + np.abs(self.W).max(initial=0.0)
+
+    @cached_property
+    def theta_op(self) -> np.ndarray:
+        """``[HinvF; S]``, whose product with theta is a query's shift and
+        ``S theta``.  ``HinvF`` comes first, so at ``n_z`` a multiple of 4
+        (the beam's ``2N`` at an even horizon) ``S``'s rows keep the 4-row
+        blocks of OpenBLAS's ``gemv``, and the bits of ``S @ theta``."""
+        return np.vstack([self.HinvF, self.S])
 
     @classmethod
     def from_matrices(cls, H, F, G, S, W, N=None, n_u=None) -> "LiftedQP":
@@ -240,11 +252,14 @@ def evaluate_lifted_cost(qp: LiftedQP, u_seq, theta):
 
     A 1-D ``u_seq`` gives one float.  With a leading step axis, ``u_seq``
     of shape ``(n, n_z)`` and ``theta`` of shape ``(n, n_theta)`` give the
-    ``n`` costs as an array, in one pass of matrix products.  A ``theta``
-    with other than ``n_theta`` entries per step raises ``ValueError``.
+    ``n`` costs as an array, in one pass of matrix products.  A ``u_seq``
+    with other than ``n_z`` entries per step, or a ``theta`` with other than
+    ``n_theta`` entries per step, raises ``ValueError``.
     """
-    u = np.asarray(u_seq, float)
+    u = np.atleast_1d(np.asarray(u_seq, float))
     batched = u.ndim == 2
+    if u.shape[-1] != qp.n_z:
+        raise ValueError(f"u_seq needs {qp.n_z} entries per step, got {u.shape[-1]}")
     u = u.reshape(-1, qp.n_z)
     th = _theta_vector(theta)
     if th.size != len(u) * qp.n_theta:

@@ -34,12 +34,14 @@ weights are linearly dependent, so the search tests for one once
 (:func:`_farkas_ray`), at its first rank-deficient candidate or after ``n_z``
 KKT solves without an accepted candidate, whichever comes first.  The test is
 a nonnegative least-squares (NNLS) solve on the normal equations
-``K + b b^T`` of the cached ``K`` (:func:`_nnls`, Lawson-Hanson), first on the
-rows of the rank-deficient candidate that triggered it, where one solve
-usually finds the ray, and then, failing that, on all rows.  So an
-``INFEASIBLE`` result carries its ray, which :func:`check_farkas` verifies
-from ``G`` and ``b`` alone, and ``BUDGET_EXHAUSTED`` means only that the
-search stalled on a query the ray could not prove infeasible.
+``K + b b^T`` of the cached ``K`` (:func:`_nnls`, Lawson-Hanson), with ``b``
+scaled down to the size of ``K`` so that a large ``theta`` keeps the ray
+accurate: first on the rows of the rank-deficient candidate that triggered
+it, where one solve usually finds the ray, and then, failing that, on all
+rows.  So an ``INFEASIBLE`` result carries its ray, which
+:func:`check_farkas` verifies from ``G`` and ``b`` alone, and
+``BUDGET_EXHAUSTED`` means only that the search stalled on a query the ray
+could not prove infeasible.
 
 :func:`reduce_to_licq` shrinks a sufficient but rank-deficient set to an LICQ
 subset with the same NNLS, on the normal equations of ``Y_A mu = -z``: by
@@ -51,7 +53,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -324,19 +326,20 @@ def _worst_first(idx: np.ndarray, values: np.ndarray) -> list:
     return idx[values[idx].argsort(kind="stable")].tolist()
 
 
-def _result(qp: LiftedQP, theta_vec: np.ndarray, stats: SolveStats, status: SolveStatus,
+def _result(qp: LiftedQP, shift: np.ndarray, stats: SolveStats, status: SolveStatus,
             mask: int = 0, z=None, lam_A=None, farkas=None, warm=None) -> SolveResult:
     """The one constructor of :class:`SolveResult`.
 
     ``z`` and ``lam_A`` are ``None`` unless optimal.  ``z`` yields the input
-    sequence ``z - H^{-1} F theta``; ``lam_A``, the multipliers of the rows
-    of ``mask``, is scattered into the full multiplier vector.  ``farkas`` is
-    the ray of an infeasible result.  A ``warm`` :class:`ActiveSet` whose
-    mask is ``mask`` is itself the result's ``active_set``.
+    sequence ``z - shift``, with ``shift = H^{-1} F theta`` as :func:`_rhs`
+    formed it; ``lam_A``, the multipliers of the rows of ``mask``, is
+    scattered into the full multiplier vector.  ``farkas`` is the ray of an
+    infeasible result.  A ``warm`` :class:`ActiveSet` whose mask is ``mask``
+    is itself the result's ``active_set``.
     """
     u_seq = u_first = lam = None
     if z is not None:
-        u_seq = z - qp.HinvF @ theta_vec
+        u_seq = z - shift
         u_first = u_seq[: qp.n_u]
     if lam_A is not None:
         lam = np.zeros(qp.p_tilde)
@@ -347,21 +350,28 @@ def _result(qp: LiftedQP, theta_vec: np.ndarray, stats: SolveStats, status: Solv
 
 
 def _rhs(qp: LiftedQP, theta) -> tuple:
-    """``(theta_vec, b)``: ``theta`` as a vector, which must be finite and of
-    length ``n_theta`` (else ``ValueError``), and ``b = W + S theta``.  A sum
-    over Python floats screens ``theta``, whose entries are tested only when
-    it is not finite; the length is the product's own check, renamed."""
+    """``(shift, b)``: ``shift = H^{-1} F theta`` and ``b = W + S theta``
+    from one product with ``LiftedQP.theta_op`` (``ndarray.dot``, the
+    ``gemv`` of ``@`` without its ufunc dispatch).  ``theta`` must be finite
+    and have ``n_theta`` entries, else ``ValueError``; the length is the
+    product's own check, renamed.  A NaN or infinite entry makes every entry
+    of the product non-finite (``0 inf`` is NaN), so the first one screens
+    ``theta``, whose entries are tested only then.  An infinite entry that
+    meets a zero coefficient also sets numpy's invalid flag, whose warning
+    comes first, as the overflow of a too-large ``theta`` does."""
     theta_vec = _theta_vector(theta)
-    if not isfinite(sum(theta_vec.tolist())):
+    try:
+        r = qp.theta_op.dot(theta_vec)
+    except ValueError:
+        raise ValueError(f"theta needs {qp.n_theta} entries, got {theta_vec.size}") from None
+    if not isfinite(r[0]):
         bad = (~np.isfinite(theta_vec)).nonzero()[0].tolist()
         if bad:
             raise ValueError(f"theta must be finite, but its entries {bad} are not")
-    try:
-        b = qp.S @ theta_vec
-    except ValueError:
-        raise ValueError(f"theta needs {qp.n_theta} entries, got {theta_vec.size}") from None
+    n_z = qp.n_z
+    b = r[n_z:]
     b += qp.W
-    return theta_vec, b
+    return r[:n_z], b
 
 
 def _check_bounds(b: np.ndarray) -> None:
@@ -410,12 +420,12 @@ def solve(
     ``stats.wall_time`` covers the whole call, result construction included.
     """
     t0 = time.perf_counter()
-    theta_vec, b = _rhs(qp, theta)
+    shift, b = _rhs(qp, theta)
     tol = tol if tol is not None else Tolerances.for_qp(qp)
     stats = SolveStats()
     mask = 0 if warm is None else _caller_mask(qp, warm)
     found = _search(qp, b, mask, tol, stats)
-    result = _result(qp, theta_vec, stats, *found, warm=warm)
+    result = _result(qp, shift, stats, *found, warm=warm)
     stats.wall_time = time.perf_counter() - t0
     return result
 
@@ -506,22 +516,31 @@ def _farkas_ray(qp: LiftedQP, b: np.ndarray, trigger: int):
     ``G^T y = 0`` holds exactly when ``y^T K y = |G^T y|^2_{H^{-1}}`` is zero,
     so ``y >= 0`` minimizing ``y^T K y + (b^T y + 1)^2``, that is
     ``y^T (K + b b^T) y + 2 b^T y``, reaches zero exactly when ``y`` is a ray.
-    The NNLS runs first on the rows of ``trigger``, the rank-deficient
-    candidate that started the test, with all of them passive: on a minimal
-    dependent set that is one solve, ``y = -v / (b_A^T v)`` for the null
-    vector ``v`` of ``K_AA``.  When that gives no ray, or the test was
-    started by the KKT-solve count (``trigger`` 0), it runs on all rows from
-    an empty passive set.  Each minimizer is judged by :func:`check_farkas` on
-    ``G`` itself, not by the objective, whose size scales with ``H^{-1}``.
+    A ``b`` that dwarfs ``K`` makes ``K + b b^T`` ill-conditioned and the ray
+    too inaccurate to pass, so both solves run on ``s b`` with
+    ``s = sqrt(max diag K) / max|b|`` when ``0 < sqrt(max diag K) <
+    max|b|``; ``s`` times a ray of ``s b`` is a ray of ``b``.  The NNLS runs
+    first on the rows of ``trigger``, the rank-deficient candidate that
+    started the test, with all of them passive: on a minimal dependent set
+    that is one solve, ``y = -v / (b_A^T v)`` for the null vector ``v`` of
+    ``K_AA``.  When that gives no ray, or the test was started by the
+    KKT-solve count (``trigger`` 0), it runs on all rows from an empty
+    passive set.  Each ray is judged by :func:`check_farkas` on ``G`` and the
+    caller's ``b``, not by the objective, whose size scales with ``H^{-1}``.
     """
+    k_max = sqrt(qp.K.diagonal().max(initial=0.0))
+    b_max = np.abs(b).max(initial=0.0)
+    s = k_max / b_max if 0.0 < k_max < b_max else 1.0
+    bs = s * b
     y = np.zeros(qp.p_tilde)
     if trigger:
         rows = np.array(_mask_indices(trigger))
-        bA = b[rows]
+        bA = bs[rows]
         y[rows] = _nnls(qp.K[np.ix_(rows, rows)] + np.outer(bA, bA), -bA, passive=True)
+        y *= s
         if _farkas_holds(qp.G, b, y, qp.G_max):
             return y
-    y = _nnls(qp.K + np.outer(b, b), -b)
+    y = s * _nnls(qp.K + np.outer(bs, bs), -bs)
     return y if _farkas_holds(qp.G, b, y, qp.G_max) else None
 
 

@@ -262,8 +262,8 @@ def enumerate_active_sets(qp: LiftedQP, theta, tol: Tolerances | None = None, ma
             continue
         z, lam_A, violated, negative = out
         if not violated and not negative:
-            return _result(qp, theta_vec, stats, SolveStatus.OPTIMAL, mask, z, lam_A)
-    return _result(qp, theta_vec, stats, SolveStatus.INFEASIBLE)
+            return _result(qp, qp.HinvF @ theta_vec, stats, SolveStatus.OPTIMAL, mask, z, lam_A)
+    return _result(qp, None, stats, SolveStatus.INFEASIBLE)
 
 
 def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000) -> np.ndarray:

@@ -268,7 +268,10 @@ class TestCachedOperators:
 
     def test_match_fresh_products(self, qp):
         Y = np.linalg.solve(qp.H, qp.G.T)
-        for cached, fresh in ((qp.Y, Y), (qp.K, qp.G @ Y), (qp.HinvF, np.linalg.solve(qp.H, qp.F))):
+        HinvF = np.linalg.solve(qp.H, qp.F)
+        for cached, fresh in ((qp.Y, Y), (qp.K, qp.G @ Y), (qp.HinvF, HinvF),
+                              (qp.theta_op, np.vstack([HinvF, qp.S]))):
+            assert cached.shape == fresh.shape
             assert np.max(np.abs(cached - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
     def test_solves_apply_no_inverse(self, beam_qp30):

@@ -567,14 +567,34 @@ class TestNonFiniteTheta:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entry(self, beam10, value):
+    @pytest.mark.parametrize("value, where", [
+        pytest.param(value, where, id=label if where == "first" else f"{where}-{label}")
+        for where in ("first", "last state", "last input")
+        for value, label in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"))])
+    def test_non_finite_entry(self, beam10, value, where):
+        # The screen reads the first entry of the product with theta, which
+        # a non-finite entry anywhere in theta makes non-finite.
         bench, qp = beam10
+        j = {"first": 0, "last state": bench.problem.n_x - 1, "last input": qp.n_theta - 1}[where]
         theta = np.zeros(qp.n_theta)
-        theta[0] = value
-        self.raises(qp, theta, r"theta must be finite, but its entries \[0\] are not")
+        theta[j] = value
+        self.raises(qp, theta, rf"^theta must be finite, but its entries \[{j}\] are not$")
         with pytest.raises(ValueError, match="theta must be finite"):
             solver.solve(qp, Parameter(theta[: bench.problem.n_x], theta[bench.problem.n_x:]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_on_a_zero_column(self, value):
+        # F and S have a zero first column, so the product meets 0 * inf and
+        # 0 * NaN, which are NaN, in every entry.  0 * inf also sets the
+        # invalid flag, which numpy reports as a warning before the error.
+        qp = LiftedQP.from_matrices(H=np.eye(2), F=[[0.0, 1.0], [0.0, 1.0]], G=[[1.0, 0.0]],
+                                    S=[[0.0, 1.0]], W=[1.0])
+        assert not qp.theta_op[:, 0].any()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            self.raises(qp, np.array([value, 0.0]), r"^theta must be finite, but its entries \[0\] are not$")
+        assert bool(seen) is not bool(np.isnan(value))
+        assert all(w.category is RuntimeWarning and "invalid value" in str(w.message) for w in seen)
 
     @pytest.mark.parametrize("value", [1e308, -1e308])
     def test_overflowing_bounds(self, beam10, value):
@@ -602,16 +622,16 @@ class TestNonFiniteTheta:
         assert res.z_star.tolist() == [0.0] and res.lam.tolist() == [0.0]
 
     def test_overflowed_ray_test_ends_the_search(self, beam10):
-        # b b^T overflows in the ray test's normal equations at this size;
-        # the NNLS once indexed the empty solve that followed.  The search
-        # now runs to its budget (a large finite theta ends there, not in
-        # INFEASIBLE: a known defect of the ray test's scaling).
+        # b b^T would overflow at this size in the ray test's normal
+        # equations and empty the NNLS's passive set; the ray test scales b
+        # down to the size of K, so the query is certified.
         _, qp = beam10
         theta = np.zeros(qp.n_theta)
         theta[0] = 1e160
         with np.errstate(over="ignore"):
             res = solver.solve(qp, theta, tol=Tolerances.for_qp(qp, max_kkt_solves=200))
-        assert res.status in (SolveStatus.INFEASIBLE, SolveStatus.BUDGET_EXHAUSTED)
+        assert res.status is SolveStatus.INFEASIBLE
+        assert check_farkas(qp.G, qp.W + qp.S @ theta, res.farkas)
 
 
 class TestThetaLength:
@@ -635,6 +655,13 @@ class TestThetaLength:
                          (np.zeros(2 * qp.n_theta), 2 * qp.n_theta), (short_x, qp.n_theta - 1)):
             with pytest.raises(ValueError, match=f"^theta needs {qp.n_theta} entries, got {m}$"):
                 entry_points[name](theta)
+
+    @pytest.mark.parametrize("shape", [(21,), (40,), (3, 21)])
+    def test_wrong_u_seq_length(self, beam10, shape):
+        # n_z is 20; a 1-D u_seq of 40 entries is not read as two steps.
+        _, qp = beam10
+        with pytest.raises(ValueError, match=f"^u_seq needs {qp.n_z} entries per step, got {shape[-1]}$"):
+            lifting.evaluate_lifted_cost(qp, np.zeros(shape), np.zeros(qp.n_theta))
 
     def test_batched_cost_needs_a_theta_per_step(self, beam10):
         # Two full rows of theta for three input sequences.
@@ -1041,6 +1068,38 @@ class TestFarkas:
         assert (res.stats.kkt_solves, res.stats.licq_failures) == (1, 1)
         assert check_farkas(qp.G, qp.W, res.farkas)
         assert res.farkas[2] > 0.0
+
+    @pytest.mark.parametrize("N", [10, 30])
+    def test_large_theta_is_certified(self, beam10, bench30, N):
+        # theta = c (x0, 0) is infeasible for c >= 5.  Unscaled, a b = W +
+        # S theta that dwarfs sqrt(max diag K) gives the NNLS on K + b b^T
+        # rays too inaccurate to pass check_farkas, and the search runs to
+        # its budget (from c = 1e3 at N = 30 and 1e4 at N = 10).  With b
+        # scaled, the one ray test certifies each query within n_z KKT solves.
+        bench, qp = beam10 if N == 10 else (bench30, lifting.build(bench30.problem))
+        for c in (1e3, 1e6, 1e9):
+            theta = np.concatenate([c * bench.x0, np.zeros(bench.problem.n_u)])
+            res = solver.solve(qp, theta, tol=Tolerances.for_qp(qp, max_kkt_solves=100))
+            assert res.status is SolveStatus.INFEASIBLE, c
+            assert res.stats.kkt_solves <= qp.n_z and res.stats.licq_failures == 1, c
+            b = qp.W + qp.S @ theta
+            assert check_farkas(qp.G, b, res.farkas), c
+            assert b @ res.farkas == pytest.approx(-1.0, abs=1e-9), c  # scaled back to b
+
+    @pytest.mark.parametrize("base", range(len(BEAM_INFEASIBLE_BASES)))
+    def test_scaled_infeasible_theta_is_certified(self, beam10, base):
+        # The feasible thetas form a convex set around theta = 0 (W > 0), so
+        # c theta is infeasible for every c >= 1 when theta is.
+        bench, qp = beam10
+        a, k, u = BEAM_INFEASIBLE_BASES[base]
+        theta = np.concatenate([a * np.linalg.matrix_power(bench.plant.A_d, k) @ bench.x0,
+                                0.5 * bench.u_scale * np.array(u)])
+        for c in 10.0 ** np.arange(10):
+            res = solver.solve(qp, c * theta, tol=Tolerances.for_qp(qp, max_kkt_solves=100))
+            assert res.status is SolveStatus.INFEASIBLE, c
+            b = qp.W + qp.S @ (c * theta)
+            assert check_farkas(qp.G, b, res.farkas), c
+            assert b @ res.farkas == pytest.approx(-1.0, abs=1e-9), c  # scaled back to b
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(feasibility_cases())
