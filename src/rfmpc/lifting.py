@@ -19,17 +19,16 @@ a forward pass carries the powers of the state matrix, and ``H`` is
 gathered from products with the impulse responses.  That is O(N) products
 of state-sized blocks and O(N^2) of input-sized ones; no per-stage power or
 ``P_m`` is stored.  Building the QP factors ``H`` once, with numpy,
-and caches the operators every query reuses: ``H^{-1} F`` for the shift
-between ``u`` and ``z``, and ``Y = H^{-1} G^T`` with ``K = G Y`` for the
-constraint-space KKT solves of :mod:`.solver`.  No query reads ``H`` again.
-On first use the QP also stacks ``theta_op = [H^{-1} F; S]``, so that one
-product with ``theta`` gives a query both the shift and ``S theta``; ``S``
-and ``HinvF`` must not be reassigned after the first query.
+and forms all that a query reads: ``theta_op``, whose row blocks are
+``H^{-1} F`` (the shift between ``u`` and ``z``) and ``S``, so that one
+product with ``theta`` gives both; ``Y = H^{-1} G^T`` and ``K = G Y`` for
+the KKT solves of :mod:`.solver`; and the scales of its tests.  No query
+reads ``H``, and nothing of a QP changes after it is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from math import sqrt
 
 import numpy as np
 
@@ -58,10 +57,11 @@ class LiftedQP:
     caches ``HinvF`` (``H^{-1} F``, n_z x n_theta), ``Y`` (``H^{-1} G^T``,
     n_z x p) and ``K = G Y`` (p x p), formed as ``B^T B`` with ``B = Li G^T``
     so that it is exactly symmetric; every candidate's KKT solve runs on it.
-    ``G_max`` (``max|G|``), ``bound_scale`` (``1 + max|W|``) and
-    ``theta_op`` (``[HinvF; S]``, so that ``S`` and ``HinvF`` must not be
-    reassigned after the first query) are computed on first use.  An ``H``
-    that is not positive definite raises ``np.linalg.LinAlgError``.
+    ``HinvF`` and ``S`` are the row-block views of ``theta_op = [HinvF; S]``,
+    and ``G_max`` (``max|G|``), ``bound_scale`` (``1 + max|W|``) and
+    ``K_scale`` (``sqrt(max diag K)``) are formed with them.  An ``S`` or
+    ``W`` that does not fit ``G`` and ``F`` raises ``ValueError``, and an
+    ``H`` that is not positive definite ``np.linalg.LinAlgError``.
     """
 
     H: np.ndarray
@@ -76,13 +76,28 @@ class LiftedQP:
     HinvF: np.ndarray = field(init=False, repr=False)
     Y: np.ndarray = field(init=False, repr=False)
     K: np.ndarray = field(init=False, repr=False)
+    theta_op: np.ndarray = field(init=False, repr=False)
+    G_max: float = field(init=False)
+    bound_scale: float = field(init=False)
+    K_scale: float = field(init=False)
 
     def __post_init__(self):
+        for name, got, want in (("S", self.S.shape, (self.p_tilde, self.n_theta)),
+                                ("W", self.W.shape, (self.p_tilde,))):
+            if got != want:
+                raise ValueError(f"{name} has shape {got}, the QP's G and F need {want}")
         Li = np.linalg.inv(np.linalg.cholesky(0.5 * (self.H + self.H.T)))
-        self.HinvF = Li.T @ (Li @ self.F)
+        # HinvF comes first, so at n_z a multiple of 4 (the beam's 2N at an
+        # even horizon) S's rows keep the 4-row blocks of OpenBLAS's gemv,
+        # and the bits of S @ theta.
+        self.theta_op = np.vstack([Li.T @ (Li @ self.F), self.S])
+        self.HinvF, self.S = self.theta_op[: self.n_z], self.theta_op[self.n_z :]
         B = Li @ self.G.T
         self.Y = Li.T @ B
         self.K = B.T @ B
+        self.G_max = np.abs(self.G).max(initial=0.0)
+        self.bound_scale = 1.0 + np.abs(self.W).max(initial=0.0)
+        self.K_scale = sqrt(self.K.diagonal().max(initial=0.0))
 
     @property
     def n_z(self) -> int:
@@ -95,24 +110,6 @@ class LiftedQP:
     @property
     def p_tilde(self) -> int:
         return self.G.shape[0]
-
-    @cached_property
-    def G_max(self) -> float:
-        """``max|G|``, the scale of the Farkas ray test of :mod:`.solver`."""
-        return np.abs(self.G).max(initial=0.0)
-
-    @cached_property
-    def bound_scale(self) -> float:
-        """``1 + max|W|``, the scale of the acceptance bands of :mod:`.solver`."""
-        return 1.0 + np.abs(self.W).max(initial=0.0)
-
-    @cached_property
-    def theta_op(self) -> np.ndarray:
-        """``[HinvF; S]``, whose product with theta is a query's shift and
-        ``S theta``.  ``HinvF`` comes first, so at ``n_z`` a multiple of 4
-        (the beam's ``2N`` at an even horizon) ``S``'s rows keep the 4-row
-        blocks of OpenBLAS's ``gemv``, and the bits of ``S @ theta``."""
-        return np.vstack([self.HinvF, self.S])
 
     @classmethod
     def from_matrices(cls, H, F, G, S, W, N=None, n_u=None) -> "LiftedQP":
@@ -170,14 +167,15 @@ def build(p: ProblemDefinition) -> LiftedQP:
     if w_H[0] <= _COERCIVE_TOL * (1.0 + np.max(np.abs(w_H))):
         raise ValueError(f"H not coercive: smallest eigenvalue {w_H[0]:.3e}")
 
-    # The QP factors H once; S reads the cached H^{-1} F, so S is filled in
-    # after the QP exists.
+    # The QP factors H once; S reads the cached H^{-1} F, so it is completed
+    # in place, in theta_op, after the QP exists: x + (-y) is x - y exactly.
     c = p.constraints
-    qp = LiftedQP(H=H, F=F, const_op=const_op, G=G, S=None, W=np.concatenate(c.d + [c.d_hat]),
+    qp = LiftedQP(H=H, F=F, const_op=const_op, G=G, S=-rows_theta,
+                  W=np.concatenate(c.d + [c.d_hat]),
                   stage_offsets=[(k, i) for k, n in enumerate(c.rows_per_stage + [c.p_hat])
                                  for i in range(n)],
                   N=p.horizon, n_u=p.n_u)
-    qp.S = G @ qp.HinvF - rows_theta
+    qp.S += G @ qp.HinvF
     return qp
 
 

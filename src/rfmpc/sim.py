@@ -10,12 +10,12 @@ the next one.  The plant is either the prediction model itself
 through a projection (``mode="fd"``).
 
 A step does only the work that feeds back into the loop: the measurement,
-the solve, the plant step and the warm shift.  It records the state, the
-input, the predicted input sequence and the search counts; the logged values
-(``J_opt``, ``J_cum``, the perfect-mode means and norms, the physical inputs)
-are derived from that record after the loop, in one vectorised pass over
-blocks of steps.  The fd-mode means and norms are measured on each plant
-state as it is stepped, without a grid.
+the solve, the plant step and the warm shift.  It records its ``theta``, the
+predicted input sequence and the search counts; the logged values (``J_opt``,
+``J_cum``, the perfect-mode means and norms, the physical inputs) are derived
+from that record after the loop, in one vectorised pass over blocks of steps.
+The fd-mode means and norms are measured on each plant state as it is
+stepped, without a grid.
 
 A run's settings are one :class:`SimulationConfig`; the CSV columns are the
 fields of :class:`StepLog` and :class:`BenchmarkRow`, written by :func:`csv_row`
@@ -123,7 +123,7 @@ class SimulationResult:
 
     @property
     def u_phys(self) -> np.ndarray:
-        return np.array([[log.u1, log.u2] for log in self.logs])
+        return np.array([[log.u1, log.u2] for log in self.logs]).reshape(-1, 2)
 
 
 def warm_shift_map(qp: LiftedQP) -> list:
@@ -184,13 +184,13 @@ def run_closed_loop(
     whose step record does not fit in memory.
 
     The loop keeps no :class:`~rfmpc.solver.SolveResult`: each step records
-    ``x``, ``u``, ``u_seq`` and the search counts, and the logs are derived
-    after the loop.  ``J_opt`` comes from one batched
-    :func:`~rfmpc.lifting.evaluate_lifted_cost` per block of steps, ``J_cum``
-    is the cumulative sum of the stage costs, and in ``"perfect"`` mode the
-    means and norms are read from ``states``.  In ``"fd"`` mode each step's
-    plant state is measured by :meth:`~rfmpc.beam.FDPlant.measure`; step 0
-    is measured on the initial grid state.
+    ``u_seq``, the search counts and ``theta = (x, u_prev)`` as a row of one
+    array, and the logs are derived after the loop.  ``J_opt`` comes from one
+    batched :func:`~rfmpc.lifting.evaluate_lifted_cost` per block of rows,
+    ``J_cum`` is the cumulative sum of the stage costs, and in ``"perfect"``
+    mode the means and norms are read from ``states``.  In ``"fd"`` mode each
+    step's plant state is measured by :meth:`~rfmpc.beam.FDPlant.measure`;
+    step 0 is measured on the initial grid state.
     """
     if not 0.0 <= cfg.t_end < float("inf"):
         raise ValueError(f"t_end = {cfg.t_end} must be finite and nonnegative")
@@ -227,13 +227,14 @@ def run_closed_loop(
 
     n_steps = cfg.n_steps
     try:
-        states = np.zeros((n_steps + 1, len(x)))
-        inputs = np.zeros((n_steps + 1, n_u))  # row n + 1: step n's input; row 0: the zero u_prev
+        theta = np.zeros((n_steps + 1, len(x) + n_u))
         means = np.zeros((n_steps + 1, 2))
         norms = np.zeros(n_steps + 1)
     except (MemoryError, ValueError) as exc:  # too many bytes, or too many rows for numpy
         raise ValueError(f"t_end = {cfg.t_end} is {n_steps} steps, whose record does not "
                          f"fit in memory") from exc
+    # Row n is step n's theta, (x_n, u_{n-1}): its state and input columns.
+    states, inputs = theta[:, : len(x)], theta[:, len(x) :]
     if fd is not None:
         # Step 0 is measured on the initial grid state itself: its plant state
         # holds it only up to roundoff, and x1 and x4 start at rest.
@@ -281,7 +282,7 @@ def run_closed_loop(
     logs, j_cum = [], 0.0
     for b in _blocks(n_steps):
         X, U_prev, U = states[b], inputs[b], inputs[b.start + 1 : b.stop + 1]
-        j_opt = evaluate_lifted_cost(qp, np.stack(u_seqs[b]), np.hstack([X, U_prev]))
+        j_opt = evaluate_lifted_cost(qp, np.stack(u_seqs[b]), theta[b])
         dU = U - U_prev
         stage = _row_quad(X, w.Q[0].T, X) + _row_quad(U, w.R[0].T, U) + _row_quad(dU, w.V[0].T, dU)
         stage[0] += j_cum

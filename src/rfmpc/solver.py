@@ -53,7 +53,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -518,19 +518,18 @@ def _farkas_ray(qp: LiftedQP, b: np.ndarray, trigger: int):
     ``y^T (K + b b^T) y + 2 b^T y``, reaches zero exactly when ``y`` is a ray.
     A ``b`` that dwarfs ``K`` makes ``K + b b^T`` ill-conditioned and the ray
     too inaccurate to pass, so both solves run on ``s b`` with
-    ``s = sqrt(max diag K) / max|b|`` when ``0 < sqrt(max diag K) <
-    max|b|``; ``s`` times a ray of ``s b`` is a ray of ``b``.  The NNLS runs
-    first on the rows of ``trigger``, the rank-deficient candidate that
-    started the test, with all of them passive: on a minimal dependent set
+    ``s = k / max|b|`` when ``0 < k < max|b|``, where ``k = sqrt(max diag K)``
+    is the QP's ``K_scale``; ``s`` times a ray of ``s b`` is a ray of ``b``.
+    The NNLS runs first on the rows of ``trigger``, the rank-deficient
+    candidate that started the test, all passive: on a minimal dependent set
     that is one solve, ``y = -v / (b_A^T v)`` for the null vector ``v`` of
     ``K_AA``.  When that gives no ray, or the test was started by the
     KKT-solve count (``trigger`` 0), it runs on all rows from an empty
     passive set.  Each ray is judged by :func:`check_farkas` on ``G`` and the
     caller's ``b``, not by the objective, whose size scales with ``H^{-1}``.
     """
-    k_max = sqrt(qp.K.diagonal().max(initial=0.0))
     b_max = np.abs(b).max(initial=0.0)
-    s = k_max / b_max if 0.0 < k_max < b_max else 1.0
+    s = qp.K_scale / b_max if 0.0 < qp.K_scale < b_max else 1.0
     bs = s * b
     y = np.zeros(qp.p_tilde)
     if trigger:

@@ -142,9 +142,9 @@ def condense_template(p: ProblemDefinition) -> LiftedQP:
     rows = np.vstack(rows)
     G = rows[:, n_theta:]
     qp = LiftedQP(H=cost[n_theta:, n_theta:], F=cost[n_theta:, :n_theta],
-                  const_op=cost[:n_theta, :n_theta], G=G, S=None, W=np.concatenate(W),
-                  stage_offsets=stage_offsets, N=N, n_u=n_u)
-    qp.S = G @ qp.HinvF - rows[:, :n_theta]
+                  const_op=cost[:n_theta, :n_theta], G=G, S=-rows[:, :n_theta],
+                  W=np.concatenate(W), stage_offsets=stage_offsets, N=N, n_u=n_u)
+    qp.S += G @ qp.HinvF
     return qp
 
 

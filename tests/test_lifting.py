@@ -274,6 +274,31 @@ class TestCachedOperators:
             assert cached.shape == fresh.shape
             assert np.max(np.abs(cached - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
+    def test_theta_op_holds_HinvF_and_S(self, qp):
+        # Each entry is stored once: HinvF and S are the row blocks of theta_op.
+        assert np.shares_memory(qp.theta_op, qp.HinvF)
+        assert np.shares_memory(qp.theta_op, qp.S)
+        np.testing.assert_array_equal(qp.theta_op, np.vstack([qp.HinvF, qp.S]))
+
+    def test_scales_match_fresh_computations(self, qp):
+        assert qp.G_max == np.max(np.abs(qp.G))
+        assert qp.bound_scale == 1.0 + np.max(np.abs(qp.W))
+        assert qp.K_scale == np.sqrt(np.max(np.diag(qp.K)))
+
+    def test_from_matrices_keeps_the_callers_S(self, qp):
+        S = qp.S.copy()
+        wrapped = LiftedQP.from_matrices(H=qp.H, F=qp.F, G=qp.G, S=S, W=qp.W)
+        np.testing.assert_array_equal(wrapped.S, S)
+        assert not np.shares_memory(wrapped.S, S)
+
+    def test_build_S_is_bitwise_the_difference(self, beam_qp30):
+        # build completes S in place as -rows_theta + G H^-1 F, which is
+        # G H^-1 F - rows_theta bit for bit.
+        bench, qp = beam_qp30
+        rows_theta = lifting._condense(bench.problem)[4]
+        assert np.any(rows_theta)
+        np.testing.assert_array_equal(qp.S, qp.G @ qp.HinvF - rows_theta)
+
     def test_solves_apply_no_inverse(self, beam_qp30):
         # A query reads the operators cached at build time: neither a cold
         # nor a warm solve reads H, so a copy whose H is NaN gives the same
@@ -312,6 +337,15 @@ class TestFromMatrices:
         with pytest.raises(np.linalg.LinAlgError):
             LiftedQP.from_matrices(H=[[1.0, 2.0], [2.0, 1.0]], F=np.zeros((2, 1)), G=[[1.0, 0.0]],
                                    S=[[0.0]], W=[1.0])
+
+    @pytest.mark.parametrize("S, W, match", [
+        (np.zeros((2, 1)), [1.0, 2.0, 3.0], r"W has shape \(3,\), the QP's G and F need \(2,\)"),
+        (np.zeros((2, 2)), [1.0, 2.0], r"S has shape \(2, 2\), the QP's G and F need \(2, 1\)"),
+        (np.zeros((3, 1)), [1.0, 2.0], r"S has shape \(3, 1\)"),
+    ], ids=["W-length", "S-columns", "S-rows"])
+    def test_mismatched_data_raises_at_construction(self, S, W, match):
+        with pytest.raises(ValueError, match=match):
+            LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 1)), G=np.eye(2), S=S, W=W)
 
     def test_empty_constraints(self):
         qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 2)), G=[], S=[], W=[])

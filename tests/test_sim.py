@@ -59,6 +59,7 @@ class TestConfig:
     def test_zero_t_end_is_an_empty_run(self):
         res = sim.run_closed_loop(short_cfg(t_end=0.0))
         assert res.logs == [] and res.states.shape == (1, 36) and res.j_cum == 0.0
+        assert res.u_phys.shape == (0, 2)
 
 
 class TestClosedLoop:
