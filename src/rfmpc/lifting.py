@@ -22,7 +22,8 @@ of state-sized blocks and O(N^2) of input-sized ones; no per-stage power or
 and forms all that a query reads: ``theta_op``, whose row blocks are
 ``H^{-1} F`` (the shift between ``u`` and ``z``) and ``S``, so that one
 product with ``theta`` gives both; ``Y = H^{-1} G^T`` and ``K = G Y`` for
-the KKT solves of :mod:`.solver`; and the scales of its tests.  No query
+the KKT solves of :mod:`.solver`; the scales of its tests; and the
+read-only zero minimizer and multipliers of the empty active set.  No query
 reads ``H``, and nothing of a QP changes after it is built.
 """
 from __future__ import annotations
@@ -59,7 +60,12 @@ class LiftedQP:
     so that it is exactly symmetric; every candidate's KKT solve runs on it.
     ``HinvF`` and ``S`` are the row-block views of ``theta_op = [HinvF; S]``,
     and ``G_max`` (``max|G|``), ``bound_scale`` (``1 + max|W|``) and
-    ``K_scale`` (``sqrt(max diag K)``) are formed with them.  An ``S`` or
+    ``K_scale`` (``sqrt(max diag K)``) are formed with them.  The sizes
+    ``n_z``, ``n_theta`` and ``p_tilde`` are read off ``H``, ``F`` and ``G``
+    first.  ``origin`` (``n_z`` zeros) and ``zero_lam`` (``p_tilde`` zeros)
+    are read-only: every query accepted at the empty set returns them as its
+    minimizer and multipliers, shared, so writing to one raises
+    ``ValueError`` instead of corrupting another result.  An ``S`` or
     ``W`` that does not fit ``G`` and ``F`` raises ``ValueError``, and an
     ``H`` that is not positive definite ``np.linalg.LinAlgError``.
     """
@@ -73,6 +79,9 @@ class LiftedQP:
     stage_offsets: list
     N: int
     n_u: int
+    n_z: int = field(init=False)
+    n_theta: int = field(init=False)
+    p_tilde: int = field(init=False)
     HinvF: np.ndarray = field(init=False, repr=False)
     Y: np.ndarray = field(init=False, repr=False)
     K: np.ndarray = field(init=False, repr=False)
@@ -80,8 +89,11 @@ class LiftedQP:
     G_max: float = field(init=False)
     bound_scale: float = field(init=False)
     K_scale: float = field(init=False)
+    origin: np.ndarray = field(init=False, repr=False)
+    zero_lam: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.n_z, self.n_theta, self.p_tilde = self.H.shape[0], self.F.shape[1], self.G.shape[0]
         for name, got, want in (("S", self.S.shape, (self.p_tilde, self.n_theta)),
                                 ("W", self.W.shape, (self.p_tilde,))):
             if got != want:
@@ -98,18 +110,8 @@ class LiftedQP:
         self.G_max = np.abs(self.G).max(initial=0.0)
         self.bound_scale = 1.0 + np.abs(self.W).max(initial=0.0)
         self.K_scale = sqrt(self.K.diagonal().max(initial=0.0))
-
-    @property
-    def n_z(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def n_theta(self) -> int:
-        return self.F.shape[1]
-
-    @property
-    def p_tilde(self) -> int:
-        return self.G.shape[0]
+        self.origin, self.zero_lam = np.zeros(self.n_z), np.zeros(self.p_tilde)
+        self.origin.flags.writeable = self.zero_lam.flags.writeable = False
 
     @classmethod
     def from_matrices(cls, H, F, G, S, W, N=None, n_u=None) -> "LiftedQP":

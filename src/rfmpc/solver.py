@@ -179,9 +179,12 @@ class SolveResult:
     """Outcome of one query, with the certificate its status calls for.
 
     ``OPTIMAL`` carries the minimizer ``z_star``, the input sequence and the
-    multipliers ``lam``, which :func:`kkt_residuals` checks.  ``INFEASIBLE``
-    carries a Farkas ray ``farkas`` (one entry per constraint row), which
-    :func:`check_farkas` checks.  A ray found on the rows of the
+    multipliers ``lam``, which :func:`kkt_residuals` checks.  At the empty
+    active set ``z_star`` and ``lam`` are its QP's shared read-only zero
+    vectors (``LiftedQP.origin`` and ``zero_lam``), which raise
+    ``ValueError`` when written to; every other array is the result's own.
+    ``INFEASIBLE`` carries a Farkas ray ``farkas`` (one entry per constraint
+    row), which :func:`check_farkas` checks.  A ray found on the rows of the
     rank-deficient candidate that triggered the ray test weights only those
     rows.  Only the enumeration reference of the tests
     (``tests/reference.py``), and a search that ran dry after the NNLS found
@@ -284,14 +287,15 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     increasing slack, ``negative`` the candidate rows with a multiplier below
     ``-tol_violation`` by increasing multiplier: worst first, index ties broken
     toward the lower index.  The candidate is accepted when both lists are
-    empty.  The empty candidate costs no solve: its minimizer is the origin
-    and its slack is ``b`` itself, where a NaN entry counts as violated (it
-    sorts last).  Its test reads the least entry of ``b``, or its first NaN.
+    empty.  The empty candidate costs no solve and allocates nothing: its
+    minimizer is the QP's read-only ``origin`` and its slack is ``b`` itself,
+    where a NaN entry counts as violated (it sorts last).  Its test reads the
+    least entry of ``b``, or its first NaN.
     """
     low = -tol.tol_violation
     if not mask:
         if not b.size or b[b.argmin()] >= low:
-            return np.zeros(qp.n_z), _NO_ROWS, [], []
+            return qp.origin, _NO_ROWS, [], []
         return None, _NO_ROWS, _worst_first((~(b >= low)).nonzero()[0], b), []
     rows = _mask_indices(mask)
     idx = np.array(rows)
@@ -333,17 +337,20 @@ def _result(qp: LiftedQP, shift: np.ndarray, stats: SolveStats, status: SolveSta
     ``z`` and ``lam_A`` are ``None`` unless optimal.  ``z`` yields the input
     sequence ``z - shift``, with ``shift = H^{-1} F theta`` as :func:`_rhs`
     formed it; ``lam_A``, the multipliers of the rows of ``mask``, is
-    scattered into the full multiplier vector.  ``farkas`` is the ray of an
-    infeasible result.  A ``warm`` :class:`ActiveSet` whose mask is ``mask``
-    is itself the result's ``active_set``.
+    scattered into a fresh full multiplier vector when ``mask`` is not empty,
+    and at the empty set the multipliers are the QP's read-only
+    ``zero_lam``.  ``farkas`` is the ray of an infeasible result.  A ``warm``
+    :class:`ActiveSet` whose mask is ``mask`` is itself the result's
+    ``active_set``.
     """
     u_seq = u_first = lam = None
     if z is not None:
         u_seq = z - shift
         u_first = u_seq[: qp.n_u]
     if lam_A is not None:
-        lam = np.zeros(qp.p_tilde)
+        lam = qp.zero_lam
         if mask:
+            lam = np.zeros(qp.p_tilde)
             lam[_mask_indices(mask)] = lam_A
     aset = warm if isinstance(warm, ActiveSet) and warm.mask == mask else ActiveSet(mask)
     return SolveResult(status, aset, u_first, u_seq, z, lam, stats, farkas)
@@ -358,20 +365,31 @@ def _rhs(qp: LiftedQP, theta) -> tuple:
     of the product non-finite (``0 inf`` is NaN), so the first one screens
     ``theta``, whose entries are tested only then.  An infinite entry that
     meets a zero coefficient also sets numpy's invalid flag, whose warning
-    comes first, as the overflow of a too-large ``theta`` does."""
+    comes first, as the overflow of a too-large ``theta`` does.  Where
+    warnings are errors, the product raises that warning instead: a
+    non-finite ``theta`` still gets its ``ValueError``, and the warning of a
+    finite one, an overflow, is raised as it is."""
     theta_vec = _theta_vector(theta)
     try:
         r = qp.theta_op.dot(theta_vec)
     except ValueError:
         raise ValueError(f"theta needs {qp.n_theta} entries, got {theta_vec.size}") from None
+    except RuntimeWarning:
+        _check_finite(theta_vec)
+        raise
     if not isfinite(r[0]):
-        bad = (~np.isfinite(theta_vec)).nonzero()[0].tolist()
-        if bad:
-            raise ValueError(f"theta must be finite, but its entries {bad} are not")
+        _check_finite(theta_vec)
     n_z = qp.n_z
     b = r[n_z:]
     b += qp.W
     return r[:n_z], b
+
+
+def _check_finite(theta_vec: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the entries of ``theta`` that are not finite."""
+    bad = (~np.isfinite(theta_vec)).nonzero()[0].tolist()
+    if bad:
+        raise ValueError(f"theta must be finite, but its entries {bad} are not") from None
 
 
 def _check_bounds(b: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Condensed QP assembly cross-checked against the stage recursion and the
 forward stage template."""
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -284,6 +285,20 @@ class TestCachedOperators:
         assert qp.G_max == np.max(np.abs(qp.G))
         assert qp.bound_scale == 1.0 + np.max(np.abs(qp.W))
         assert qp.K_scale == np.sqrt(np.max(np.diag(qp.K)))
+
+    def test_sizes_are_fields_set_at_construction(self, qp):
+        names = {f.name for f in dataclasses.fields(qp)}
+        assert {"n_z", "n_theta", "p_tilde"} <= names
+        assert (vars(qp)["n_z"], vars(qp)["p_tilde"]) == (qp.H.shape[0], qp.G.shape[0])
+        assert vars(qp)["n_theta"] == qp.F.shape[1] == qp.S.shape[1]
+
+    def test_zero_vectors_are_read_only(self, qp):
+        # Every result accepted at the empty set shares these two arrays.
+        for zero, n in ((qp.origin, qp.n_z), (qp.zero_lam, qp.p_tilde)):
+            assert zero.shape == (n,) and not zero.any()
+            assert not zero.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                zero[0] = 1.0
 
     def test_from_matrices_keeps_the_callers_S(self, qp):
         S = qp.S.copy()

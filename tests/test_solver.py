@@ -542,6 +542,54 @@ class TestWarmStart:
         assert (len(queries), hits) == (1280, 1195)
 
 
+class TestEmptySetResults:
+    """A query accepted at the empty set returns its QP's read-only zero
+    minimizer and multipliers, shared by every such result; a non-empty
+    result owns its arrays."""
+
+    @pytest.fixture(params=["beam-10", "from-matrices"])
+    def case(self, request, beam10):
+        """``(qp, theta accepted at the empty set, theta with a non-empty optimum)``."""
+        if request.param == "beam-10":
+            bench, qp = beam10
+            return qp, np.zeros(qp.n_theta), np.concatenate([bench.x0, [0.3, 0.3]])
+        # b = 1 + theta: theta = -2 makes both rows active, at z = (-1, -1).
+        qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 1)), G=np.eye(2), S=[[1.0], [1.0]],
+                                    W=[1.0, 1.0])
+        return qp, np.zeros(1), np.array([-2.0])
+
+    def test_accepted_empty_query_returns_the_shared_zero_vectors(self, case):
+        qp, theta, _ = case
+        first, second = solver.solve(qp, theta), solver.solve(qp, theta, warm=ActiveSet(0))
+        for res in (first, second):
+            assert res.status is SolveStatus.OPTIMAL and res.active_set == ActiveSet(0)
+            assert res.z_star is qp.origin and res.lam is qp.zero_lam
+        assert first.z_star is second.z_star and first.lam is second.lam
+        assert qp.origin.shape == (qp.n_z,) and not qp.origin.any()
+        assert qp.zero_lam.shape == (qp.p_tilde,) and not qp.zero_lam.any()
+
+    def test_shared_zero_vectors_cannot_be_written(self, case):
+        qp, theta, _ = case
+        res = solver.solve(qp, theta)
+        for shared in (res.z_star, res.lam):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                shared += 1.0
+        assert not qp.origin.any() and not qp.zero_lam.any()
+        assert res.u_seq.flags.writeable
+
+    def test_non_empty_result_owns_fresh_arrays(self, case):
+        qp, _, theta = case
+        res = solver.solve(qp, theta)
+        assert res.status is SolveStatus.OPTIMAL and len(res.active_set) > 0
+        for own, shared in ((res.z_star, qp.origin), (res.lam, qp.zero_lam)):
+            assert own.flags.writeable and not np.shares_memory(own, shared)
+        assert res.lam[res.active_set.indices()].all()
+        again = solver.solve(qp, theta)
+        assert not np.shares_memory(again.lam, res.lam) and not np.shares_memory(again.z_star, res.z_star)
+
+
 class TestNonFiniteTheta:
     """A NaN or infinite entry of theta, or a finite theta so large that
     ``b = W + S theta`` is not finite, raises ``ValueError`` at once: in
@@ -590,11 +638,29 @@ class TestNonFiniteTheta:
         qp = LiftedQP.from_matrices(H=np.eye(2), F=[[0.0, 1.0], [0.0, 1.0]], G=[[1.0, 0.0]],
                                     S=[[0.0, 1.0]], W=[1.0])
         assert not qp.theta_op[:, 0].any()
+        theta, match = np.array([value, 0.0]), r"^theta must be finite, but its entries \[0\] are not$"
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            self.raises(qp, np.array([value, 0.0]), r"^theta must be finite, but its entries \[0\] are not$")
+            self.raises(qp, theta, match)
         assert bool(seen) is not bool(np.isnan(value))
         assert all(w.category is RuntimeWarning and "invalid value" in str(w.message) for w in seen)
+        # Where warnings are errors the product raises that warning itself,
+        # and theta still gets its ValueError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self.raises(qp, theta, match)
+            qp = LiftedQP.from_matrices(H=np.eye(2), F=[[0.0, 1.0], [0.0, 2.0]], G=np.eye(2),
+                                        S=[[0.0, 1.0], [0.0, -1.0]], W=[1.0, 1.0])
+            self.raises(qp, theta, match)
+
+    def test_overflow_warning_of_a_finite_theta_is_raised_as_it_is(self, beam10):
+        # A finite theta that overflows the product is not named non-finite:
+        # where warnings are errors, numpy's overflow warning is what raises.
+        _, qp = beam10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                solver.solve(qp, np.full(qp.n_theta, 1e308))
 
     @pytest.mark.parametrize("value", [1e308, -1e308])
     def test_overflowing_bounds(self, beam10, value):
