@@ -56,7 +56,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _theta(text: str) -> np.ndarray:
-    """A ``--theta`` vector; argparse names the flag when this raises.  The handler
+    """A ``--theta`` vector; argparse names the flag when this raises.  The solver
     checks its length, which depends on the problem."""
     try:
         vec = np.array([float(tok) for tok in text.split(",")])
@@ -78,7 +78,7 @@ def _warm(text: str) -> ActiveSet:
 def _horizons(text: str) -> list:
     """A ``--horizons`` list; argparse names the flag when this raises."""
     try:
-        horizons = [int(tok) for tok in text.split(",") if tok]
+        horizons = [int(tok) for tok in text.split(",")]
     except ValueError:
         horizons = []
     if not horizons or min(horizons) < 1:

@@ -224,8 +224,6 @@ def _entries(p: ProblemDefinition, out: list, fill_empty: bool = False):
 def _psd_verdict(A: np.ndarray) -> str | None:
     """What is wrong with the weight block ``A`` (``"is not symmetric"`` or
     ``"is not positive semidefinite (min eig ...)"``), or None."""
-    if not A.size:
-        return None
     if np.max(np.abs(A - A.T)) > 1e-10 * (1.0 + np.max(np.abs(A))):
         return "is not symmetric"
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
@@ -237,7 +235,8 @@ def _psd_verdict(A: np.ndarray) -> str | None:
 def validate(p: ProblemDefinition) -> list:
     """Check every data invariant; returns a list of violations (empty iff valid).
 
-    A problem with no input (a ``B`` with no columns) is reported first.
+    A problem with no state (an ``A`` with no rows) or no input (a ``B``
+    with no columns) is reported first.
     Field by field, it reports a wrong count (``"weights.Q must have 2
     entries, got 1"``), each entry of the wrong shape (``"E[1] shape (2, 6)
     does not match (6, 2)"``), non-finite entries once per field (``"V contains
@@ -256,6 +255,8 @@ def validate(p: ProblemDefinition) -> list:
     if p.horizon < 1:
         return [f"horizon must be >= 1, got {p.horizon}"]
     out, signs, judged = [], [], {}
+    if not p.n_x:
+        out.append("A has no rows: the problem needs a state")
     if not p.n_u:
         out.append("B has no columns: the problem needs an input")
     for name, label, a, want in _entries(p, out):

@@ -33,13 +33,13 @@ Infeasibility is certified by a Farkas ray: ``y >= 0`` with ``G^T y = 0`` and
 weights are linearly dependent, so the search tests for one once
 (:func:`_farkas_ray`), at its first rank-deficient candidate or after ``n_z``
 KKT solves without an accepted candidate, whichever comes first.  The test is
-a nonnegative least-squares (NNLS) solve on the normal equations
-``K + b b^T`` of the cached ``K`` (:func:`_nnls`, Lawson-Hanson), with ``b``
-scaled down to the size of ``K`` so that a large ``theta`` keeps the ray
-accurate: first on the rows of the rank-deficient candidate that triggered
-it, where one solve usually finds the ray, and then, failing that, on all
-rows.  So an ``INFEASIBLE`` result carries its ray, which
-:func:`check_farkas` verifies from ``G`` and ``b`` alone, and
+a nonnegative least-squares (NNLS) problem on the normal equations
+``K + b b^T`` of the cached ``K``, with ``b`` scaled down to the size of
+``K`` so that a large ``theta`` keeps the ray accurate: first on the rows of
+the rank-deficient candidate that triggered it, where a positive direct
+solve is the minimizer and spares the Lawson-Hanson run (:func:`_nnls`),
+and then, failing that, on all rows.  So an ``INFEASIBLE`` result carries its
+ray, which :func:`check_farkas` verifies from ``G`` and ``b`` alone, and
 ``BUDGET_EXHAUSTED`` means only that the search stalled on a query the ray
 could not prove infeasible.
 
@@ -140,11 +140,11 @@ class Tolerances:
     already scaled by the constraint bounds (see :meth:`for_qp`).
     ``max_kkt_solves`` bounds the work per query; a negative one raises
     ``ValueError``.  It does not bound the infeasibility certificate: the
-    Farkas ray is sought once, by NNLS on the rows of the first
-    rank-deficient candidate and then on all rows, at that candidate or once
+    Farkas ray is sought once, on the rows of the first rank-deficient
+    candidate and then on all rows, at that candidate or once
     a query has spent ``min(n_z, max_kkt_solves)`` KKT solves, whichever
     comes first, so the budget runs out only on a query that the ray could
-    not prove infeasible.  The NNLS solves count no KKT solve.
+    not prove infeasible.  Its solves count no KKT solve.
     """
 
     tol_violation: float = 1e-9
@@ -187,8 +187,8 @@ class SolveResult:
     row), which :func:`check_farkas` checks.  A ray found on the rows of the
     rank-deficient candidate that triggered the ray test weights only those
     rows.  Only the enumeration reference of the tests
-    (``tests/reference.py``), and a search that ran dry after the NNLS found
-    no ray on the trigger's rows or on all rows, report it without one.
+    (``tests/reference.py``), and a search that ran dry after the ray test
+    found no ray on the trigger's rows or on all rows, report it without one.
     ``BUDGET_EXHAUSTED`` carries neither: the search stalled and the ray found
     no certificate of infeasibility.
     """
@@ -424,8 +424,8 @@ def solve(
     candidate, whichever comes first.  ``INFEASIBLE`` is reported when that
     ray exists, or when every candidate with cardinality at most ``n_z`` has
     been covered, and carries the ray in ``farkas`` (``None`` only if the
-    search ran dry after NNLS found no ray that :func:`check_farkas` accepts).
-    ``BUDGET_EXHAUSTED`` is reported when
+    search ran dry after the ray test found no ray that :func:`check_farkas`
+    accepts).  ``BUDGET_EXHAUSTED`` is reported when
     ``tol.max_kkt_solves`` KKT solves have produced no accepted candidate and
     the ray test found no certificate: the search stalled.  A ``warm`` set
     with a negative mask or a row at or above ``p_tilde`` raises
@@ -529,39 +529,44 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
 
 
 def _farkas_ray(qp: LiftedQP, b: np.ndarray, trigger: int):
-    """A Farkas ray of ``G z <= b`` from :func:`_nnls` on the cached ``K``, or ``None``.
+    """A Farkas ray of ``G z <= b`` from the cached ``K``, or ``None``.
 
     ``G^T y = 0`` holds exactly when ``y^T K y = |G^T y|^2_{H^{-1}}`` is zero,
     so ``y >= 0`` minimizing ``y^T K y + (b^T y + 1)^2``, that is
     ``y^T (K + b b^T) y + 2 b^T y``, reaches zero exactly when ``y`` is a ray.
     A ``b`` that dwarfs ``K`` makes ``K + b b^T`` ill-conditioned and the ray
-    too inaccurate to pass, so both solves run on ``s b`` with
+    too inaccurate to pass, so both tries run on ``s b`` with
     ``s = k / max|b|`` when ``0 < k < max|b|``, where ``k = sqrt(max diag K)``
     is the QP's ``K_scale``; ``s`` times a ray of ``s b`` is a ray of ``b``.
-    The NNLS runs first on the rows of ``trigger``, the rank-deficient
-    candidate that started the test, all passive: on a minimal dependent set
-    that is one solve, ``y = -v / (b_A^T v)`` for the null vector ``v`` of
-    ``K_AA``.  When that gives no ray, or the test was started by the
-    KKT-solve count (``trigger`` 0), it runs on all rows from an empty
-    passive set.  Each ray is judged by :func:`check_farkas` on ``G`` and the
-    caller's ``b``, not by the objective, whose size scales with ``H^{-1}``.
+    The first try is on the rows ``A`` of ``trigger``, the rank-deficient
+    candidate that started the test.  On a minimal dependent set the
+    minimizer is the direct solve of ``C = K_AA + b_A b_A^T``, ``y_A = -v /
+    (b_A^T v)`` for the null vector ``v`` of ``K_AA``, kept when every entry
+    is positive; otherwise (a singular ``C`` solves to NaN) :func:`_nnls`
+    runs on ``C``.  When that gives no ray, or the test was started by the
+    KKT-solve count (``trigger`` 0), :func:`_nnls` runs on all rows.  Each
+    ray is judged by :func:`check_farkas` on ``G`` and the caller's ``b``,
+    not by the objective, whose size scales with ``H^{-1}``.
     """
     b_max = np.abs(b).max(initial=0.0)
     s = qp.K_scale / b_max if 0.0 < qp.K_scale < b_max else 1.0
     bs = s * b
-    y = np.zeros(qp.p_tilde)
     if trigger:
         rows = np.array(_mask_indices(trigger))
         bA = bs[rows]
-        y[rows] = _nnls(qp.K[np.ix_(rows, rows)] + np.outer(bA, bA), -bA, passive=True)
-        y *= s
+        C = qp.K[np.ix_(rows, rows)] + np.outer(bA, bA)
+        yA = _solve(C, -bA)
+        if not np.all(yA > 0.0):
+            yA = _nnls(C, -bA)
+        y = np.zeros(qp.p_tilde)
+        y[rows] = s * yA
         if _farkas_holds(qp.G, b, y, qp.G_max):
             return y
     y = s * _nnls(qp.K + np.outer(bs, bs), -bs)
     return y if _farkas_holds(qp.G, b, y, qp.G_max) else None
 
 
-def _nnls(C: np.ndarray, d: np.ndarray, passive: bool = False) -> np.ndarray:
+def _nnls(C: np.ndarray, d: np.ndarray) -> np.ndarray:
     """``y >= 0`` minimizing ``y^T C y - 2 d^T y`` for a symmetric semidefinite ``C``.
 
     This is the Lawson-Hanson (1974) active-set method on the normal
@@ -573,20 +578,13 @@ def _nnls(C: np.ndarray, d: np.ndarray, passive: bool = False) -> np.ndarray:
     nonpositive entry.  The passive columns of ``A`` stay linearly
     independent, so ``C_PP`` stays nonsingular; should a dependent column
     enter all the same, its solve reads NaN (:func:`_solve`) and the last
-    iterate is returned.  With ``passive`` every variable starts passive,
-    which ends after one solve when that solve is positive; a singular ``C``
-    (a NaN solve) or a first solve with a nonpositive entry falls back to the
-    empty start.
+    iterate is returned.
     """
     n = len(d)
     # The rounding of the gradient d - C y, entry by entry.
     absC, err = np.abs(C), 10.0 * n * np.finfo(float).eps
     P = np.zeros(n, dtype=bool)
     y = np.zeros(n)
-    if passive:
-        s = _solve(C, d)  # all NaN, so not positive, when C is singular
-        if np.all(s > 0.0):
-            P[:], y = True, s
     for _ in range(3 * n):
         w = np.where(P, -np.inf, d - C @ y - err * (np.abs(d) + absC @ y))
         j = int(w.argmax())

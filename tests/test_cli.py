@@ -455,6 +455,8 @@ class TestErrorPaths:
         (["solve", str(CORNER_TOY), "--warm", "zz"], "--warm"),
         (["solve", str(CORNER_TOY), "--seed", "-1"], "--seed"),
         (["benchmark", "--horizons", "10,x", "--out", "b.csv"], "--horizons"),
+        (["benchmark", "--horizons", "10,,20", "--out", "b.csv"], "--horizons"),
+        (["benchmark", "--horizons", "10,", "--out", "b.csv"], "--horizons"),
     ])
     def test_non_physical_setting_rejected(self, argv, setting, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # beam build's default --out

@@ -2,6 +2,7 @@
 import json
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from conftest import make_random_problem
 from reference import check_admissible, evaluate_cost, predict_trajectory, scalar_problem
 from rfmpc import lifting
 from rfmpc import problem as pb
+from rfmpc.beam import make_benchmark
 from rfmpc.problem import Parameter, PlantModel, StageConstraints
+
+CORNER_TOY = Path(lifting.__file__).with_name("data") / "corner_toy.json"
 
 
 def tiny_problem(N=2):
@@ -124,6 +128,22 @@ class TestValidate:
         assert pb.validate(q) == ["B has no columns: the problem needs an input"]
         with pytest.raises(ValueError, match="B has no columns"):
             lifting.build(q)
+
+    def test_problem_without_state(self):
+        # With no state every A-, Q- and P-sized block is empty; it would be
+        # saved with B = [] (0 x 1), which loading rejects as a 1-D matrix.
+        N = 1
+        p = pb.ProblemDefinition(
+            PlantModel(np.zeros((0, 0)), np.zeros((0, 1))),
+            pb.StageWeights(Q=[np.zeros((0, 0))], R=[np.eye(1)], M=[np.zeros((0, 1))],
+                            V=[np.eye(1)] * (N + 1), P=np.zeros((0, 0))),
+            StageConstraints(d=[np.ones(1)], calE=[np.zeros((1, 0))], calF=[np.zeros((1, 1))],
+                             E=[np.eye(1)], d_hat=np.zeros(0), E_hat=np.zeros((0, 0)),
+                             F_hat=np.zeros((0, 1))),
+            N)
+        assert pb.validate(p) == ["A has no rows: the problem needs a state"]
+        with pytest.raises(ValueError, match="A has no rows: the problem needs a state"):
+            lifting.build(p)
 
 
 class TestValidatePerStage:
@@ -277,6 +297,15 @@ def _arrays(p):
                 yield f"{f.name}[{k}]", a
 
 
+def _assert_same_arrays(p, q):
+    """``q`` has ``p``'s horizon and, field by field, its arrays' labels, shapes and bits."""
+    assert q.horizon == p.horizon
+    expected, loaded = list(_arrays(p)), list(_arrays(q))
+    assert [label for label, _ in loaded] == [label for label, _ in expected]
+    for (label, a), (_, b) in zip(expected, loaded):
+        assert (label, b.shape, b.tobytes()) == (label, a.shape, a.tobytes())
+
+
 class TestSerialization:
     @pytest.mark.parametrize("dims, row_free_stage", [
         (dict(n_x=3, n_u=2, N=2, rows_per_stage=2, p_hat=1), False),
@@ -302,11 +331,7 @@ class TestSerialization:
         for source in (path, legacy):
             q, meta = pb.load_problem(source)
             assert meta == {"note": "round trip"}
-            assert q.horizon == p.horizon
-            expected, loaded = list(_arrays(p)), list(_arrays(q))
-            assert [label for label, _ in loaded] == [label for label, _ in expected]
-            for (label, a), (_, b) in zip(expected, loaded):
-                assert (label, b.shape, b.tobytes()) == (label, a.shape, a.tobytes())
+            _assert_same_arrays(p, q)
             assert pb.to_json_dict(q) == {k: v for k, v in saved.items() if k != "meta"}
 
     def test_transposed_block_is_rejected(self, tmp_path):
@@ -330,6 +355,17 @@ class TestSerialization:
         assert q.constraints.calE[0].shape == (0, 1)
         assert q.constraints.E_hat.shape == (0, 1)
         assert pb.validate(q) == []
+
+    @pytest.mark.parametrize("source", ["beam-N1", "beam-N2", "corner-toy"])
+    def test_valid_problems_round_trip(self, source):
+        # A problem that validate accepts comes back from its JSON document
+        # equal field by field.
+        if source == "corner-toy":
+            p, _ = pb.load_problem(CORNER_TOY)
+        else:
+            p = make_benchmark(N=int(source[-1])).problem
+        assert pb.validate(p) == []
+        _assert_same_arrays(p, pb.from_json_dict(json.loads(json.dumps(pb.to_json_dict(p)))))
 
 
 class TestParameter:

@@ -964,9 +964,8 @@ def feasibility_cases(draw):
 
 @st.composite
 def nnls_cases(draw):
-    """``(A, t, passive)``: a small least-squares problem, its columns drawn
-    with some of them repeated (so ``A^T A`` may be singular), and whether
-    the NNLS starts with every variable passive."""
+    """``(A, t)``: a small least-squares problem, its columns drawn with some
+    of them repeated (so ``A^T A`` may be singular)."""
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 5))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -974,7 +973,7 @@ def nnls_cases(draw):
     repeats = draw(st.lists(st.integers(0, n - 1), max_size=3))
     A = np.hstack([A, A[:, repeats]])
     t = draw(hnp.arrays(float, m, elements=st.floats(-10.0, 10.0, allow_subnormal=False)))
-    return A, t, draw(st.booleans())
+    return A, t
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -982,16 +981,15 @@ def nnls_cases(draw):
 def test_nnls_matches_scipy(case):
     # The normal-equation NNLS reaches scipy's least-squares objective and
     # satisfies the NNLS optimality conditions: y >= 0, gradient d - C y <= 0
-    # and zero where y > 0.  Repeated columns make the all-passive start
-    # singular; it must fall back to the empty start, not raise.  The
-    # objective is compared one way, as scipy's own point can miss the
+    # and zero where y > 0.  Repeated columns make C singular; it must not
+    # raise.  The objective is compared one way, as scipy's own point can miss the
     # optimum: on A = [[1000, 4000], [0, 1000], [-1000, -4000], [1000, 1000]],
     # t = [1, 1e-174, 1, 1e-174] scipy 1.17 returns x_1 = 0.001 with squared
     # residual 5.0 where y = 0 gives 2.0.
-    A, t, passive = case
+    A, t = case
     C, d = A.T @ A, A.T @ t
     with np.errstate(all="ignore"):  # the guard of the search or of reduce_to_licq
-        y = solver._nnls(C, d, passive=passive)
+        y = solver._nnls(C, d)
     x, _ = scipy_nnls(A, t)
     assert np.all(y >= 0.0)
     f_y, f_x = np.sum((A @ y - t) ** 2), np.sum((A @ x - t) ** 2)
@@ -1097,8 +1095,8 @@ class TestFarkas:
     @pytest.mark.parametrize("base", range(len(BEAM_INFEASIBLE_BASES)))
     def test_ray_lies_on_the_trigger_rows(self, beam10, base, monkeypatch):
         # On the N = 10 beam the ray test fires at a rank-deficient
-        # candidate, one NNLS on that candidate's rows finds the ray, and the
-        # ray weights only those rows.
+        # candidate, a minimal dependent set: the direct solve on its rows is
+        # the ray, so no NNLS runs, and the ray weights only those rows.
         triggers, sizes = [], []
         farkas_ray, nnls = solver._farkas_ray, solver._nnls
 
@@ -1106,9 +1104,9 @@ class TestFarkas:
             triggers.append(trigger)
             return farkas_ray(qp, b, trigger)
 
-        def sized(C, d, passive=False):
+        def sized(C, d):
             sizes.append(len(d))
-            return nnls(C, d, passive)
+            return nnls(C, d)
 
         monkeypatch.setattr(solver, "_farkas_ray", recorded)
         monkeypatch.setattr(solver, "_nnls", sized)
@@ -1119,7 +1117,7 @@ class TestFarkas:
         res = solver.solve(qp, theta)
         assert res.status is SolveStatus.INFEASIBLE
         assert len(triggers) == 1 and triggers[0] != 0
-        assert sizes == [triggers[0].bit_count()]
+        assert sizes == []
         b = qp.W + qp.S @ theta.as_vector()
         assert check_farkas(qp.G, b, res.farkas)
         assert ActiveSet.from_indices(np.flatnonzero(res.farkas)).mask & ~triggers[0] == 0
@@ -1134,6 +1132,36 @@ class TestFarkas:
         assert (res.stats.kkt_solves, res.stats.licq_failures) == (1, 1)
         assert check_farkas(qp.G, qp.W, res.farkas)
         assert res.farkas[2] > 0.0
+
+    def test_trigger_with_a_two_dimensional_null_space_runs_the_nnls(self, monkeypatch):
+        # z_1 <= -1 and -z_1 <= 0 are infeasible, z_2 <= 1 and -z_2 <= 1 are
+        # not.  On these four trigger rows K_AA = G_A G_A^T has a
+        # two-dimensional null space, so C = K_AA + b_A b_A^T is singular and
+        # its direct solve is all NaN; the NNLS on C, not the one on all five
+        # rows, finds the ray on the first pair.  The fifth row, z_1 <= 1,
+        # keeps max|b| = 1, so b is not rescaled.
+        qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 1)),
+                                    G=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]],
+                                    S=np.zeros((5, 1)), W=[-1.0, 0.0, 1.0, 1.0, 1.0])
+        solves, sizes = [], []
+        solve, nnls = solver._solve, solver._nnls
+
+        def recorded(A, b):
+            solves.append(solve(A, b))
+            return solves[-1]
+
+        def sized(C, d):
+            sizes.append(len(d))
+            return nnls(C, d)
+
+        monkeypatch.setattr(solver, "_solve", recorded)
+        monkeypatch.setattr(solver, "_nnls", sized)
+        with np.errstate(all="ignore"):  # the guard of the search
+            y = solver._farkas_ray(qp, qp.W, 0b1111)
+        assert np.isnan(solves[0]).all()
+        assert sizes == [4]
+        assert y.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+        assert check_farkas(qp.G, qp.W, y)
 
     @pytest.mark.parametrize("N", [10, 30])
     def test_large_theta_is_certified(self, beam10, bench30, N):
