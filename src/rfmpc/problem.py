@@ -335,6 +335,13 @@ def from_json_dict(doc: dict) -> ProblemDefinition:
 
 
 def save_problem(path, p: ProblemDefinition, meta: dict | None = None):
+    """Write ``p``, and ``meta`` if given, as a problem file.  A problem that
+    :func:`validate` rejects raises ``ValueError`` listing the violations
+    before the file is opened, since its file might not load (a problem with
+    no state would write its 0 x 1 ``B`` as ``[]``)."""
+    report = validate(p)
+    if report:
+        raise ValueError("invalid problem: " + "; ".join(report))
     doc = to_json_dict(p)
     if meta:
         doc["meta"] = meta

@@ -2,10 +2,10 @@
 
 Instead of storing an explicit region partition, each query searches the
 candidate active sets directly.  One evaluator (:func:`_evaluate`) solves the
-equality-constrained KKT system of a candidate and lists its violated rows
-and negative multipliers, worst first; the candidate is accepted when both
-lists are empty.  The evaluator works in the p-row constraint space on the
-operators the :class:`~rfmpc.lifting.LiftedQP` cached when it was built
+equality-constrained KKT system of a candidate and finds its violated rows
+and negative multipliers; the candidate is accepted when it has neither.
+The evaluator works in the p-row constraint space on the operators the
+:class:`~rfmpc.lifting.LiftedQP` cached when it was built
 (``K = G H^{-1} G^T`` and ``Y = H^{-1} G^T``): a candidate costs a gather
 of rows of ``K``, a shifted Cholesky test of its block ``K_AA`` that screens
 its rank (a second one, and an eigendecomposition, only near the rank
@@ -19,12 +19,15 @@ A failed factorization or a singular solve then reads as NaN instead of
 raising ``LinAlgError``; the search holds one ``np.errstate`` per query for
 the flags that raises (:func:`_search`), and :func:`reduce_to_licq` its own.
 One loop (:func:`solve`) otherwise branches by activating violated rows and
-deactivating rows with negative multipliers.  Candidates come off a
-stack of promising candidates (most recent first) and, when the stack runs
-dry, from the exhaustive (cardinality, mask) order.  A visited set and a list
-of minimal rank-deficient candidates (whose supersets are all rank deficient
-and can be pruned wholesale) filter them, which makes the search complete: if
-the bounded candidate space is exhausted the problem is infeasible.  Every
+deactivating rows with negative multipliers.  It walks a chain: a rejected
+candidate's first child (its worst negative row dropped, else its worst
+violated row added) is the next candidate and carries its row list, while
+its other children wait in one deferred frame on a stack (most recent
+first); when the stack runs dry, candidates come from the exhaustive
+(cardinality, mask) order.  A visited set and a list of minimal
+rank-deficient candidates (whose supersets are all rank deficient and can be
+pruned wholesale) filter them, which makes the search complete: if the
+bounded candidate space is exhausted the problem is infeasible.  Every
 :class:`SolveResult` comes from one constructor (:func:`_result`), which the
 enumeration reference of the tests (``tests/reference.py``) shares.
 
@@ -51,6 +54,7 @@ the NNLS's passive rows are.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
@@ -267,37 +271,40 @@ def _rank_complete(KAA: np.ndarray, tau: float) -> bool:
 _NO_ROWS = np.zeros(0)
 
 
-def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
+def _evaluate(qp: LiftedQP, rows: list, b: np.ndarray, tol: Tolerances):
     """One KKT solve of a candidate and its acceptance test, in constraint space.
 
-    With ``A`` the candidate rows, :func:`_rank_complete` screens the rank of
-    ``K_AA``.  The multipliers then solve ``K_AA lam_A = -b_A`` in one gufunc
-    call (:func:`_solve`), and the constraint values ``G z = -K[:, A] lam_A``
-    come from the rows ``K[A]`` (``K`` is symmetric), so the test touches no
-    ``G`` row and applies no ``H^{-1}``.  A candidate whose active rows do not
-    reproduce their bounds, a NaN solve included, counts as rank deficient.
-    The minimizer ``z = -Y[:, A] lam_A`` is formed only for an accepted
-    candidate.  The checks on the ``|A|`` entries of ``slack[A]`` and
-    ``lam_A`` run on Python floats, cheaper than numpy calls at a few
-    entries.  The caller holds the ``np.errstate`` of the LAPACK calls.
+    With ``A`` the candidate rows, ascending in ``rows``, :func:`_rank_complete`
+    screens the rank of ``K_AA``.  The multipliers then solve
+    ``K_AA lam_A = -b_A`` in one gufunc call (:func:`_solve`), and the
+    constraint values ``G z = -K[:, A] lam_A`` come from the rows ``K[A]``
+    (``K`` is symmetric), so the test touches no ``G`` row and applies no
+    ``H^{-1}``.  A candidate whose active rows do not reproduce their bounds,
+    a NaN solve included, counts as rank deficient.  The minimizer
+    ``z = -Y[:, A] lam_A`` is formed only for an accepted candidate.  The
+    checks on the ``|A|`` entries of ``slack[A]`` and ``lam_A`` run on Python
+    floats, cheaper than numpy calls at a few entries, and the two products
+    are ``ndarray.dot``, the ``gemv`` of ``@`` without its ufunc dispatch.
+    The caller holds the ``np.errstate`` of the LAPACK calls.
 
-    Returns ``(z, lam_A, violated, negative)``, with ``z`` ``None`` unless the
-    candidate is accepted, or ``None`` when the candidate is rank deficient.
-    ``violated`` lists the rows with slack below ``-tol_violation`` by
-    increasing slack, ``negative`` the candidate rows with a multiplier below
-    ``-tol_violation`` by increasing multiplier: worst first, index ties broken
-    toward the lower index.  The candidate is accepted when both lists are
-    empty.  The empty candidate costs no solve and allocates nothing: its
+    Returns ``(z, lam_A, violated, slack, negative)``, with ``z`` ``None``
+    unless the candidate is accepted, or ``None`` when the candidate is rank
+    deficient.  ``violated`` is the ascending index array of the rows with
+    slack below ``-tol_violation`` and ``slack`` the array of every row's
+    slack, so :func:`_worst_first` orders them when the search needs more
+    than the worst; ``negative`` lists the candidate rows with a multiplier
+    below ``-tol_violation`` by increasing multiplier, index ties broken
+    toward the lower index.  The candidate is accepted when neither has a
+    row.  The empty candidate costs no solve and allocates nothing: its
     minimizer is the QP's read-only ``origin`` and its slack is ``b`` itself,
-    where a NaN entry counts as violated (it sorts last).  Its test reads the
-    least entry of ``b``, or its first NaN.
+    where a NaN entry counts as violated.  Its test reads the least entry of
+    ``b``, or its first NaN.
     """
     low = -tol.tol_violation
-    if not mask:
+    if not rows:
         if not b.size or b[b.argmin()] >= low:
-            return qp.origin, _NO_ROWS, [], []
-        return None, _NO_ROWS, _worst_first((~(b >= low)).nonzero()[0], b), []
-    rows = _mask_indices(mask)
+            return qp.origin, _NO_ROWS, _NO_ROWS, b, []
+        return None, _NO_ROWS, (~(b >= low)).nonzero()[0], b, []
     idx = np.array(rows)
     KR = qp.K.take(idx, axis=0)  # take: the gather of K[rows] at half the call cost
     KAA = KR.take(idx, axis=1)
@@ -305,7 +312,7 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
         return None
     bA = b.take(idx)
     lam_A = _solve(KAA, -bA)
-    slack = b + lam_A @ KR  # b - G z
+    slack = b + lam_A.dot(KR)  # b - G z
     # A candidate whose equalities cannot be reproduced numerically is
     # rank deficient for all practical purposes; so is a NaN solve, whose
     # NaN entries fail every comparison.
@@ -316,10 +323,10 @@ def _evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     lam = lam_A.tolist()
     neg = [i for i, v in enumerate(lam) if v < low]
     if not viol.size and not neg:
-        return -(qp.Y[:, idx] @ lam_A), lam_A, [], []
+        return -(qp.Y[:, idx].dot(lam_A)), lam_A, viol, slack, []
     # A stable sort: tied multipliers stay on the lower index.
     negative = [rows[i] for i in sorted(neg, key=lam.__getitem__)] if neg else []
-    return None, lam_A, _worst_first(viol, slack), negative
+    return None, lam_A, viol, slack, negative
 
 
 def _worst_first(idx: np.ndarray, values: np.ndarray) -> list:
@@ -411,15 +418,17 @@ def solve(
     """Point location by warm-started candidate search.
 
     One loop evaluates candidates, starting from ``warm`` (default: empty
-    set), until one is accepted.  A rejected candidate pushes neighbours:
-    supersets activating violated rows (at most ``min(n_z, p)`` rows) and
-    subsets dropping rows with negative multipliers, the worst offender on
-    top of the stack with removals tried before additions.  Candidates are
-    filtered when they are popped: already visited ones, and those
-    containing a known rank-deficient subset, are skipped.  When the stack
-    runs dry the next candidate of the (cardinality, mask) order is tried,
-    so the search is complete.  The query is tested once for a Farkas ray,
-    at the first rank-deficient candidate or once
+    set), until one is accepted.  A rejected candidate's children are the
+    subsets dropping a row with a negative multiplier, by increasing
+    multiplier, then the supersets activating a violated row (at most
+    ``min(n_z, p)`` rows), by increasing slack.  The first child is the
+    next candidate and the others are deferred, to be tried in that order
+    when the first one's branch ends without an accepted candidate.  Every
+    candidate is filtered before it is evaluated: already visited ones, and
+    those containing a known rank-deficient subset, are skipped.  When no
+    deferred child is left the next candidate of the (cardinality, mask)
+    order is tried, so the search is complete.  The query is tested once
+    for a Farkas ray, at the first rank-deficient candidate or once
     ``min(n_z, tol.max_kkt_solves)`` KKT solves have produced no accepted
     candidate, whichever comes first.  ``INFEASIBLE`` is reported when that
     ray exists, or when every candidate with cardinality at most ``n_z`` has
@@ -451,6 +460,14 @@ def solve(
 def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: SolveStats) -> tuple:
     """The loop of :func:`solve` from warm ``mask``.
 
+    A rejected candidate's first child is the next candidate and carries
+    its row list, the parent's with one row taken out or put in.  Its other
+    children wait in one frame (:func:`_siblings`) on a stack that yields
+    them one per pop, in the order of pushing every child; the candidate
+    order (:func:`iter_candidate_masks`) is the frame under them all, entered
+    when the stack runs dry.  A candidate from a frame gets its row list
+    from its mask.
+
     The one ray test runs at the first rank-deficient candidate (a ray's rows
     are linearly dependent), whose rows it searches first, or after
     ``min(n_z, max_kkt_solves)`` KKT solves, where it searches all rows,
@@ -465,7 +482,8 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
     before a ray test at ``ray_at`` 0) to the end of the query, so a query
     accepted at the empty candidate enters none.  ``b`` is checked to be
     finite (:func:`_check_bounds`) as the guard is entered; before that, the
-    empty candidate rejects a NaN or ``-inf`` bound by itself.
+    empty candidate rejects a NaN or ``-inf`` bound by itself, and its
+    children, all non-empty, never reach the evaluator.
 
     Returns ``(OPTIMAL, mask, z, lam_A)``, ``(INFEASIBLE, 0, None, None, ray)``
     or ``(BUDGET_EXHAUSTED,)``.
@@ -475,20 +493,31 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
     budget = tol.max_kkt_solves
     visited = set()
     licq = []
-    stack = [mask if mask.bit_count() <= cap else 0]  # oversized: rank deficient
+    frames = []
+    if mask.bit_count() > cap:
+        mask = 0  # oversized: rank deficient
+    rows = _mask_indices(mask)
     ray_at = n_z if n_z < budget else budget  # KKT solves before the one ray test
     ray = guard = fallback = None
     try:
         while True:
-            if not stack and fallback is None:
-                fallback = iter_candidate_masks(p, cap)
-            mask = stack.pop() if stack else next(fallback, None)
             if mask is None:
-                return SolveStatus.INFEASIBLE, 0, None, None, ray
+                if not frames:
+                    if fallback is not None:
+                        return SolveStatus.INFEASIBLE, 0, None, None, ray
+                    fallback = iter_candidate_masks(p, cap)
+                    frames.append(fallback)
+                mask = next(frames[-1], None)
+                if mask is None:
+                    frames.pop()
+                    continue
+                rows = None
             if mask in visited:
+                mask = None
                 continue
             visited.add(mask)
             if licq and any(l & mask == l for l in licq):
+                mask = None
                 continue
 
             stats.candidates_visited += 1
@@ -498,16 +527,18 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
                 _check_bounds(b)
                 guard = np.errstate(all="ignore")
                 guard.__enter__()
-            out = _evaluate(qp, mask, b, tol)
+            if rows is None:
+                rows = _mask_indices(mask)
+            out = _evaluate(qp, rows, b, tol)
             if out is None:
                 stats.licq_failures += 1
                 # mask contains no known violator (filtered above); keep only
                 # inclusion-minimal rank-deficient candidates.
                 licq = [l for l in licq if mask & l != mask] + [mask]
-                violated = negative = ()
+                violated, negative = _NO_ROWS, ()
             else:
-                z, lam_A, violated, negative = out
-                if not violated and not negative:
+                z, lam_A, violated, values, negative = out
+                if z is not None:
                     return SolveStatus.OPTIMAL, mask, z, lam_A
             if ray_at is not None and (out is None or stats.kkt_solves >= ray_at):
                 ray_at = None  # one ray test per query
@@ -517,15 +548,41 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
             if stats.kkt_solves >= budget:
                 return (SolveStatus.BUDGET_EXHAUSTED,)
 
-            # Push in reverse examination order so the worst offender pops
-            # first; removals are pushed after additions and so pop before
-            # them.  Additions share one cardinality (an active row: visited).
-            if mask.bit_count() < cap:
-                stack += [mask | 1 << k for k in reversed(violated)]
-            stack += [mask & ~(1 << k) for k in reversed(negative)]
+            # The children: removals by increasing multiplier, then additions
+            # by increasing slack, which share one cardinality (an active
+            # row's is the candidate itself, visited).  The first is the next
+            # candidate and the rest are deferred.
+            if mask.bit_count() >= cap:
+                violated = _NO_ROWS
+            if negative:
+                if len(negative) > 1 or violated.size:
+                    frames.append(_siblings(mask, negative[1:], violated, values, 0))
+                k = negative[0]
+                rows.remove(k)
+                mask ^= 1 << k
+            elif violated.size:
+                if violated.size > 1:
+                    frames.append(_siblings(mask, (), violated, values, 1))
+                k = int(violated[values.take(violated).argmin()])  # the first least: the lower index
+                insort(rows, k)
+                mask |= 1 << k
+            else:
+                mask = None
     finally:
         if guard is not None:
             guard.__exit__(None, None, None)
+
+
+def _siblings(mask: int, removals, violated: np.ndarray, values: np.ndarray, skip: int):
+    """The deferred children of a rejected ``mask``, one per ``next``: the
+    ``removals`` in their order, then the ``violated`` rows added by
+    increasing ``values``, ties to the lower index, less the first ``skip``
+    of them.  The additions are ordered (:func:`_worst_first`) only when the
+    frame reaches them."""
+    for k in removals:
+        yield mask & ~(1 << k)
+    for k in _worst_first(violated, values)[skip:]:
+        yield mask | 1 << k
 
 
 def _farkas_ray(qp: LiftedQP, b: np.ndarray, trigger: int):
@@ -707,9 +764,9 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta) -> ActiveSet:
 
     # Verify the reduced candidate actually certifies the minimizer, with a
     # band ten times the search's default.
-    out = _evaluate(qp, mask, b, Tolerances(tol_violation=1e-8 * qp.bound_scale))
+    out = _evaluate(qp, _mask_indices(mask), b, Tolerances(tol_violation=1e-8 * qp.bound_scale))
     if out is None:
         raise ValueError("reduction failed to reach a rank-complete candidate")
-    if out[2] or out[3]:
+    if out[0] is None:
         raise ValueError("candidate set is not sufficient")
     return ActiveSet(mask)

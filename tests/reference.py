@@ -21,7 +21,8 @@ from rfmpc.beam import FDPlant, _diff_matrix
 from rfmpc.lifting import LiftedQP, _theta_vector
 from rfmpc.problem import Parameter, PlantModel, ProblemDefinition, StageConstraints, StageWeights, _vec
 from rfmpc.solver import (_NO_ROWS, _RANK_TOL, ActiveSet, SolveResult, SolveStats, SolveStatus, Tolerances, _caller_mask,
-                          _evaluate, _mask_indices, _rank_complete, _result, _solve, iter_candidate_masks)
+                          _evaluate, _mask_indices, _rank_complete, _result, _solve, _worst_first,
+                          iter_candidate_masks)
 
 
 def scalar_problem(N, A=1.0, B=1.0, Q=1.0, R=1.0, P=1.0, V=0.0) -> ProblemDefinition:
@@ -191,7 +192,7 @@ def kkt_solve(qp: LiftedQP, aset, theta):
     if mask == 0:
         raise ValueError("candidate active set must be nonempty")
     b = qp.W + qp.S @ _theta_vector(theta)
-    out = _evaluate(qp, mask, b, Tolerances())
+    out = _evaluate(qp, _mask_indices(mask), b, Tolerances())
     if out is None:
         return None
     z, lam_A = out[:2]
@@ -227,6 +228,13 @@ def numpy_evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     return None, lam_A, _numpy_worst_first(viol, slack), _numpy_worst_first(neg, lam_A, rows)
 
 
+def ordered_lists(out) -> tuple:
+    """``(violated, negative)`` of a rejected :func:`rfmpc.solver._evaluate`
+    result as worst-first lists, the order the search visits their rows in:
+    the violated rows by increasing slack, ties to the lower index."""
+    return _worst_first(out[2], out[3]), out[4]
+
+
 def _numpy_worst_first(idx: np.ndarray, values: np.ndarray, labels=None) -> list:
     """``idx`` by increasing ``values[idx]`` as a list, ties to the lower index
     (a stable sort of ascending indices), optionally mapped through ``labels``."""
@@ -256,14 +264,66 @@ def enumerate_active_sets(qp: LiftedQP, theta, tol: Tolerances | None = None, ma
         stats.candidates_visited += 1
         if mask:
             stats.kkt_solves += 1
-        out = _evaluate(qp, mask, b, tol)
+        out = _evaluate(qp, _mask_indices(mask), b, tol)
         if out is None:
             stats.licq_failures += 1
             continue
-        z, lam_A, violated, negative = out
-        if not violated and not negative:
+        z, lam_A = out[:2]
+        if z is not None:
             return _result(qp, qp.HinvF @ theta_vec, stats, SolveStatus.OPTIMAL, mask, z, lam_A)
     return _result(qp, None, stats, SolveStatus.INFEASIBLE)
+
+
+@np.errstate(all="ignore")  # the evaluator leaves the flags of a NaN solve to its caller
+def eager_search_order(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, limit: int) -> list:
+    """The candidates the search evaluates from warm ``mask``, in the order
+    of its earlier eager loop, as ``(mask, source)`` pairs.
+
+    Each rejected candidate pushes every child on one stack of masks:
+    additions of its violated rows (only below ``min(n_z, p)`` rows), then
+    removals of its negative rows, each in reverse worst-first order, so the
+    worst removal pops first.  A popped mask that was visited, or that holds
+    a minimal rank-deficient candidate, is skipped; when the stack is empty
+    the next mask of the (cardinality, mask) order is tried.  ``source``
+    names where a candidate came from: ``"warm"``, ``"chain"`` (the first
+    child of the candidate evaluated just before it), ``"sibling"`` (any
+    other mask off the stack) or ``"order"``.  It runs no ray test and has
+    no budget: it stops at an accepted candidate, at the end of the order or
+    after ``limit`` candidates, so the search's sequence is a prefix of its
+    own.
+    """
+    n_z, p = qp.Y.shape
+    cap = min(n_z, p)
+    visited, licq, order = set(), [], []
+    stack, fresh, fallback = [mask if mask.bit_count() <= cap else 0], "warm", None
+    while len(order) < limit:
+        if stack:
+            mask, source, fresh = stack.pop(), fresh, "sibling"
+        else:
+            if fallback is None:
+                fallback = iter_candidate_masks(p, cap)
+            mask, source = next(fallback, None), "order"
+            if mask is None:
+                break
+        if mask in visited:
+            continue
+        visited.add(mask)
+        if any(l & mask == l for l in licq):
+            continue
+        order.append((mask, source))
+        out = _evaluate(qp, _mask_indices(mask), b, tol)
+        if out is None:
+            licq = [l for l in licq if mask & l != mask] + [mask]
+            continue
+        if out[0] is not None:
+            break
+        violated, negative = ordered_lists(out)
+        n = len(stack)
+        if mask.bit_count() < cap:
+            stack += [mask | 1 << k for k in reversed(violated)]
+        stack += [mask & ~(1 << k) for k in reversed(negative)]
+        fresh = "chain" if len(stack) > n else "sibling"
+    return order
 
 
 def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000) -> np.ndarray:

@@ -129,9 +129,10 @@ class TestValidate:
         with pytest.raises(ValueError, match="B has no columns"):
             lifting.build(q)
 
-    def test_problem_without_state(self):
-        # With no state every A-, Q- and P-sized block is empty; it would be
-        # saved with B = [] (0 x 1), which loading rejects as a 1-D matrix.
+    def test_problem_without_state(self, tmp_path):
+        # With no state every A-, Q- and P-sized block is empty; its file
+        # would carry B = [] (0 x 1), which loading rejects as a 1-D matrix,
+        # so save_problem refuses it before it opens the file.
         N = 1
         p = pb.ProblemDefinition(
             PlantModel(np.zeros((0, 0)), np.zeros((0, 1))),
@@ -144,6 +145,10 @@ class TestValidate:
         assert pb.validate(p) == ["A has no rows: the problem needs a state"]
         with pytest.raises(ValueError, match="A has no rows: the problem needs a state"):
             lifting.build(p)
+        path = tmp_path / "no_state.json"
+        with pytest.raises(ValueError, match="invalid problem: A has no rows: the problem needs a state"):
+            pb.save_problem(path, p)
+        assert not path.exists()
 
 
 class TestValidatePerStage:
@@ -175,7 +180,11 @@ class TestValidatePerStage:
         p.weights.Q = [np.array([[-1.0]])] * 4
         p.weights.V[1] = np.array([[-0.5]])
         path = tmp_path / "p.json"
-        pb.save_problem(path, p)
+        # save_problem refuses an invalid problem, so the file is written
+        # from its JSON document, as save_problem writes a valid one.
+        with pytest.raises(ValueError, match="invalid problem"):
+            pb.save_problem(path, p)
+        path.write_text(json.dumps(pb.to_json_dict(p)))
         loaded, _ = pb.load_problem(path)
         assert loaded.weights.Q[0] is not loaded.weights.Q[1]
         report = pb.validate(p)
@@ -357,15 +366,18 @@ class TestSerialization:
         assert pb.validate(q) == []
 
     @pytest.mark.parametrize("source", ["beam-N1", "beam-N2", "corner-toy"])
-    def test_valid_problems_round_trip(self, source):
-        # A problem that validate accepts comes back from its JSON document
-        # equal field by field.
+    def test_valid_problems_round_trip(self, tmp_path, source):
+        # A problem that validate accepts comes back from its JSON document,
+        # and from the file save_problem writes, equal field by field.
         if source == "corner-toy":
             p, _ = pb.load_problem(CORNER_TOY)
         else:
             p = make_benchmark(N=int(source[-1])).problem
         assert pb.validate(p) == []
         _assert_same_arrays(p, pb.from_json_dict(json.loads(json.dumps(pb.to_json_dict(p)))))
+        path = tmp_path / "problem.json"
+        pb.save_problem(path, p)
+        _assert_same_arrays(p, pb.load_problem(path)[0])
 
 
 class TestParameter:

@@ -1,4 +1,5 @@
 """Active-set search: hand traces, oracle cross-checks, degeneracy, budgets."""
+import collections
 import dataclasses
 import json
 import signal
@@ -16,7 +17,8 @@ from scipy import linalg as sla
 from scipy.optimize import nnls as scipy_nnls
 
 from conftest import random_feasible_query
-from reference import enumerate_active_sets, eval_constraints, kkt_solve, numpy_evaluate
+from reference import (eager_search_order, enumerate_active_sets, eval_constraints, kkt_solve, numpy_evaluate,
+                       ordered_lists)
 from rfmpc import lifting, sim, solver
 from rfmpc.beam import make_benchmark
 from rfmpc.lifting import LiftedQP
@@ -181,7 +183,7 @@ class TestKktSolve:
         # z >= 1 held as an equality leaves z <= 0 violated.
         for qp, lam_want, lists in ((halfspace_qp([1.0], [1.0]), -1.0, ([], [0])),
                                     (halfspace_qp([-1.0, 1.0], [-1.0, 0.0]), 1.0, ([1], []))):
-            assert solver._evaluate(qp, 1, qp.W, Tolerances.for_qp(qp))[2:] == lists
+            assert ordered_lists(solver._evaluate(qp, [0], qp.W, Tolerances.for_qp(qp))) == lists
             z, lam = kkt_solve(qp, ActiveSet.from_indices([0]), np.zeros(1))
             np.testing.assert_allclose(z, [1.0])
             np.testing.assert_allclose(lam, [lam_want])
@@ -280,7 +282,7 @@ class TestEvaluatorAgainstPrimalReference:
         qp, mask, b = case
         tol = Tolerances.for_qp(qp)
         with np.errstate(all="ignore"):  # the search's guard
-            got = solver._evaluate(qp, mask, b, tol)
+            got = solver._evaluate(qp, solver._mask_indices(mask), b, tol)
         ref = primal_evaluate(qp, mask, b, tol)
         assert (got is None) == (ref is None)
         if ref is None:
@@ -299,7 +301,7 @@ class TestEvaluatorAgainstPrimalReference:
         # a tie is decided by rounding, so tied rows may swap.
         slack = b - qp.G @ z
         lam = dict(zip((k for k in range(qp.p_tilde) if mask >> k & 1), lam_A))
-        for rows, ref_rows, key in ((got[2], ref[2], slack.__getitem__), (got[3], ref[3], lam.get)):
+        for rows, ref_rows, key in zip(ordered_lists(got), ref[2:], (slack.__getitem__, lam.get)):
             assert sorted(rows) == sorted(ref_rows)
             keys = [key(k) for k in rows]
             assert all(a <= c + 1e-12 * (1.0 + abs(c)) for a, c in zip(keys, keys[1:]))
@@ -342,15 +344,17 @@ class TestEvaluatorAgainstNumpyReference:
     def same(qp, mask, b):
         tol = Tolerances.for_qp(qp)
         with np.errstate(all="ignore"):  # the search's guard
-            got, ref = solver._evaluate(qp, mask, b, tol), numpy_evaluate(qp, mask, b, tol)
+            got = solver._evaluate(qp, solver._mask_indices(mask), b, tol)
+            ref = numpy_evaluate(qp, mask, b, tol)
         if ref is None:
             assert got is None
             return None
         for g, r in zip(got[:2], ref[:2]):
             assert (g is None) == (r is None)
             assert r is None or g.tobytes() == r.tobytes()
-        assert got[2:] == ref[2:]
-        return got
+        lists = ordered_lists(got)
+        assert lists == tuple(ref[2:])
+        return lists
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(nan_evaluator_cases())
@@ -362,7 +366,7 @@ class TestEvaluatorAgainstNumpyReference:
         got = self.same(*EVALUATOR_CASES[name])
         expected = {"tied-slacks": ([3, 2], [1]), "tied-multipliers": ([], [0, 2]),
                     "nan-inactive-slack": ([], [])}
-        assert (got if got is None else got[2:]) == expected.get(name)
+        assert got == expected.get(name)
 
 
 @st.composite
@@ -828,7 +832,7 @@ class TestDegeneracy:
                                     G=[[1.0, 0.3], [1.0, 0.30002]], S=np.zeros((2, 1)),
                                     W=[0.7, -1.0])
         assert solver._rank_complete(qp.K, solver._RANK_TOL)
-        assert solver._evaluate(qp, 0b11, qp.W, Tolerances.for_qp(qp)) is None
+        assert solver._evaluate(qp, [0, 1], qp.W, Tolerances.for_qp(qp)) is None
         res = solver.solve(qp, np.zeros(1), warm=ActiveSet(0b11))
         assert res.status is SolveStatus.OPTIMAL
         assert res.stats.licq_failures == 1
@@ -1327,6 +1331,75 @@ def test_cold_pool_search_is_pinned():
     assert totals == [2399, 2588, 0]
 
 
+class TestVisitOrder:
+    """The search walks its chain and defers the other children, yet it
+    evaluates the candidates of the eager loop that pushed every child
+    (``reference.eager_search_order``) in the same order: its sequence is a
+    prefix of the reference's, which has no ray test and no budget."""
+
+    @staticmethod
+    def sources(monkeypatch, qp, theta, warm=None, budget=None):
+        """Solve with ``_evaluate`` spied on, check its masks against the
+        reference and count where the reference took each from.  With a
+        ``budget``, the ray test finds no ray, so an infeasible query runs
+        the search on until the budget is spent."""
+        seen, evaluate = [], solver._evaluate
+        tol = Tolerances.for_qp(qp) if budget is None else Tolerances.for_qp(qp, max_kkt_solves=budget)
+
+        def recorded(qp, rows, b, tol):
+            seen.append(ActiveSet.from_indices(rows).mask)
+            return evaluate(qp, rows, b, tol)
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_evaluate", recorded)
+            if budget is not None:
+                m.setattr(solver, "_farkas_ray", lambda qp, b, trigger: None)
+            solver.solve(qp, theta, warm=warm, tol=tol)
+        b = qp.W + qp.S @ lifting._theta_vector(theta)
+        ref = eager_search_order(qp, b, 0 if warm is None else warm.mask, tol, len(seen))
+        assert seen == [mask for mask, _ in ref]
+        return collections.Counter(source for _, source in ref)
+
+    def test_pinned_paths_pop_siblings_and_reach_the_order(self, monkeypatch):
+        counts = collections.Counter()
+        for make, _ in SEARCH_PATHS.values():
+            counts += self.sources(monkeypatch, *make())
+        # random-258 pops deferred siblings, removals and additions both;
+        # duplicated-row-fat-warm runs its stack dry after its rank-deficient
+        # warm set and takes the empty set from the candidate order.
+        assert counts["sibling"] > 0 and counts["order"] > 0, counts
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(feasibility_cases(), st.sampled_from([None, 50]))
+    def test_random_instances(self, qp, budget):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.sources(monkeypatch, qp, np.zeros(1), budget=budget)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(degenerate_reductions())
+    def test_degenerate_instances_from_their_fat_warm_set(self, case):
+        qp, theta, _, fat, _ = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.sources(monkeypatch, qp, theta, warm=fat)
+
+    def test_beam_queries(self, beam10, monkeypatch):
+        # Without a ray the infeasible queries spend 300 KKT solves, most of
+        # them on deferred siblings, so the frames' order is pinned too.
+        bench, qp = beam10
+        siblings = 0
+        for a, k, u in BEAM_INFEASIBLE_BASES:
+            theta = Parameter(a * np.linalg.matrix_power(bench.plant.A_d, k) @ bench.x0,
+                              0.5 * bench.u_scale * np.array(u))
+            self.sources(monkeypatch, qp, theta)
+            siblings += self.sources(monkeypatch, qp, theta, budget=300)["sibling"]
+        assert siblings > 1000
+        pool = json.loads(COLD_POOL.read_text())
+        bench = make_benchmark(N=pool["horizon"], bound_scaling=pool["bound_scaling"])
+        qp = lifting.build(bench.problem)
+        for e in pool["entries"]:
+            self.sources(monkeypatch, qp, Parameter(np.array(e["x"]), np.array(e["u_prev"])))
+
+
 class TestErrorStateIsRestored:
     """The search holds one ``np.errstate`` per query from its first candidate
     that can reach LAPACK; ``reduce_to_licq`` and the reference ``kkt_solve``
@@ -1388,10 +1461,10 @@ class TestErrorStateIsRestored:
     def test_exception_inside_the_loop(self, monkeypatch):
         evaluate = solver._evaluate
 
-        def failing(qp, mask, b, tol):
-            if mask:
+        def failing(qp, rows, b, tol):
+            if rows:
                 raise RuntimeError("evaluator failed")
-            return evaluate(qp, mask, b, tol)
+            return evaluate(qp, rows, b, tol)
 
         monkeypatch.setattr(solver, "_evaluate", failing)
 
