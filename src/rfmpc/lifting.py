@@ -66,8 +66,10 @@ class LiftedQP:
     are read-only: every query accepted at the empty set returns them as its
     minimizer and multipliers, shared, so writing to one raises
     ``ValueError`` instead of corrupting another result.  An ``S`` or
-    ``W`` that does not fit ``G`` and ``F`` raises ``ValueError``, and an
-    ``H`` that is not positive definite ``np.linalg.LinAlgError``.
+    ``W`` that does not fit ``G`` and ``F`` raises ``ValueError``, as does a
+    ``W`` with a NaN or infinite row, which would make ``bound_scale`` and
+    the search's band infinite, and an ``H`` that is not positive definite
+    ``np.linalg.LinAlgError``.
     """
 
     H: np.ndarray
@@ -98,6 +100,9 @@ class LiftedQP:
                                 ("W", self.W.shape, (self.p_tilde,))):
             if got != want:
                 raise ValueError(f"{name} has shape {got}, the QP's G and F need {want}")
+        bad = (~np.isfinite(self.W)).nonzero()[0].tolist()
+        if bad:
+            raise ValueError(f"W must be finite, but its rows {bad} are not")
         Li = np.linalg.inv(np.linalg.cholesky(0.5 * (self.H + self.H.T)))
         # HinvF comes first, so at n_z a multiple of 4 (the beam's 2N at an
         # even horizon) S's rows keep the 4-row blocks of OpenBLAS's gemv,

@@ -19,12 +19,14 @@ A failed factorization or a singular solve then reads as NaN instead of
 raising ``LinAlgError``; the search holds one ``np.errstate`` per query for
 the flags that raises (:func:`_search`), and :func:`reduce_to_licq` its own.
 One loop (:func:`solve`) otherwise branches by activating violated rows and
-deactivating rows with negative multipliers.  It walks a chain: a rejected
-candidate's first child (its worst negative row dropped, else its worst
-violated row added) is the next candidate and carries its row list, while
-its other children wait in one deferred frame on a stack (most recent
-first); when the stack runs dry, candidates come from the exhaustive
-(cardinality, mask) order.  A visited set and a list of minimal
+deactivating rows with negative multipliers.  It walks a chain: the
+evaluator names only the worst row of each side, and a rejected candidate's
+first child (its worst negative row dropped, else its worst violated row
+added) is the next candidate and carries its row list, while its other
+children wait in one deferred frame on a stack (most recent first), which
+forms the full lists from the candidate's multipliers and slack only if the
+search comes back to it; when the stack runs dry, candidates come from the
+exhaustive (cardinality, mask) order.  A visited set and a list of minimal
 rank-deficient candidates (whose supersets are all rank deficient and can be
 pruned wholesale) filter them, which makes the search complete: if the
 bounded candidate space is exhausted the problem is infeasible.  Every
@@ -53,11 +55,12 @@ the NNLS's passive rows are.
 """
 from __future__ import annotations
 
+import operator
 import time
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -121,9 +124,15 @@ def _mask_indices(mask: int) -> list:
     return out
 
 
-def _caller_mask(qp: LiftedQP, aset) -> int:
-    """Bitmask of a caller's ``ActiveSet | int``, checked against the rows of ``qp``."""
-    mask = aset.mask if isinstance(aset, ActiveSet) else int(aset)
+def _caller_mask(qp: LiftedQP, aset, name: str = "aset") -> int:
+    """Bitmask of a caller's ``ActiveSet | int``, checked against the rows of
+    ``qp``.  A mask that is not an integer (a float or a str, which ``int``
+    would truncate or parse) raises ``TypeError`` naming the caller's
+    argument ``name``; any integer type (``operator.index``) is taken."""
+    try:
+        mask = operator.index(aset.mask if isinstance(aset, ActiveSet) else aset)
+    except TypeError:
+        raise TypeError(f"{name} must be an ActiveSet or an integer mask, got {aset!r}") from None
     if mask < 0:
         raise ValueError(f"active-set mask must be nonnegative, got {hex(mask)}")
     if mask >> qp.p_tilde:
@@ -141,20 +150,28 @@ class Tolerances:
     """Acceptance band and work bound of the search.
 
     ``tol_violation`` is one absolute band for both slacks and multipliers,
-    already scaled by the constraint bounds (see :meth:`for_qp`).
-    ``max_kkt_solves`` bounds the work per query; a negative one raises
-    ``ValueError``.  It does not bound the infeasibility certificate: the
-    Farkas ray is sought once, on the rows of the first rank-deficient
-    candidate and then on all rows, at that candidate or once
-    a query has spent ``min(n_z, max_kkt_solves)`` KKT solves, whichever
-    comes first, so the budget runs out only on a query that the ray could
-    not prove infeasible.  Its solves count no KKT solve.
+    already scaled by the constraint bounds (see :meth:`for_qp`); a NaN,
+    negative or infinite one raises ``ValueError``, since an infinite band
+    would accept any candidate.  ``max_kkt_solves`` bounds the work per
+    query; a negative one raises ``ValueError`` and one that is not an
+    integer ``TypeError``.  It does not bound the infeasibility certificate:
+    the Farkas ray is sought once, on the rows of the first rank-deficient
+    candidate and then on all rows, at that candidate or once a query has
+    spent ``min(n_z, max_kkt_solves)`` KKT solves, whichever comes first, so
+    the budget runs out only on a query that the ray could not prove
+    infeasible.  Its solves count no KKT solve.
     """
 
     tol_violation: float = 1e-9
     max_kkt_solves: int = 10000
 
     def __post_init__(self):
+        if not 0.0 <= self.tol_violation < inf:
+            raise ValueError(f"tol_violation = {self.tol_violation} must be finite and nonnegative")
+        try:
+            self.max_kkt_solves = operator.index(self.max_kkt_solves)
+        except TypeError:
+            raise TypeError(f"max_kkt_solves must be an integer, got {self.max_kkt_solves!r}") from None
         if self.max_kkt_solves < 0:
             raise ValueError(f"max_kkt_solves = {self.max_kkt_solves} must be nonnegative")
 
@@ -287,24 +304,30 @@ def _evaluate(qp: LiftedQP, rows: list, b: np.ndarray, tol: Tolerances):
     are ``ndarray.dot``, the ``gemv`` of ``@`` without its ufunc dispatch.
     The caller holds the ``np.errstate`` of the LAPACK calls.
 
-    Returns ``(z, lam_A, violated, slack, negative)``, with ``z`` ``None``
-    unless the candidate is accepted, or ``None`` when the candidate is rank
-    deficient.  ``violated`` is the ascending index array of the rows with
-    slack below ``-tol_violation`` and ``slack`` the array of every row's
-    slack, so :func:`_worst_first` orders them when the search needs more
-    than the worst; ``negative`` lists the candidate rows with a multiplier
-    below ``-tol_violation`` by increasing multiplier, index ties broken
-    toward the lower index.  The candidate is accepted when neither has a
-    row.  The empty candidate costs no solve and allocates nothing: its
-    minimizer is the QP's read-only ``origin`` and its slack is ``b`` itself,
-    where a NaN entry counts as violated.  Its test reads the least entry of
-    ``b``, or its first NaN.
+    Returns ``(z, lam_A, slack, remove, add)``, with ``z`` ``None`` unless
+    the candidate is accepted, or ``None`` when the candidate is rank
+    deficient.  ``slack`` is the array of every row's slack.  ``remove`` is
+    the candidate row with the least multiplier and ``add`` the row with the
+    least slack, each only when that is below ``-tol_violation`` and else
+    ``None``, the lower index on a tie: the worst row of each side, the
+    heads of the lists that :func:`_child_rows` forms from ``lam_A`` and
+    ``slack`` when a deferred frame needs the rest.  The candidate is
+    accepted when neither is a row.  A NaN slack is never violated at a
+    non-empty candidate, so where ``argmin`` stops at a NaN the worst row
+    comes from the rows below the band.  The empty candidate costs no solve
+    and allocates nothing: its minimizer is the QP's read-only ``origin``
+    and its slack is ``b`` itself, where a NaN entry counts as violated,
+    after every number.  Its test reads the least entry of ``b``, or its
+    first NaN.
     """
     low = -tol.tol_violation
     if not rows:
         if not b.size or b[b.argmin()] >= low:
-            return qp.origin, _NO_ROWS, _NO_ROWS, b, []
-        return None, _NO_ROWS, (~(b >= low)).nonzero()[0], b, []
+            return qp.origin, _NO_ROWS, b, None, None
+        add = int(b.argmin())
+        if b[add] != b[add]:  # a NaN bound: violated, but ordered after every number
+            add = _worst_first((~(b >= low)).nonzero()[0], b)[0]
+        return None, _NO_ROWS, b, None, add
     idx = np.array(rows)
     KR = qp.K.take(idx, axis=0)  # take: the gather of K[rows] at half the call cost
     KAA = KR.take(idx, axis=1)
@@ -319,14 +342,34 @@ def _evaluate(qp: LiftedQP, rows: list, b: np.ndarray, tol: Tolerances):
     eq_band = 1e-8 * (1.0 + max(map(abs, bA.tolist())))
     if not all(abs(v) <= eq_band for v in slack.take(idx).tolist()):
         return None
-    viol = (slack < low).nonzero()[0]
     lam = lam_A.tolist()
-    neg = [i for i, v in enumerate(lam) if v < low]
-    if not viol.size and not neg:
-        return -(qp.Y[:, idx].dot(lam_A)), lam_A, viol, slack, []
+    least = min(lam)  # no NaN: a NaN multiplier makes every slack NaN
+    remove = rows[lam.index(least)] if least < low else None
+    add = int(slack.argmin())
+    least = slack.item(add)
+    if least != least:  # argmin stops at the first NaN, never violated here
+        viol = (slack < low).nonzero()[0]
+        add = int(viol[slack.take(viol).argmin()]) if viol.size else None
+    elif not least < low:
+        add = None
+    if remove is None and add is None:
+        return -(qp.Y[:, idx].dot(lam_A)), lam_A, slack, None, None
+    return None, lam_A, slack, remove, add
+
+
+def _child_rows(mask: int, lam_A: np.ndarray, slack: np.ndarray, low: float) -> tuple:
+    """``(negative, violated)`` of a rejected ``mask`` from its multipliers
+    ``lam_A`` and ``slack``, as :func:`_evaluate` returned them: the rows of
+    ``mask`` with a multiplier below ``low`` by increasing multiplier, and
+    the rows with a slack below ``low`` by increasing slack (at the empty
+    candidate a NaN bound too, last), ties to the lower index.  Their heads
+    are the ``remove`` and ``add`` rows that :func:`_evaluate` returned."""
+    rows = _mask_indices(mask)
+    lam = lam_A.tolist()
     # A stable sort: tied multipliers stay on the lower index.
-    negative = [rows[i] for i in sorted(neg, key=lam.__getitem__)] if neg else []
-    return None, lam_A, viol, slack, negative
+    negative = [rows[i] for i in sorted((i for i, v in enumerate(lam) if v < low), key=lam.__getitem__)]
+    violated = (slack < low) if mask else ~(slack >= low)
+    return negative, _worst_first(violated.nonzero()[0], slack)
 
 
 def _worst_first(idx: np.ndarray, values: np.ndarray) -> list:
@@ -438,11 +481,12 @@ def solve(
     ``tol.max_kkt_solves`` KKT solves have produced no accepted candidate and
     the ray test found no certificate: the search stalled.  A ``warm`` set
     with a negative mask or a row at or above ``p_tilde`` raises
-    ``ValueError``.  ``theta`` must have ``n_theta`` entries and be finite,
-    or ``ValueError`` is raised.  So must ``b = W + S theta`` be finite,
-    with one exception: a ``+inf`` bound cannot be violated, so a query
-    accepted at the empty set may carry one.  When the accepted set is
-    ``warm``'s, the result's ``active_set`` is the ``warm`` object itself.
+    ``ValueError``, and one whose mask is not an integer ``TypeError``.
+    ``theta`` must have ``n_theta`` entries and be finite, or ``ValueError``
+    is raised.  So must ``b = W + S theta`` be finite, with one exception: a
+    ``+inf`` bound cannot be violated, so a query accepted at the empty set
+    may carry one.  When the accepted set is ``warm``'s, the result's
+    ``active_set`` is the ``warm`` object itself.
 
     ``stats.wall_time`` covers the whole call, result construction included.
     """
@@ -450,7 +494,7 @@ def solve(
     shift, b = _rhs(qp, theta)
     tol = tol if tol is not None else Tolerances.for_qp(qp)
     stats = SolveStats()
-    mask = 0 if warm is None else _caller_mask(qp, warm)
+    mask = 0 if warm is None else _caller_mask(qp, warm, "warm")
     found = _search(qp, b, mask, tol, stats)
     result = _result(qp, shift, stats, *found, warm=warm)
     stats.wall_time = time.perf_counter() - t0
@@ -460,13 +504,16 @@ def solve(
 def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: SolveStats) -> tuple:
     """The loop of :func:`solve` from warm ``mask``.
 
-    A rejected candidate's first child is the next candidate and carries
-    its row list, the parent's with one row taken out or put in.  Its other
-    children wait in one frame (:func:`_siblings`) on a stack that yields
-    them one per pop, in the order of pushing every child; the candidate
-    order (:func:`iter_candidate_masks`) is the frame under them all, entered
-    when the stack runs dry.  A candidate from a frame gets its row list
-    from its mask.
+    A rejected candidate's first child, its ``remove`` row taken out if it
+    has one and else its ``add`` row put in (:func:`_evaluate`), is the next
+    candidate and carries its row list, the parent's with that one row
+    changed.  Its other children wait in one frame (:func:`_siblings`) on a
+    stack that yields them one per pop, in the order of pushing every child;
+    the frame holds the candidate's multipliers and slack and forms its
+    lists only when it is first advanced.  The candidate order
+    (:func:`iter_candidate_masks`) is the frame under them all, entered when
+    the stack runs dry.  A candidate from a frame gets its row list from its
+    mask.
 
     The one ray test runs at the first rank-deficient candidate (a ray's rows
     are linearly dependent), whose rows it searches first, or after
@@ -490,7 +537,7 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
     """
     n_z, p = qp.Y.shape
     cap = n_z if n_z < p else p
-    budget = tol.max_kkt_solves
+    budget, low = tol.max_kkt_solves, -tol.tol_violation
     visited = set()
     licq = []
     frames = []
@@ -535,9 +582,9 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
                 # mask contains no known violator (filtered above); keep only
                 # inclusion-minimal rank-deficient candidates.
                 licq = [l for l in licq if mask & l != mask] + [mask]
-                violated, negative = _NO_ROWS, ()
+                remove = add = None
             else:
-                z, lam_A, violated, values, negative = out
+                z, lam_A, slack, remove, add = out
                 if z is not None:
                     return SolveStatus.OPTIMAL, mask, z, lam_A
             if ray_at is not None and (out is None or stats.kkt_solves >= ray_at):
@@ -549,23 +596,17 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
                 return (SolveStatus.BUDGET_EXHAUSTED,)
 
             # The children: removals by increasing multiplier, then additions
-            # by increasing slack, which share one cardinality (an active
-            # row's is the candidate itself, visited).  The first is the next
-            # candidate and the rest are deferred.
-            if mask.bit_count() >= cap:
-                violated = _NO_ROWS
-            if negative:
-                if len(negative) > 1 or violated.size:
-                    frames.append(_siblings(mask, negative[1:], violated, values, 0))
-                k = negative[0]
-                rows.remove(k)
-                mask ^= 1 << k
-            elif violated.size:
-                if violated.size > 1:
-                    frames.append(_siblings(mask, (), violated, values, 1))
-                k = int(violated[values.take(violated).argmin()])  # the first least: the lower index
-                insort(rows, k)
-                mask |= 1 << k
+            # by increasing slack below ``cap`` rows, which share one
+            # cardinality (an active row's is the candidate itself, visited).
+            # The worst is the next candidate and the rest are deferred.
+            if remove is not None:
+                frames.append(_siblings(mask, lam_A, slack, low, cap))
+                rows.remove(remove)
+                mask ^= 1 << remove
+            elif add is not None and mask.bit_count() < cap:
+                frames.append(_siblings(mask, lam_A, slack, low, cap))
+                insort(rows, add)
+                mask |= 1 << add
             else:
                 mask = None
     finally:
@@ -573,16 +614,19 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
             guard.__exit__(None, None, None)
 
 
-def _siblings(mask: int, removals, violated: np.ndarray, values: np.ndarray, skip: int):
+def _siblings(mask: int, lam_A: np.ndarray, slack: np.ndarray, low: float, cap: int):
     """The deferred children of a rejected ``mask``, one per ``next``: the
-    ``removals`` in their order, then the ``violated`` rows added by
-    increasing ``values``, ties to the lower index, less the first ``skip``
-    of them.  The additions are ordered (:func:`_worst_first`) only when the
-    frame reaches them."""
-    for k in removals:
+    rows with a negative multiplier removed, then, while ``mask`` has fewer
+    than ``cap`` rows, the violated rows added, each worst first
+    (:func:`_child_rows`), less the first child, which the chain took.  The
+    frame keeps only ``mask``, ``lam_A`` and ``slack`` and forms both lists
+    only when it is first advanced."""
+    negative, violated = _child_rows(mask, lam_A, slack, low)
+    for k in negative[1:]:
         yield mask & ~(1 << k)
-    for k in _worst_first(violated, values)[skip:]:
-        yield mask | 1 << k
+    if mask.bit_count() < cap:
+        for k in violated[0 if negative else 1:]:
+            yield mask | 1 << k
 
 
 def _farkas_ray(qp: LiftedQP, b: np.ndarray, trigger: int):

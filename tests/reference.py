@@ -21,7 +21,7 @@ from rfmpc.beam import FDPlant, _diff_matrix
 from rfmpc.lifting import LiftedQP, _theta_vector
 from rfmpc.problem import Parameter, PlantModel, ProblemDefinition, StageConstraints, StageWeights, _vec
 from rfmpc.solver import (_NO_ROWS, _RANK_TOL, ActiveSet, SolveResult, SolveStats, SolveStatus, Tolerances, _caller_mask,
-                          _evaluate, _mask_indices, _rank_complete, _result, _solve, _worst_first,
+                          _child_rows, _evaluate, _mask_indices, _rank_complete, _result, _solve,
                           iter_candidate_masks)
 
 
@@ -228,11 +228,17 @@ def numpy_evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     return None, lam_A, _numpy_worst_first(viol, slack), _numpy_worst_first(neg, lam_A, rows)
 
 
-def ordered_lists(out) -> tuple:
-    """``(violated, negative)`` of a rejected :func:`rfmpc.solver._evaluate`
-    result as worst-first lists, the order the search visits their rows in:
-    the violated rows by increasing slack, ties to the lower index."""
-    return _worst_first(out[2], out[3]), out[4]
+def ordered_lists(out, mask: int, tol: Tolerances) -> tuple:
+    """``(violated, negative)`` of an :func:`rfmpc.solver._evaluate` result
+    of ``mask`` as worst-first lists, the order the search visits their rows
+    in, as a deferred frame forms them (:func:`rfmpc.solver._child_rows`):
+    the violated rows by increasing slack and the negative ones by
+    increasing multiplier, ties to the lower index.  The evaluator's
+    ``remove`` and ``add`` rows must be their heads."""
+    negative, violated = _child_rows(mask, out[1], out[2], -tol.tol_violation)
+    heads = (negative[0] if negative else None, violated[0] if violated else None)
+    assert out[3:] == heads, f"evaluator's worst rows {out[3:]}, the lists' heads {heads}"
+    return violated, negative
 
 
 def _numpy_worst_first(idx: np.ndarray, values: np.ndarray, labels=None) -> list:
@@ -317,7 +323,7 @@ def eager_search_order(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, 
             continue
         if out[0] is not None:
             break
-        violated, negative = ordered_lists(out)
+        violated, negative = ordered_lists(out, mask, tol)
         n = len(stack)
         if mask.bit_count() < cap:
             stack += [mask | 1 << k for k in reversed(violated)]

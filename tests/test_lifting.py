@@ -2,6 +2,7 @@
 forward stage template."""
 import copy
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -361,6 +362,15 @@ class TestFromMatrices:
     def test_mismatched_data_raises_at_construction(self, S, W, match):
         with pytest.raises(ValueError, match=match):
             LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 1)), G=np.eye(2), S=S, W=W)
+
+    @pytest.mark.parametrize("W, rows", [([np.inf, -5.0], [0]), ([np.inf, -5.0, 3.0], [0]),
+                                         ([1.0, np.nan, -np.inf], [1, 2])])
+    def test_non_finite_bounds_raise_at_construction(self, W, rows):
+        # An infinite W once made bound_scale, and so the search's band,
+        # infinite: solve then accepted z = 0 with z >= 5 violated.
+        G = [[1.0], [-1.0], [1.0]][: len(W)]
+        with pytest.raises(ValueError, match=re.escape(f"W must be finite, but its rows {rows} are not")):
+            LiftedQP.from_matrices(H=1.0, F=[[0.0]], G=G, S=np.zeros((len(W), 1)), W=W)
 
     def test_empty_constraints(self):
         qp = LiftedQP.from_matrices(H=np.eye(2), F=np.zeros((2, 2)), G=[], S=[], W=[])

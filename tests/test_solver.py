@@ -183,7 +183,8 @@ class TestKktSolve:
         # z >= 1 held as an equality leaves z <= 0 violated.
         for qp, lam_want, lists in ((halfspace_qp([1.0], [1.0]), -1.0, ([], [0])),
                                     (halfspace_qp([-1.0, 1.0], [-1.0, 0.0]), 1.0, ([1], []))):
-            assert ordered_lists(solver._evaluate(qp, [0], qp.W, Tolerances.for_qp(qp))) == lists
+            tol = Tolerances.for_qp(qp)
+            assert ordered_lists(solver._evaluate(qp, [0], qp.W, tol), 0b1, tol) == lists
             z, lam = kkt_solve(qp, ActiveSet.from_indices([0]), np.zeros(1))
             np.testing.assert_allclose(z, [1.0])
             np.testing.assert_allclose(lam, [lam_want])
@@ -225,6 +226,21 @@ class TestCallerMasks:
         for call in self.calls(qp, ActiveSet.from_indices([0, 2])):
             with pytest.raises(ValueError, match="beyond the 2 constraint rows"):
                 call()
+
+    @pytest.mark.parametrize("mask", [1.5, "3", ActiveSet(2.5)], ids=["float", "str", "float-ActiveSet"])
+    def test_non_integral_mask_rejected(self, mask):
+        # int() once truncated 1.5 to mask 1 and parsed "3" as mask 3.
+        qp = halfspace_qp([-1.0, 1.0], [-1.0, 2.0])
+        with pytest.raises(TypeError, match="^warm must be an ActiveSet or an integer mask"):
+            solver.solve(qp, np.zeros(1), warm=mask)
+        with pytest.raises(TypeError, match="^aset must be an ActiveSet or an integer mask"):
+            reduce_to_licq(qp, mask, np.zeros(1))
+
+    def test_integer_types_accepted(self):
+        qp = halfspace_qp([-1.0, 1.0], [-1.0, 2.0])
+        for warm in (np.int64(1), ActiveSet(np.int64(1)), True):
+            res = solver.solve(qp, np.zeros(1), warm=warm)
+            assert res.status is SolveStatus.OPTIMAL and res.active_set.mask == 1
 
 
 def primal_evaluate(qp, mask, b, tol):
@@ -301,7 +317,7 @@ class TestEvaluatorAgainstPrimalReference:
         # a tie is decided by rounding, so tied rows may swap.
         slack = b - qp.G @ z
         lam = dict(zip((k for k in range(qp.p_tilde) if mask >> k & 1), lam_A))
-        for rows, ref_rows, key in zip(ordered_lists(got), ref[2:], (slack.__getitem__, lam.get)):
+        for rows, ref_rows, key in zip(ordered_lists(got, mask, tol), ref[2:], (slack.__getitem__, lam.get)):
             assert sorted(rows) == sorted(ref_rows)
             keys = [key(k) for k in rows]
             assert all(a <= c + 1e-12 * (1.0 + abs(c)) for a, c in zip(keys, keys[1:]))
@@ -332,6 +348,9 @@ EVALUATOR_CASES = {
     "singular-block": (halfspace_qp([-1.0, -1.0], [-1.0, -1.0]), 0b11, np.array([-1.0, -1.0])),
     "nan-solve": (halfspace_qp([-1.0, 1.0], [-1.0, 2.0]), 0b1, np.array([np.nan, 2.0])),
     "nan-inactive-slack": (halfspace_qp([-1.0, 1.0, 1.0], [-1.0, 2.0, 2.0]), 0b1, np.array([-1.0, np.nan, 2.0])),
+    # The least slack by argmin is the NaN of row 1, which is never violated
+    # here; row 2, after it, is violated by 0.5 and must reject z = 1.
+    "nan-before-violated": (halfspace_qp([-1.0, 1.0, 1.0], [-1.0, 2.0, 0.5]), 0b1, np.array([-1.0, np.nan, 0.5])),
 }
 
 
@@ -352,7 +371,7 @@ class TestEvaluatorAgainstNumpyReference:
         for g, r in zip(got[:2], ref[:2]):
             assert (g is None) == (r is None)
             assert r is None or g.tobytes() == r.tobytes()
-        lists = ordered_lists(got)
+        lists = ordered_lists(got, mask, tol)
         assert lists == tuple(ref[2:])
         return lists
 
@@ -365,7 +384,7 @@ class TestEvaluatorAgainstNumpyReference:
     def test_hand_made_cases(self, name):
         got = self.same(*EVALUATOR_CASES[name])
         expected = {"tied-slacks": ([3, 2], [1]), "tied-multipliers": ([], [0, 2]),
-                    "nan-inactive-slack": ([], [])}
+                    "nan-inactive-slack": ([], []), "nan-before-violated": ([2], [])}
         assert got == expected.get(name)
 
 
@@ -1249,6 +1268,20 @@ class TestTolerances:
             Tolerances.for_qp(qp, max_kkt_solves=-1)
         with pytest.raises(ValueError, match="max_kkt_solves = -2"):
             Tolerances(max_kkt_solves=-2)
+
+    def test_non_integral_budget_rejected(self):
+        assert Tolerances(max_kkt_solves=np.int64(3)).max_kkt_solves == 3
+        for budget in (2.5, "3"):
+            with pytest.raises(TypeError, match="max_kkt_solves must be an integer"):
+                Tolerances(max_kkt_solves=budget)
+
+    @pytest.mark.parametrize("band", [np.nan, -1e-9, np.inf])
+    def test_band_must_be_finite_and_nonnegative(self, band):
+        # An infinite band accepts any candidate; NaN rejects none by its
+        # comparisons but is no band either.
+        with pytest.raises(ValueError, match="tol_violation = .* must be finite and nonnegative"):
+            Tolerances(tol_violation=band)
+        assert Tolerances(tol_violation=0.0).tol_violation == 0.0
 
 
 def _random_query(seed):
