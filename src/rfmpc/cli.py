@@ -70,7 +70,7 @@ def _theta(text: str) -> np.ndarray:
 def _warm(text: str) -> ActiveSet:
     """A ``--warm`` hex bitmask; argparse names the flag when this raises."""
     try:
-        return ActiveSet.from_hex(text)
+        return ActiveSet(int(text, 16))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

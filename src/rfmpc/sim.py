@@ -153,7 +153,7 @@ def warm_shift_map(qp: LiftedQP) -> list:
 
 def shift_warm_set(active: ActiveSet, shift: list) -> ActiveSet:
     """Map ``active`` through a :func:`warm_shift_map`, dropping unmapped rows."""
-    if not active.mask:
+    if not active:
         return active
     return ActiveSet.from_indices(j for j in map(shift.__getitem__, active.indices()) if j >= 0)
 

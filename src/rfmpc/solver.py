@@ -29,9 +29,12 @@ search comes back to it; when the stack runs dry, candidates come from the
 exhaustive (cardinality, mask) order.  A visited set and a list of minimal
 rank-deficient candidates (whose supersets are all rank deficient and can be
 pruned wholesale) filter them, which makes the search complete: if the
-bounded candidate space is exhausted the problem is infeasible.  Every
-:class:`SolveResult` comes from one constructor (:func:`_result`), which the
-enumeration reference of the tests (``tests/reference.py``) shares.
+bounded candidate space is exhausted the problem is infeasible.  An active
+set is one ``int`` mask throughout: :class:`ActiveSet`, which callers pass as
+``warm`` and results carry, is an ``int`` that checks its mask when built.
+Every :class:`SolveResult` comes from one constructor (:func:`_result`),
+which the enumeration reference of the tests (``tests/reference.py``)
+shares.
 
 Infeasibility is certified by a Farkas ray: ``y >= 0`` with ``G^T y = 0`` and
 ``b^T y = -1`` exists exactly when ``G z <= b`` is empty.  The rows a ray
@@ -81,14 +84,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Immutable set of active constraint indices stored as a bitmask.
+class ActiveSet(int):
+    """A set of active constraint rows that is its own bitmask: an ``int``.
 
-    Bit ``k`` set means constraint row ``k`` is treated as an equality.
+    Bit ``k`` set means constraint row ``k`` is treated as an equality.  A
+    mask that is not an integer (``operator.index``) raises ``TypeError``,
+    and a negative one, whose bits never end, ``ValueError``.  ``len`` is the
+    number of rows and ``str`` the hex mask.
     """
 
-    mask: int = 0
+    __slots__ = ()
+
+    def __new__(cls, mask=0):
+        mask = operator.index(mask)
+        if mask < 0:
+            raise ValueError(f"active-set mask must be nonnegative, got {hex(mask)}")
+        return int.__new__(cls, mask)
 
     @classmethod
     def from_indices(cls, indices) -> "ActiveSet":
@@ -97,21 +108,14 @@ class ActiveSet:
             m |= 1 << int(k)
         return cls(m)
 
-    @classmethod
-    def from_hex(cls, text: str) -> "ActiveSet":
-        mask = int(text, 16)
-        if mask < 0:
-            raise ValueError(f"active-set mask must be nonnegative, got {text}")
-        return cls(mask)
-
     def indices(self) -> list:
-        return _mask_indices(self.mask)
+        return _mask_indices(self)
 
     def __len__(self) -> int:
-        return self.mask.bit_count()
+        return self.bit_count()
 
     def __str__(self) -> str:
-        return hex(self.mask)
+        return hex(self)
 
 
 def _mask_indices(mask: int) -> list:
@@ -128,9 +132,10 @@ def _caller_mask(qp: LiftedQP, aset, name: str = "aset") -> int:
     """Bitmask of a caller's ``ActiveSet | int``, checked against the rows of
     ``qp``.  A mask that is not an integer (a float or a str, which ``int``
     would truncate or parse) raises ``TypeError`` naming the caller's
-    argument ``name``; any integer type (``operator.index``) is taken."""
+    argument ``name``; any integer type (``operator.index``), an
+    :class:`ActiveSet` included, is taken as a plain ``int``."""
     try:
-        mask = operator.index(aset.mask if isinstance(aset, ActiveSet) else aset)
+        mask = operator.index(aset)
     except TypeError:
         raise TypeError(f"{name} must be an ActiveSet or an integer mask, got {aset!r}") from None
     if mask < 0:
@@ -199,11 +204,13 @@ class SolveStats:
 class SolveResult:
     """Outcome of one query, with the certificate its status calls for.
 
-    ``OPTIMAL`` carries the minimizer ``z_star``, the input sequence and the
-    multipliers ``lam``, which :func:`kkt_residuals` checks.  At the empty
-    active set ``z_star`` and ``lam`` are its QP's shared read-only zero
-    vectors (``LiftedQP.origin`` and ``zero_lam``), which raise
-    ``ValueError`` when written to; every other array is the result's own.
+    ``active_set`` is the accepted :class:`ActiveSet`, an ``int``, and the
+    empty one when no set was accepted.  ``OPTIMAL`` carries the minimizer
+    ``z_star``, the input sequence and the multipliers ``lam``, which
+    :func:`kkt_residuals` checks.  At the empty active set ``z_star`` and
+    ``lam`` are its QP's shared read-only zero vectors (``LiftedQP.origin``
+    and ``zero_lam``), which raise ``ValueError`` when written to; every
+    other array is the result's own.
     ``INFEASIBLE`` carries a Farkas ray ``farkas`` (one entry per constraint
     row), which :func:`check_farkas` checks.  A ray found on the rows of the
     rank-deficient candidate that triggered the ray test weights only those
@@ -310,24 +317,22 @@ def _evaluate(qp: LiftedQP, rows: list, b: np.ndarray, tol: Tolerances):
     the candidate row with the least multiplier and ``add`` the row with the
     least slack, each only when that is below ``-tol_violation`` and else
     ``None``, the lower index on a tie: the worst row of each side, the
-    heads of the lists that :func:`_child_rows` forms from ``lam_A`` and
-    ``slack`` when a deferred frame needs the rest.  The candidate is
+    heads of the lists that a deferred frame (:func:`_siblings`) forms from
+    ``lam_A`` and ``slack`` when it needs the rest.  The candidate is
     accepted when neither is a row.  A NaN slack is never violated at a
     non-empty candidate, so where ``argmin`` stops at a NaN the worst row
     comes from the rows below the band.  The empty candidate costs no solve
     and allocates nothing: its minimizer is the QP's read-only ``origin``
-    and its slack is ``b`` itself, where a NaN entry counts as violated,
-    after every number.  Its test reads the least entry of ``b``, or its
-    first NaN.
+    and its slack is ``b`` itself.  Its test reads the least entry of ``b``,
+    or its first NaN, so a NaN or ``-inf`` bound rejects it, and that entry
+    is its ``add`` row; its child is non-empty, and :func:`_search` checks
+    ``b`` before it evaluates that child.
     """
     low = -tol.tol_violation
     if not rows:
         if not b.size or b[b.argmin()] >= low:
             return qp.origin, _NO_ROWS, b, None, None
-        add = int(b.argmin())
-        if b[add] != b[add]:  # a NaN bound: violated, but ordered after every number
-            add = _worst_first((~(b >= low)).nonzero()[0], b)[0]
-        return None, _NO_ROWS, b, None, add
+        return None, _NO_ROWS, b, None, int(b.argmin())
     idx = np.array(rows)
     KR = qp.K.take(idx, axis=0)  # take: the gather of K[rows] at half the call cost
     KAA = KR.take(idx, axis=1)
@@ -357,31 +362,11 @@ def _evaluate(qp: LiftedQP, rows: list, b: np.ndarray, tol: Tolerances):
     return None, lam_A, slack, remove, add
 
 
-def _child_rows(mask: int, lam_A: np.ndarray, slack: np.ndarray, low: float) -> tuple:
-    """``(negative, violated)`` of a rejected ``mask`` from its multipliers
-    ``lam_A`` and ``slack``, as :func:`_evaluate` returned them: the rows of
-    ``mask`` with a multiplier below ``low`` by increasing multiplier, and
-    the rows with a slack below ``low`` by increasing slack (at the empty
-    candidate a NaN bound too, last), ties to the lower index.  Their heads
-    are the ``remove`` and ``add`` rows that :func:`_evaluate` returned."""
-    rows = _mask_indices(mask)
-    lam = lam_A.tolist()
-    # A stable sort: tied multipliers stay on the lower index.
-    negative = [rows[i] for i in sorted((i for i, v in enumerate(lam) if v < low), key=lam.__getitem__)]
-    violated = (slack < low) if mask else ~(slack >= low)
-    return negative, _worst_first(violated.nonzero()[0], slack)
-
-
-def _worst_first(idx: np.ndarray, values: np.ndarray) -> list:
-    """``idx`` by increasing ``values[idx]`` as a list, ties to the lower index
-    (a stable sort of ascending indices)."""
-    if not idx.size:
-        return []
-    return idx[values[idx].argsort(kind="stable")].tolist()
+_EMPTY_SET = ActiveSet(0)
 
 
 def _result(qp: LiftedQP, shift: np.ndarray, stats: SolveStats, status: SolveStatus,
-            mask: int = 0, z=None, lam_A=None, farkas=None, warm=None) -> SolveResult:
+            mask: int = 0, z=None, lam_A=None, farkas=None) -> SolveResult:
     """The one constructor of :class:`SolveResult`.
 
     ``z`` and ``lam_A`` are ``None`` unless optimal.  ``z`` yields the input
@@ -389,9 +374,9 @@ def _result(qp: LiftedQP, shift: np.ndarray, stats: SolveStats, status: SolveSta
     formed it; ``lam_A``, the multipliers of the rows of ``mask``, is
     scattered into a fresh full multiplier vector when ``mask`` is not empty,
     and at the empty set the multipliers are the QP's read-only
-    ``zero_lam``.  ``farkas`` is the ray of an infeasible result.  A ``warm``
-    :class:`ActiveSet` whose mask is ``mask`` is itself the result's
-    ``active_set``.
+    ``zero_lam``.  ``farkas`` is the ray of an infeasible result.  ``mask``
+    becomes the result's :class:`ActiveSet`; every empty one is the same
+    ``ActiveSet(0)``, safe to share as an ``int`` is immutable.
     """
     u_seq = u_first = lam = None
     if z is not None:
@@ -402,7 +387,7 @@ def _result(qp: LiftedQP, shift: np.ndarray, stats: SolveStats, status: SolveSta
         if mask:
             lam = np.zeros(qp.p_tilde)
             lam[_mask_indices(mask)] = lam_A
-    aset = warm if isinstance(warm, ActiveSet) and warm.mask == mask else ActiveSet(mask)
+    aset = ActiveSet(mask) if mask else _EMPTY_SET
     return SolveResult(status, aset, u_first, u_seq, z, lam, stats, farkas)
 
 
@@ -485,8 +470,9 @@ def solve(
     ``theta`` must have ``n_theta`` entries and be finite, or ``ValueError``
     is raised.  So must ``b = W + S theta`` be finite, with one exception: a
     ``+inf`` bound cannot be violated, so a query accepted at the empty set
-    may carry one.  When the accepted set is ``warm``'s, the result's
-    ``active_set`` is the ``warm`` object itself.
+    may carry one.  The result's ``active_set`` is an :class:`ActiveSet`,
+    so it compares equal to a ``warm`` set of the same rows, an ``int`` or
+    an ``ActiveSet``.
 
     ``stats.wall_time`` covers the whole call, result construction included.
     """
@@ -496,7 +482,7 @@ def solve(
     stats = SolveStats()
     mask = 0 if warm is None else _caller_mask(qp, warm, "warm")
     found = _search(qp, b, mask, tol, stats)
-    result = _result(qp, shift, stats, *found, warm=warm)
+    result = _result(qp, shift, stats, *found)
     stats.wall_time = time.perf_counter() - t0
     return result
 
@@ -615,16 +601,23 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
 
 
 def _siblings(mask: int, lam_A: np.ndarray, slack: np.ndarray, low: float, cap: int):
-    """The deferred children of a rejected ``mask``, one per ``next``: the
-    rows with a negative multiplier removed, then, while ``mask`` has fewer
-    than ``cap`` rows, the violated rows added, each worst first
-    (:func:`_child_rows`), less the first child, which the chain took.  The
-    frame keeps only ``mask``, ``lam_A`` and ``slack`` and forms both lists
-    only when it is first advanced."""
-    negative, violated = _child_rows(mask, lam_A, slack, low)
-    for k in negative[1:]:
-        yield mask & ~(1 << k)
+    """The deferred children of a rejected ``mask``, one per ``next``, less
+    the first child, which the chain took: the rows of ``mask`` with a
+    multiplier below ``low`` removed, by increasing multiplier, then, while
+    ``mask`` has fewer than ``cap`` rows, the rows with a slack below ``low``
+    added, by increasing slack, ties to the lower index.  The heads of these
+    lists are the ``remove`` and ``add`` rows that :func:`_evaluate`
+    returned.  The frame keeps only ``mask``, ``lam_A`` and ``slack`` and
+    forms each list only when it is advanced that far."""
+    rows = _mask_indices(mask)
+    lam = lam_A.tolist()
+    # Stable sorts of ascending rows: ties stay on the lower index.
+    negative = sorted((i for i, v in enumerate(lam) if v < low), key=lam.__getitem__)
+    for i in negative[1:]:
+        yield mask & ~(1 << rows[i])
     if mask.bit_count() < cap:
+        violated = (slack < low).nonzero()[0]
+        violated = violated[slack.take(violated).argsort(kind="stable")].tolist()
         for k in violated[0 if negative else 1:]:
             yield mask | 1 << k
 
@@ -804,7 +797,7 @@ def reduce_to_licq(qp: LiftedQP, aset: ActiveSet, theta) -> ActiveSet:
             mu = _nnls(YA.T @ YA, -(YA.T @ z))
             if np.linalg.norm(YA @ mu + z) > 1e-8 * (1.0 + np.linalg.norm(z)):
                 raise ValueError("candidate set is not sufficient: no nonnegative multipliers")
-            mask = ActiveSet.from_indices(rows[mu > 0]).mask
+            mask = ActiveSet.from_indices(rows[mu > 0])
 
     # Verify the reduced candidate actually certifies the minimizer, with a
     # band ten times the search's default.

@@ -21,8 +21,7 @@ from rfmpc.beam import FDPlant, _diff_matrix
 from rfmpc.lifting import LiftedQP, _theta_vector
 from rfmpc.problem import Parameter, PlantModel, ProblemDefinition, StageConstraints, StageWeights, _vec
 from rfmpc.solver import (_NO_ROWS, _RANK_TOL, ActiveSet, SolveResult, SolveStats, SolveStatus, Tolerances, _caller_mask,
-                          _child_rows, _evaluate, _mask_indices, _rank_complete, _result, _solve,
-                          iter_candidate_masks)
+                          _evaluate, _mask_indices, _rank_complete, _result, _solve, iter_candidate_masks)
 
 
 def scalar_problem(N, A=1.0, B=1.0, Q=1.0, R=1.0, P=1.0, V=0.0) -> ProblemDefinition:
@@ -205,7 +204,7 @@ def numpy_evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
     a numpy reduction.  It shares the rank screen and the solve with
     :func:`rfmpc.solver._evaluate`, which must return its bits; its caller
     holds the ``np.errstate``.  At the empty candidate a NaN bound counts
-    as violated, as it does in the evaluator."""
+    as violated, as it does in the evaluator's verdict, and sorts last."""
     if not mask:
         viol = (~(b >= -tol.tol_violation)).nonzero()[0]
         if not viol.size:
@@ -231,11 +230,15 @@ def numpy_evaluate(qp: LiftedQP, mask: int, b: np.ndarray, tol: Tolerances):
 def ordered_lists(out, mask: int, tol: Tolerances) -> tuple:
     """``(violated, negative)`` of an :func:`rfmpc.solver._evaluate` result
     of ``mask`` as worst-first lists, the order the search visits their rows
-    in, as a deferred frame forms them (:func:`rfmpc.solver._child_rows`):
-    the violated rows by increasing slack and the negative ones by
-    increasing multiplier, ties to the lower index.  The evaluator's
-    ``remove`` and ``add`` rows must be their heads."""
-    negative, violated = _child_rows(mask, out[1], out[2], -tol.tol_violation)
+    in: the violated rows by increasing slack and the negative ones by
+    increasing multiplier, ties to the lower index.  They are formed here
+    with numpy sorts, apart from the deferred frame
+    (:func:`rfmpc.solver._siblings`) that forms them in the search, and the
+    evaluator's ``remove`` and ``add`` rows must be their heads."""
+    lam_A, slack, low = out[1], out[2], -tol.tol_violation
+    rows = np.array([k for k in range(slack.size) if mask >> k & 1], dtype=int)
+    violated = _numpy_worst_first((slack < low).nonzero()[0], slack)
+    negative = _numpy_worst_first((lam_A < low).nonzero()[0], lam_A, rows)
     heads = (negative[0] if negative else None, violated[0] if violated else None)
     assert out[3:] == heads, f"evaluator's worst rows {out[3:]}, the lists' heads {heads}"
     return violated, negative
@@ -374,7 +377,7 @@ def dual_ascent(qp: LiftedQP, theta, tol: float = 1e-10, max_iter: int = 100000)
 def numpy_shift_warm_set(active: ActiveSet, shift: np.ndarray) -> ActiveSet:
     """:func:`rfmpc.sim.shift_warm_set` as it stood on numpy: the set's rows
     gathered through the map array, the unmapped ones dropped."""
-    if not active.mask:
+    if not active:
         return active
     rows = shift[active.indices()]
     return ActiveSet.from_indices(rows[rows >= 0])

@@ -41,7 +41,8 @@ def test_test_references_are_not_in_the_product():
             lifting: ["to_z", "eval_constraints", "check_easy_slater", "from_z"],
             beam: ["fd_energy", "BeamParams", "_zoh_rotation"], beam.BeamBenchmark: ["params"],
             beam.FDPlant: ["_zoh"],
-            solver: ["kkt_solve"], solver.ActiveSet: ["add", "__iter__"]}
+            solver: ["kkt_solve", "_child_rows", "_worst_first"],
+            solver.ActiveSet: ["add", "__iter__", "mask", "from_hex"]}
     assert [(owner.__name__, name) for owner, names in gone.items() for name in names
             if hasattr(owner, name)] == []
     # The beam's coefficients are all 1; the basis size is its only setting.

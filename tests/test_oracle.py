@@ -38,7 +38,7 @@ class TestEnumeration:
     def test_interior_minimum(self):
         qp, theta = box_qp(pull=0.25)
         res = enumerate_active_sets(qp, theta)
-        assert res.active_set.mask == 0
+        assert res.active_set == 0
         np.testing.assert_allclose(res.u_seq, [0.25])
 
     def test_infeasible(self):

@@ -335,7 +335,7 @@ class TestWarmShift:
         sets = {log.active_set for run in (warm_run, fd_run) for log in run.logs}
         assert len(sets) > 20
         for text in sets:
-            same(ActiveSet.from_hex(text), shift30)
+            same(ActiveSet(int(text, 16)), shift30)
         rng = np.random.default_rng(33)
         for N in (10, 30, 150):
             shift = shift30 if N == 30 else sim.warm_shift_map(build_qp(beam.make_benchmark(N=N).problem))
