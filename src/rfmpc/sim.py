@@ -261,7 +261,7 @@ def run_closed_loop(
         stats.append(res.stats)
 
         if fd is None:
-            x = A_d @ x + B_d @ u
+            x = A_d.dot(x) + B_d.dot(u)
         else:
             y = beam_mod.fd_plant_step(fd, y, u / bench.u_scale)
             x = fd.observe(y)

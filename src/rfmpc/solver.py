@@ -18,20 +18,12 @@ call cost, which is several times the LAPACK work on a block of a few rows.
 A failed factorization or a singular solve then reads as NaN instead of
 raising ``LinAlgError``; the search holds one ``np.errstate`` per query for
 the flags that raises (:func:`_search`), and :func:`reduce_to_licq` its own.
-One loop (:func:`solve`) otherwise branches by activating violated rows and
-deactivating rows with negative multipliers.  It walks a chain: the
-evaluator names only the worst row of each side, and a rejected candidate's
-first child (its worst negative row dropped, else its worst violated row
-added) is the next candidate and carries its row list, while its other
-children wait in one deferred frame on a stack (most recent first), which
-forms the full lists from the candidate's multipliers and slack only if the
-search comes back to it; when the stack runs dry, candidates come from the
-exhaustive (cardinality, mask) order.  A visited set and a list of minimal
-rank-deficient candidates (whose supersets are all rank deficient and can be
-pruned wholesale) filter them, which makes the search complete: if the
-bounded candidate space is exhausted the problem is infeasible.  An active
-set is one ``int`` mask throughout: :class:`ActiveSet`, which callers pass as
-``warm`` and results carry, is an ``int`` that checks its mask when built.
+One loop (:func:`_search`, whose docstring gives its order) otherwise
+branches by deactivating rows with negative multipliers and activating
+violated rows, and is complete: if the bounded candidate space is exhausted
+the problem is infeasible.  An active set is one ``int`` mask throughout:
+:class:`ActiveSet`, which callers pass as ``warm`` and results carry, is an
+``int`` that checks its mask when built.
 Every :class:`SolveResult` comes from one constructor (:func:`_result`),
 which the enumeration reference of the tests (``tests/reference.py``)
 shares.
@@ -316,17 +308,16 @@ def _evaluate(qp: LiftedQP, rows: list, b: np.ndarray, tol: Tolerances):
     deficient.  ``slack`` is the array of every row's slack.  ``remove`` is
     the candidate row with the least multiplier and ``add`` the row with the
     least slack, each only when that is below ``-tol_violation`` and else
-    ``None``, the lower index on a tie: the worst row of each side, the
-    heads of the lists that a deferred frame (:func:`_siblings`) forms from
-    ``lam_A`` and ``slack`` when it needs the rest.  The candidate is
-    accepted when neither is a row.  A NaN slack is never violated at a
-    non-empty candidate, so where ``argmin`` stops at a NaN the worst row
-    comes from the rows below the band.  The empty candidate costs no solve
-    and allocates nothing: its minimizer is the QP's read-only ``origin``
-    and its slack is ``b`` itself.  Its test reads the least entry of ``b``,
-    or its first NaN, so a NaN or ``-inf`` bound rejects it, and that entry
-    is its ``add`` row; its child is non-empty, and :func:`_search` checks
-    ``b`` before it evaluates that child.
+    ``None``, the lower index on a tie: the heads of the child lists of
+    :func:`_search`.  The candidate is accepted when neither is a row.  A NaN
+    slack is never violated at a non-empty candidate, so where ``argmin``
+    stops at a NaN the worst row comes from the rows below the band.  The
+    empty candidate costs no solve and allocates nothing: its minimizer is
+    the QP's read-only ``origin`` and its slack is ``b`` itself.  Its test
+    reads the least entry of ``b``, or its first NaN, so a NaN or ``-inf``
+    bound rejects it, and that entry is its ``add`` row; its child is
+    non-empty, and :func:`_search` checks ``b`` before it evaluates that
+    child.
     """
     low = -tol.tol_violation
     if not rows:
@@ -445,34 +436,25 @@ def solve(
 ) -> SolveResult:
     """Point location by warm-started candidate search.
 
-    One loop evaluates candidates, starting from ``warm`` (default: empty
-    set), until one is accepted.  A rejected candidate's children are the
-    subsets dropping a row with a negative multiplier, by increasing
-    multiplier, then the supersets activating a violated row (at most
-    ``min(n_z, p)`` rows), by increasing slack.  The first child is the
-    next candidate and the others are deferred, to be tried in that order
-    when the first one's branch ends without an accepted candidate.  Every
-    candidate is filtered before it is evaluated: already visited ones, and
-    those containing a known rank-deficient subset, are skipped.  When no
-    deferred child is left the next candidate of the (cardinality, mask)
-    order is tried, so the search is complete.  The query is tested once
-    for a Farkas ray, at the first rank-deficient candidate or once
-    ``min(n_z, tol.max_kkt_solves)`` KKT solves have produced no accepted
-    candidate, whichever comes first.  ``INFEASIBLE`` is reported when that
-    ray exists, or when every candidate with cardinality at most ``n_z`` has
-    been covered, and carries the ray in ``farkas`` (``None`` only if the
-    search ran dry after the ray test found no ray that :func:`check_farkas`
-    accepts).  ``BUDGET_EXHAUSTED`` is reported when
-    ``tol.max_kkt_solves`` KKT solves have produced no accepted candidate and
-    the ray test found no certificate: the search stalled.  A ``warm`` set
-    with a negative mask or a row at or above ``p_tilde`` raises
-    ``ValueError``, and one whose mask is not an integer ``TypeError``.
-    ``theta`` must have ``n_theta`` entries and be finite, or ``ValueError``
-    is raised.  So must ``b = W + S theta`` be finite, with one exception: a
-    ``+inf`` bound cannot be violated, so a query accepted at the empty set
-    may carry one.  The result's ``active_set`` is an :class:`ActiveSet`,
-    so it compares equal to a ``warm`` set of the same rows, an ``int`` or
-    an ``ActiveSet``.
+    One complete loop (:func:`_search`, whose docstring gives its order)
+    evaluates candidates, starting from ``warm`` (default: empty set), until
+    one is accepted.  The query is tested once for a Farkas ray, at the first
+    rank-deficient candidate or once ``min(n_z, tol.max_kkt_solves)`` KKT
+    solves have produced no accepted candidate, whichever comes first.
+    ``INFEASIBLE`` is reported when that ray exists, or when every candidate
+    with cardinality at most ``n_z`` has been covered, and carries the ray
+    in ``farkas`` (``None`` only if the search ran dry after the ray test
+    found no ray that :func:`check_farkas` accepts).  ``BUDGET_EXHAUSTED``
+    is reported when ``tol.max_kkt_solves`` KKT solves have produced no
+    accepted candidate and the ray test found no certificate: the search
+    stalled.  A ``warm`` set with a negative mask or
+    a row at or above ``p_tilde`` raises ``ValueError``, and one whose mask
+    is not an integer ``TypeError``.  ``theta`` must have ``n_theta`` entries
+    and be finite, or ``ValueError`` is raised.  So must ``b = W + S theta``
+    be finite, with one exception: a ``+inf`` bound cannot be violated, so a
+    query accepted at the empty set may carry one.  The result's
+    ``active_set`` is an :class:`ActiveSet`, so it compares equal to a
+    ``warm`` set of the same rows, an ``int`` or an ``ActiveSet``.
 
     ``stats.wall_time`` covers the whole call, result construction included.
     """
@@ -490,16 +472,29 @@ def solve(
 def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: SolveStats) -> tuple:
     """The loop of :func:`solve` from warm ``mask``.
 
-    A rejected candidate's first child, its ``remove`` row taken out if it
-    has one and else its ``add`` row put in (:func:`_evaluate`), is the next
-    candidate and carries its row list, the parent's with that one row
-    changed.  Its other children wait in one frame (:func:`_siblings`) on a
-    stack that yields them one per pop, in the order of pushing every child;
-    the frame holds the candidate's multipliers and slack and forms its
-    lists only when it is first advanced.  The candidate order
-    (:func:`iter_candidate_masks`) is the frame under them all, entered when
-    the stack runs dry.  A candidate from a frame gets its row list from its
-    mask.
+    A rejected candidate's children are the sets that drop one of its rows
+    with a multiplier below ``-tol_violation``, by increasing multiplier,
+    and then, while it has fewer than ``cap = min(n_z, p)`` rows, the sets
+    that add one of its rows with a slack below ``-tol_violation``, by
+    increasing slack, ties to the lower index: the order of the eager loop
+    that pushed every child (``tests/reference.py::eager_search_order``).
+    The search walks the chain of first children: :func:`_evaluate` names
+    the heads of both lists (its ``remove`` and ``add`` rows), so the first
+    child, ``remove`` taken out if there is one and else ``add`` put in, is
+    the next candidate, and it carries its row list, the parent's with that
+    one row changed.  A rejected candidate with a child also pushes one
+    frame (:func:`_siblings`) on a stack, which yields all of its children
+    in that order, one per pop, and holds only the candidate's multipliers
+    and slack until it is first advanced.  Its head, the child the chain
+    took, is visited by then, so the visited check drops it before anything
+    is counted.  A candidate from a frame gets its row list from its mask.
+    The candidate order (:func:`iter_candidate_masks`) is the frame under
+    them all, entered when the stack runs dry.  A visited candidate, and one
+    holding a known rank-deficient candidate (a list kept
+    inclusion-minimal, since every superset is rank deficient too), is
+    skipped before it is evaluated.  So the search is complete: when the
+    order runs dry, no candidate of at most ``cap`` rows is accepted and
+    the problem is infeasible.
 
     The one ray test runs at the first rank-deficient candidate (a ray's rows
     are linearly dependent), whose rows it searches first, or after
@@ -581,18 +576,14 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
             if stats.kkt_solves >= budget:
                 return (SolveStatus.BUDGET_EXHAUSTED,)
 
-            # The children: removals by increasing multiplier, then additions
-            # by increasing slack below ``cap`` rows, which share one
-            # cardinality (an active row's is the candidate itself, visited).
-            # The worst is the next candidate and the rest are deferred.
-            if remove is not None:
+            if remove is not None or add is not None and mask.bit_count() < cap:
                 frames.append(_siblings(mask, lam_A, slack, low, cap))
-                rows.remove(remove)
-                mask ^= 1 << remove
-            elif add is not None and mask.bit_count() < cap:
-                frames.append(_siblings(mask, lam_A, slack, low, cap))
-                insort(rows, add)
-                mask |= 1 << add
+                if remove is not None:
+                    rows.remove(remove)
+                    mask ^= 1 << remove
+                else:
+                    insort(rows, add)
+                    mask |= 1 << add
             else:
                 mask = None
     finally:
@@ -601,24 +592,16 @@ def _search(qp: LiftedQP, b: np.ndarray, mask: int, tol: Tolerances, stats: Solv
 
 
 def _siblings(mask: int, lam_A: np.ndarray, slack: np.ndarray, low: float, cap: int):
-    """The deferred children of a rejected ``mask``, one per ``next``, less
-    the first child, which the chain took: the rows of ``mask`` with a
-    multiplier below ``low`` removed, by increasing multiplier, then, while
-    ``mask`` has fewer than ``cap`` rows, the rows with a slack below ``low``
-    added, by increasing slack, ties to the lower index.  The heads of these
-    lists are the ``remove`` and ``add`` rows that :func:`_evaluate`
-    returned.  The frame keeps only ``mask``, ``lam_A`` and ``slack`` and
-    forms each list only when it is advanced that far."""
+    """The frame of a rejected ``mask``: all of its children, one per
+    ``next``, in the order of :func:`_search`."""
     rows = _mask_indices(mask)
     lam = lam_A.tolist()
     # Stable sorts of ascending rows: ties stay on the lower index.
-    negative = sorted((i for i, v in enumerate(lam) if v < low), key=lam.__getitem__)
-    for i in negative[1:]:
+    for i in sorted((i for i, v in enumerate(lam) if v < low), key=lam.__getitem__):
         yield mask & ~(1 << rows[i])
     if mask.bit_count() < cap:
         violated = (slack < low).nonzero()[0]
-        violated = violated[slack.take(violated).argsort(kind="stable")].tolist()
-        for k in violated[0 if negative else 1:]:
+        for k in violated[slack.take(violated).argsort(kind="stable")].tolist():
             yield mask | 1 << k
 
 

@@ -9,9 +9,13 @@ Two reference solvers reach the minimizer of a desk-scale QP without the
 search: enumeration shares only the candidate evaluator of :mod:`rfmpc.solver`,
 and dual ascent only the operators ``K`` and ``Y`` the QP cached when it was
 built.  :func:`numpy_evaluate` keeps an earlier, all-numpy form of that
-evaluator, whose bits the current one must reproduce, and
-:func:`numpy_shift_warm_set` the numpy form of the receding-horizon shift of
-a warm set.
+evaluator, whose bits the current one must reproduce;
+:func:`ordered_lists` forms a rejected candidate's worst-first child lists
+with numpy sorts; :func:`eager_search_order` is the eager search loop that
+pushed every child, whose visit order the search must follow; and
+:func:`numpy_shift_warm_set` is the numpy form of the receding-horizon shift
+of a warm set.  :func:`fd_generator` assembles the finite-difference model
+as one dense grid system, which the product never forms.
 """
 from __future__ import annotations
 

@@ -1474,6 +1474,45 @@ class TestVisitOrder:
         for e in pool["entries"]:
             self.sources(monkeypatch, qp, Parameter(np.array(e["x"]), np.array(e["u_prev"])))
 
+    def test_frame_lists_every_child(self, monkeypatch):
+        """A frame (``solver._siblings``) yields every child of its rejected
+        candidate, the chain's own first: the removals, then, below ``cap``
+        rows, the additions, each list as ``ordered_lists`` forms it.  The
+        candidates are the hand-made evaluator cases and those the search
+        rejects on random-258 and on every tenth cold-pool query."""
+        rejected, evaluate = [], solver._evaluate
+
+        def recorded(qp, rows, b, tol):
+            out = evaluate(qp, rows, b, tol)
+            if out is not None and out[0] is None:
+                rejected.append((qp, ActiveSet.from_indices(rows), out, tol))
+            return out
+
+        with np.errstate(all="ignore"):  # the search's guard
+            for qp, mask, b in EVALUATOR_CASES.values():
+                recorded(qp, solver._mask_indices(mask), b, Tolerances.for_qp(qp))
+        pool = json.loads(COLD_POOL.read_text())
+        bench = make_benchmark(N=pool["horizon"], bound_scaling=pool["bound_scaling"])
+        cold = lifting.build(bench.problem)
+        queries = [_random_query(258)[:2]]
+        queries += [(cold, Parameter(np.array(e["x"]), np.array(e["u_prev"]))) for e in pool["entries"][::10]]
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_evaluate", recorded)
+            for qp, theta in queries:
+                solver.solve(qp, theta)
+        kinds = set()
+        for qp, mask, out, tol in rejected:
+            cap = min(qp.Y.shape)
+            violated, negative = ordered_lists(out, mask, tol)
+            children = [mask & ~(1 << k) for k in negative]
+            if mask.bit_count() < cap:
+                children += [mask | 1 << k for k in violated]
+            assert list(solver._siblings(mask, out[1], out[2], -tol.tol_violation, cap)) == children
+            kinds.add("negative" if negative else "no negative")
+            if mask.bit_count() == cap:
+                kinds.add("at cap")
+        assert {"negative", "no negative", "at cap"} <= kinds, kinds
+
 
 class TestErrorStateIsRestored:
     """The search holds one ``np.errstate`` per query from its first candidate
